@@ -4,9 +4,16 @@ All matrices carry Python ints (dtype=object), so arithmetic never
 overflows.  Columns are the working unit: the span of a matrix always
 means the span of its columns.  Core loops run on lists of lists and
 convert back at the boundary.
+
+One column echelon routine serves lattice bases, kernels, solving, span
+membership and invariant factors, which need no transforms (Cohen, *A
+Course in Computational Algebraic Number Theory*, 2.4).  smith_normal_form
+keeps its unimodular certificates and is their oracle.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -94,12 +101,12 @@ def _xgcd(a: int, b: int):
 
 
 def _echelon_cols(cols, m: int, track: bool):
-    """Column echelon form by unimodular column operations.
+    """Column echelon form by unimodular column operations, in place.
 
-    Returns (pivots, zeros_t) where pivots is a list of
-    (lead_row, column) in increasing lead_row order and zeros_t collects
-    transform columns that map to zero (kernel directions).  When track
-    is false the transform is not maintained and zeros_t is None.
+    Returns (pivots, live, tcols): pivots lists (lead_row, column index) in
+    increasing lead_row order, live the indices of the columns reduced to
+    zero, and tcols[j] the combination of original columns that gives
+    column j, so the live ones span the kernel (None unless track).
     """
     n = len(cols)
     tcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)] if track else None
@@ -135,8 +142,7 @@ def _echelon_cols(cols, m: int, track: bool):
                 tcols[piv] = [-x for x in tcols[piv]]
         pivots.append((r, piv))
         live.remove(piv)
-    zeros_t = [tcols[j] for j in live] if track else None
-    return pivots, live, zeros_t
+    return pivots, live, tcols
 
 
 def _col_axpy(target, source, c):
@@ -157,52 +163,16 @@ def kernel(M: np.ndarray) -> np.ndarray:
     """Basis of the integer kernel {x : M x = 0}, one column per basis vector."""
     m, n = M.shape
     cols = _to_cols(M)
-    _, _, zeros_t = _echelon_cols(cols, m, track=True)
-    return _from_cols(zeros_t, n)
-
-
-def echelon_with_transform(M: np.ndarray):
-    """Return (pivots, m) where pivots is a list of (lead_row, column, tcolumn):
-    M @ tcolumn == column, columns echelon."""
-    m, n = M.shape
-    cols = _to_cols(M)
-    tcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    live = list(range(n))
-    pivots = []
-    for r in range(m):
-        active = [j for j in live if cols[j][r] != 0]
-        if not active:
-            continue
-        piv = active[0]
-        for j in active[1:]:
-            a, b = cols[piv][r], cols[j][r]
-            if b % a == 0:
-                q = b // a
-                _col_axpy(cols[j], cols[piv], -q)
-                _col_axpy(tcols[j], tcols[piv], -q)
-                continue
-            g, s, t = _xgcd(a, b)
-            u, v = a // g, b // g
-            cols[piv], cols[j] = (
-                [s * p + t * q_ for p, q_ in zip(cols[piv], cols[j])],
-                [-v * p + u * q_ for p, q_ in zip(cols[piv], cols[j])],
-            )
-            tcols[piv], tcols[j] = (
-                [s * p + t * q_ for p, q_ in zip(tcols[piv], tcols[j])],
-                [-v * p + u * q_ for p, q_ in zip(tcols[piv], tcols[j])],
-            )
-        if cols[piv][r] < 0:
-            cols[piv] = [-x for x in cols[piv]]
-            tcols[piv] = [-x for x in tcols[piv]]
-        pivots.append((r, cols[piv], tcols[piv]))
-        live.remove(piv)
-    return pivots, m
+    _, live, tcols = _echelon_cols(cols, m, track=True)
+    return _from_cols([tcols[j] for j in live], n)
 
 
 def solve(M: np.ndarray, X: np.ndarray):
     """Integer solution Y of M Y = X, or None when some column has none."""
-    pivots, m = echelon_with_transform(M)
-    n = M.shape[1]
+    m, n = M.shape
+    cols = _to_cols(M)
+    pivots, _, tcols = _echelon_cols(cols, m, track=True)
+    pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
     ycols = []
     for j in range(X.shape[1]):
         resid = [int(X[i, j]) for i in range(m)]
@@ -221,14 +191,6 @@ def solve(M: np.ndarray, X: np.ndarray):
             return None
         ycols.append(y)
     return _from_cols(ycols, n)
-
-
-def in_span(M: np.ndarray, x) -> bool:
-    """Membership of a single vector in the column span of M."""
-    vec = zeros(M.shape[0], 1)
-    for i, v in enumerate(x):
-        vec[i, 0] = int(v)
-    return solve(M, vec) is not None
 
 
 class SpanChecker:
@@ -252,16 +214,8 @@ class SpanChecker:
         return y
 
     def contains(self, x) -> bool:
-        y = [int(v) for v in x]
-        for r, col in self.pivots:
-            if y[r] == 0:
-                continue
-            if y[r] % col[r]:
-                return False
-            q = y[r] // col[r]
-            for i in range(r, self.m):
-                y[i] -= q * col[i]
-        return not any(y)
+        # residues are unique per coset, so members are exactly residue 0
+        return not any(self.residue(x))
 
     def contains_all(self, M: np.ndarray) -> bool:
         return all(self.contains(M[:, j]) for j in range(M.shape[1]))
@@ -369,9 +323,31 @@ def smith_normal_form(M: np.ndarray):
 
 
 def diagonal_of_snf(M: np.ndarray):
-    """Invariant-factor diagonal of M without transform bookkeeping."""
-    _, D, _ = smith_normal_form(M)
-    return [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
+    """Nonzero invariant factors d1 | d2 | ... of M, without transforms.
+
+    An echelon basis of the columns with all leading entries 1 spans a
+    direct summand, so all factors are 1.  Otherwise Smith elimination runs
+    on that basis alone by alternating row and column echelon steps (each
+    splits off its first pivot or makes it strictly smaller), and gcd/lcm
+    exchanges turn the final diagonal into a divisor chain.
+    """
+    m = M.shape[0]
+    cols = _to_cols(M)
+    while True:
+        pivots, _, _ = _echelon_cols(cols, m, track=False)
+        cols = [cols[j] for _, j in pivots]
+        diag = [col[r] for (r, _), col in zip(pivots, cols)]
+        if all(d == 1 for d in diag):
+            return diag
+        if all(sum(1 for x in col if x) == 1 for col in cols):
+            break
+        m = len(cols)
+        cols = [list(row) for row in zip(*cols) if any(row)]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] // g * diag[b]
+    return diag
 
 
 def det(M: np.ndarray) -> int:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from posetlim import derived
 from posetlim import intlinalg as la
-from posetlim.abgroup import AbHom, cyclic_group, free_group, trivial_group
+from posetlim.abgroup import AbHom, compose, cyclic_group, free_group, trivial_group
 from posetlim.derived import (
     chain_complex,
     cochain_complex,
@@ -20,7 +21,9 @@ from posetlim.diagram import (
     transpose_diagram,
     validate_functor,
 )
+from posetlim.errors import OracleViolation
 from posetlim.poset import validate_graded
+from posetlim.randgen import GenConfig, gen_diagram, gen_poset
 
 from helpers import (
     intro_pushout,
@@ -213,3 +216,90 @@ def test_transpose_duality_via_universal_coefficients():
             colim_prev = derived_functor(F, "colim", i - 1) if i else trivial_group()
             assert lim_i.free_rank == colim_i.free_rank
             assert lim_i.invariant_factors == colim_prev.invariant_factors
+
+
+def chain_poset(n):
+    ids = [f"x{k}" for k in range(n)]
+    return validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))
+
+
+def dd_pairs(X):
+    """(outer, inner) differentials whose composite is d o d."""
+    if X.orientation == "homological":
+        return [(X.d_from(n - 1), X.d_from(n)) for n in range(2, X.top + 1)]
+    return [(X.d_from(n + 1), X.d_from(n)) for n in range(X.top - 1)]
+
+
+@pytest.mark.parametrize("build, flip", [(chain_complex, 2), (cochain_complex, 1)])
+def test_dd_check_catches_one_flipped_entry(monkeypatch, build, flip):
+    assemble = derived._assemble
+
+    def flipped(sums, n_src, n_tgt, entries):
+        h = assemble(sums, n_src, n_tgt, entries)
+        if n_src != flip:
+            return h
+        M = h.matrix.copy()
+        i, j = next((i, j) for j in range(M.shape[1]) for i in range(M.shape[0]) if M[i, j])
+        M[i, j] = -M[i, j]
+        return AbHom(h.source, h.target, M, check=False)
+
+    F = constant_diagram(chain_poset(4), free_group(1))
+    build(F)
+    monkeypatch.setattr(derived, "_assemble", flipped)
+    with pytest.raises(OracleViolation):
+        build(F)
+
+
+def test_sparse_dd_check_agrees_with_dense_composite():
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    for seed in range(30):
+        family = ("forest", "layered")[seed % 2]
+        mode = "free_maps_on_forest" if family == "forest" else "sums_of_standard"
+        cfg = GenConfig(seed=seed, max_objects=7, family=family)
+        F = gen_diagram(cfg, gen_poset(cfg), mode)
+        for X in (chain_complex(F), cochain_complex(F)):
+            for outer, inner in dd_pairs(X):
+                assert derived._composite_is_zero(outer, inner)
+                assert compose(outer, inner).is_zero()
+                # perturb one entry of either factor, or add a multiple
+                # of a target relation to a column of outer (which keeps
+                # d o d zero in the group), and compare verdicts
+                rels = outer.target.relations
+                for _ in range(6):
+                    h = rng.choice([outer, inner])
+                    if 0 in h.matrix.shape:
+                        continue
+                    M = h.matrix.copy()
+                    j = rng.randrange(M.shape[1])
+                    if h is outer and rels.shape[1] and rng.random() < 0.5:
+                        M[:, j] = M[:, j] + rng.choice([-1, 1, 3]) * rels[:, rng.randrange(rels.shape[1])]
+                    else:
+                        i = rng.randrange(M.shape[0])
+                        M[i, j] = M[i, j] + rng.choice([-2, -1, 1, 2, 4, 6])
+                    bad = AbHom(h.source, h.target, M, check=False)
+                    pair = (bad, inner) if h is outer else (outer, bad)
+                    want = compose(*pair).is_zero()
+                    assert derived._composite_is_zero(*pair) == want
+                    seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+def test_dd_check_works_modulo_relations():
+    """Over Z/2 the two paths around the square differ by 2, so d o d is
+    a nonzero integer matrix that vanishes in the target group."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 1), ("d", 2)],
+                        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    T = cyclic_group(2)
+    F = validate_functor(
+        P, {i: T for i in P.ids},
+        {("a", "b"): AbHom(T, T, [[1]]), ("a", "c"): AbHom(T, T, [[1]]),
+         ("b", "d"): AbHom(T, T, [[1]]), ("c", "d"): AbHom(T, T, [[3]])})
+    X = chain_complex(F)
+    outer, inner = X.d_from(1), X.d_from(2)
+    composite = compose(outer, inner)
+    assert any(composite.matrix[i, j] for i in range(composite.matrix.shape[0])
+               for j in range(composite.matrix.shape[1]))
+    assert composite.is_zero()
+    assert derived._composite_is_zero(outer, inner)
+    assert derived_functor(F, "colim", 0).is_isomorphic_to(colimit_direct(F))

@@ -3,12 +3,13 @@
 import random
 
 import numpy as np
+import pytest
 
 from posetlim.intlinalg import (
     det,
+    diagonal_of_snf,
     eye,
     hstack,
-    in_span,
     intersect_lattices,
     intmat,
     kernel,
@@ -71,6 +72,68 @@ def test_snf_known_values():
         check_certificate(M)
 
 
+def snf_diagonal(M):
+    """Nonzero diagonal of the certified Smith normal form."""
+    U, D, V = smith_normal_form(M)
+    assert mat_equal(U @ M @ V, D)
+    return [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
+
+
+def test_diagonal_of_snf_matches_certified_snf_seeded_batch():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        M = random_matrix(rng)
+        assert diagonal_of_snf(M) == snf_diagonal(M)
+    # sparse, low-rank and torsion-heavy matrices, like relation matrices
+    for _ in range(300):
+        m, n = rng.randrange(1, 10), rng.randrange(1, 10)
+        M = intmat([[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 4, 6]) for _ in range(n)]
+                    for _ in range(m)])
+        assert diagonal_of_snf(M) == snf_diagonal(M)
+
+
+def test_diagonal_of_snf_edge_cases():
+    # 0 x n, m x 0 and all-zero matrices have no invariant factors
+    for shape in [(0, 0), (0, 4), (4, 0), (3, 5)]:
+        assert diagonal_of_snf(zeros(*shape)) == []
+    # rank deficient: the third column is the sum of the first two
+    M = intmat([[2, 0, 2], [0, 4, 4], [0, 0, 0]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [2, 4]
+    # negative leading entries, and factors that are not a divisor chain
+    # as given: diag(-4, 6) has invariant factors 2, 12
+    M = intmat([[-4, 0], [0, 6]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [2, 12]
+    M = intmat([[-1, -1], [2, 0], [0, 2]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [1, 2]
+    # unit pivots mixed with torsion
+    M = intmat([[1, 0, 0], [3, 2, 0], [5, 7, 3]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [1, 1, 6]
+
+
+def test_diagonal_of_snf_unit_pivot_fast_path():
+    # every echelon leading entry is 1, so the span is a direct summand
+    M = intmat([[1, 0, 1], [5, 1, 6], [-3, 7, 4], [2, 2, 4]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [1, 1]
+    assert diagonal_of_snf(eye(5)) == [1] * 5
+    # -1 leads become 1 once the echelon makes them positive
+    M = intmat([[-1, 0], [4, -1]])
+    assert diagonal_of_snf(M) == snf_diagonal(M) == [1, 1]
+
+
+def test_diagonal_of_snf_matches_sympy():
+    matrices = pytest.importorskip("sympy.matrices.normalforms")
+    from sympy import Matrix, ZZ
+
+    rng = random.Random(17)
+    for _ in range(150):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6, rng.randint(-20, 20)])
+                 for _ in range(n)] for _ in range(m)]
+        S = matrices.smith_normal_form(Matrix(rows), domain=ZZ)
+        want = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i] != 0)
+        assert diagonal_of_snf(intmat(rows)) == want
+
+
 def test_kernel_and_solve():
     rng = random.Random(7)
     for _ in range(200):
@@ -95,8 +158,8 @@ def test_solve_reports_unsolvable():
     M = intmat([[2, 0], [0, 3]])
     X = intmat([[1], [0]])
     assert solve(M, X) is None
-    assert not in_span(M, [1, 0])
-    assert in_span(M, [2, 3])
+    assert not SpanChecker(M).contains([1, 0])
+    assert SpanChecker(M).contains([2, 3])
 
 
 def test_kernel_rank_plus_rank_is_ncols():
