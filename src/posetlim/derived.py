@@ -79,26 +79,14 @@ def _assemble(sums, n_src, n_tgt, entries):
     return AbHom(src.group, tgt.group, M, check=False)
 
 
-def _column_entries(M):
-    """Per column of M, the (row, value) pairs of its nonzero entries."""
-    cols = [[] for _ in range(M.shape[1])]
-    js, rows = M.T.nonzero()
-    for j, i, x in zip(js.tolist(), rows.tolist(), M.T[js, rows].tolist()):
-        cols[j].append((i, x))
-    return cols
-
-
 def _composite_is_zero(outer: AbHom, inner: AbHom) -> bool:
     """compose(outer, inner).is_zero(), column by column from the nonzero
     entries alone, without forming the dense product.  Every column that is
     not zero outright goes through the target's membership check."""
-    outer_cols = _column_entries(outer.matrix)
-    for entries in _column_entries(inner.matrix):
-        col = [0] * outer.target.ambient_rank
-        for k, a in entries:
-            for i, b in outer_cols[k]:
-                col[i] += a * b
-        if any(col) and not outer.target.element_is_zero(col):
+    outer_cols = la._to_cols(outer.matrix)
+    for coeffs in la._to_cols(inner.matrix):
+        col = la._combine(outer_cols, coeffs)
+        if col and not outer.target.element_is_zero(col):
             return False
     return True
 

@@ -1,9 +1,11 @@
-"""Exact integer matrix algebra on numpy object arrays.
+"""Exact integer matrix algebra with sparse columns inside.
 
-All matrices carry Python ints (dtype=object), so arithmetic never
-overflows.  Columns are the working unit: the span of a matrix always
-means the span of its columns.  Core loops run on lists of lists and
-convert back at the boundary.
+Matrices enter and leave as numpy object arrays of Python ints, so
+arithmetic never overflows; numpy is only the boundary type.  Columns
+are the working unit: the span of a matrix always means the span of its
+columns.  Inside, a column is a {row: value} dict of its nonzero
+entries, read from the array once and written back once, and every
+column operation touches only those entries.
 
 One column echelon routine serves lattice bases, kernels, solving, span
 membership and invariant factors, which need no transforms (Cohen, *A
@@ -13,6 +15,7 @@ keeps its unimodular certificates and is their oracle.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 import numpy as np
@@ -68,20 +71,41 @@ def hstack(mats) -> np.ndarray:
 
 
 def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and all(
-        a[i, j] == b[i, j] for i in range(a.shape[0]) for j in range(a.shape[1]))
+    return a.shape == b.shape and bool((a == b).all())
 
 
 def _to_cols(M: np.ndarray):
-    m, n = M.shape
-    return [[int(M[i, j]) for i in range(m)] for j in range(n)]
+    """The columns of M as {row: value} dicts of their nonzero entries."""
+    cols = [{} for _ in range(M.shape[1])]
+    rows, js = M.nonzero()
+    for i, j, x in zip(rows.tolist(), js.tolist(), M[rows, js].tolist()):
+        cols[j][i] = int(x)
+    return cols
 
 
 def _from_cols(cols, m: int) -> np.ndarray:
     out = zeros(m, len(cols))
     for j, col in enumerate(cols):
-        for i, x in enumerate(col):
+        for i, x in col.items():
             out[i, j] = x
+    return out
+
+
+def _axpy(target, source, c):
+    """target += c * source for a nonzero c, deleting entries that cancel."""
+    for i, x in source.items():
+        v = target.get(i, 0) + c * x
+        if v:
+            target[i] = v
+        else:
+            del target[i]
+
+
+def _combine(cols, coeffs):
+    """The sum of c * cols[k] over the entries k: c of coeffs."""
+    out = {}
+    for k, c in coeffs.items():
+        _axpy(out, cols[k], c)
     return out
 
 
@@ -100,8 +124,27 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _echelon_cols(cols, m: int, track: bool):
+def _unimodular_step(p, q, s, t, u, v):
+    """(s*p + t*q, u*q - v*p) over the union of the two supports."""
+    a, b = {}, {}
+    for i in p.keys() | q.keys():
+        x, y = p.get(i, 0), q.get(i, 0)
+        if e := s * x + t * y:
+            a[i] = e
+        if e := u * y - v * x:
+            b[i] = e
+    return a, b
+
+
+def _echelon_cols(cols, track: bool):
     """Column echelon form by unimodular column operations, in place.
+
+    cols are {row: value} dicts.  Row by row, the lowest-index column
+    that leads there becomes the pivot, and the others leading there are
+    cleared against it in index order: by a multiple of the pivot when it
+    divides them, else by an xgcd 2x2 step.  Columns not yet pivoted are
+    zero above the current row, so they are indexed by leading row and a
+    heap hands out the rows that have any.
 
     Returns (pivots, live, tcols): pivots lists (lead_row, column index) in
     increasing lead_row order, live the indices of the columns reduced to
@@ -109,113 +152,119 @@ def _echelon_cols(cols, m: int, track: bool):
     column j, so the live ones span the kernel (None unless track).
     """
     n = len(cols)
-    tcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)] if track else None
-    live = list(range(n))
+    tcols = [{j: 1} for j in range(n)] if track else None
+    leading = {}
+    for j, col in enumerate(cols):
+        if col:
+            leading.setdefault(min(col), []).append(j)
+    rows = list(leading)
+    heapify(rows)
     pivots = []
-    for r in range(m):
-        active = [j for j in live if cols[j][r] != 0]
-        if not active:
-            continue
+    while rows:
+        r = heappop(rows)
+        active = leading.pop(r)
+        active.sort()
         piv = active[0]
         for j in active[1:]:
             a, b = cols[piv][r], cols[j][r]
             if b % a == 0:
                 q = b // a
-                _col_axpy(cols[j], cols[piv], -q)
+                _axpy(cols[j], cols[piv], -q)
                 if track:
-                    _col_axpy(tcols[j], tcols[piv], -q)
-                continue
-            g, s, t = _xgcd(a, b)
-            u, v = a // g, b // g
-            cols[piv], cols[j] = (
-                [s * p + t * q_ for p, q_ in zip(cols[piv], cols[j])],
-                [-v * p + u * q_ for p, q_ in zip(cols[piv], cols[j])],
-            )
-            if track:
-                tcols[piv], tcols[j] = (
-                    [s * p + t * q_ for p, q_ in zip(tcols[piv], tcols[j])],
-                    [-v * p + u * q_ for p, q_ in zip(tcols[piv], tcols[j])],
-                )
+                    _axpy(tcols[j], tcols[piv], -q)
+            else:
+                g, s, t = _xgcd(a, b)
+                u, v = a // g, b // g
+                cols[piv], cols[j] = _unimodular_step(cols[piv], cols[j], s, t, u, v)
+                if track:
+                    tcols[piv], tcols[j] = _unimodular_step(tcols[piv], tcols[j], s, t, u, v)
+            if cols[j]:
+                lead = min(cols[j])
+                if lead not in leading:
+                    heappush(rows, lead)
+                leading.setdefault(lead, []).append(j)
         if cols[piv][r] < 0:
-            cols[piv] = [-x for x in cols[piv]]
+            cols[piv] = {i: -x for i, x in cols[piv].items()}
             if track:
-                tcols[piv] = [-x for x in tcols[piv]]
+                tcols[piv] = {i: -x for i, x in tcols[piv].items()}
         pivots.append((r, piv))
-        live.remove(piv)
-    return pivots, live, tcols
+    pivoted = {j for _, j in pivots}
+    return pivots, [j for j in range(n) if j not in pivoted], tcols
 
 
-def _col_axpy(target, source, c):
-    for i in range(len(target)):
-        target[i] += c * source[i]
+def _basis_cols(cols):
+    pivots, _, _ = _echelon_cols(cols, track=False)
+    return [cols[j] for _, j in pivots]
+
+
+def _kernel_cols(cols):
+    _, live, tcols = _echelon_cols(cols, track=True)
+    return [tcols[j] for j in live]
 
 
 def lattice_basis(M: np.ndarray) -> np.ndarray:
     """Echelon basis of the column span: independent columns with strictly
     increasing leading rows and positive leading entries."""
-    m = M.shape[0]
-    cols = _to_cols(M)
-    pivots, _, _ = _echelon_cols(cols, m, track=False)
-    return _from_cols([cols[j] for _, j in pivots], m)
+    return _from_cols(_basis_cols(_to_cols(M)), M.shape[0])
 
 
 def kernel(M: np.ndarray) -> np.ndarray:
     """Basis of the integer kernel {x : M x = 0}, one column per basis vector."""
-    m, n = M.shape
-    cols = _to_cols(M)
-    _, live, tcols = _echelon_cols(cols, m, track=True)
-    return _from_cols([tcols[j] for j in live], n)
+    return _from_cols(_kernel_cols(_to_cols(M)), M.shape[1])
 
 
 def solve(M: np.ndarray, X: np.ndarray):
     """Integer solution Y of M Y = X, or None when some column has none."""
-    m, n = M.shape
     cols = _to_cols(M)
-    pivots, _, tcols = _echelon_cols(cols, m, track=True)
-    pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
+    pivots, _, tcols = _echelon_cols(cols, track=True)
+    pivot_at = {r: (cols[j], tcols[j]) for r, j in pivots}
     ycols = []
-    for j in range(X.shape[1]):
-        resid = [int(X[i, j]) for i in range(m)]
-        y = [0] * n
-        for r, col, tcol in pivots:
-            if resid[r] == 0:
-                continue
-            if resid[r] % col[r]:
+    for resid in _to_cols(X):
+        # rows are cleared in increasing order, each by the pivot leading there
+        y = {}
+        while resid:
+            r = min(resid)
+            if r not in pivot_at:
                 return None
-            c = resid[r] // col[r]
-            for i in range(r, m):
-                resid[i] -= c * col[i]
-            for i in range(n):
-                y[i] += c * tcol[i]
-        if any(resid):
-            return None
+            col, tcol = pivot_at[r]
+            c, rem = divmod(resid[r], col[r])
+            if rem:
+                return None
+            _axpy(resid, col, -c)
+            _axpy(y, tcol, c)
         ycols.append(y)
-    return _from_cols(ycols, n)
+    return _from_cols(ycols, M.shape[1])
 
 
 class SpanChecker:
-    """Reusable membership oracle for one column span (echelon cached once)."""
+    """Reusable membership oracle for one column span (echelon cached once).
+
+    Vectors are sequences of length m or {row: value} dicts of their
+    nonzero entries.
+    """
 
     def __init__(self, M: np.ndarray):
         self.m = M.shape[0]
-        cols = _to_cols(M)
-        pivots, _, _ = _echelon_cols(cols, self.m, track=False)
-        self.pivots = [(r, cols[j]) for r, j in pivots]
+        self.pivots = [(min(col), col) for col in _basis_cols(_to_cols(M))]
+
+    def _reduce(self, x):
+        y = dict(x) if isinstance(x, dict) else {i: int(v) for i, v in enumerate(x) if v}
+        for r, col in self.pivots:
+            if not y:
+                break
+            if r in y:
+                q = y[r] // col[r]
+                if q:
+                    _axpy(y, col, -q)
+        return y
 
     def residue(self, x):
-        y = [int(v) for v in x]
-        for r, col in self.pivots:
-            if y[r] == 0:
-                continue
-            q = y[r] // col[r]
-            if q:
-                for i in range(r, self.m):
-                    y[i] -= q * col[i]
-        return y
+        y = self._reduce(x)
+        return [y.get(i, 0) for i in range(self.m)]
 
     def contains(self, x) -> bool:
         # residues are unique per coset, so members are exactly residue 0
-        return not any(self.residue(x))
+        return not self._reduce(x)
 
     def contains_all(self, M: np.ndarray) -> bool:
         return all(self.contains(M[:, j]) for j in range(M.shape[1]))
@@ -331,18 +380,19 @@ def diagonal_of_snf(M: np.ndarray):
     splits off its first pivot or makes it strictly smaller), and gcd/lcm
     exchanges turn the final diagonal into a divisor chain.
     """
-    m = M.shape[0]
     cols = _to_cols(M)
     while True:
-        pivots, _, _ = _echelon_cols(cols, m, track=False)
-        cols = [cols[j] for _, j in pivots]
-        diag = [col[r] for (r, _), col in zip(pivots, cols)]
+        cols = _basis_cols(cols)
+        diag = [col[min(col)] for col in cols]
         if all(d == 1 for d in diag):
             return diag
-        if all(sum(1 for x in col if x) == 1 for col in cols):
+        if all(len(col) == 1 for col in cols):
             break
-        m = len(cols)
-        cols = [list(row) for row in zip(*cols) if any(row)]
+        rows = {}
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
+        cols = [rows[i] for i in sorted(rows)]
     for a in range(len(diag)):
         for b in range(a + 1, len(diag)):
             g = gcd(diag[a], diag[b])
@@ -375,26 +425,32 @@ def det(M: np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _difference_cols(A: np.ndarray, B: np.ndarray):
+    """The columns of [A | -B]."""
+    if A.shape[0] != B.shape[0]:
+        raise ValueError("row counts differ")
+    return _to_cols(A) + [{i: -x for i, x in col.items()} for col in _to_cols(B)]
+
+
 def preimage_lattice(A: np.ndarray, L: np.ndarray) -> np.ndarray:
     """Basis of {x : A x lies in the column span of L}.
 
     Computed as the projection of ker [A | -L] onto the x block.
     """
     g = A.shape[1]
-    if L.shape[1] == 0:
-        K = kernel(A)
-        return lattice_basis(K)
-    block = hstack([A, -L])
-    K = kernel(block)
-    return lattice_basis(K[:g, :])
+    K = _kernel_cols(_difference_cols(A, L))
+    return _from_cols(_basis_cols([{i: x for i, x in k.items() if i < g} for k in K]), g)
 
 
 def intersect_lattices(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Basis of (column span of A) intersected with (column span of B)."""
     if A.shape[1] == 0 or B.shape[1] == 0:
         return zeros(A.shape[0], 0)
-    K = kernel(hstack([A, -B]))
-    return lattice_basis(A @ K[:A.shape[1], :])
+    na = A.shape[1]
+    K = _kernel_cols(_difference_cols(A, B))
+    acols = _to_cols(A)  # afresh: the echelon reduced the first copy in place
+    images = [_combine(acols, {i: x for i, x in k.items() if i < na}) for k in K]
+    return _from_cols(_basis_cols(images), A.shape[0])
 
 
 def sublattice_supported_on(L: np.ndarray, keep_rows) -> np.ndarray:
@@ -403,8 +459,7 @@ def sublattice_supported_on(L: np.ndarray, keep_rows) -> np.ndarray:
     drop = [i for i, keep in enumerate(keep_rows) if not keep]
     if not drop or L.shape[1] == 0:
         return lattice_basis(L)
-    P = zeros(len(drop), L.shape[0])
-    for r, i in enumerate(drop):
-        P[r, i] = 1
-    K = kernel(P @ L)
-    return lattice_basis(L @ K)
+    at = {i: r for r, i in enumerate(drop)}
+    lcols = _to_cols(L)
+    K = _kernel_cols([{at[i]: x for i, x in col.items() if i in at} for col in lcols])
+    return _from_cols(_basis_cols([_combine(lcols, k) for k in K]), L.shape[0])

@@ -1,5 +1,7 @@
 """Small builders shared across test modules."""
 
+from math import gcd
+
 from posetlim.abgroup import AbHom, cyclic_group, free_group
 from posetlim.diagram import (
     constant_diagram,
@@ -8,6 +10,7 @@ from posetlim.diagram import (
     skyscraper_diagram,
     validate_functor,
 )
+from posetlim.intlinalg import zeros
 from posetlim.poset import validate_graded
 
 
@@ -89,3 +92,154 @@ def random_free_forest_diagram(rng, P, max_rank=3, max_entry=3):
                 for _ in range(ranks[a])] for _ in range(ranks[b])]
         maps[(a, b)] = AbHom(groups[a], groups[b], mat)
     return validate_functor(P, groups, maps)
+
+
+# ------------------------------------------------ dense intlinalg reference
+# A copy of the dense row-sweep echelon that intlinalg used before its
+# columns became sparse, kept so tests can require the sparse core to
+# return the same matrices entry for entry.
+
+def _dense_xgcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _dense_axpy(target, source, c):
+    for i in range(len(target)):
+        target[i] += c * source[i]
+
+
+def dense_echelon_cols(cols, m, track):
+    """Dense column echelon form: (pivots, live, tcols), as intlinalg's."""
+    n = len(cols)
+    tcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)] if track else None
+    live = list(range(n))
+    pivots = []
+    for r in range(m):
+        active = [j for j in live if cols[j][r] != 0]
+        if not active:
+            continue
+        piv = active[0]
+        for j in active[1:]:
+            a, b = cols[piv][r], cols[j][r]
+            if b % a == 0:
+                q = b // a
+                _dense_axpy(cols[j], cols[piv], -q)
+                if track:
+                    _dense_axpy(tcols[j], tcols[piv], -q)
+                continue
+            g, s, t = _dense_xgcd(a, b)
+            u, v = a // g, b // g
+            cols[piv], cols[j] = (
+                [s * p + t * q_ for p, q_ in zip(cols[piv], cols[j])],
+                [-v * p + u * q_ for p, q_ in zip(cols[piv], cols[j])],
+            )
+            if track:
+                tcols[piv], tcols[j] = (
+                    [s * p + t * q_ for p, q_ in zip(tcols[piv], tcols[j])],
+                    [-v * p + u * q_ for p, q_ in zip(tcols[piv], tcols[j])],
+                )
+        if cols[piv][r] < 0:
+            cols[piv] = [-x for x in cols[piv]]
+            if track:
+                tcols[piv] = [-x for x in tcols[piv]]
+        pivots.append((r, piv))
+        live.remove(piv)
+    return pivots, live, tcols
+
+
+def _dense_cols(M):
+    m, n = M.shape
+    return [[int(M[i, j]) for i in range(m)] for j in range(n)]
+
+
+def _dense_mat(cols, m):
+    out = zeros(m, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            out[i, j] = x
+    return out
+
+
+def dense_lattice_basis(M):
+    m = M.shape[0]
+    cols = _dense_cols(M)
+    pivots, _, _ = dense_echelon_cols(cols, m, track=False)
+    return _dense_mat([cols[j] for _, j in pivots], m)
+
+
+def dense_kernel(M):
+    m, n = M.shape
+    cols = _dense_cols(M)
+    _, live, tcols = dense_echelon_cols(cols, m, track=True)
+    return _dense_mat([tcols[j] for j in live], n)
+
+
+def dense_solve(M, X):
+    m, n = M.shape
+    cols = _dense_cols(M)
+    pivots, _, tcols = dense_echelon_cols(cols, m, track=True)
+    pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
+    ycols = []
+    for j in range(X.shape[1]):
+        resid = [int(X[i, j]) for i in range(m)]
+        y = [0] * n
+        for r, col, tcol in pivots:
+            if resid[r] == 0:
+                continue
+            if resid[r] % col[r]:
+                return None
+            c = resid[r] // col[r]
+            for i in range(r, m):
+                resid[i] -= c * col[i]
+            for i in range(n):
+                y[i] += c * tcol[i]
+        if any(resid):
+            return None
+        ycols.append(y)
+    return _dense_mat(ycols, n)
+
+
+def dense_residue(M, x):
+    m = M.shape[0]
+    cols = _dense_cols(M)
+    pivots, _, _ = dense_echelon_cols(cols, m, track=False)
+    y = [int(v) for v in x]
+    for r, j in pivots:
+        col = cols[j]
+        if y[r] == 0:
+            continue
+        q = y[r] // col[r]
+        if q:
+            for i in range(r, m):
+                y[i] -= q * col[i]
+    return y
+
+
+def dense_diagonal_of_snf(M):
+    m = M.shape[0]
+    cols = _dense_cols(M)
+    while True:
+        pivots, _, _ = dense_echelon_cols(cols, m, track=False)
+        cols = [cols[j] for _, j in pivots]
+        diag = [col[r] for (r, _), col in zip(pivots, cols)]
+        if all(d == 1 for d in diag):
+            return diag
+        if all(sum(1 for x in col if x) == 1 for col in cols):
+            break
+        m = len(cols)
+        cols = [list(row) for row in zip(*cols) if any(row)]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] // g * diag[b]
+    return diag

@@ -1,0 +1,103 @@
+"""Property tests for kernels, solving and span residues."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from posetlim.intlinalg import (  # noqa: E402
+    SpanChecker,
+    diagonal_of_snf,
+    intmat,
+    kernel,
+    solve,
+    zeros,
+)
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+entries = st.one_of(st.just(0), st.just(0), st.integers(-6, 6), st.integers(-60, 60))
+
+
+@st.composite
+def matrices(draw, max_dim=6):
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return intmat(rows) if m else zeros(0, n)
+
+
+@st.composite
+def matrix_and_vectors(draw):
+    """(M, x, z): x has one entry per row of M, z one per column."""
+    M = draw(matrices())
+    m, n = M.shape
+    x = draw(st.lists(entries, min_size=m, max_size=m))
+    z = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return M, x, z
+
+
+def rational_rank(M):
+    rows = [[Fraction(int(v)) for v in row] for row in M.tolist()]
+    rank = 0
+    for c in range(M.shape[1]):
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def times(M, z):
+    """M @ z for a list z, as a list."""
+    return [sum(int(M[i, j]) * z[j] for j in range(M.shape[1])) for i in range(M.shape[0])]
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_annihilates_and_has_corank_columns(M):
+    K = kernel(M)
+    n = M.shape[1]
+    assert K.shape == (n, n - rational_rank(M))
+    if K.size and M.shape[0]:
+        assert not (M @ K).any()
+    # the kernel lattice is saturated: its basis spans a direct summand
+    assert all(d == 1 for d in diagonal_of_snf(K))
+
+
+@PROPERTY
+@given(matrices(), st.integers(0, 3), st.data())
+def test_solve_round_trips(M, k, data):
+    m, n = M.shape
+    Y = intmat([data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+                for _ in range(n)]) if n else zeros(0, k)
+    X = M @ Y if n and k else zeros(m, k)
+    S = solve(M, X)
+    assert S is not None and S.shape == (n, k)
+    got = M @ S if n and k else zeros(m, k)
+    assert got.tolist() == X.tolist()
+
+
+@PROPERTY
+@given(matrix_and_vectors())
+def test_residue_is_constant_on_cosets(case):
+    M, x, z = case
+    chk = SpanChecker(M)
+    shifted = [a + b for a, b in zip(x, times(M, z))]
+    assert chk.residue(x) == chk.residue(shifted)
+
+
+@PROPERTY
+@given(matrix_and_vectors())
+def test_contains_iff_residue_is_zero(case):
+    M, x, z = case
+    chk = SpanChecker(M)
+    assert chk.contains(x) == (not any(chk.residue(x)))
+    assert chk.contains(times(M, z))
