@@ -173,36 +173,33 @@ def is_pseudo_injective(F: Diagram) -> PseudoVerdict:
     return PseudoVerdict(True)
 
 
+def _condition_verdict(side: str, groups, pseudo) -> ConditionVerdict:
+    """groups yields (id, cokernel) for the projective side and (id, joint
+    kernel) for the injective side, in poset order; the first that fails
+    decides, else pseudo() (called only then) does."""
+    for i0, G in groups:
+        if side == "projective" and not G.is_free:
+            return ConditionVerdict(False, f"cokernel at {i0!r} is {G.describe()}, not free")
+        if side == "injective" and not classify_group(G).is_injective_in_ab:
+            return ConditionVerdict(
+                False, f"kernel at {i0!r} is {G.describe()}, not injective as a group")
+    v = pseudo()
+    if not v:
+        return ConditionVerdict(False, f"not pseudo-{side} at ({v.witness.i0!r}, d={v.witness.d})")
+    return ConditionVerdict(True)
+
+
 def is_projective(F: Diagram) -> ConditionVerdict:
     """Free cokernels at every object plus pseudo-projectivity."""
-    for i0 in F.poset.ids:
-        Q, _ = coker_at(F, i0)
-        if not Q.is_free:
-            return ConditionVerdict(
-                False, f"cokernel at {i0!r} is {Q.describe()}, not free")
-    v = is_pseudo_projective(F)
-    if not v:
-        w = v.witness
-        return ConditionVerdict(
-            False, f"not pseudo-projective at ({w.i0!r}, d={w.d})")
-    return ConditionVerdict(True)
+    return _condition_verdict("projective", ((i, coker_at(F, i)[0]) for i in F.poset.ids),
+                              lambda: is_pseudo_projective(F))
 
 
 def is_injective(F: Diagram) -> ConditionVerdict:
     """Joint kernels injective as groups (trivial, for finitely
     generated coefficients) plus pseudo-injectivity."""
-    for i0 in F.poset.ids:
-        grp, _ = ker_at(F, i0).as_group
-        if not classify_group(grp).is_injective_in_ab:
-            return ConditionVerdict(
-                False,
-                f"kernel at {i0!r} is {grp.describe()}, not injective as a group")
-    v = is_pseudo_injective(F)
-    if not v:
-        w = v.witness
-        return ConditionVerdict(
-            False, f"not pseudo-injective at ({w.i0!r}, d={w.d})")
-    return ConditionVerdict(True)
+    return _condition_verdict("injective", ((i, ker_at(F, i).as_group[0]) for i in F.poset.ids),
+                              lambda: is_pseudo_injective(F))
 
 
 @dataclass(frozen=True)
@@ -250,25 +247,21 @@ def classify_diagram(F: Diagram) -> ClassificationReport:
     """Everything at once: per-object structure, per-(object, d)
     verdicts, the four global verdicts, acyclicity, and the theorem
     implications as consistency flags."""
-    cokernels = {}
-    kernels = {}
-    for i in F.poset.ids:
-        Q, _ = coker_at(F, i)
-        cokernels[i] = classify_group(Q)
-        grp, _ = ker_at(F, i).as_group
-        kernels[i] = classify_group(grp)
+    coker_groups = {i: coker_at(F, i)[0] for i in F.poset.ids}
+    ker_groups = {i: ker_at(F, i).as_group[0] for i in F.poset.ids}
+    cokernels = {i: classify_group(Q) for i, Q in coker_groups.items()}
+    kernels = {i: classify_group(grp) for i, grp in ker_groups.items()}
     pp_at = {}
     pi_at = {}
     for d in range(1, F.poset.dimension + 1):
         for i0 in F.poset.ids:
             pp_at[(i0, d)] = is_pseudo_projective_at(F, i0, d)
             pi_at[(i0, d)] = is_pseudo_injective_at(F, i0, d)
-    pp_fail = next((v for v in pp_at.values() if not v), None)
-    pi_fail = next((v for v in pi_at.values() if not v), None)
-    pp = pp_fail if pp_fail is not None else PseudoVerdict(True)
-    pi = pi_fail if pi_fail is not None else PseudoVerdict(True)
-    proj = is_projective(F)
-    inj = is_injective(F)
+    pp = next((v for v in pp_at.values() if not v), PseudoVerdict(True))
+    pi = next((v for v in pi_at.values() if not v), PseudoVerdict(True))
+    # is_projective/is_injective, from the groups and verdicts at hand
+    proj = _condition_verdict("projective", coker_groups.items(), lambda: pp)
+    inj = _condition_verdict("injective", ker_groups.items(), lambda: pi)
     ca = is_acyclic(F, "colim")
     lim_a = is_acyclic(F, "lim")
     consistency = {

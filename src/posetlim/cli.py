@@ -10,6 +10,7 @@ stdout and errors go to stderr as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -550,7 +551,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="posetlim",
                      description="Exact derived limits and colimits of "
                                  "diagrams of abelian groups on graded posets.")

@@ -211,10 +211,8 @@ def derived_functor(F: Diagram, direction: str, i: int) -> FgAbGroup:
 
 
 def _cached_complex(F: Diagram, which: str) -> ChainComplex:
-    cache = getattr(F, "_nerve_cache", None)
-    if cache is None:
-        cache = {}
-        F._nerve_cache = cache
+    """The normalized chain or cochain complex of F, built once per diagram."""
+    cache = F._complexes
     if which not in cache:
         cache[which] = chain_complex(F) if which == "chain" else cochain_complex(F)
     return cache[which]

@@ -12,6 +12,11 @@ the filtration is increasing from 0 and the differential never raises
 the level.  Published entries translate back to the preset's (p, q)
 indexing, with q chosen so that d_r has the textbook bidegree for the
 declared homological or cohomological type.
+
+Each page is computed once per filtered complex and kept on it, and
+each filtered complex once per (diagram, variant, grading) and kept on
+the diagram over the diagram's cached nerve complex, so E-infinity, the
+convergence check and both page oracles reuse the same pages.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, compose, direct_sum, trivial_group, zero_hom
-from .derived import ChainComplex, chain_complex, cochain_complex, derived_functor, homology_at
+from .derived import ChainComplex, _cached_complex, derived_functor, homology_at
 from .diagram import Diagram
 from .errors import ConvergenceViolation, MismatchError, OracleViolation, VariantMismatchError
 from .poset import GradedPoset
@@ -119,6 +124,7 @@ class FilteredComplex:
             self._levels[n] = lv
         self._lambda_cache = {}
         self._z_cache = {}
+        self._pages = {}
         self._check_respected()
 
     @property
@@ -199,20 +205,29 @@ class FilteredComplex:
 
 
 def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComplex:
+    """The filtered nerve complex of F for this preset and P's degrees,
+    built once per (variant, display degrees) and kept on F; the checks
+    run on every call."""
     if variant.direction != P.direction:
         raise VariantMismatchError(
             f"variant expects a {variant.direction} degree function, "
             f"the poset is {P.direction}")
     if F.poset.ids != P.ids or sorted(F.poset.covers) != sorted(P.covers):
         raise MismatchError("diagram is not over the given poset")
-    base = chain_complex(F) if variant.complex == "chain" else cochain_complex(F)
-    return FilteredComplex(base, variant, P)
+    key = (variant, tuple(P.display_degrees[i] for i in P.ids))
+    X = F._filtered.get(key)
+    if X is None:
+        X = FilteredComplex(_cached_complex(F, variant.complex), variant, P)
+        F._filtered[key] = X
+    return X
 
 
-@dataclass
+@dataclass(frozen=True)
 class SSPage:
     """One page: entries keyed by the variant's public (p, q), plus the
-    same data in canonical (level, degree) keys for cross-checks."""
+    same data in canonical (level, degree) keys for cross-checks.  Pages
+    are cached on their filtered complex and shared by every caller, so
+    the dicts they hold must not be mutated."""
     r: int
     type: str
     bidegree: tuple
@@ -237,9 +252,13 @@ def _public_key(X: FilteredComplex, s, n):
 def page(X: FilteredComplex, r: int) -> SSPage:
     """The explicit subquotient page: at each level s and degree n,
     cycles reaching r levels down, modulo the same from one level
-    deeper plus boundaries from r-1 levels shallower."""
+    deeper plus boundaries from r-1 levels shallower.  Computed once
+    per (X, r); the returned page is shared and must not be mutated."""
     if r < 0:
         raise ValueError("pages are indexed by r >= 0")
+    hit = X._pages.get(r)
+    if hit is not None:
+        return hit
     step = X.step
     top = X.base.top
     sn_entries = {}
@@ -286,7 +305,8 @@ def page(X: FilteredComplex, r: int) -> SSPage:
         entries[pq] = E
         diffs[pq] = sn_diffs[(s, n)]
     bidegree = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
-    return SSPage(r, X.variant.type, bidegree, entries, diffs, sn_entries, sn_diffs)
+    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs, sn_entries, sn_diffs)
+    return X._pages[r]
 
 
 def _pages_agree(a: SSPage, b: SSPage) -> bool:

@@ -31,10 +31,12 @@ from posetlim.diagram import (
     direct_sum_diagrams,
     representable_diagram,
     skyscraper_diagram,
+    transpose_diagram,
     validate_functor,
 )
 from posetlim.errors import UnknownIdError
-from posetlim.poset import validate_graded
+from posetlim.poset import opposite, validate_graded
+from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
     intro_pushout,
@@ -346,3 +348,32 @@ def test_report_covers_every_pair():
     assert set(report.pseudo_projective_at) == pairs
     assert set(report.pseudo_injective_at) == pairs
     assert set(report.cokernels) == {"a", "b", "c"}
+
+
+def test_classify_diagram_verdicts_match_the_public_checks():
+    """classify_diagram derives projective/injective from the groups and
+    pseudo verdicts it already holds; they must equal what is_projective
+    and is_injective compute on their own, reason strings included."""
+    kinds = set()
+    for mode in DIAGRAM_MODES:
+        forest_only = mode == "free_maps_on_forest"
+        for k in range(12):
+            family = "forest" if forest_only or k % 2 == 0 else "layered"
+            cfg = GenConfig(seed=500 + k, family=family, max_objects=5)
+            P = gen_poset(cfg)
+            if k % 4 >= 2 and not forest_only:
+                P = opposite(P)
+            F = gen_diagram(cfg, P, mode)
+            diagrams = [F, constant_diagram(P, trivial_group())]
+            if mode == "pseudo_projective_by_construction":
+                diagrams.append(transpose_diagram(F))
+            for G in diagrams:
+                rep = classify_diagram(G)
+                assert rep.projective == is_projective(G)
+                assert rep.injective == is_injective(G)
+                for side, v in (("projective", rep.projective), ("injective", rep.injective)):
+                    kinds.add((side, "ok" if v.ok else v.reason.split()[0]))
+    # a nonzero diagram has a nonzero kernel at some maximal object, so
+    # the injective side fails its group check before the pseudo check
+    assert kinds == {("projective", "ok"), ("projective", "cokernel"),
+                     ("projective", "not"), ("injective", "ok"), ("injective", "kernel")}

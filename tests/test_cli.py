@@ -217,3 +217,35 @@ def test_stdin_document(capsys, monkeypatch, intro_path):
     code, out, _ = run(capsys, "validate", "-")
     assert code == 0
     assert "valid" in out
+
+
+def test_parser_is_reused_across_calls(capsys, intro_path):
+    """main() builds its parser once per process; every call, argument
+    errors included, prints and returns what a freshly built parser gives."""
+    calls = [
+        ("--json", "validate", intro_path),
+        ("colim", intro_path, "--max-degree", "1"),
+        ("spectral", intro_path),                      # --variant missing
+        ("--json", "spectral", intro_path, "--variant", "3", "--pages", "1"),
+        ("lim", intro_path),
+        ("frobnicate",),                               # unknown command
+        ("--json", "classify", intro_path),
+        ("generate", "--seed", "3", "--family", "layered"),
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    reused = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 1, 0, 0, 1, 0, 0]
+    assert "the following arguments are required: --variant" in reused[2][2]

@@ -2,17 +2,21 @@ import random
 
 import pytest
 
+from posetlim import derived
+from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group
-from posetlim.derived import derived_functor
+from posetlim.derived import chain_complex, cochain_complex, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
     ConvergenceViolation,
     MismatchError,
     VariantMismatchError,
 )
-from posetlim.poset import validate_graded
+from posetlim.poset import opposite, validate_graded
+from posetlim.randgen import GenConfig, gen_diagram, gen_poset
 from posetlim.spectral import (
     TABLE_VARIANTS,
+    FilteredComplex,
     Variant,
     build_filtered,
     convergence_check,
@@ -307,3 +311,101 @@ def test_all_variants_battery():
         _full_battery(F, seen)
     # both directions exercised, so all eight presets ran
     assert seen == {v.name for v in TABLE_VARIANTS}
+
+
+# ---------------------------------------------------------------- caches
+
+def _seeded_diagrams(count=4):
+    """Forest and layered sums_of_standard diagrams; every other pair sits
+    on the opposite poset, so the first four cover all eight variants."""
+    for k in range(count):
+        cfg = GenConfig(seed=4100 + k, family="forest" if k % 2 == 0 else "layered",
+                        max_objects=5)
+        P = gen_poset(cfg)
+        if k % 4 >= 2:
+            P = opposite(P)
+        yield P, gen_diagram(cfg, P, "sums_of_standard")
+
+
+def _assert_same_page(got, want):
+    assert (got.r, got.type, got.bidegree) == (want.r, want.type, want.bidegree)
+    assert set(got.entries) == set(want.entries)
+    assert set(got.sn_entries) == set(want.sn_entries)
+    for k, g in want.sn_entries.items():
+        h = got.sn_entries[k]
+        assert (h.free_rank, h.invariant_factors) == (g.free_rank, g.invariant_factors)
+    assert set(got.sn_diffs) == set(want.sn_diffs)
+    for k, d in want.sn_diffs.items():
+        assert la.mat_equal(got.sn_diffs[k].matrix, d.matrix)
+
+
+def test_cached_pages_match_fresh_filtered_complexes():
+    seen = set()
+    for P, F in _seeded_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.name)
+            X = build_filtered(P, F, v)
+            e_infinity(X)
+            base = chain_complex(F) if v.complex == "chain" else cochain_complex(F)
+            fresh = FilteredComplex(base, v, P)
+            for r in range(X.span + 4):
+                _assert_same_page(page(X, r), page(fresh, r))
+    assert seen == {v.name for v in TABLE_VARIANTS}
+
+
+def test_pages_and_filtered_complexes_are_shared():
+    F = intro_pushout()
+    X = build_filtered(F.poset, F, CHAIN_LAST_INC)
+    assert build_filtered(F.poset, F, CHAIN_LAST_INC) is X
+    assert build_filtered(F.poset, F, CHAIN_LAST_INC.second) is not X
+    assert page(X, 1) is page(X, 1)
+    assert page(X, 1) is not page(X, 2)
+    assert e_infinity(X) is page(X, X.span + 2)
+    with pytest.raises(AttributeError):
+        page(X, 1).r = 5
+
+
+def test_convergence_after_build_filtered_reuses_the_nerve(monkeypatch):
+    builds = []
+    for name in ("chain_complex", "cochain_complex"):
+        def counted(*a, _real=getattr(derived, name), **k):
+            builds.append(1)
+            return _real(*a, **k)
+        monkeypatch.setattr(derived, name, counted)
+    for P, F in _seeded_diagrams():
+        v = next(v for v in TABLE_VARIANTS if v.direction == P.direction)
+        X = build_filtered(P, F, v)
+        stable = e_infinity(X)
+        before = len(builds)
+        assert convergence_check(P, F, v).ok
+        oracle_page_recurrence(X)
+        assert len(builds) == before
+        assert build_filtered(P, F, v) is X
+        assert e_infinity(X) is stable
+    assert len(builds) == 4
+
+
+def test_shifted_grading_gets_its_own_filtered_complex():
+    F = intro_pushout()
+    shifted = validate_graded([("a", 1), ("b", 2), ("c", 2)], [("a", "b"), ("a", "c")])
+    X = build_filtered(F.poset, F, CHAIN_LAST_INC)
+    Y = build_filtered(shifted, F, CHAIN_LAST_INC)
+    assert Y is not X
+    assert (Y.min_degree, Y.max_degree) == (X.min_degree + 1, X.max_degree + 1)
+    assert build_filtered(shifted, F, CHAIN_LAST_INC) is Y
+    for r in range(X.span + 3):
+        keys, shifted_keys = set(page(X, r).entries), set(page(Y, r).entries)
+        assert keys and shifted_keys != keys
+        assert shifted_keys == {(p + 1, q - 1) for p, q in keys}
+
+
+def test_build_filtered_checks_on_a_cache_hit():
+    F = intro_pushout()
+    build_filtered(F.poset, F, CHAIN_LAST_INC)
+    fewer_covers = validate_graded([("a", 0), ("b", 1), ("c", 1)], [("a", "b")])
+    with pytest.raises(MismatchError):
+        build_filtered(fewer_covers, F, CHAIN_LAST_INC)
+    with pytest.raises(VariantMismatchError):
+        build_filtered(F.poset, F, Variant("chain", "last", "decreasing"))
