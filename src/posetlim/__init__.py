@@ -50,9 +50,11 @@ from .derived import (
     cochain_complex,
     colimit_direct,
     derived_functor,
+    euler_characteristic,
     homology_at,
     is_acyclic,
     limit_direct,
+    reduce_complex,
 )
 from .diagram import (
     Diagram,

@@ -19,7 +19,7 @@ from importlib import resources
 from . import intlinalg as la
 from .abgroup import AbHom, Subgroup, compose, free_group, hom_is_mono
 from .classify import classify_diagram, is_projective, is_pseudo_injective
-from .derived import derived_functor, is_acyclic
+from .derived import check_euler_characteristic, derived_functor, is_acyclic
 from .diagram import coker_at, transpose_diagram, validate_functor
 from .errors import (
     ConvergenceViolation,
@@ -81,7 +81,10 @@ def _cmd_validate(args):
 
 
 def _derived_table(F, direction, k):
-    return [derived_functor(F, direction, i) for i in range(k + 1)]
+    table = [derived_functor(F, direction, i) for i in range(k + 1)]
+    if k >= longest_chain_length(F.poset):
+        check_euler_characteristic(F, direction, table)
+    return table
 
 
 def _cmd_derived(args, direction):

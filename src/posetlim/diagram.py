@@ -41,8 +41,8 @@ class Diagram:
         self.cover_maps = cover_maps
         self._composites = composites
         self._paths = paths
-        # nerve complexes by kind ("chain"/"cochain") and filtered complexes
-        # by (variant, display degrees); filled by derived and spectral
+        # nerve complexes by (kind, reduced) and filtered complexes by
+        # (variant, display degrees); filled by derived and spectral
         self._complexes = {}
         self._filtered = {}
 

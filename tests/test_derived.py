@@ -1,29 +1,43 @@
+import itertools
 import random
+from importlib import resources
 
 import pytest
 
 from posetlim import derived
 from posetlim import intlinalg as la
-from posetlim.abgroup import AbHom, compose, cyclic_group, free_group, trivial_group
+from posetlim import cli
+from posetlim.abgroup import (
+    AbHom,
+    compose,
+    cyclic_group,
+    free_group,
+    group_from_invariants,
+    trivial_group,
+)
 from posetlim.derived import (
     chain_complex,
     cochain_complex,
     colimit_direct,
     derived_functor,
+    euler_characteristic,
     homology_at,
     is_acyclic,
     limit_direct,
+    reduce_complex,
 )
 from posetlim.diagram import (
     constant_diagram,
+    direct_sum_diagrams,
     representable_diagram,
     skyscraper_diagram,
     transpose_diagram,
     validate_functor,
 )
-from posetlim.errors import OracleViolation
-from posetlim.poset import validate_graded
-from posetlim.randgen import GenConfig, gen_diagram, gen_poset
+from posetlim.errors import FamilyMismatchError, OracleViolation
+from posetlim.jsonio import parse_diagram
+from posetlim.poset import enumerate_chains, longest_chain_length, opposite, validate_graded
+from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
     intro_pushout,
@@ -285,16 +299,21 @@ def test_sparse_dd_check_agrees_with_dense_composite():
     assert seen[True] and seen[False]
 
 
-def test_dd_check_works_modulo_relations():
-    """Over Z/2 the two paths around the square differ by 2, so d o d is
-    a nonzero integer matrix that vanishes in the target group."""
+def z2_square():
+    """Z/2 on a square whose two paths differ by 2 (1 and 3)."""
     P = validate_graded([("a", 0), ("b", 1), ("c", 1), ("d", 2)],
                         [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     T = cyclic_group(2)
-    F = validate_functor(
+    return validate_functor(
         P, {i: T for i in P.ids},
         {("a", "b"): AbHom(T, T, [[1]]), ("a", "c"): AbHom(T, T, [[1]]),
          ("b", "d"): AbHom(T, T, [[1]]), ("c", "d"): AbHom(T, T, [[3]])})
+
+
+def test_dd_check_works_modulo_relations():
+    """Over Z/2 the two paths around the square differ by 2, so d o d is
+    a nonzero integer matrix that vanishes in the target group."""
+    F = z2_square()
     X = chain_complex(F)
     outer, inner = X.d_from(1), X.d_from(2)
     composite = compose(outer, inner)
@@ -303,3 +322,210 @@ def test_dd_check_works_modulo_relations():
     assert composite.is_zero()
     assert derived._composite_is_zero(outer, inner)
     assert derived_functor(F, "colim", 0).is_isomorphic_to(colimit_direct(F))
+
+
+# ------------------------------------------------- Morse-reduced complexes
+
+KINDS = (("chain", chain_complex), ("cochain", cochain_complex))
+
+
+def boolean_lattice(n):
+    name = {s: "s" + "".join(map(str, s)) for k in range(n + 1)
+            for s in itertools.combinations(range(n), k)}
+    covers = [(name[s], name[tuple(sorted(s + (x,)))]) for s in name
+              for x in range(n) if x not in s]
+    return validate_graded([(name[s], len(s)) for s in name], covers)
+
+
+def grid(w, h):
+    covers = ([(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(w - 1) for j in range(h)]
+              + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(w) for j in range(h - 1)])
+    return validate_graded([(f"g{i}_{j}", i + j) for i in range(w) for j in range(h)], covers)
+
+
+def octahedron():
+    """a0, a1 < b0, b1 < c0, c1, every level below every next one: the
+    nerve is a 2-sphere, so no element pairs off everything."""
+    levels = [("a0", "a1"), ("b0", "b1"), ("c0", "c1")]
+    return validate_graded(
+        [(i, d) for d, lv in enumerate(levels) for i in lv],
+        [(x, y) for lo, hi in zip(levels, levels[1:]) for x in lo for y in hi])
+
+
+def assert_reduction_agrees(F):
+    for kind, build in KINDS:
+        X, R = build(F), reduce_complex(F, kind)
+        assert R.orientation == X.orientation and R.top == X.top
+        for n in range(X.top + 2):
+            assert homology_at(R, n).is_isomorphic_to(homology_at(X, n)), (kind, n)
+
+
+def seeded_randgen_diagrams():
+    """Every family x mode that randgen accepts, on the generated poset and
+    its opposite, with the transpose whenever the values are free."""
+    for seed in range(20):
+        for family in ("forest", "layered"):
+            cfg = GenConfig(seed=300 + seed, family=family, max_objects=12,
+                            max_degree_span=4)
+            for Q in (gen_poset(cfg), opposite(gen_poset(cfg))):
+                for mode in DIAGRAM_MODES:
+                    try:
+                        F = gen_diagram(cfg, Q, mode)
+                    except FamilyMismatchError:
+                        continue
+                    yield (family, mode), F
+                    if all(F.groups[i].relations.shape[1] == 0 for i in Q.ids):
+                        yield (family, mode, "transpose"), transpose_diagram(F)
+
+
+def test_reduced_matches_unreduced_on_seeded_diagrams():
+    seen = set()
+    for key, F in seeded_randgen_diagrams():
+        assert_reduction_agrees(F)
+        seen.add(key)
+    assert {k[:2] for k in seen} == {(f, m) for f in ("forest", "layered")
+                                     for m in DIAGRAM_MODES}
+    assert any(len(k) == 3 for k in seen)
+
+
+def test_reduced_matches_unreduced_on_bundled_documents():
+    docs = sorted(p for p in resources.files("posetlim").joinpath("data").iterdir()
+                  if p.name.endswith(".json"))
+    assert len(docs) == 9
+    for path in docs:
+        _, F = parse_diagram(path.read_text())
+        assert_reduction_agrees(F)
+
+
+@pytest.mark.parametrize("build, args", [(boolean_lattice, (3,)), (boolean_lattice, (4,)),
+                                         (grid, (3, 3))], ids=["bool3", "bool4", "grid3x3"])
+def test_reduced_matches_unreduced_on_constant_diagrams(build, args):
+    P = build(*args)
+    for G in (free_group(1), cyclic_group(2), group_from_invariants(1, [2])):
+        assert_reduction_agrees(constant_diagram(P, G))
+
+
+def test_reduced_matches_unreduced_modulo_relations():
+    assert_reduction_agrees(z2_square())
+    assert_reduction_agrees(constant_diagram(octahedron(), group_from_invariants(1, [2])))
+
+
+def test_reduced_matches_unreduced_off_cones():
+    """Shapes with neither a greatest nor a least element keep critical
+    chains in several degrees, so the zig-zag sums carry the answer."""
+    crown = validate_graded([("a", 0), ("b", 0), ("c", 1), ("d", 1)],
+                            [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    bool3 = boolean_lattice(3)
+    proper = validate_graded(
+        [(i, bool3.degree[i]) for i in bool3.ids if i not in ("s", "s012")],
+        [(a, b) for a, b in bool3.covers if "s" not in (a, b) and "s012" not in (a, b)])
+    for k, Q in enumerate((crown, octahedron(), proper)):
+        for seed in range(4):
+            cfg = GenConfig(seed=700 + 10 * k + seed)
+            for mode in ("sums_of_standard", "pseudo_projective_by_construction"):
+                assert_reduction_agrees(gen_diagram(cfg, Q, mode))
+                assert_reduction_agrees(gen_diagram(cfg, opposite(Q), mode))
+
+
+@pytest.mark.parametrize("kind, flip", [("chain", 2), ("cochain", 0)])
+def test_reduced_dd_check_catches_one_flipped_entry(monkeypatch, kind, flip):
+    F = constant_diagram(octahedron(), free_group(1))
+    R = reduce_complex(F, kind)
+    assert all(len(R.blocks[n]) == 2 for n in range(3))
+    assemble = derived._assemble
+
+    def flipped(sums, n_src, n_tgt, entries):
+        h = assemble(sums, n_src, n_tgt, entries)
+        if n_src != flip:
+            return h
+        M = h.matrix.copy()
+        i, j = next((i, j) for j in range(M.shape[1]) for i in range(M.shape[0]) if M[i, j])
+        M[i, j] = -M[i, j]
+        return AbHom(h.source, h.target, M, check=False)
+
+    monkeypatch.setattr(derived, "_assemble", flipped)
+    with pytest.raises(OracleViolation):
+        reduce_complex(F, kind)
+
+
+def test_cyclic_matching_is_refused():
+    """Inside the carrier v the matching runs around the 4-cycle
+    a-c-b-d of P_{>v}; the critical chain (u, v, a) leads into it."""
+    P = validate_graded(
+        [("u", 0), ("v", 1), ("a", 2), ("b", 2), ("c", 3), ("d", 3)],
+        [("u", "v"), ("v", "a"), ("v", "b"),
+         ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+    F = constant_diagram(P, free_group(1))
+    cells = [c.vertices for n in range(4) for c in enumerate_chains(P, n)]
+    cycle = [(("v", "a"), ("v", "a", "c")), (("v", "c"), ("v", "b", "c")),
+             (("v", "b"), ("v", "b", "d")), (("v", "d"), ("v", "a", "d"))]
+    partner = {}
+    for lo, hi in cycle:
+        partner[lo], partner[hi] = hi, lo
+    with pytest.raises(OracleViolation, match="not acyclic"):
+        derived._morse_complex(F, "chain", cells, partner)
+    # the matching reduce_complex builds on the same poset is acyclic
+    assert_reduction_agrees(F)
+
+
+def test_cone_reduces_to_one_critical_cell():
+    F = intro_pushout()            # a is the least element
+    R = reduce_complex(F, "cochain")
+    assert [c.vertices for n in range(R.top + 1) for c in R.blocks[n]] == [("a",)]
+    assert R.group_at(0).same_presentation(F.groups["a"])
+    G = times_two_pullback()        # a is the greatest element
+    R = reduce_complex(G, "chain")
+    assert [c.vertices for n in range(R.top + 1) for c in R.blocks[n]] == [("a",)]
+    assert R.group_at(0).same_presentation(G.groups["a"])
+    P = grid(3, 3)
+    H, _, _ = direct_sum_diagrams([skyscraper_diagram(P, "g2_2", cyclic_group(4)),
+                                   skyscraper_diagram(P, "g0_0", cyclic_group(3)),
+                                   constant_diagram(P, free_group(1))])
+    for kind, end in (("chain", "g2_2"), ("cochain", "g0_0")):
+        R = reduce_complex(H, kind)
+        assert [c.vertices for n in range(R.top + 1) for c in R.blocks[n]] == [(end,)]
+        assert R.group_at(0).same_presentation(H.groups[end])
+
+
+@pytest.mark.parametrize("shape", ["bool5", "grid5x5"])
+def test_large_cones_give_the_cone_answer(shape):
+    P = boolean_lattice(5) if shape == "bool5" else grid(5, 5)
+    G = group_from_invariants(1, [2])
+    F = constant_diagram(P, G)
+    for direction, direct in (("colim", colimit_direct), ("lim", limit_direct)):
+        table = [derived_functor(F, direction, i)
+                 for i in range(longest_chain_length(P) + 1)]
+        assert table[0].is_isomorphic_to(G)
+        assert table[0].is_isomorphic_to(direct(F))
+        assert all(H.is_trivial for H in table[1:])
+
+
+def test_euler_characteristic_counts_the_chains():
+    for seed in range(12):
+        cfg = GenConfig(seed=500 + seed, family=("forest", "layered")[seed % 2],
+                        max_objects=9)
+        for Q in (gen_poset(cfg), opposite(gen_poset(cfg))):
+            F = gen_diagram(cfg, Q, "sums_of_standard")
+            for direction, key in (("colim", "first"), ("lim", "last")):
+                want = sum((-1) ** n * F.groups[getattr(c, key)].free_rank
+                           for n in range(longest_chain_length(Q) + 1)
+                           for c in enumerate_chains(Q, n))
+                assert euler_characteristic(F, direction) == want
+    with pytest.raises(ValueError):
+        euler_characteristic(intro_pushout(), "sideways")
+
+
+def test_euler_mismatch_is_an_oracle_violation(monkeypatch, tmp_path, capsys):
+    F = zero_one_pushout()
+    assert is_acyclic(F, "colim")
+    path = tmp_path / "intro.json"
+    path.write_text(resources.files("posetlim").joinpath("data/intro_pushout.json").read_text())
+    assert cli.main(["colim", str(path)]) == 0
+    real = derived.euler_characteristic
+    monkeypatch.setattr(derived, "euler_characteristic", lambda F, d: real(F, d) + 1)
+    with pytest.raises(OracleViolation):
+        is_acyclic(zero_one_pushout(), "colim")
+    assert cli.main(["colim", str(path)]) == 2
+    # a truncated table is not a full one, so it is not checked
+    assert cli.main(["colim", "--max-degree", "0", str(path)]) == 0
+    capsys.readouterr()
