@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-import numpy as np
-
 from . import intlinalg as la
 from .errors import AmbientMismatchError, MismatchError
 
@@ -26,10 +24,8 @@ class FgAbGroup:
         self.ambient_rank = int(ambient_rank)
         if relations is None:
             relations = la.zeros(ambient_rank, 0)
-        elif not isinstance(relations, np.ndarray):
-            relations = la.intmat(relations)
-            if relations.shape == (0, 0):
-                relations = la.zeros(ambient_rank, 0)
+        elif not isinstance(relations, la.IntMatrix):
+            relations = la.intmat(relations, (ambient_rank, 0))
         if relations.shape[0] != self.ambient_rank:
             raise ValueError("relations must have one row per ambient generator")
         self.relations = relations
@@ -72,8 +68,8 @@ class FgAbGroup:
                 and self.invariant_factors == other.invariant_factors)
 
     def same_presentation(self, other: "FgAbGroup") -> bool:
-        return (self.ambient_rank == other.ambient_rank
-                and la.mat_equal(self.relations, other.relations))
+        return other is self or (self.ambient_rank == other.ambient_rank
+                                 and self.relations == other.relations)
 
     def element_is_zero(self, x) -> bool:
         return self._rel_checker.contains(x)
@@ -107,9 +103,8 @@ def cyclic_group(d: int) -> FgAbGroup:
 def group_from_invariants(free_rank: int, factors) -> FgAbGroup:
     factors = list(factors)
     g = free_rank + len(factors)
-    rel = la.zeros(g, len(factors))
-    for j, d in enumerate(factors):
-        rel[free_rank + j, j] = int(d)
+    rel = la.from_blocks(g, len(factors), [(free_rank + j, j, int(d), la.eye(1))
+                                           for j, d in enumerate(factors)])
     return FgAbGroup(g, rel)
 
 
@@ -145,10 +140,8 @@ class AbHom:
     """
 
     def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix, check: bool = True):
-        if not isinstance(matrix, np.ndarray):
-            matrix = la.intmat(matrix)
-            if matrix.shape == (0, 0):
-                matrix = la.zeros(target.ambient_rank, source.ambient_rank)
+        if not isinstance(matrix, la.IntMatrix):
+            matrix = la.intmat(matrix, (target.ambient_rank, source.ambient_rank))
         if matrix.shape != (target.ambient_rank, source.ambient_rank):
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match "
@@ -159,31 +152,25 @@ class AbHom:
         if check and source.relations.shape[1]:
             moved = matrix @ source.relations
             chk = target._rel_checker
-            for j in range(moved.shape[1]):
-                if not chk.contains(moved[:, j]):
+            for j, col in enumerate(moved.cols):
+                if not chk.contains(col):
                     raise ValueError(
                         f"not well defined: image of relation {j} "
                         f"is outside the target relation span")
 
     def __call__(self, x):
         """Apply to an ambient vector, returning an ambient vector of the target."""
-        col = la.zeros(self.source.ambient_rank, 1)
-        for i, v in enumerate(x):
-            col[i, 0] = int(v)
-        out = self.matrix @ col
-        return tuple(int(out[i, 0]) for i in range(self.target.ambient_rank))
+        out = self.matrix @ la.intmat([[v] for v in x], (self.source.ambient_rank, 1))
+        return out[:, 0]
 
     def equal(self, other: "AbHom") -> bool:
         """Equality as homs: matrices differ by the target relation span."""
         if self.matrix.shape != other.matrix.shape:
             return False
-        diff = self.matrix - other.matrix
-        chk = self.target._rel_checker
-        return all(chk.contains(diff[:, j]) for j in range(diff.shape[1]))
+        return self.target._rel_checker.contains_all(self.matrix - other.matrix)
 
     def is_zero(self) -> bool:
-        chk = self.target._rel_checker
-        return all(chk.contains(self.matrix[:, j]) for j in range(self.matrix.shape[1]))
+        return self.target._rel_checker.contains_all(self.matrix)
 
     def __repr__(self):
         return f"AbHom({self.source.describe()} -> {self.target.describe()})"
@@ -210,10 +197,8 @@ class Subgroup:
     together with the ambient relations."""
 
     def __init__(self, ambient: FgAbGroup, generators):
-        if not isinstance(generators, np.ndarray):
-            generators = la.intmat(generators)
-            if generators.shape == (0, 0):
-                generators = la.zeros(ambient.ambient_rank, 0)
+        if not isinstance(generators, la.IntMatrix):
+            generators = la.intmat(generators, (ambient.ambient_rank, 0))
         if generators.shape[0] != ambient.ambient_rank:
             raise AmbientMismatchError(
                 f"generators have {generators.shape[0]} rows, "
@@ -222,7 +207,7 @@ class Subgroup:
         self.generators = generators
 
     @cached_property
-    def _lattice(self) -> np.ndarray:
+    def _lattice(self) -> la.IntMatrix:
         """Echelon basis of span(generators | ambient relations)."""
         return la.lattice_basis(la.hstack([self.generators, self.ambient.relations]))
 
@@ -238,10 +223,9 @@ class Subgroup:
         outside self, or None."""
         if not self.ambient.same_presentation(other.ambient):
             raise AmbientMismatchError("subgroups live in different ambient groups")
-        for j in range(other.generators.shape[1]):
-            col = other.generators[:, j]
+        for j, col in enumerate(other.generators.cols):
             if not self._checker.contains(col):
-                return False, tuple(int(v) for v in col)
+                return False, other.generators[:, j]
         return True, None
 
     def same_subgroup(self, other: "Subgroup") -> bool:
@@ -327,25 +311,18 @@ def direct_sum(groups) -> DirectSum:
         offsets.append(at)
         at += G.ambient_rank
     total_rank = at
-    total_rel_cols = sum(G.relations.shape[1] for G in groups)
-    rel = la.zeros(total_rank, total_rel_cols)
+    rel_blocks = []
     cat = 0
     for G, off in zip(groups, offsets):
-        r = G.relations
-        if r.shape[1]:
-            rel[off:off + G.ambient_rank, cat:cat + r.shape[1]] = r
-        cat += r.shape[1]
-    total = FgAbGroup(total_rank, rel)
+        rel_blocks.append((off, cat, 1, G.relations))
+        cat += G.relations.shape[1]
+    total = FgAbGroup(total_rank, la.from_blocks(total_rank, cat, rel_blocks))
     inclusions = []
     projections = []
     for G, off in zip(groups, offsets):
-        inc = la.zeros(total_rank, G.ambient_rank)
-        prj = la.zeros(G.ambient_rank, total_rank)
-        for i in range(G.ambient_rank):
-            inc[off + i, i] = 1
-            prj[i, off + i] = 1
+        inc = la.from_blocks(total_rank, G.ambient_rank, [(off, 0, 1, la.eye(G.ambient_rank))])
         inclusions.append(AbHom(G, total, inc, check=False))
-        projections.append(AbHom(total, G, prj, check=False))
+        projections.append(AbHom(total, G, inc.T, check=False))
     return DirectSum(total, inclusions, projections, offsets)
 
 

@@ -105,13 +105,8 @@ def is_pseudo_projective_at(F: Diagram, i0: str, d: int):
     phi = la.hstack([F.hom(i, i0).matrix for i in sources])
     K = la.preimage_lattice(phi, F.groups[i0].relations)
     im_subs = {i: im_at(F, i) for i in sources}
-    blocks = []
-    for k, i in enumerate(sources):
-        g = im_subs[i].generators
-        block = la.zeros(ds.group.ambient_rank, g.shape[1])
-        block[ds.offsets[k]:ds.offsets[k] + g.shape[0], :] = g
-        blocks.append(block)
-    target = Subgroup(ds.group, la.hstack(blocks))
+    target = Subgroup(ds.group, la.hstack([inc.matrix @ im_subs[i].generators
+                                           for inc, i in zip(ds.inclusions, sources)]))
     ok, bad = target.contains_subgroup(Subgroup(ds.group, K))
     if ok:
         return PseudoVerdict(True)
@@ -143,20 +138,13 @@ def is_pseudo_injective_at(F: Diagram, i0: str, d: int):
     if not targets:
         return PseudoVerdict(True)
     sums = direct_sum([F.groups[t] for t in targets])
-    rank0 = F.groups[i0].ambient_rank
-    psi = la.zeros(sums.group.ambient_rank, rank0)
-    for k, t in enumerate(targets):
-        m = F.hom(i0, t).matrix
-        psi[sums.offsets[k]:sums.offsets[k] + m.shape[0], :] = m
-    ker_subs = {t: ker_at(F, t) for t in targets}
-    blocks = []
-    for k, t in enumerate(targets):
-        g = ker_subs[t].generators
-        block = la.zeros(sums.group.ambient_rank, g.shape[1])
-        block[sums.offsets[k]:sums.offsets[k] + g.shape[0], :] = g
-        blocks.append(block)
+    psi = la.from_blocks(sums.group.ambient_rank, F.groups[i0].ambient_rank,
+                         [(off, 0, 1, F.hom(i0, t).matrix)
+                          for off, t in zip(sums.offsets, targets)])
+    kernels = la.hstack([inc.matrix @ ker_at(F, t).generators
+                         for inc, t in zip(sums.inclusions, targets)])
     image = Subgroup(sums.group, psi)
-    ok, bad = image.contains_subgroup(Subgroup(sums.group, la.hstack(blocks)))
+    ok, bad = image.contains_subgroup(Subgroup(sums.group, kernels))
     if ok:
         return PseudoVerdict(True)
     parts = [(t, F.groups[t].ambient_rank) for t in targets]
@@ -300,13 +288,8 @@ def free_cover(F: Diagram):
     for j in P.ids:
         # summand (i, t) occupies one column at j exactly when i <= j,
         # in list order, matching the offsets the sum construction used
-        widths = [1 if P.leq(i, j) else 0 for (i, t) in labels]
-        E = la.zeros(F.groups[j].ambient_rank, sum(widths))
-        at = 0
-        for (i, t), w in zip(labels, widths):
-            if w:
-                E[:, at] = F.hom(i, j).matrix[:, t]
-                at += 1
+        cols = [F.hom(i, j).matrix.cols[t] for (i, t) in labels if P.leq(i, j)]
+        E = la.IntMatrix((F.groups[j].ambient_rank, len(cols)), cols)
         comps[j] = AbHom(A.groups[j], F.groups[j], E, check=False)
     counit = NatTransformation(A, F, comps)
     return A, counit
@@ -356,59 +339,37 @@ def _solve_component(A, F, pi, sigma, rho, i0):
     rel_b = pi.target.groups[i0].relations
     b = pi.target.groups[i0].ambient_rank
 
-    # constraint columns of the form R @ v = w (mod rel_a)
+    # constraints R @ v = w (mod rel_a), v and w as {row: value} columns
     pairs = []
     for p in P.covers_into[i0]:
-        v_block = F.cover_maps[(p, i0)].matrix
         w_block = A.cover_maps[(p, i0)].matrix @ rho[p].matrix
-        for j in range(v_block.shape[1]):
-            pairs.append((v_block[:, j], w_block[:, j]))
-    rels_f = F.groups[i0].relations
-    for j in range(rels_f.shape[1]):
-        pairs.append((rels_f[:, j], [0] * a))
+        pairs += zip(F.cover_maps[(p, i0)].matrix.cols, w_block.cols)
+    pairs += [(col, {}) for col in F.groups[i0].relations.cols]
 
     n_pairs = len(pairs)
     ra = rel_a.shape[1]
     rb = rel_b.shape[1]
-    cols = a * f + ra * n_pairs + rb * f
-    rows = a * n_pairs + b * f
-    M = la.zeros(rows, cols)
-    rhs = la.zeros(rows, 1)
+    blocks = []
+    rhs = []
     for c, (v, w) in enumerate(pairs):
         r0 = c * a
-        for s in range(f):
-            if v[s] == 0:
-                continue
-            for i in range(a):
-                M[r0 + i, s * a + i] = int(v[s])
-        slack = a * f + c * ra
-        for i in range(a):
-            for j in range(ra):
-                M[r0 + i, slack + j] = -rel_a[i, j]
-        for i in range(a):
-            rhs[r0 + i, 0] = int(w[i])
+        blocks += [(r0, s * a, x, la.eye(a)) for s, x in v.items()]
+        blocks.append((r0, a * f + c * ra, -1, rel_a))
+        rhs.append((r0, 0, 1, la.IntMatrix((a, 1), [w])))
     proj = pi.component(i0).matrix
     sig = sigma.component(i0).matrix
     base = a * n_pairs
     for s in range(f):
         r0 = base + s * b
-        for i in range(b):
-            for j in range(a):
-                M[r0 + i, s * a + j] = proj[i, j]
-        slack = a * f + ra * n_pairs + s * rb
-        for i in range(b):
-            for j in range(rb):
-                M[r0 + i, slack + j] = -rel_b[i, j]
-        for i in range(b):
-            rhs[r0 + i, 0] = sig[i, s]
-    z = la.solve(M, rhs)
+        blocks.append((r0, s * a, 1, proj))
+        blocks.append((r0, a * f + ra * n_pairs + s * rb, -1, rel_b))
+        rhs.append((r0, 0, 1, la.IntMatrix((b, 1), [sig.cols[s]])))
+    rows = a * n_pairs + b * f
+    M = la.from_blocks(rows, a * f + ra * n_pairs + rb * f, blocks)
+    z = la.solve(M, la.from_blocks(rows, 1, rhs))
     if z is None:
         return None
-    R = la.zeros(a, f)
-    for s in range(f):
-        for i in range(a):
-            R[i, s] = z[s * a + i, 0]
-    return R
+    return la.intmat([[z[s * a + i, 0] for s in range(f)] for i in range(a)], (a, f))
 
 
 def identity_transformation(F: Diagram) -> NatTransformation:

@@ -76,24 +76,17 @@ def _assemble(sums, n_src, n_tgt, entries):
     """
     src = sums[n_src]
     tgt = sums[n_tgt]
-    M = la.zeros(tgt.group.ambient_rank, src.group.ambient_rank)
-    for tj, sj, sign, blk in entries:
-        h, w = blk.shape
-        if h == 0 or w == 0:
-            continue
-        r0 = tgt.offsets[tj]
-        c0 = src.offsets[sj]
-        M[r0:r0 + h, c0:c0 + w] = M[r0:r0 + h, c0:c0 + w] + sign * blk
+    M = la.from_blocks(tgt.group.ambient_rank, src.group.ambient_rank,
+                       [(tgt.offsets[tj], src.offsets[sj], sign, blk)
+                        for tj, sj, sign, blk in entries])
     return AbHom(src.group, tgt.group, M, check=False)
 
 
 def _composite_is_zero(outer: AbHom, inner: AbHom) -> bool:
-    """compose(outer, inner).is_zero(), column by column from the nonzero
-    entries alone, without forming the dense product.  Every column that is
-    not zero outright goes through the target's membership check."""
-    outer_cols = la._to_cols(outer.matrix)
-    for coeffs in la._to_cols(inner.matrix):
-        col = la._combine(outer_cols, coeffs)
+    """compose(outer, inner).is_zero() from the product's columns alone:
+    each column that is not zero outright goes through the target's
+    membership check, and the first one outside the relations decides."""
+    for col in (outer.matrix @ inner.matrix).cols:
         if col and not outer.target.element_is_zero(col):
             return False
     return True
@@ -315,7 +308,7 @@ def _morse_complex(F, kind, cells, partner):
                         continue
                     for c, M in flow(y).items():
                         add(acc, c, sign, along(B, M))
-                memo[x] = {c: -pair_sign * M for c, M in acc.items() if any(M.flat)}
+                memo[x] = {c: -pair_sign * M for c, M in acc.items() if any(M.cols)}
                 stack.pop()
         return memo[b]
 
@@ -461,19 +454,16 @@ def colimit_direct(F: Diagram) -> FgAbGroup:
     P = F.poset
     sums = direct_sum([F.groups[i] for i in P.ids])
     pos = {ident: k for k, ident in enumerate(P.ids)}
-    cols = [sums.group.relations]
+    rels = sums.group.relations
+    blocks = [(0, 0, 1, rels)]
+    at = rels.shape[1]
     for a, b in P.covers:
-        mat = F.cover_maps[(a, b)].matrix
         ra = F.groups[a].ambient_rank
-        block = la.zeros(sums.group.ambient_rank, ra)
-        oa = sums.offsets[pos[a]]
-        ob = sums.offsets[pos[b]]
-        for j in range(ra):
-            block[oa + j, j] = 1
-            for i in range(mat.shape[0]):
-                block[ob + i, j] = block[ob + i, j] - mat[i, j]
-        cols.append(block)
-    return FgAbGroup(sums.group.ambient_rank, la.hstack(cols))
+        blocks.append((sums.offsets[pos[a]], at, 1, la.eye(ra)))
+        blocks.append((sums.offsets[pos[b]], at, -1, F.cover_maps[(a, b)].matrix))
+        at += ra
+    rank = sums.group.ambient_rank
+    return FgAbGroup(rank, la.from_blocks(rank, at, blocks))
 
 
 def limit_direct(F: Diagram) -> FgAbGroup:
@@ -485,17 +475,12 @@ def limit_direct(F: Diagram) -> FgAbGroup:
     if not P.covers:
         return sums.group
     tgt = direct_sum([F.groups[b] for _, b in P.covers])
-    M = la.zeros(tgt.group.ambient_rank, sums.group.ambient_rank)
+    blocks = []
     for k, (a, b) in enumerate(P.covers):
-        mat = F.cover_maps[(a, b)].matrix
-        ra = F.groups[a].ambient_rank
-        rb = F.groups[b].ambient_rank
-        oa = sums.offsets[pos[a]]
-        ob = sums.offsets[pos[b]]
         row = tgt.offsets[k]
-        M[row:row + rb, oa:oa + ra] = M[row:row + rb, oa:oa + ra] + mat
-        for i in range(rb):
-            M[row + i, ob + i] = M[row + i, ob + i] - 1
+        blocks.append((row, sums.offsets[pos[a]], 1, F.cover_maps[(a, b)].matrix))
+        blocks.append((row, sums.offsets[pos[b]], -1, la.eye(F.groups[b].ambient_rank)))
+    M = la.from_blocks(tgt.group.ambient_rank, sums.group.ambient_rank, blocks)
     L = la.preimage_lattice(M, tgt.group.relations)
     rels = la.solve(L, sums.group.relations)
     assert rels is not None, "componentwise relations are always compatible"

@@ -123,11 +123,6 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
     return Diagram(poset, dict(groups), maps, composites, paths)
 
 
-def eval_hom(F: Diagram, p: str, q: str) -> AbHom:
-    """F applied to the unique arrow p -> q (identity when p = q)."""
-    return F.hom(p, q)
-
-
 def im_at(F: Diagram, i0: str) -> Subgroup:
     """Subgroup of F(i0) generated by the images of all
 
@@ -247,15 +242,10 @@ def coker_prime_functor(F: Diagram):
     groups = {i: sums[i].group for i in F.poset.ids}
     maps = {}
     for a, b in F.poset.covers:
-        ka, kb = keys[a], keys[b]
-        M = la.zeros(groups[b].ambient_rank, groups[a].ambient_rank)
-        for pos_a, k in enumerate(ka):
-            pos_b = kb.index(k)
-            r = C.groups[k].ambient_rank
-            oa = sums[a].offsets[pos_a]
-            ob = sums[b].offsets[pos_b]
-            for t in range(r):
-                M[ob + t, oa + t] = 1
+        M = la.from_blocks(
+            groups[b].ambient_rank, groups[a].ambient_rank,
+            [(sums[b].offsets[keys[b].index(k)], sums[a].offsets[pos_a], 1,
+              la.eye(C.groups[k].ambient_rank)) for pos_a, k in enumerate(keys[a])])
         maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
     Cp = validate_functor(F.poset, groups, maps)
     pi = NatTransformation(
@@ -291,28 +281,6 @@ def constant_diagram(P: GradedPoset, A: FgAbGroup) -> Diagram:
     groups = {i: A for i in P.ids}
     maps = {c: identity_hom(A) for c in P.covers}
     return validate_functor(P, groups, maps)
-
-
-def build_standard_diagram(P: GradedPoset, kind: str, at: str = None,
-                           group: FgAbGroup = None) -> Diagram:
-    """Dispatch for the stock diagrams.
-
-    kind "representable" needs at; "skyscraper" needs at and group;
-    "constant" needs group.
-    """
-    if kind == "representable":
-        if at is None:
-            raise ValueError("representable needs its base object")
-        return representable_diagram(P, at)
-    if kind == "skyscraper":
-        if at is None or group is None:
-            raise ValueError("skyscraper needs an object and a group")
-        return skyscraper_diagram(P, at, group)
-    if kind == "constant":
-        if group is None:
-            raise ValueError("constant needs a group")
-        return constant_diagram(P, group)
-    raise ValueError(f"unknown standard diagram kind {kind!r}")
 
 
 def check_adjunction_instance(F: Diagram, i0: str, A: FgAbGroup, h: AbHom):
@@ -352,10 +320,8 @@ def transformation_to_hom(F: Diagram, i0: str, eta: NatTransformation) -> AbHom:
     Q, _ = coker_at(F, i0)
     A = eta.target.groups[i0]
     comp = eta.component(i0)
-    im = im_at(F, i0)
-    for j in range(im.generators.shape[1]):
-        y = comp.matrix @ im.generators[:, j:j + 1]
-        if not A.element_is_zero(y[:, 0]):
+    for col in (comp.matrix @ im_at(F, i0).generators).cols:
+        if not A.element_is_zero(col):
             raise NotNaturalError(
                 "component at the skyscraper object does not kill the image subgroup")
     return AbHom(Q, A, comp.matrix)
@@ -379,7 +345,7 @@ def transpose_diagram(F: Diagram) -> Diagram:
     maps = {}
     for a, b in F.poset.covers:
         M = F.cover_maps[(a, b)].matrix
-        maps[(b, a)] = AbHom(F.groups[b], F.groups[a], M.T.copy(), check=False)
+        maps[(b, a)] = AbHom(F.groups[b], F.groups[a], M.T, check=False)
     return validate_functor(Q, dict(F.groups), maps)
 
 
@@ -412,12 +378,10 @@ def direct_sum_diagrams(diagrams):
     groups = {i: sums[i].group for i in P.ids}
     maps = {}
     for a, b in P.covers:
-        M = la.zeros(groups[b].ambient_rank, groups[a].ambient_rank)
-        for k, D in enumerate(diagrams):
-            blk = D.cover_maps[(a, b)].matrix
-            oa = sums[a].offsets[k]
-            ob = sums[b].offsets[k]
-            M[ob:ob + blk.shape[0], oa:oa + blk.shape[1]] = blk
+        M = la.from_blocks(
+            groups[b].ambient_rank, groups[a].ambient_rank,
+            [(sums[b].offsets[k], sums[a].offsets[k], 1, D.cover_maps[(a, b)].matrix)
+             for k, D in enumerate(diagrams)])
         maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
     total = validate_functor(P, groups, maps)
     incls = [NatTransformation(D, total, {i: sums[i].inclusions[k] for i in P.ids})

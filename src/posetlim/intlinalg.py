@@ -1,11 +1,12 @@
-"""Exact integer matrix algebra with sparse columns inside.
+"""Exact integer matrices, stored as sparse columns.
 
-Matrices enter and leave as numpy object arrays of Python ints, so
-arithmetic never overflows; numpy is only the boundary type.  Columns
-are the working unit: the span of a matrix always means the span of its
-columns.  Inside, a column is a {row: value} dict of its nonzero
-entries, read from the array once and written back once, and every
-column operation touches only those entries.
+IntMatrix is the one matrix type: an immutable m x n matrix held as a
+tuple of columns, each a {row: value} dict of its nonzero entries.
+Entries are Python ints, so arithmetic never overflows, and every column
+operation touches only nonzero entries.  Columns are the working unit:
+the span of a matrix always means the span of its columns.  Matrices
+share columns freely, so a column is never changed once it is in a
+matrix; the routines below copy the columns they reduce in place.
 
 One column echelon routine serves lattice bases, kernels, solving, span
 membership and invariant factors, which need no transforms (Cohen, *A
@@ -18,77 +19,179 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-import numpy as np
+
+class IntMatrix:
+    """Immutable integer matrix: shape (m, n) and n columns, each a
+    {row: value} dict with no zero values.  The constructor trusts its
+    columns; intmat, zeros, eye, hstack and from_blocks build checked ones.
+
+    >>> (intmat([[1, 2], [3, 4]]) @ eye(2)).T.tolist()
+    [[1, 3], [2, 4]]
+    """
+
+    __slots__ = ("shape", "cols")
+
+    def __init__(self, shape, cols):
+        self.shape = shape
+        self.cols = tuple(cols)
+
+    @property
+    def size(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    @property
+    def T(self) -> "IntMatrix":
+        rows = [{} for _ in range(self.shape[0])]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return IntMatrix(self.shape[::-1], rows)
+
+    def tolist(self):
+        m, n = self.shape
+        rows = [[0] * n for _ in range(m)]
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
+
+    @property
+    def flat(self):
+        """All m * n entries in row-major order."""
+        n = self.shape[1]
+        out = [0] * self.size
+        for j, col in enumerate(self.cols):
+            for i, x in col.items():
+                out[i * n + j] = x
+        return out
+
+    def __getitem__(self, key):
+        """M[i, j] is an entry, M[:, j] column j as a tuple."""
+        i, j = key
+        m, n = self.shape
+        if not 0 <= j < n:
+            raise IndexError(f"column {j} outside a {m}x{n} matrix")
+        col = self.cols[j]
+        if i == slice(None):
+            return tuple(col.get(r, 0) for r in range(m))
+        if not 0 <= i < m:
+            raise IndexError(f"row {i} outside a {m}x{n} matrix")
+        return col.get(i, 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self.cols == other.cols
+
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        cols = self.cols
+        out = []
+        for coeffs in other.cols:
+            # _axpy written out: small products are frequent
+            acc = {}
+            for k, c in coeffs.items():
+                for i, x in cols[k].items():
+                    v = acc.get(i, 0) + c * x
+                    if v:
+                        acc[i] = v
+                    else:
+                        del acc[i]
+            out.append(acc)
+        return IntMatrix((self.shape[0], other.shape[1]), out)
+
+    def _plus(self, other, c):
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        out = [dict(a) for a in self.cols]
+        for a, b in zip(out, other.cols):
+            _axpy(a, b, c)
+        return IntMatrix(self.shape, out)
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._plus(other, -1)
+
+    def __mul__(self, c: int) -> "IntMatrix":
+        if not isinstance(c, int):
+            return NotImplemented
+        if not c:
+            return zeros(*self.shape)
+        return IntMatrix(self.shape, [{i: c * x for i, x in col.items()} for col in self.cols])
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "IntMatrix":
+        return self * -1
+
+    def __repr__(self):
+        return f"IntMatrix({self.shape[0]}x{self.shape[1]}, {self.tolist()})"
 
 
-def intmat(rows) -> np.ndarray:
-    """Build an exact integer matrix from an iterable of rows.
+def intmat(rows, shape=None) -> IntMatrix:
+    """The matrix with these rows.  No rows at all give zeros(*shape), or
+    the 0 x 0 matrix when shape is None.
 
     >>> intmat([[1, 2], [3, 4]])[1, 0]
     3
     """
     rows = [[int(x) for x in row] for row in rows]
     if not rows:
-        return np.empty((0, 0), dtype=object)
+        return zeros(*(shape or (0, 0)))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged rows")
-    out = np.empty((len(rows), width), dtype=object)
+    cols = [{} for _ in range(width)]
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+            if x:
+                cols[j][i] = x
+    return IntMatrix((len(rows), width), cols)
 
 
-def zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[...] = 0
-    return out
+def zeros(m: int, n: int) -> IntMatrix:
+    return IntMatrix((m, n), [{} for _ in range(n)])
 
 
-def eye(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+def eye(n: int) -> IntMatrix:
+    return IntMatrix((n, n), [{j: 1} for j in range(n)])
 
 
-def hstack(mats) -> np.ndarray:
+def hstack(mats) -> IntMatrix:
     mats = list(mats)
     if not mats:
         raise ValueError("nothing to stack")
     m = mats[0].shape[0]
     if any(a.shape[0] != m for a in mats):
         raise ValueError("row counts differ")
-    total = sum(a.shape[1] for a in mats)
-    out = zeros(m, total)
-    at = 0
-    for a in mats:
-        if a.shape[1]:
-            out[:, at:at + a.shape[1]] = a
-        at += a.shape[1]
-    return out
+    return IntMatrix((m, sum(a.shape[1] for a in mats)), [c for a in mats for c in a.cols])
 
 
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a == b).all())
+def from_blocks(m: int, n: int, blocks) -> IntMatrix:
+    """The m x n matrix summing c * B with B's top left entry placed at
+    (r0, c0), over blocks of (r0, c0, c, B).  Blocks may overlap; entries
+    that cancel leave no zero behind.
+
+    >>> from_blocks(2, 3, [(0, 1, 2, eye(1)), (1, 0, 1, intmat([[5, 1]]))]).tolist()
+    [[0, 2, 0], [5, 1, 0]]
+    """
+    cols = [{} for _ in range(n)]
+    for r0, c0, c, B in blocks:
+        h, w = B.shape
+        if r0 < 0 or c0 < 0 or r0 + h > m or c0 + w > n:
+            raise ValueError(f"a {h}x{w} block at ({r0}, {c0}) leaves the {m}x{n} matrix")
+        if c:
+            for target, col in zip(cols[c0:c0 + w], B.cols):
+                _axpy(target, {r0 + i: x for i, x in col.items()} if r0 else col, c)
+    return IntMatrix((m, n), cols)
 
 
-def _to_cols(M: np.ndarray):
-    """The columns of M as {row: value} dicts of their nonzero entries."""
-    cols = [{} for _ in range(M.shape[1])]
-    rows, js = M.nonzero()
-    for i, j, x in zip(rows.tolist(), js.tolist(), M[rows, js].tolist()):
-        cols[j][i] = int(x)
-    return cols
-
-
-def _from_cols(cols, m: int) -> np.ndarray:
-    out = zeros(m, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            out[i, j] = x
-    return out
+def _own_cols(M: IntMatrix):
+    """Fresh copies of M's columns, for routines that change them."""
+    return [dict(col) for col in M.cols]
 
 
 def _axpy(target, source, c):
@@ -99,14 +202,6 @@ def _axpy(target, source, c):
             target[i] = v
         else:
             del target[i]
-
-
-def _combine(cols, coeffs):
-    """The sum of c * cols[k] over the entries k: c of coeffs."""
-    out = {}
-    for k, c in coeffs.items():
-        _axpy(out, cols[k], c)
-    return out
 
 
 def _xgcd(a: int, b: int):
@@ -202,24 +297,26 @@ def _kernel_cols(cols):
     return [tcols[j] for j in live]
 
 
-def lattice_basis(M: np.ndarray) -> np.ndarray:
+def lattice_basis(M: IntMatrix) -> IntMatrix:
     """Echelon basis of the column span: independent columns with strictly
     increasing leading rows and positive leading entries."""
-    return _from_cols(_basis_cols(_to_cols(M)), M.shape[0])
+    basis = _basis_cols(_own_cols(M))
+    return IntMatrix((M.shape[0], len(basis)), basis)
 
 
-def kernel(M: np.ndarray) -> np.ndarray:
+def kernel(M: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : M x = 0}, one column per basis vector."""
-    return _from_cols(_kernel_cols(_to_cols(M)), M.shape[1])
+    K = _kernel_cols(_own_cols(M))
+    return IntMatrix((M.shape[1], len(K)), K)
 
 
-def solve(M: np.ndarray, X: np.ndarray):
+def solve(M: IntMatrix, X: IntMatrix):
     """Integer solution Y of M Y = X, or None when some column has none."""
-    cols = _to_cols(M)
+    cols = _own_cols(M)
     pivots, _, tcols = _echelon_cols(cols, track=True)
     pivot_at = {r: (cols[j], tcols[j]) for r, j in pivots}
     ycols = []
-    for resid in _to_cols(X):
+    for resid in _own_cols(X):
         # rows are cleared in increasing order, each by the pivot leading there
         y = {}
         while resid:
@@ -233,7 +330,7 @@ def solve(M: np.ndarray, X: np.ndarray):
             _axpy(resid, col, -c)
             _axpy(y, tcol, c)
         ycols.append(y)
-    return _from_cols(ycols, M.shape[1])
+    return IntMatrix((M.shape[1], len(ycols)), ycols)
 
 
 class SpanChecker:
@@ -243,9 +340,9 @@ class SpanChecker:
     nonzero entries.
     """
 
-    def __init__(self, M: np.ndarray):
+    def __init__(self, M: IntMatrix):
         self.m = M.shape[0]
-        self.pivots = [(min(col), col) for col in _basis_cols(_to_cols(M))]
+        self.pivots = [(min(col), col) for col in _basis_cols(_own_cols(M))]
 
     def _reduce(self, x):
         y = dict(x) if isinstance(x, dict) else {i: int(v) for i, v in enumerate(x) if v}
@@ -266,11 +363,11 @@ class SpanChecker:
         # residues are unique per coset, so members are exactly residue 0
         return not self._reduce(x)
 
-    def contains_all(self, M: np.ndarray) -> bool:
-        return all(self.contains(M[:, j]) for j in range(M.shape[1]))
+    def contains_all(self, M: IntMatrix) -> bool:
+        return all(self.contains(col) for col in M.cols)
 
 
-def smith_normal_form(M: np.ndarray):
+def smith_normal_form(M: IntMatrix):
     """Smith normal form with certificate: (U, D, V) with U @ M @ V == D,
     U and V unimodular, and D diagonal with d1 | d2 | ... | dk, all >= 0.
 
@@ -279,7 +376,7 @@ def smith_normal_form(M: np.ndarray):
     [2, 4]
     """
     m, n = M.shape
-    D = [[int(M[i, j]) for j in range(n)] for i in range(m)]
+    D = M.tolist()
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -360,18 +457,10 @@ def smith_normal_form(M: np.ndarray):
     for i in range(k):
         if D[i][i] < 0:
             row_neg(i)
-
-    def shaped(rows, height, width):
-        out = zeros(height, width)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                out[i, j] = x
-        return out
-
-    return shaped(U, m, m), shaped(D, m, n), shaped(V, n, n)
+    return intmat(U, (m, m)), intmat(D, (m, n)), intmat(V, (n, n))
 
 
-def diagonal_of_snf(M: np.ndarray):
+def diagonal_of_snf(M: IntMatrix):
     """Nonzero invariant factors d1 | d2 | ... of M, without transforms.
 
     An echelon basis of the columns with all leading entries 1 spans a
@@ -380,7 +469,7 @@ def diagonal_of_snf(M: np.ndarray):
     splits off its first pivot or makes it strictly smaller), and gcd/lcm
     exchanges turn the final diagonal into a divisor chain.
     """
-    cols = _to_cols(M)
+    cols = _own_cols(M)
     while True:
         cols = _basis_cols(cols)
         diag = [col[min(col)] for col in cols]
@@ -400,14 +489,14 @@ def diagonal_of_snf(M: np.ndarray):
     return diag
 
 
-def det(M: np.ndarray) -> int:
+def det(M: IntMatrix) -> int:
     """Exact determinant by fraction-free Bareiss elimination."""
     n, n2 = M.shape
     if n != n2:
         raise ValueError("square matrix required")
     if n == 0:
         return 1
-    a = [[int(M[i, j]) for j in range(n)] for i in range(n)]
+    a = M.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -425,41 +514,42 @@ def det(M: np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _difference_cols(A: np.ndarray, B: np.ndarray):
-    """The columns of [A | -B]."""
+def _difference_cols(A: IntMatrix, B: IntMatrix):
+    """Fresh columns of [A | -B]."""
     if A.shape[0] != B.shape[0]:
         raise ValueError("row counts differ")
-    return _to_cols(A) + [{i: -x for i, x in col.items()} for col in _to_cols(B)]
+    return _own_cols(A) + [{i: -x for i, x in col.items()} for col in B.cols]
 
 
-def preimage_lattice(A: np.ndarray, L: np.ndarray) -> np.ndarray:
+def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
     """Basis of {x : A x lies in the column span of L}.
 
     Computed as the projection of ker [A | -L] onto the x block.
     """
     g = A.shape[1]
     K = _kernel_cols(_difference_cols(A, L))
-    return _from_cols(_basis_cols([{i: x for i, x in k.items() if i < g} for k in K]), g)
+    basis = _basis_cols([{i: x for i, x in k.items() if i < g} for k in K])
+    return IntMatrix((g, len(basis)), basis)
 
 
-def intersect_lattices(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def intersect_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     """Basis of (column span of A) intersected with (column span of B)."""
     if A.shape[1] == 0 or B.shape[1] == 0:
         return zeros(A.shape[0], 0)
     na = A.shape[1]
     K = _kernel_cols(_difference_cols(A, B))
-    acols = _to_cols(A)  # afresh: the echelon reduced the first copy in place
-    images = [_combine(acols, {i: x for i, x in k.items() if i < na}) for k in K]
-    return _from_cols(_basis_cols(images), A.shape[0])
+    images = A @ IntMatrix((na, len(K)), [{i: x for i, x in k.items() if i < na} for k in K])
+    basis = _basis_cols(_own_cols(images))
+    return IntMatrix((A.shape[0], len(basis)), basis)
 
 
-def sublattice_supported_on(L: np.ndarray, keep_rows) -> np.ndarray:
+def sublattice_supported_on(L: IntMatrix, keep_rows) -> IntMatrix:
     """Basis of the elements of span(L) whose coordinates vanish outside
     keep_rows (a boolean list per row)."""
     drop = [i for i, keep in enumerate(keep_rows) if not keep]
     if not drop or L.shape[1] == 0:
         return lattice_basis(L)
     at = {i: r for r, i in enumerate(drop)}
-    lcols = _to_cols(L)
-    K = _kernel_cols([{at[i]: x for i, x in col.items() if i in at} for col in lcols])
-    return _from_cols(_basis_cols([_combine(lcols, k) for k in K]), L.shape[0])
+    K = _kernel_cols([{at[i]: x for i, x in col.items() if i in at} for col in L.cols])
+    basis = _basis_cols(_own_cols(L @ IntMatrix((L.shape[1], len(K)), K)))
+    return IntMatrix((L.shape[0], len(basis)), basis)

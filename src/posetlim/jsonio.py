@@ -74,8 +74,7 @@ def _invalid(pointer: str, msg: str):
 
 def matrix_to_json(M) -> dict:
     rows, cols = M.shape
-    return {"rows": int(rows), "cols": int(cols),
-            "data": [int(v) for v in M.flat]}
+    return {"rows": rows, "cols": cols, "data": M.flat}
 
 
 def matrix_from_json(doc: dict, pointer: str):
@@ -83,10 +82,8 @@ def matrix_from_json(doc: dict, pointer: str):
     if len(doc["data"]) != rows * cols:
         _invalid(pointer, f"matrix declares {rows}x{cols} "
                           f"but carries {len(doc['data'])} entries")
-    M = la.zeros(rows, cols)
-    for k, v in enumerate(doc["data"]):
-        M[k // cols, k % cols] = int(v)
-    return M
+    data = doc["data"]
+    return la.intmat([data[i * cols:(i + 1) * cols] for i in range(rows)], (rows, cols))
 
 
 def group_to_json(G: FgAbGroup) -> dict:

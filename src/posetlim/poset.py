@@ -15,7 +15,6 @@ from .errors import (
     DegreeError,
     DuplicateIdError,
     EmptyPosetError,
-    NoArrowError,
     UnknownIdError,
 )
 
@@ -235,21 +234,6 @@ def infer_degrees(ids, covers) -> dict:
         for i in component:
             deg[i] -= low
     return deg
-
-
-def precedes(P: GradedPoset, p: str, q: str) -> bool:
-    """True iff (p, q) is a cover."""
-    P._check_id(p)
-    P._check_id(q)
-    return (p, q) in set(P.covers)
-
-
-def hom_degree(P: GradedPoset, p: str, q: str) -> int:
-    """Degree of the arrow p -> q: |deg q - deg p|.  NoArrowError when
-    p does not precede q in the order."""
-    if not P.leq(p, q):
-        raise NoArrowError(f"no arrow {p!r} -> {q!r}")
-    return abs(P.degree[q] - P.degree[p])
 
 
 def enumerate_chains(P: GradedPoset, n: int):

@@ -120,9 +120,8 @@ def _random_group(rng, cfg) -> FgAbGroup:
     torsion = [rng.randrange(2, max(3, cfg.max_torsion_factor + 1))
                for _ in range(rng.randrange(0, 3))]
     amb = rank + len(torsion)
-    rel = la.zeros(amb, len(torsion))
-    for j, t in enumerate(torsion):
-        rel[rank + j, j] = t
+    rel = la.from_blocks(amb, len(torsion), [(rank + j, j, t, la.eye(1))
+                                             for j, t in enumerate(torsion)])
     return FgAbGroup(amb, rel)
 
 
@@ -130,11 +129,10 @@ def _coordinate_orders(G: FgAbGroup):
     """Per-ambient-coordinate orders for the diagonal presentations
     produced here (0 marks a free coordinate)."""
     orders = [0] * G.ambient_rank
-    for j in range(G.relations.shape[1]):
-        col = [int(v) for v in G.relations[:, j]]
-        nz = [(i, v) for i, v in enumerate(col) if v]
-        if len(nz) == 1:
-            orders[nz[0][0]] = abs(nz[0][1])
+    for col in G.relations.cols:
+        if len(col) == 1:
+            (i, v), = col.items()
+            orders[i] = abs(v)
     return orders
 
 
@@ -144,17 +142,15 @@ def _random_hom(rng, cfg, A: FgAbGroup, B: FgAbGroup) -> AbHom:
     target relation."""
     src = _coordinate_orders(A)
     tgt = _coordinate_orders(B)
-    M = la.zeros(B.ambient_rank, A.ambient_rank)
+    rows = [[0] * len(src) for _ in tgt]
     for j, m in enumerate(src):
         for i, k in enumerate(tgt):
             c = rng.randrange(-cfg.max_matrix_entry, cfg.max_matrix_entry + 1)
             if m == 0:
-                M[i, j] = c
-            elif k == 0:
-                M[i, j] = 0
-            else:
-                M[i, j] = (k // math.gcd(m, k)) * c
-    return AbHom(A, B, M)
+                rows[i][j] = c
+            elif k != 0:
+                rows[i][j] = (k // math.gcd(m, k)) * c
+    return AbHom(A, B, la.intmat(rows, (B.ambient_rank, A.ambient_rank)))
 
 
 def gen_diagram(cfg: GenConfig, P: GradedPoset, mode: str) -> Diagram:

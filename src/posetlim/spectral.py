@@ -21,6 +21,7 @@ convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
@@ -99,8 +100,8 @@ class FilteredComplex:
     filtration_index maps (degree n, chain) to the preset's p, the
     display degree of the key vertex.  Canonical levels shift that to
     0-based increasing form; the respect invariant (the differential
-    never raises the canonical level) is verified blockwise on
-    construction.
+    never raises the canonical level) is verified on construction, entry
+    by nonzero entry.
     """
 
     def __init__(self, base: ChainComplex, variant: Variant, poset: GradedPoset):
@@ -139,23 +140,20 @@ class FilteredComplex:
         return [h.target.ambient_rank for h in sums.projections]
 
     def _check_respected(self):
+        # a coordinate lies in the last block starting at or before it
+        # (blocks of width 0 share their offset with the next block)
         for n in range(self.base.top + 1):
-            d = self.base.d_from(n)
             m = n + self.step
             if not (0 <= m <= self.base.top):
                 continue
-            widths = self._block_widths(n)
-            t_widths = self._block_widths(m)
-            for j, w in enumerate(widths):
-                c0 = self.base.block_offset(n, j)
-                for i, tw in enumerate(t_widths):
-                    r0 = self.base.block_offset(m, i)
-                    blk = d.matrix[r0:r0 + tw, c0:c0 + w]
-                    if blk.size and any(v != 0 for v in blk.flat):
-                        if self._levels[m][i] > self._levels[n][j]:
-                            raise OracleViolation(
-                                "differential raises the filtration level "
-                                f"between degrees {n} and {m}")
+            src, tgt = self.base.sums[n].offsets, self.base.sums[m].offsets
+            for c, col in enumerate(self.base.d_from(n).matrix.cols):
+                if col:
+                    level = self._levels[n][bisect_right(src, c) - 1]
+                    if any(self._levels[m][bisect_right(tgt, i) - 1] > level for i in col):
+                        raise OracleViolation(
+                            "differential raises the filtration level "
+                            f"between degrees {n} and {m}")
 
     def _lambda(self, n, s):
         """Ambient lattice of the level-<= s subgroup of C_n: coordinate
@@ -172,15 +170,14 @@ class FilteredComplex:
         if s < 0:
             out = rels
         else:
-            cols = []
-            eye = la.eye(group.ambient_rank)
-            for j, lv in enumerate(self._levels[n]):
+            blocks = []
+            at = 0
+            for j, (lv, w) in enumerate(zip(self._levels[n], self._block_widths(n))):
                 if lv <= s:
-                    off = self.base.block_offset(n, j)
-                    w = self._block_widths(n)[j]
-                    cols.append(eye[:, off:off + w])
-            cols.append(rels)
-            out = la.hstack(cols)
+                    blocks.append((self.base.block_offset(n, j), at, 1, la.eye(w)))
+                    at += w
+            blocks.append((0, at, 1, rels))
+            out = la.from_blocks(group.ambient_rank, at + rels.shape[1], blocks)
         self._lambda_cache[key] = out
         return out
 
@@ -339,19 +336,16 @@ def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
     blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
     groups = {n: [base.sums[n].projections[j].target for j in keep[n]] for n in keep}
     sums = {n: direct_sum(groups[n]) for n in keep}
+    # place[n] includes the kept blocks into C_n, so the graded piece of d
+    # is place[m].T @ d @ place[n]
+    place = {n: la.from_blocks(
+        base.group_at(n).ambient_rank, sums[n].group.ambient_rank,
+        [(base.block_offset(n, j), sums[n].offsets[jj], 1, la.eye(X._block_widths(n)[j]))
+         for jj, j in enumerate(keep[n])]) for n in keep}
     diffs = {}
     for n, d in base._diffs.items():
         m = n + X.step
-        M = la.zeros(sums[m].group.ambient_rank, sums[n].group.ambient_rank)
-        for jj, j in enumerate(keep[n]):
-            c0 = base.block_offset(n, j)
-            w = X._block_widths(n)[j]
-            for ii, i in enumerate(keep[m]):
-                r0 = base.block_offset(m, i)
-                tw = X._block_widths(m)[i]
-                M[sums[m].offsets[ii]:sums[m].offsets[ii] + tw,
-                  sums[n].offsets[jj]:sums[n].offsets[jj] + w] = \
-                    d.matrix[r0:r0 + tw, c0:c0 + w]
+        M = place[m].T @ d.matrix @ place[n]
         diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
     for n, d in diffs.items():
         nxt = diffs.get(n + X.step)

@@ -10,7 +10,6 @@ from posetlim.diagram import (
     skyscraper_diagram,
     validate_functor,
 )
-from posetlim.intlinalg import zeros
 from posetlim.poset import validate_graded
 
 
@@ -97,7 +96,9 @@ def random_free_forest_diagram(rng, P, max_rank=3, max_entry=3):
 # ------------------------------------------------ dense intlinalg reference
 # A copy of the dense row-sweep echelon that intlinalg used before its
 # columns became sparse, kept so tests can require the sparse core to
-# return the same matrices entry for entry.
+# return the same matrices entry for entry.  It works on plain lists and
+# returns (shape, rows) pairs, so it shares no code with IntMatrix; its
+# inputs are read once through .shape and .tolist().
 
 def _dense_xgcd(a, b):
     old_r, r = a, b
@@ -157,17 +158,21 @@ def dense_echelon_cols(cols, m, track):
     return pivots, live, tcols
 
 
+def dense_matmul(a, b, width):
+    """Product of two lists of rows, the second one width columns wide."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(width)]
+            for row in a]
+
+
 def _dense_cols(M):
+    rows = M.tolist()
     m, n = M.shape
-    return [[int(M[i, j]) for i in range(m)] for j in range(n)]
+    return [[rows[i][j] for i in range(m)] for j in range(n)]
 
 
 def _dense_mat(cols, m):
-    out = zeros(m, len(cols))
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            out[i, j] = x
-    return out
+    """(shape, rows) of the m-row matrix with these columns."""
+    return (m, len(cols)), [[col[i] for col in cols] for i in range(m)]
 
 
 def dense_lattice_basis(M):
@@ -190,8 +195,7 @@ def dense_solve(M, X):
     pivots, _, tcols = dense_echelon_cols(cols, m, track=True)
     pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
     ycols = []
-    for j in range(X.shape[1]):
-        resid = [int(X[i, j]) for i in range(m)]
+    for resid in _dense_cols(X):
         y = [0] * n
         for r, col, tcol in pivots:
             if resid[r] == 0:

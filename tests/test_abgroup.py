@@ -91,11 +91,11 @@ def test_classification_matches_brute_force_enumeration():
 def random_well_defined_hom(rng, src, src_orders, tgt, bound=3):
     """Random hom: generator j (order src_orders[j], 0 = infinite) maps to
     an element killed by that order."""
-    mat = la.zeros(tgt.ambient_rank, src.ambient_rank)
+    rows = [[0] * src.ambient_rank for _ in range(tgt.ambient_rank)]
     for j, d in enumerate(src_orders):
         if d == 0:
             for i in range(tgt.ambient_rank):
-                mat[i, j] = rng.randint(-bound, bound)
+                rows[i][j] = rng.randint(-bound, bound)
         else:
             scaled = d * la.eye(tgt.ambient_rank)
             ann = la.preimage_lattice(scaled, tgt.relations)
@@ -103,8 +103,8 @@ def random_well_defined_hom(rng, src, src_orders, tgt, bound=3):
                 combo = ann @ la.intmat(
                     [[rng.randint(-2, 2)] for _ in range(ann.shape[1])])
                 for i in range(tgt.ambient_rank):
-                    mat[i, j] = combo[i, 0]
-    return AbHom(src, tgt, mat)
+                    rows[i][j] = combo[i, 0]
+    return AbHom(src, tgt, la.intmat(rows, (tgt.ambient_rank, src.ambient_rank)))
 
 
 def random_group(rng, max_rank=3, factors=(2, 3, 4)):

@@ -304,10 +304,9 @@ def brute_pseudo_injective(F, i0, targets):
     ds = direct_sum([F.groups[t] for t in targets])
     elements = enumerate_elements(ds.group)
     assert elements is not None
-    psi = la.zeros(ds.group.ambient_rank, F.groups[i0].ambient_rank)
-    for k, t in enumerate(targets):
-        m = F.hom(i0, t).matrix
-        psi[ds.offsets[k]:ds.offsets[k] + m.shape[0], :] = m
+    psi = la.from_blocks(ds.group.ambient_rank, F.groups[i0].ambient_rank,
+                         [(off, 0, 1, F.hom(i0, t).matrix)
+                          for off, t in zip(ds.offsets, targets)])
     image = Subgroup(ds.group, psi)
     kers = {t: ker_at(F, t) for t in targets}
     for x in elements:

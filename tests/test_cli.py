@@ -1,6 +1,9 @@
 """End-to-end command tests driving main() in process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -249,3 +252,23 @@ def test_parser_is_reused_across_calls(capsys, intro_path):
     assert reused == fresh
     assert [r[0] for r in reused] == [0, 0, 1, 0, 0, 1, 0, 0]
     assert "the following arguments are required: --variant" in reused[2][2]
+
+
+def test_cli_never_imports_numpy():
+    """IntMatrix is the only matrix type, so neither the library nor the
+    CLI loads numpy; run in a fresh interpreter, where nothing else has."""
+    script = "\n".join([
+        "import sys",
+        "from importlib import resources",
+        "from posetlim import cli",
+        "doc = str(resources.files('posetlim').joinpath('data/intro_pushout.json'))",
+        "for argv in (['--json', 'colim', doc], ['--json', 'classify', doc],",
+        "             ['--json', 'spectral', '--variant', '3', doc], ['gallery']):",
+        "    assert cli.main(argv) == 0, argv",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]

@@ -65,7 +65,7 @@ def test_chain_complex_of_intro_pushout():
     assert [c.vertices for c in X.blocks[0]] == [("a",), ("b",), ("c",)]
     assert [c.vertices for c in X.blocks[1]] == [("a", "b"), ("a", "c")]
     d1 = X.d_from(1)
-    assert la.mat_equal(d1.matrix, la.intmat([[-1, -1], [2, 0], [0, 2]]))
+    assert d1.matrix == la.intmat([[-1, -1], [2, 0], [0, 2]])
     assert X.group_at(0).free_rank == 3
     assert X.group_at(2).is_trivial
 
@@ -90,7 +90,7 @@ def test_cochain_complex_of_pullback():
     assert [c.vertices for c in X.blocks[1]] == [("b", "a"), ("c", "a")]
     # row for (b, a) reads x_a - 2 x_b against column order (a), (b), (c)
     d0 = X.d_from(0)
-    assert la.mat_equal(d0.matrix, la.intmat([[1, -2, 0], [1, 0, -2]]))
+    assert d0.matrix == la.intmat([[1, -2, 0], [1, 0, -2]])
 
 
 def test_cochain_of_skyscraper_at_maximal():
@@ -252,10 +252,11 @@ def test_dd_check_catches_one_flipped_entry(monkeypatch, build, flip):
         h = assemble(sums, n_src, n_tgt, entries)
         if n_src != flip:
             return h
-        M = h.matrix.copy()
-        i, j = next((i, j) for j in range(M.shape[1]) for i in range(M.shape[0]) if M[i, j])
-        M[i, j] = -M[i, j]
-        return AbHom(h.source, h.target, M, check=False)
+        rows = h.matrix.tolist()
+        i, j = next((i, j) for j in range(h.matrix.shape[1])
+                    for i in range(h.matrix.shape[0]) if rows[i][j])
+        rows[i][j] = -rows[i][j]
+        return AbHom(h.source, h.target, la.intmat(rows), check=False)
 
     F = constant_diagram(chain_poset(4), free_group(1))
     build(F)
@@ -284,14 +285,17 @@ def test_sparse_dd_check_agrees_with_dense_composite():
                     h = rng.choice([outer, inner])
                     if 0 in h.matrix.shape:
                         continue
-                    M = h.matrix.copy()
-                    j = rng.randrange(M.shape[1])
+                    rows = h.matrix.tolist()
+                    j = rng.randrange(h.matrix.shape[1])
                     if h is outer and rels.shape[1] and rng.random() < 0.5:
-                        M[:, j] = M[:, j] + rng.choice([-1, 1, 3]) * rels[:, rng.randrange(rels.shape[1])]
+                        c = rng.choice([-1, 1, 3])
+                        rel = rels[:, rng.randrange(rels.shape[1])]
+                        for i, row in enumerate(rows):
+                            row[j] += c * rel[i]
                     else:
-                        i = rng.randrange(M.shape[0])
-                        M[i, j] = M[i, j] + rng.choice([-2, -1, 1, 2, 4, 6])
-                    bad = AbHom(h.source, h.target, M, check=False)
+                        i = rng.randrange(h.matrix.shape[0])
+                        rows[i][j] += rng.choice([-2, -1, 1, 2, 4, 6])
+                    bad = AbHom(h.source, h.target, la.intmat(rows), check=False)
                     pair = (bad, inner) if h is outer else (outer, bad)
                     want = compose(*pair).is_zero()
                     assert derived._composite_is_zero(*pair) == want
@@ -438,10 +442,11 @@ def test_reduced_dd_check_catches_one_flipped_entry(monkeypatch, kind, flip):
         h = assemble(sums, n_src, n_tgt, entries)
         if n_src != flip:
             return h
-        M = h.matrix.copy()
-        i, j = next((i, j) for j in range(M.shape[1]) for i in range(M.shape[0]) if M[i, j])
-        M[i, j] = -M[i, j]
-        return AbHom(h.source, h.target, M, check=False)
+        rows = h.matrix.tolist()
+        i, j = next((i, j) for j in range(h.matrix.shape[1])
+                    for i in range(h.matrix.shape[0]) if rows[i][j])
+        rows[i][j] = -rows[i][j]
+        return AbHom(h.source, h.target, la.intmat(rows), check=False)
 
     monkeypatch.setattr(derived, "_assemble", flipped)
     with pytest.raises(OracleViolation):

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from posetlim.intlinalg import (
@@ -14,7 +13,6 @@ from posetlim.intlinalg import (
     intmat,
     kernel,
     lattice_basis,
-    mat_equal,
     preimage_lattice,
     smith_normal_form,
     solve,
@@ -34,7 +32,7 @@ def check_certificate(M):
     U, D, V = smith_normal_form(M)
     m, n = M.shape
     assert U.shape == (m, m) and V.shape == (n, n) and D.shape == (m, n)
-    assert mat_equal(U @ M @ V, D)
+    assert U @ M @ V == D
     assert abs(det(U)) == 1
     assert abs(det(V)) == 1
     diag = [int(D[i, i]) for i in range(min(m, n))]
@@ -75,7 +73,7 @@ def test_snf_known_values():
 def snf_diagonal(M):
     """Nonzero diagonal of the certified Smith normal form."""
     U, D, V = smith_normal_form(M)
-    assert mat_equal(U @ M @ V, D)
+    assert U @ M @ V == D
     return [int(D[i, i]) for i in range(min(D.shape)) if D[i, i] != 0]
 
 
@@ -151,7 +149,7 @@ def test_kernel_and_solve():
         Y = solve(M, X)
         assert Y is not None
         got = M @ Y if n else zeros(M.shape[0], 1)
-        assert mat_equal(got, X)
+        assert got == X
 
 
 def test_solve_reports_unsolvable():
@@ -222,9 +220,9 @@ def test_preimage_lattice_definition():
             L = zeros(h, 0)
         P = preimage_lattice(A, L)
         chk = SpanChecker(L)
+        images = A @ P
         for j in range(P.shape[1]):
-            img = A @ P[:, j:j + 1]
-            assert chk.contains([img[i, 0] for i in range(h)])
+            assert chk.contains(images[:, j])
         # random vectors: membership in P iff image in span(L)
         chk_p = SpanChecker(P)
         for _ in range(10):
@@ -245,6 +243,7 @@ def test_sublattice_supported_on():
 
 
 def test_det_matches_numpy_on_small_floats():
+    np = pytest.importorskip("numpy")
     rng = random.Random(42)
     for _ in range(50):
         n = rng.randrange(1, 6)
@@ -258,4 +257,4 @@ def test_hstack_and_eye():
     B = zeros(2, 0)
     C = hstack([A, B, A])
     assert C.shape == (2, 4)
-    assert mat_equal(C[:, 0:2], A) and mat_equal(C[:, 2:4], A)
+    assert C.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]

@@ -32,12 +32,20 @@ from helpers import (
 
 
 def assert_identical(got, want):
+    """got is an IntMatrix or None, want a (shape, rows) pair or None."""
     if want is None:
         assert got is None
         return
-    assert got is not None and got.shape == want.shape
-    assert got.tolist() == want.tolist()
+    assert got is not None and got.shape == want[0]
+    assert got.tolist() == want[1]
     assert all(type(x) is int for row in got.tolist() for x in row)
+    assert all(all(col.values()) for col in got.cols)
+
+
+def top_rows(want, g):
+    """The first g rows of a (shape, rows) pair, as an IntMatrix."""
+    (_, k), rows = want
+    return intmat(rows[:g], (g, k))
 
 
 def random_sparse(rng, m, n, density, values=(1, -1, 1, -1, 2, -2, 3)):
@@ -55,9 +63,8 @@ def torsion_block(rng):
     """[A | -L] with L a diagonal of torsion relations."""
     g, h = rng.randrange(1, 8), rng.randrange(1, 8)
     A = random_sparse(rng, h, g, 0.4, values=(1, -1, 2, 3, -4, 6))
-    L = zeros(h, h)
-    for i in range(h):
-        L[i, i] = rng.choice([1, 2, 3, 4, 6, 0])
+    diag = [rng.choice([1, 2, 3, 4, 6, 0]) for _ in range(h)]
+    L = intmat([[diag[i] if i == j else 0 for j in range(h)] for i in range(h)])
     return A, L
 
 
@@ -95,7 +102,7 @@ def test_echelon_cols_matches_dense_reference():
     for M in mats:
         m, n = M.shape
         for track in (False, True):
-            cols = la._to_cols(M)
+            cols = [dict(col) for col in M.cols]
             dcols = [[int(M[i, j]) for i in range(m)] for j in range(n)]
             pivots, live, tcols = la._echelon_cols(cols, track)
             dpivots, dlive, dtcols = dense_echelon_cols(dcols, m, track)
@@ -125,8 +132,10 @@ def test_sparse_core_matches_dense_reference():
             X = M @ Y if n else zeros(m, 2)
             assert_identical(solve(M, X), dense_solve(M, X))
             if m:
-                X2 = X.copy()
-                X2[rng.randrange(m), rng.randrange(2)] += rng.choice([1, 2, 3])
+                rows = X.tolist()
+                i, j = rng.randrange(m), rng.randrange(2)
+                rows[i][j] += rng.choice([1, 2, 3])
+                X2 = intmat(rows)
                 assert_identical(solve(M, X2), dense_solve(M, X2))
             assert_identical(solve(M, zeros(m, 0)), dense_solve(M, zeros(m, 0)))
 
@@ -146,16 +155,15 @@ def test_lattice_operations_match_dense_composition():
     for _ in range(60):
         A, L = torsion_block(rng)
         g = A.shape[1]
-        want = dense_lattice_basis(dense_kernel(hstack([A, -L]))[:g, :])
+        want = dense_lattice_basis(top_rows(dense_kernel(hstack([A, -L])), g))
         assert_identical(preimage_lattice(A, L), want)
         B = random_sparse(rng, A.shape[0], rng.randrange(1, 5), 0.5)
-        K = dense_kernel(hstack([A, -B]))
-        assert_identical(intersect_lattices(A, B), dense_lattice_basis(A @ K[:g, :]))
+        K = top_rows(dense_kernel(hstack([A, -B])), g)
+        assert_identical(intersect_lattices(A, B), dense_lattice_basis(A @ K))
         keep = [rng.random() < 0.5 for _ in range(A.shape[0])]
         drop = [i for i, k in enumerate(keep) if not k]
         if drop:
-            P = zeros(len(drop), A.shape[0])
-            for r, i in enumerate(drop):
-                P[r, i] = 1
-            want = dense_lattice_basis(A @ dense_kernel(P @ A))
+            P = intmat([[1 if c == i else 0 for c in range(A.shape[0])] for i in drop])
+            K = dense_kernel(P @ A)
+            want = dense_lattice_basis(A @ intmat(K[1], K[0]))
             assert_identical(sublattice_supported_on(A, keep), want)

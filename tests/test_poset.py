@@ -7,7 +7,6 @@ from posetlim.errors import (
     DegreeError,
     DuplicateIdError,
     EmptyPosetError,
-    NoArrowError,
     UnknownIdError,
 )
 from posetlim.poset import (
@@ -16,11 +15,9 @@ from posetlim.poset import (
     bounds,
     enumerate_chains,
     enumerate_weak_chains,
-    hom_degree,
     infer_degrees,
     longest_chain_length,
     opposite,
-    precedes,
     validate_graded,
 )
 
@@ -60,8 +57,6 @@ def test_direction_conventions():
 def test_closure_and_precedes():
     P = validate_graded(
         [("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
-    assert precedes(P, "a", "b")
-    assert not precedes(P, "a", "c")  # not a cover, only a relation
     assert P.leq("a", "c")
     assert P.leq("a", "a")
     assert not P.leq("c", "a")
@@ -69,19 +64,6 @@ def test_closure_and_precedes():
     assert P.strictly_below["c"] == ["a", "b"]
     with pytest.raises(UnknownIdError):
         P.leq("a", "zz")
-
-
-def test_hom_degree():
-    P = validate_graded(
-        [("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
-    assert hom_degree(P, "a", "a") == 0
-    assert hom_degree(P, "a", "b") == 1
-    assert hom_degree(P, "a", "c") == 2
-    with pytest.raises(NoArrowError):
-        hom_degree(P, "c", "a")
-    Q = pushout_poset()
-    with pytest.raises(NoArrowError):
-        hom_degree(Q, "b", "c")
 
 
 def brute_chains(P, n):

@@ -5,11 +5,12 @@ import pytest
 from posetlim import derived
 from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group
-from posetlim.derived import chain_complex, cochain_complex, derived_functor
+from posetlim.derived import ChainComplex, chain_complex, cochain_complex, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
     ConvergenceViolation,
     MismatchError,
+    OracleViolation,
     VariantMismatchError,
 )
 from posetlim.poset import opposite, validate_graded
@@ -18,6 +19,7 @@ from posetlim.spectral import (
     TABLE_VARIANTS,
     FilteredComplex,
     Variant,
+    _restrict_to_level,
     build_filtered,
     convergence_check,
     e_infinity,
@@ -336,7 +338,7 @@ def _assert_same_page(got, want):
         assert (h.free_rank, h.invariant_factors) == (g.free_rank, g.invariant_factors)
     assert set(got.sn_diffs) == set(want.sn_diffs)
     for k, d in want.sn_diffs.items():
-        assert la.mat_equal(got.sn_diffs[k].matrix, d.matrix)
+        assert got.sn_diffs[k].matrix == d.matrix
 
 
 def test_cached_pages_match_fresh_filtered_complexes():
@@ -409,3 +411,76 @@ def test_build_filtered_checks_on_a_cache_hit():
         build_filtered(fewer_covers, F, CHAIN_LAST_INC)
     with pytest.raises(VariantMismatchError):
         build_filtered(F.poset, F, Variant("chain", "last", "decreasing"))
+
+
+def _block_of(X, n, coord):
+    """The block of C_n holding coordinate coord, by a linear scan."""
+    for j, w in enumerate(X._block_widths(n)):
+        if X.base.block_offset(n, j) <= coord < X.base.block_offset(n, j) + w:
+            return j
+    raise AssertionError(f"coordinate {coord} of C_{n} is in no block")
+
+
+def _raises_level(X, diffs):
+    """Some nonzero entry of diffs maps a block to a higher level."""
+    for n, d in diffs.items():
+        m = n + X.step
+        for i, row in enumerate(d.matrix.tolist()):
+            for c, x in enumerate(row):
+                if x and X._levels[m][_block_of(X, m, i)] > X._levels[n][_block_of(X, n, c)]:
+                    return True
+    return False
+
+
+def _filtered_cases(count=8):
+    for P, F in _seeded_diagrams(count):
+        for v in TABLE_VARIANTS:
+            if v.direction == P.direction:
+                yield build_filtered(P, F, v)
+
+
+def test_level_check_agrees_with_a_blockwise_scan():
+    # an entry added at a random place in a differential raises the level
+    # or not; the check must refuse exactly the complexes that do
+    rng = random.Random(4321)
+    seen = {True: 0, False: 0}
+    for X in _filtered_cases():
+        base = X.base
+        assert not _raises_level(X, base._diffs)
+        for n, d in base._diffs.items():
+            h, w = d.matrix.shape
+            if not h or not w:
+                continue
+            for _ in range(4):
+                bump = la.from_blocks(h, w, [(rng.randrange(h), rng.randrange(w),
+                                              rng.choice([1, -1, 2]), la.eye(1))])
+                diffs = dict(base._diffs)
+                diffs[n] = AbHom(d.source, d.target, d.matrix + bump, check=False)
+                bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs,
+                                   base.top, base.vanishes_above_top)
+                want = _raises_level(X, diffs)
+                try:
+                    FilteredComplex(bad, X.variant, X.poset)
+                    got = False
+                except OracleViolation:
+                    got = True
+                assert got == want
+                seen[want] += 1
+    assert seen[True] and seen[False]
+
+
+def test_graded_pieces_are_the_diagonal_blocks():
+    for X in _filtered_cases(4):
+        for s in range(X.span + 1):
+            graded = _restrict_to_level(X, s)
+            for n, d in X.base._diffs.items():
+                m = n + X.step
+                rows = d.matrix.tolist()
+                keep_rows = [i for i in range(d.matrix.shape[0])
+                             if X._levels[m][_block_of(X, m, i)] == s]
+                keep_cols = [c for c in range(d.matrix.shape[1])
+                             if X._levels[n][_block_of(X, n, c)] == s]
+                want = [[rows[i][c] for c in keep_cols] for i in keep_rows]
+                got = graded._diffs[n].matrix
+                assert got.shape == (len(keep_rows), len(keep_cols))
+                assert got.tolist() == want
