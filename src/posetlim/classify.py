@@ -5,7 +5,8 @@ pseudo-projective at (i0, d) means every relation among degree-d
 arrows into i0 already lives in the image subgroups; dually for
 pseudo-injective.  Projectivity is equivalent to free cokernels plus
 pseudo-projectivity, and that equivalence is also checkable directly
-through a lifting solver that walks objects in degree order.
+through a lifting solver that walks objects in degree order, and on
+pushouts and chains through closed-form criteria of their own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from .abgroup import (
     compose,
     direct_sum,
     hom_is_epi,
+    hom_is_mono,
     identity_hom,
+    kernel,
     trivial_group,
     zero_hom,
 )
@@ -382,3 +385,44 @@ def projective_by_lifting(F: Diagram) -> bool:
     cover exists exactly for projective diagrams."""
     A, counit = free_cover(F)
     return solve_lifting(counit, identity_transformation(F)) is not None
+
+
+def pushout_projectivity_criterion(F: Diagram) -> bool:
+    """Independent test for the pushout shape: both legs mono, the
+    source value free, both leg cokernels free."""
+    f = F.cover_maps[("a", "b")]
+    g = F.cover_maps[("a", "c")]
+    return (F.groups["a"].is_free
+            and coker_at(F, "b")[0].is_free
+            and coker_at(F, "c")[0].is_free
+            and hom_is_mono(f) and hom_is_mono(g))
+
+
+def telescope_projectivity_criterion(P, F: Diagram) -> bool:
+    """Independent test for chain-shaped posets: bottom value free,
+    every cokernel free, and the kernel of every composite of
+    consecutive arrows contained in the image of the arrow just below
+    its source (trivial at the bottom, which makes the full composites
+    monomorphisms)."""
+    order = sorted(P.ids, key=lambda i: P.degree[i])
+    if not F.groups[order[0]].is_free:
+        return False
+    steps = [F.cover_maps[(order[k], order[k + 1])]
+             for k in range(len(order) - 1)]
+    for i in range(1, len(order)):
+        if not coker_at(F, order[i])[0].is_free:
+            return False
+        comp = steps[i - 1]
+        for start in range(i - 1, -1, -1):
+            # comp: F(order[start]) -> F(order[i])
+            K = kernel(comp)[0]
+            if start == 0:
+                if not K.is_trivial:
+                    return False
+            else:
+                below = steps[start - 1]
+                ok, _ = Subgroup(below.target, below.matrix).contains_subgroup(K)
+                if not ok:
+                    return False
+                comp = compose(comp, below)
+    return True

@@ -16,11 +16,16 @@ import os
 import sys
 from importlib import resources
 
-from . import intlinalg as la
-from .abgroup import AbHom, Subgroup, compose, free_group, hom_is_mono
-from .classify import classify_diagram, is_projective, is_pseudo_injective
+from .abgroup import hom_is_mono
+from .classify import (
+    classify_diagram,
+    is_projective,
+    is_pseudo_injective,
+    pushout_projectivity_criterion,
+    telescope_projectivity_criterion,
+)
 from .derived import check_euler_characteristic, derived_functor, is_acyclic
-from .diagram import coker_at, transpose_diagram, validate_functor
+from .diagram import transpose_diagram
 from .errors import (
     ConvergenceViolation,
     OracleViolation,
@@ -34,7 +39,7 @@ from .jsonio import (
     parse_diagram,
     serialize_diagram,
 )
-from .poset import longest_chain_length, validate_graded
+from .poset import longest_chain_length
 from .randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 from .spectral import (
     TABLE_VARIANTS,
@@ -227,19 +232,6 @@ def _cmd_spectral(args):
     return rep, text
 
 
-DATA_FILES = (
-    "intro_pushout",
-    "zero_one_pushout",
-    "times_n_chain",
-    "red_chain",
-    "representable_a_pushout",
-    "representable_b_pushout",
-    "constant_z5_chain",
-    "inverse_telescope_z5",
-    "telescope_x2",
-)
-
-
 def load_bundled(name: str):
     """Parse one of the shipped example documents."""
     blob = resources.files("posetlim").joinpath(f"data/{name}.json").read_text()
@@ -248,235 +240,59 @@ def load_bundled(name: str):
     return doc, P, F
 
 
-def pushout_projectivity_criterion(F) -> bool:
-    """Independent test for the pushout shape: both legs mono, the
-    source value free, both leg cokernels free."""
-    f = F.cover_maps[("a", "b")]
-    g = F.cover_maps[("a", "c")]
-    return (F.groups["a"].is_free
-            and coker_at(F, "b")[0].is_free
-            and coker_at(F, "c")[0].is_free
-            and hom_is_mono(f) and hom_is_mono(g))
+# gallery facts: name -> function(P, F, classification report);
+# "criterion" is the chain (telescope) projectivity criterion
+GALLERY_FACTS = {
+    "colim_0": lambda P, F, r: derived_functor(F, "colim", 0).describe(),
+    "colim_1": lambda P, F, r: derived_functor(F, "colim", 1).describe(),
+    "coker_b": lambda P, F, r: _describe_info(r.cokernels["b"]),
+    "pseudo_projective": lambda P, F, r: r.pseudo_projective.ok,
+    "pseudo_injective": lambda P, F, r: r.pseudo_injective.ok,
+    "projective": lambda P, F, r: r.projective.ok,
+    "injective": lambda P, F, r: r.injective.ok,
+    "colim_acyclic": lambda P, F, r: bool(r.colim_acyclic),
+    "lim_acyclic": lambda P, F, r: bool(r.lim_acyclic),
+    "witness_at": lambda P, F, r: (r.pseudo_projective.witness.i0
+                                   if r.pseudo_projective.witness else None),
+    "witness": lambda P, F, r: _witness_json(r.pseudo_projective.witness),
+    "all_monos": lambda P, F, r: all(hom_is_mono(F.cover_maps[c]) for c in P.covers),
+    "is_projective": lambda P, F, r: is_projective(F).ok,
+    "pushout_criterion": lambda P, F, r: pushout_projectivity_criterion(F),
+    "criterion": lambda P, F, r: telescope_projectivity_criterion(P, F),
+}
 
 
-def _expect(name, facts, cond, label):
-    if not cond:
-        raise OracleViolation(f"gallery {name}: {label} (facts: {facts})")
+def run_gallery(table=None):
+    """Run every gallery example against its expected facts.
 
-
-def _gallery_checks():
-    def intro(P, F):
-        c0 = derived_functor(F, "colim", 0)
-        c1 = derived_functor(F, "colim", 1)
-        rep = classify_diagram(F)
-        facts = {"colim_0": c0.describe(), "colim_1": c1.describe(),
-                 "pseudo_projective": rep.pseudo_projective.ok,
-                 "projective": rep.projective.ok,
-                 "coker_b": _describe_info(rep.cokernels["b"])}
-        _expect("intro_pushout", facts,
-                c0.free_rank == 1 and c0.invariant_factors == (2,),
-                "colim_0 must be Z + Z/2")
-        _expect("intro_pushout", facts, c1.is_trivial, "colim_1 must vanish")
-        _expect("intro_pushout", facts,
-                rep.pseudo_projective.ok and not rep.projective.ok,
-                "must be pseudo-projective and not projective")
-        _expect("intro_pushout", facts,
-                rep.cokernels["b"].invariant_factors == (2,),
-                "cokernel at b must be Z/2")
-        _expect("intro_pushout", facts,
-                is_projective(F).ok == pushout_projectivity_criterion(F),
-                "projectivity criterion disagrees")
-        return facts
-
-    def zero_one(P, F):
-        rep = classify_diagram(F)
-        facts = {"pseudo_projective": rep.pseudo_projective.ok,
-                 "witness_at": rep.pseudo_projective.witness.i0
-                 if rep.pseudo_projective.witness else None,
-                 "colim_acyclic": bool(rep.colim_acyclic)}
-        _expect("zero_one_pushout", facts, not rep.pseudo_projective.ok,
-                "must fail pseudo-projectivity")
-        _expect("zero_one_pushout", facts,
-                rep.pseudo_projective.witness.i0 == "c"
-                and rep.pseudo_projective.witness.components == (("a", (1,)),),
-                "witness must be 1 from a at c")
-        _expect("zero_one_pushout", facts, rep.colim_acyclic,
-                "must still be colim-acyclic")
-        _expect("zero_one_pushout", facts,
-                is_projective(F).ok == pushout_projectivity_criterion(F),
-                "projectivity criterion disagrees")
-        return facts
-
-    def times_n(P, F):
-        rep = classify_diagram(F)
-        facts = {"projective": rep.projective.ok,
-                 "coker_b": _describe_info(rep.cokernels["b"]),
-                 "pseudo_projective": rep.pseudo_projective.ok}
-        _expect("times_n_chain", facts, not rep.projective.ok,
-                "multiplication by n is not projective")
-        _expect("times_n_chain", facts,
-                rep.cokernels["b"].invariant_factors == (3,),
-                "cokernel must be Z/3")
-        _expect("times_n_chain", facts,
-                rep.pseudo_projective.ok and rep.colim_acyclic,
-                "must be pseudo-projective and acyclic")
-        return facts
-
-    def red(P, F):
-        rep = classify_diagram(F)
-        w = rep.pseudo_projective.witness
-        facts = {"pseudo_projective": rep.pseudo_projective.ok,
-                 "witness": _witness_json(w), "colim_acyclic": bool(rep.colim_acyclic)}
-        _expect("red_chain", facts, not rep.pseudo_projective.ok,
-                "projection to Z/n is not pseudo-projective")
-        _expect("red_chain", facts,
-                w.i0 == "b" and w.components == (("a", (6,)),),
-                "witness must be n from a at b")
-        _expect("red_chain", facts, rep.colim_acyclic,
-                "must still be colim-acyclic")
-        return facts
-
-    def representable(name):
-        def check(P, F):
-            rep = classify_diagram(F)
-            c0 = derived_functor(F, "colim", 0)
-            facts = {"projective": rep.projective.ok,
-                     "colim_acyclic": bool(rep.colim_acyclic), "colim_0": c0.describe()}
-            _expect(name, facts, rep.projective.ok, "representables are projective")
-            _expect(name, facts, rep.colim_acyclic, "projectives are acyclic")
-            _expect(name, facts,
-                    c0.free_rank == 1 and not c0.invariant_factors,
-                    "colim of a representable is Z")
-            _expect(name, facts,
-                    is_projective(F).ok == pushout_projectivity_criterion(F),
-                    "projectivity criterion disagrees")
-            return facts
-        return check
-
-    def constant_chain(P, F):
-        rep = classify_diagram(F)
-        facts = {"pseudo_projective": rep.pseudo_projective.ok,
-                 "pseudo_injective": rep.pseudo_injective.ok,
-                 "projective": rep.projective.ok, "injective": rep.injective.ok,
-                 "colim_acyclic": bool(rep.colim_acyclic), "lim_acyclic": bool(rep.lim_acyclic)}
-        _expect("constant_z5_chain", facts,
-                rep.pseudo_projective.ok and rep.pseudo_injective.ok,
-                "constant Z/5 is pseudo-projective and pseudo-injective")
-        _expect("constant_z5_chain", facts,
-                rep.colim_acyclic and rep.lim_acyclic,
-                "constant Z/5 on a chain is acyclic both ways")
-        _expect("constant_z5_chain", facts,
-                not rep.projective.ok and not rep.injective.ok,
-                "Z/5 is neither projective nor injective in Ab")
-        _expect("constant_z5_chain", facts,
-                telescope_projectivity_criterion(P, F) == rep.projective.ok,
-                "telescope projectivity criterion disagrees")
-        return facts
-
-    def inverse_telescope(P, F):
-        rep = classify_diagram(F)
-        c0 = derived_functor(F, "colim", 0)
-        facts = {"pseudo_projective": rep.pseudo_projective.ok,
-                 "projective": rep.projective.ok,
-                 "colim_acyclic": bool(rep.colim_acyclic), "colim_0": c0.describe()}
-        _expect("inverse_telescope_z5", facts,
-                rep.pseudo_projective.ok and rep.colim_acyclic,
-                "identity arrows keep constant Z/5 pseudo-projective and acyclic")
-        _expect("inverse_telescope_z5", facts, not rep.projective.ok,
-                "the bottom cokernel Z/5 is not free")
-        _expect("inverse_telescope_z5", facts,
-                c0.invariant_factors == (5,) and c0.free_rank == 0,
-                "colim_0 must be Z/5")
-        return facts
-
-    def telescope(P, F):
-        rep = classify_diagram(F)
-        monos = all(hom_is_mono(F.cover_maps[c]) for c in P.covers)
-        facts = {"projective": rep.projective.ok, "all_monos": monos,
-                 "colim_acyclic": bool(rep.colim_acyclic),
-                 "criterion": telescope_projectivity_criterion(P, F)}
-        _expect("telescope_x2", facts, not rep.projective.ok,
-                "cokernels Z/2 are not free")
-        _expect("telescope_x2", facts, monos and rep.colim_acyclic,
-                "monomorphisms suffice for colim-acyclicity")
-        _expect("telescope_x2", facts,
-                telescope_projectivity_criterion(P, F) == rep.projective.ok,
-                "telescope projectivity criterion disagrees")
-        return facts
-
-    return {
-        "intro_pushout": intro,
-        "zero_one_pushout": zero_one,
-        "times_n_chain": times_n,
-        "red_chain": red,
-        "representable_a_pushout": representable("representable_a_pushout"),
-        "representable_b_pushout": representable("representable_b_pushout"),
-        "constant_z5_chain": constant_chain,
-        "inverse_telescope_z5": inverse_telescope,
-        "telescope_x2": telescope,
-    }
-
-
-def telescope_projectivity_criterion(P, F) -> bool:
-    """Independent test for chain-shaped posets: bottom value free,
-    every cokernel free, and the kernel of every composite of
-    consecutive arrows contained in the image of the arrow just below
-    its source (trivial at the bottom, which makes the full composites
-    monomorphisms)."""
-    order = sorted(P.ids, key=lambda i: P.degree[i])
-    if not F.groups[order[0]].is_free:
-        return False
-    steps = [F.cover_maps[(order[k], order[k + 1])]
-             for k in range(len(order) - 1)]
-    for i in range(1, len(order)):
-        if not coker_at(F, order[i])[0].is_free:
-            return False
-        comp = steps[i - 1]
-        for start in range(i - 1, -1, -1):
-            # comp: F(order[start]) -> F(order[i])
-            K = _kernel_subgroup(comp)
-            if start == 0:
-                if not K.is_trivial():
-                    return False
-            else:
-                below = steps[start - 1]
-                ok, _ = Subgroup(below.target, below.matrix).contains_subgroup(K)
-                if not ok:
-                    return False
-                comp = compose(comp, below)
-    return True
-
-
-def _kernel_subgroup(h):
-    K = la.preimage_lattice(h.matrix, h.target.relations)
-    return Subgroup(h.source, K)
-
-
-def run_gallery():
-    """Run every bundled example with its expected verdicts."""
-    checks = _gallery_checks()
+    table is the list of examples, by default the bundled gallery.json:
+    each names a bundled document or carries one inline, and lists the
+    facts that are checked and reported ("report") or only checked
+    ("check").  Every mismatch is collected, then one OracleViolation
+    lists them all.
+    """
+    if table is None:
+        table = json.loads(resources.files("posetlim").joinpath("gallery.json").read_text())
     results = []
     failures = []
-    for name in DATA_FILES:
-        doc, P, F = load_bundled(name)
-        try:
-            facts = checks[name](P, F)
-            results.append({"name": name, "ok": True, **facts})
-        except OracleViolation as e:
-            failures.append(str(e))
-            results.append({"name": name, "ok": False})
-    # the multiplication family beyond the shipped representative
-    for n in (2, 5, 12):
-        P = validate_graded([("a", 0), ("b", 1)], [("a", "b")])
-        Z = free_group(1)
-        F = validate_functor(P, {"a": Z, "b": Z},
-                             {("a", "b"): AbHom(Z, Z, [[n]])})
-        rep = classify_diagram(F)
-        ok = (not rep.projective.ok and rep.pseudo_projective.ok
-              and rep.cokernels["b"].invariant_factors == (n,))
-        results.append({"name": f"times_{n}_inline", "ok": ok})
-        if not ok:
-            failures.append(f"gallery times_{n}_inline failed")
+    for entry in table:
+        name = entry["name"]
+        if "document" in entry:
+            P, F = parse_diagram(entry["document"])
+        else:
+            _, P, F = load_bundled(name)
+        classification = classify_diagram(F)
+        reported = entry.get("report", {})
+        got = {}
+        for fact, want in {**reported, **entry.get("check", {})}.items():
+            if fact not in GALLERY_FACTS:
+                failures.append(f"gallery {name}: unknown fact {fact!r}")
+                continue
+            got[fact] = GALLERY_FACTS[fact](P, F, classification)
+            if json.dumps(got[fact], sort_keys=True) != json.dumps(want, sort_keys=True):
+                failures.append(f"gallery {name}: {fact} is {json.dumps(got[fact])}, "
+                                f"expected {json.dumps(want)}")
+        results.append({"name": name, "ok": True, **{f: got.get(f) for f in reported}})
     if failures:
         raise OracleViolation("; ".join(failures))
     return results

@@ -236,9 +236,10 @@ def infer_degrees(ids, covers) -> dict:
     return deg
 
 
-def enumerate_chains(P: GradedPoset, n: int):
-    """All strictly ascending chains with n+1 vertices, in lexicographic
-    order of their id sequences."""
+def _walk_chains(P: GradedPoset, n: int, weak: bool):
+    """The depth-first walk behind enumerate_chains and
+    enumerate_weak_chains; a weak walk may repeat the last vertex
+    before it moves up."""
     if n < 0:
         return []
     out = []
@@ -247,7 +248,8 @@ def enumerate_chains(P: GradedPoset, n: int):
         if len(prefix) == n + 1:
             out.append(Chain(tuple(prefix)))
             return
-        for nxt in P.strictly_above[last]:
+        above = P.strictly_above[last]
+        for nxt in [last] + above if weak else above:
             prefix.append(nxt)
             extend(prefix, nxt)
             prefix.pop()
@@ -255,27 +257,18 @@ def enumerate_chains(P: GradedPoset, n: int):
     for start in P.ids:
         extend([start], start)
     return out
+
+
+def enumerate_chains(P: GradedPoset, n: int):
+    """All strictly ascending chains with n+1 vertices, in lexicographic
+    order of their id sequences."""
+    return _walk_chains(P, n, weak=False)
 
 
 def enumerate_weak_chains(P: GradedPoset, n: int):
     """Weakly ascending (n+1)-tuples (repeats allowed); the simplices of
     the unnormalized nerve."""
-    if n < 0:
-        return []
-    out = []
-
-    def extend(prefix, last):
-        if len(prefix) == n + 1:
-            out.append(Chain(tuple(prefix)))
-            return
-        for nxt in [last] + P.strictly_above[last]:
-            prefix.append(nxt)
-            extend(prefix, nxt)
-            prefix.pop()
-
-    for start in P.ids:
-        extend([start], start)
-    return out
+    return _walk_chains(P, n, weak=True)
 
 
 def longest_chain_length(P: GradedPoset) -> int:

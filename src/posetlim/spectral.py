@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import prod
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, compose, direct_sum, trivial_group, zero_hom
@@ -414,6 +415,15 @@ class ConvergenceReport:
     by_degree: dict
 
 
+def _stable_total(stable, n):
+    """(rank sum, order product) of the nontrivial stable entries in
+    total degree n; the product is None unless every one is finite."""
+    parts = [g for (s, m), g in stable.sn_entries.items()
+             if m == n and not g.is_trivial]
+    orders = [g.order() for g in parts]
+    return sum(g.free_rank for g in parts), None if None in orders else prod(orders)
+
+
 def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> ConvergenceReport:
     """Rank additivity of the stable page against the derived functors
     in every total degree, and order multiplicativity whenever both
@@ -425,24 +435,18 @@ def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> Convergen
     by_degree = {}
     for n in range(X.base.top + 1):
         target = derived_functor(F, direction, n)
-        parts = [g for (s, m), g in stable.sn_entries.items()
-                 if m == n and not g.is_trivial]
-        rank_ss = sum(g.free_rank for g in parts)
+        rank_ss, order_ss = _stable_total(stable, n)
         if rank_ss != target.free_rank:
             raise ConvergenceViolation(
                 f"total degree {n}: stable page ranks sum to {rank_ss}, "
                 f"{direction}_{n} has rank {target.free_rank}")
-        finite = target.order() is not None and all(
-            g.order() is not None for g in parts)
-        order_ss = None
-        if finite:
-            order_ss = 1
-            for g in parts:
-                order_ss *= g.order()
-            if order_ss != target.order():
-                raise ConvergenceViolation(
-                    f"total degree {n}: stable page orders multiply to "
-                    f"{order_ss}, {direction}_{n} has order {target.order()}")
+        finite = target.order() is not None and order_ss is not None
+        if not finite:
+            order_ss = None
+        elif order_ss != target.order():
+            raise ConvergenceViolation(
+                f"total degree {n}: stable page orders multiply to "
+                f"{order_ss}, {direction}_{n} has order {target.order()}")
         by_degree[n] = DegreeComparison(rank_ss, target.free_rank, finite,
                                         order_ss, target.order())
     return ConvergenceReport(True, variant, by_degree)
@@ -467,20 +471,15 @@ def inner_column_ss(P: GradedPoset, F: Diagram, p: int, variant: Variant):
     stable = pages[-1]
     for n in range(X.base.top + 1):
         target = outer_one.sn_entries[(s_fixed, n)]
-        parts = [g for (s2, m), g in stable.sn_entries.items()
-                 if m == n and not g.is_trivial]
-        rank_ss = sum(g.free_rank for g in parts)
+        rank_ss, total = _stable_total(stable, n)
         if rank_ss != target.free_rank:
             raise ConvergenceViolation(
                 f"inner sequence at p = {p}, degree {n}: ranks sum to "
                 f"{rank_ss}, the outer column holds rank {target.free_rank}")
-        if target.order() is not None and all(g.order() is not None for g in parts):
-            total = 1
-            for g in parts:
-                total *= g.order()
-            if total != target.order():
-                raise ConvergenceViolation(
-                    f"inner sequence at p = {p}, degree {n}: orders "
-                    f"multiply to {total}, the outer column has order "
-                    f"{target.order()}")
+        if (total is not None and target.order() is not None
+                and total != target.order()):
+            raise ConvergenceViolation(
+                f"inner sequence at p = {p}, degree {n}: orders "
+                f"multiply to {total}, the outer column has order "
+                f"{target.order()}")
     return pages

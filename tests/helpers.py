@@ -2,7 +2,8 @@
 
 from math import gcd
 
-from posetlim.abgroup import AbHom, cyclic_group, free_group
+from posetlim import intlinalg as la
+from posetlim.abgroup import AbHom, cyclic_group, free_group, group_from_invariants, zero_hom
 from posetlim.diagram import (
     constant_diagram,
     direct_sum_diagrams,
@@ -10,6 +11,7 @@ from posetlim.diagram import (
     skyscraper_diagram,
     validate_functor,
 )
+from posetlim.errors import PosetlimError
 from posetlim.poset import validate_graded
 
 
@@ -58,6 +60,41 @@ def random_torsion_sum_diagram(rng, P, parts_range=(2, 5)):
             parts.append(constant_diagram(P, cyclic_group(rng.choice([2, 4, 6]))))
     total, _, _ = direct_sum_diagrams(parts)
     return total
+
+
+def _random_group(rng):
+    free = rng.randrange(0, 3)
+    factors = []
+    d = rng.choice([2, 3, 4, 6, 0, 0])
+    if d:
+        factors.append(d)
+    return group_from_invariants(free, factors)
+
+
+def _random_hom(rng, A, B):
+    for _ in range(25):
+        M = la.intmat([[rng.randrange(-2, 3) for _ in range(A.ambient_rank)]
+                       for _ in range(B.ambient_rank)])
+        try:
+            return AbHom(A, B, M)
+        except (PosetlimError, ValueError):
+            continue
+    return zero_hom(A, B)
+
+
+def random_mixed_diagram(rng, P):
+    """A sum of one or two representables (so projective) with
+    probability 0.35, else small random groups joined by random homs;
+    any cover maps make a functor on a poset without commuting squares,
+    such as a pushout or a chain."""
+    if rng.random() < 0.35:
+        parts = [representable_diagram(P, rng.choice(P.ids))
+                 for _ in range(rng.randrange(1, 3))]
+        F, _, _ = direct_sum_diagrams(parts)
+        return F
+    groups = {i: _random_group(rng) for i in P.ids}
+    maps = {c: _random_hom(rng, groups[c[0]], groups[c[1]]) for c in P.covers}
+    return validate_functor(P, groups, maps)
 
 
 def random_forest_poset(rng, max_objects=7):

@@ -16,7 +16,6 @@ from posetlim.abgroup import (
     classify_group,
     cyclic_group,
     free_group,
-    group_from_invariants,
     hom_is_mono,
     trivial_group,
     zero_hom,
@@ -26,6 +25,7 @@ from posetlim.classify import (
     is_projective,
     is_pseudo_injective,
     is_pseudo_projective,
+    pushout_projectivity_criterion,
 )
 from posetlim.derived import (
     chain_complex,
@@ -38,12 +38,10 @@ from posetlim.derived import (
 )
 from posetlim.diagram import (
     constant_diagram,
-    direct_sum_diagrams,
     representable_diagram,
     transpose_diagram,
     validate_functor,
 )
-from posetlim.errors import PosetlimError
 from posetlim.poset import longest_chain_length, opposite, validate_graded
 from posetlim.randgen import GenConfig, gen_diagram, gen_poset, is_forest
 from posetlim.spectral import (
@@ -55,7 +53,7 @@ from posetlim.spectral import (
     oracle_page_recurrence,
 )
 
-from helpers import intro_pushout, pushout_poset
+from helpers import intro_pushout, pushout_poset, random_mixed_diagram
 
 
 def _line(k, text):
@@ -123,39 +121,6 @@ def test_criterion_03_multiplication_and_reduction():
              "reduction mod n fails pseudo-projectivity with witness n")
 
 
-def _random_group(rng):
-    free = rng.randrange(0, 3)
-    factors = []
-    d = rng.choice([2, 3, 4, 6, 0, 0])
-    if d:
-        factors.append(d)
-    return group_from_invariants(free, factors)
-
-
-def _random_hom(rng, A, B):
-    for _ in range(25):
-        M = la.intmat([[rng.randrange(-2, 3) for _ in range(A.ambient_rank)]
-                       for _ in range(B.ambient_rank)])
-        try:
-            return AbHom(A, B, M)
-        except (PosetlimError, ValueError):
-            continue
-    return zero_hom(A, B)
-
-
-def _random_pushout(rng):
-    P = pushout_poset()
-    if rng.random() < 0.35:
-        # a genuinely projective instance: a sum of representables
-        parts = [representable_diagram(P, rng.choice(P.ids))
-                 for _ in range(rng.randrange(1, 3))]
-        F, _, _ = direct_sum_diagrams(parts)
-        return F
-    groups = {i: _random_group(rng) for i in P.ids}
-    maps = {c: _random_hom(rng, groups[c[0]], groups[c[1]]) for c in P.covers}
-    return validate_functor(P, groups, maps)
-
-
 def _pushout_criterion(F):
     """F(a), F(b)/Im F(f), F(c)/Im F(g) free and both legs mono."""
     f = F.cover_maps[("a", "b")]
@@ -174,9 +139,10 @@ def test_criterion_04_pushout_projectivity_criterion():
     rng = random.Random(40404)
     positives = negatives = 0
     for _ in range(200):
-        F = _random_pushout(rng)
+        F = random_mixed_diagram(rng, pushout_poset())
         verdict = is_projective(F).ok
         assert verdict == _pushout_criterion(F)
+        assert pushout_projectivity_criterion(F) == verdict
         if verdict:
             positives += 1
         else:

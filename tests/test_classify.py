@@ -24,6 +24,7 @@ from posetlim.classify import (
     oracle_theorem_b,
     projective_by_lifting,
     solve_lifting,
+    telescope_projectivity_criterion,
 )
 from posetlim.derived import is_acyclic
 from posetlim.diagram import (
@@ -43,6 +44,7 @@ from helpers import (
     pushout_poset,
     random_forest_poset,
     random_free_forest_diagram,
+    random_mixed_diagram,
     random_torsion_sum_diagram,
     times_two_pullback,
 )
@@ -234,6 +236,21 @@ def test_projective_iff_free_cover_retracts():
         cases.append(random_free_forest_diagram(rng, Q, max_rank=2))
     for F in cases:
         assert projective_by_lifting(F) == is_projective(F).ok
+
+
+def test_chain_criterion_agrees_with_both_projectivity_routes():
+    """On seeded chains of 2 to 4 objects, the closed-form chain
+    criterion, is_projective and the free-cover retraction agree."""
+    rng = random.Random(7070)
+    counts = {True: 0, False: 0}
+    for _ in range(300):
+        P = chain_poset(rng.randrange(2, 5))
+        F = random_mixed_diagram(rng, P)
+        verdict = is_projective(F).ok
+        assert telescope_projectivity_criterion(P, F) == verdict
+        assert projective_by_lifting(F) == verdict
+        counts[verdict] += 1
+    assert counts[True] >= 60 and counts[False] >= 60, counts
 
 
 def test_free_cover_counit_is_epi_and_natural():

@@ -1,9 +1,11 @@
 """End-to-end command tests driving main() in process."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -85,6 +87,43 @@ def test_gallery_all_ok(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 12
     assert all(l.startswith("ok ") for l in lines)
+
+
+def _bundled_gallery():
+    return json.loads(resources.files("posetlim").joinpath("gallery.json").read_text())
+
+
+def test_gallery_flipped_expectation_exits_two(capsys, monkeypatch):
+    table = _bundled_gallery()
+    assert table[0]["name"] == "intro_pushout"
+    table[0]["report"]["projective"] = True
+    monkeypatch.setattr(cli, "run_gallery", functools.partial(cli.run_gallery, table))
+    classified = []
+    real_classify = cli.classify_diagram
+    monkeypatch.setattr(cli, "classify_diagram",
+                        lambda F: classified.append(F) or real_classify(F))
+    code, out, err = run(capsys, "gallery")
+    assert code == 2
+    assert out == ""
+    assert "gallery intro_pushout: projective is false, expected true" in err
+    assert len(classified) == len(table) == 12
+
+
+def test_gallery_unknown_fact_exits_two(capsys, monkeypatch):
+    table = _bundled_gallery()
+    table[0]["report"]["no_such_fact"] = 1
+    monkeypatch.setattr(cli, "run_gallery", functools.partial(cli.run_gallery, table))
+    code, _, err = run(capsys, "gallery")
+    assert code == 2
+    assert "unknown fact 'no_such_fact'" in err
+
+
+def test_gallery_covers_each_bundled_document_once():
+    data = resources.files("posetlim").joinpath("data")
+    stems = sorted(p.name[:-len(".json")] for p in data.iterdir()
+                   if p.name.endswith(".json"))
+    bundled = [e["name"] for e in _bundled_gallery() if "document" not in e]
+    assert sorted(bundled) == stems
 
 
 def test_generate_deterministic_and_parses(capsys):
