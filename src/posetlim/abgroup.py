@@ -297,33 +297,24 @@ def quotient(G: FgAbGroup, S: Subgroup):
 @dataclass
 class DirectSum:
     group: FgAbGroup
-    inclusions: list
-    projections: list
+    summands: list
     offsets: list
 
 
 def direct_sum(groups) -> DirectSum:
-    """Direct sum with inclusion and projection homs per summand."""
-    groups = list(groups)
+    """Direct sum as a block layout: summand k occupies the ambient rows
+    offsets[k] onward of group, and its relations sit block-diagonally."""
+    summands = list(groups)
     offsets = []
-    at = 0
-    for G in groups:
-        offsets.append(at)
-        at += G.ambient_rank
-    total_rank = at
     rel_blocks = []
-    cat = 0
-    for G, off in zip(groups, offsets):
-        rel_blocks.append((off, cat, 1, G.relations))
+    rank = cat = 0
+    for G in summands:
+        offsets.append(rank)
+        rel_blocks.append((rank, cat, 1, G.relations))
+        rank += G.ambient_rank
         cat += G.relations.shape[1]
-    total = FgAbGroup(total_rank, la.from_blocks(total_rank, cat, rel_blocks))
-    inclusions = []
-    projections = []
-    for G, off in zip(groups, offsets):
-        inc = la.from_blocks(total_rank, G.ambient_rank, [(off, 0, 1, la.eye(G.ambient_rank))])
-        inclusions.append(AbHom(G, total, inc, check=False))
-        projections.append(AbHom(total, G, inc.T, check=False))
-    return DirectSum(total, inclusions, projections, offsets)
+    total = FgAbGroup(rank, la.from_blocks(rank, cat, rel_blocks))
+    return DirectSum(total, summands, offsets)
 
 
 def hom_is_mono(h: AbHom) -> bool:

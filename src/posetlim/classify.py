@@ -84,11 +84,17 @@ def _degree_d_targets(P, i0, d):
                   if P.degree[i] - P.degree[i0] == d)
 
 
-def _split_by_offsets(vec, parts, offsets):
-    out = []
-    for (ident, rank), off in zip(parts, offsets):
-        out.append((ident, tuple(int(v) for v in vec[off:off + rank])))
-    return tuple(out)
+def _split_by_offsets(vec, ids, ds):
+    """vec cut into its components, one (id, element) per summand of ds."""
+    return tuple((i, vec[off:off + G.ambient_rank])
+                 for i, G, off in zip(ids, ds.summands, ds.offsets))
+
+
+def _placed(ds, mats):
+    """Each mats[k] moved to the rows of summand k, side by side."""
+    N = ds.group.ambient_rank
+    return la.hstack([la.from_blocks(N, M.shape[1], [(off, 0, 1, M)])
+                      for off, M in zip(ds.offsets, mats)])
 
 
 def is_pseudo_projective_at(F: Diagram, i0: str, d: int):
@@ -108,13 +114,11 @@ def is_pseudo_projective_at(F: Diagram, i0: str, d: int):
     phi = la.hstack([F.hom(i, i0).matrix for i in sources])
     K = la.preimage_lattice(phi, F.groups[i0].relations)
     im_subs = {i: im_at(F, i) for i in sources}
-    target = Subgroup(ds.group, la.hstack([inc.matrix @ im_subs[i].generators
-                                           for inc, i in zip(ds.inclusions, sources)]))
+    target = Subgroup(ds.group, _placed(ds, [im_subs[i].generators for i in sources]))
     ok, bad = target.contains_subgroup(Subgroup(ds.group, K))
     if ok:
         return PseudoVerdict(True)
-    parts = [(i, F.groups[i].ambient_rank) for i in sources]
-    comps = _split_by_offsets(bad, parts, ds.offsets)
+    comps = _split_by_offsets(bad, sources, ds)
     outside = tuple(i for (i, comp) in comps
                     if not im_subs[i].contains_element(comp))
     return PseudoVerdict(False, PseudoWitness(i0, d, comps, outside))
@@ -144,14 +148,12 @@ def is_pseudo_injective_at(F: Diagram, i0: str, d: int):
     psi = la.from_blocks(sums.group.ambient_rank, F.groups[i0].ambient_rank,
                          [(off, 0, 1, F.hom(i0, t).matrix)
                           for off, t in zip(sums.offsets, targets)])
-    kernels = la.hstack([inc.matrix @ ker_at(F, t).generators
-                         for inc, t in zip(sums.inclusions, targets)])
+    kernels = _placed(sums, [ker_at(F, t).generators for t in targets])
     image = Subgroup(sums.group, psi)
     ok, bad = image.contains_subgroup(Subgroup(sums.group, kernels))
     if ok:
         return PseudoVerdict(True)
-    parts = [(t, F.groups[t].ambient_rank) for t in targets]
-    comps = _split_by_offsets(bad, parts, sums.offsets)
+    comps = _split_by_offsets(bad, targets, sums)
     return PseudoVerdict(False, PseudoWitness(i0, d, comps))
 
 
@@ -286,7 +288,7 @@ def free_cover(F: Diagram):
         counit = NatTransformation(
             A, F, {j: zero_hom(A.groups[j], F.groups[j]) for j in P.ids})
         return A, counit
-    A, _, _ = direct_sum_diagrams(summands)
+    A = direct_sum_diagrams(summands)
     comps = {}
     for j in P.ids:
         # summand (i, t) occupies one column at j exactly when i <= j,

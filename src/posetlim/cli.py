@@ -97,6 +97,8 @@ def _cmd_derived(args, direction):
     k = args.max_degree
     if k is None:
         k = longest_chain_length(P)
+    if k < 0:
+        raise PosetlimError(f"--max-degree must be at least 0, got {k}")
     table = _derived_table(F, direction, k)
     rep = _base_report(direction, doc)
     rep["derived"] = {direction: [group_to_json(g) for g in table]}
@@ -209,11 +211,12 @@ def _parse_variant(spec_str: str):
 def _parse_pages(spec_str: str):
     lo, sep, hi = spec_str.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(lo), int(lo)
+        r0, r1 = int(lo), int(hi if sep else lo)
     except ValueError:
         raise PosetlimError(f"bad page range {spec_str!r}; use R or R0..R1")
+    if not 0 <= r0 <= r1:
+        raise PosetlimError(f"bad page range {spec_str!r}; need 0 <= R0 <= R1")
+    return r0, r1
 
 
 def _cmd_spectral(args):
@@ -316,8 +319,11 @@ def _default_seed() -> int:
 
 def _cmd_generate(args):
     seed = args.seed if args.seed is not None else _default_seed()
-    cfg = GenConfig(seed=seed, max_objects=args.max_objects,
-                    max_degree_span=args.max_degree_span, family=args.family)
+    try:
+        cfg = GenConfig(seed=seed, max_objects=args.max_objects,
+                        max_degree_span=args.max_degree_span, family=args.family)
+    except ValueError as e:
+        raise PosetlimError(str(e)) from e
     P = gen_poset(cfg)
     F = gen_diagram(cfg, P, args.mode)
     name = args.name or f"{args.mode}:{args.family}:seed={seed}"
@@ -330,6 +336,8 @@ def _cmd_generate(args):
 
 def _cmd_oracle(args):
     seeds = args.seeds
+    if seeds < 0:
+        raise PosetlimError(f"--seeds must be at least 0, got {seeds}")
     counts = {"seeds": seeds, "theorem_b": 0, "theorem_b_dual": 0,
               "convergence": 0, "page_recurrence": 0}
     for s in range(seeds):

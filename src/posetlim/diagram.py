@@ -248,9 +248,13 @@ def coker_prime_functor(F: Diagram):
               la.eye(C.groups[k].ambient_rank)) for pos_a, k in enumerate(keys[a])])
         maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
     Cp = validate_functor(F.poset, groups, maps)
-    pi = NatTransformation(
-        Cp, C, {i: sums[i].projections[keys[i].index(i)] for i in F.poset.ids})
-    return Cp, pi
+    pi = {}
+    for i in F.poset.ids:
+        r = C.groups[i].ambient_rank
+        M = la.from_blocks(r, groups[i].ambient_rank,
+                           [(0, sums[i].offsets[keys[i].index(i)], 1, la.eye(r))])
+        pi[i] = AbHom(groups[i], C.groups[i], M, check=False)
+    return Cp, NatTransformation(Cp, C, pi)
 
 
 def representable_diagram(P: GradedPoset, c: str) -> Diagram:
@@ -362,7 +366,7 @@ def diagrams_equal(F: Diagram, G: Diagram) -> bool:
 
 
 def direct_sum_diagrams(diagrams):
-    """(sum diagram, inclusion transformations, projection transformations).
+    """The objectwise direct sum diagram.
 
     All summands must live over the same poset; groups are summed
     objectwise and cover maps act blockwise.
@@ -383,9 +387,4 @@ def direct_sum_diagrams(diagrams):
             [(sums[b].offsets[k], sums[a].offsets[k], 1, D.cover_maps[(a, b)].matrix)
              for k, D in enumerate(diagrams)])
         maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
-    total = validate_functor(P, groups, maps)
-    incls = [NatTransformation(D, total, {i: sums[i].inclusions[k] for i in P.ids})
-             for k, D in enumerate(diagrams)]
-    projs = [NatTransformation(total, D, {i: sums[i].projections[k] for i in P.ids})
-             for k, D in enumerate(diagrams)]
-    return total, incls, projs
+    return validate_functor(P, groups, maps)

@@ -47,7 +47,7 @@ class Chain:
 class GradedPoset:
     """Validated graded poset.  Use validate_graded to construct."""
 
-    def __init__(self, objects, covers, direction, _internal=True):
+    def __init__(self, objects, covers, direction):
         self.objects = list(objects)
         self.covers = [tuple(c) for c in covers]
         self.direction = direction

