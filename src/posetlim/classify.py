@@ -124,15 +124,21 @@ def is_pseudo_projective_at(F: Diagram, i0: str, d: int):
     return PseudoVerdict(False, PseudoWitness(i0, d, comps, outside))
 
 
+def _pairs(P):
+    """Every (object, 1 <= d <= dimension), d outermost: the order in which
+    the verdicts are computed and the first failure is picked."""
+    return [(i0, d) for d in range(1, P.dimension + 1) for i0 in P.ids]
+
+
+def _first_failure(verdicts) -> PseudoVerdict:
+    """The first failing verdict, looking no further; else a passing one."""
+    return next((v for v in verdicts if not v), PseudoVerdict(True))
+
+
 def is_pseudo_projective(F: Diagram) -> PseudoVerdict:
     """Conjunction over every object and every 1 <= d <= dimension;
     d = 0 always holds (the identity is a monomorphism)."""
-    for d in range(1, F.poset.dimension + 1):
-        for i0 in F.poset.ids:
-            v = is_pseudo_projective_at(F, i0, d)
-            if not v:
-                return v
-    return PseudoVerdict(True)
+    return _first_failure(is_pseudo_projective_at(F, i0, d) for i0, d in _pairs(F.poset))
 
 
 def is_pseudo_injective_at(F: Diagram, i0: str, d: int):
@@ -158,12 +164,7 @@ def is_pseudo_injective_at(F: Diagram, i0: str, d: int):
 
 
 def is_pseudo_injective(F: Diagram) -> PseudoVerdict:
-    for d in range(1, F.poset.dimension + 1):
-        for i0 in F.poset.ids:
-            v = is_pseudo_injective_at(F, i0, d)
-            if not v:
-                return v
-    return PseudoVerdict(True)
+    return _first_failure(is_pseudo_injective_at(F, i0, d) for i0, d in _pairs(F.poset))
 
 
 def _condition_verdict(side: str, groups, pseudo) -> ConditionVerdict:
@@ -244,14 +245,11 @@ def classify_diagram(F: Diagram) -> ClassificationReport:
     ker_groups = {i: ker_at(F, i).as_group[0] for i in F.poset.ids}
     cokernels = {i: classify_group(Q) for i, Q in coker_groups.items()}
     kernels = {i: classify_group(grp) for i, grp in ker_groups.items()}
-    pp_at = {}
-    pi_at = {}
-    for d in range(1, F.poset.dimension + 1):
-        for i0 in F.poset.ids:
-            pp_at[(i0, d)] = is_pseudo_projective_at(F, i0, d)
-            pi_at[(i0, d)] = is_pseudo_injective_at(F, i0, d)
-    pp = next((v for v in pp_at.values() if not v), PseudoVerdict(True))
-    pi = next((v for v in pi_at.values() if not v), PseudoVerdict(True))
+    pairs = _pairs(F.poset)
+    pp_at = {(i0, d): is_pseudo_projective_at(F, i0, d) for i0, d in pairs}
+    pi_at = {(i0, d): is_pseudo_injective_at(F, i0, d) for i0, d in pairs}
+    pp = _first_failure(pp_at.values())
+    pi = _first_failure(pi_at.values())
     # is_projective/is_injective, from the groups and verdicts at hand
     proj = _condition_verdict("projective", coker_groups.items(), lambda: pp)
     inj = _condition_verdict("injective", ker_groups.items(), lambda: pi)

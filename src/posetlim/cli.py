@@ -445,10 +445,14 @@ def main(argv=None) -> int:
         return _emit_error(args, e, 2)
     except (PosetlimError, FileNotFoundError, json.JSONDecodeError) as e:
         return _emit_error(args, e, 1)
-    if args.json:
-        print(json.dumps(rep, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(rep, indent=2, sort_keys=True) if args.json else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so the exit flush cannot fail
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 1
     return 0
 
 

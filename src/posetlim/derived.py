@@ -5,6 +5,11 @@ the cochain complex sums F(last vertex).  colim_i and lim^i are the
 homology groups, computed exactly by the lattice method: cycles as a
 preimage lattice, boundaries joined with the ambient relations.
 
+One face rule (_faces) says which face moves coefficients, and one
+assembler (_complex) turns per-chain face sums into differentials for
+both kinds: the unreduced complexes take the faces as they are, the
+Morse-reduced ones sum them along zig-zag flows.
+
 derived_functor takes them from the Morse-reduced nerve complex
 (reduce_complex), which keeps only the critical chains of an acyclic
 matching; on a poset with a greatest (least) element that is a single
@@ -99,6 +104,65 @@ def _check_dd_zero(diffs, pairs):
                 f"d o d is nonzero between degrees {n_inner} and {n_outer}")
 
 
+def _faces(F: Diagram, kind: str, cell):
+    """(face, sign, block) for each face of the cell, with sign (-1)^i for
+    the face that drops vertex i.  Only the face that drops the first
+    vertex (chain) or the last (cochain) moves coefficients, by F.hom
+    between the vertex it drops and its neighbour; every other block is
+    None, the identity on the cell's value."""
+    n = len(cell) - 1
+    if kind == "chain":
+        moving, blk = 0, F.hom(cell[0], cell[1]).matrix
+    else:
+        moving, blk = n, F.hom(cell[n - 1], cell[n]).matrix
+    return [(cell[:i] + cell[i + 1:], -1 if i % 2 else 1, blk if i == moving else None)
+            for i in range(n + 1)]
+
+
+def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top) -> ChainComplex:
+    """The complex with one block per chain of blocks[n], holding F at the
+    chain's first vertex (chain) or last (cochain).  The differential
+    between a chain h of degree m >= 1 and a chain c one degree lower sums
+    the (c, sign, block) entries of pieces(h), a None block being the
+    identity; it runs h -> c for chains and c -> h for cochains."""
+    chain = kind == "chain"
+    top = len(blocks) - 1
+    index = {c.vertices: j for n in blocks for j, c in enumerate(blocks[n])}
+    sums = {n: direct_sum([F.groups[c.first if chain else c.last] for c in blocks[n]])
+            for n in blocks}
+    diffs = {}
+    for m in range(1, top + 1):
+        entries = []
+        for h in blocks[m]:
+            hj = index[h.vertices]
+            for c, sign, blk in pieces(h.vertices):
+                if blk is None:
+                    blk = la.eye(F.groups[c[0] if chain else c[-1]].ambient_rank)
+                entries.append((index[c], hj, sign, blk) if chain
+                               else (hj, index[c], sign, blk))
+        if chain:
+            diffs[m] = _assemble(sums, m, m - 1, entries)
+        else:
+            diffs[m - 1] = _assemble(sums, m - 1, m, entries)
+    if chain:
+        _check_dd_zero(diffs, [(n - 1, n) for n in range(2, top + 1)])
+    else:
+        _check_dd_zero(diffs, [(n + 1, n) for n in range(top - 1)])
+    return ChainComplex("homological" if chain else "cohomological",
+                        blocks, sums, diffs, top, vanishes_above_top)
+
+
+def _nerve_complex(F: Diagram, kind: str, top, normalized) -> ChainComplex:
+    P = F.poset
+    longest = longest_chain_length(P)
+    if top is None:
+        top = longest
+    enum = enumerate_chains if normalized else enumerate_weak_chains
+    blocks = {n: enum(P, n) for n in range(top + 1)}
+    return _complex(F, kind, blocks, lambda c: _faces(F, kind, c),
+                    normalized and top >= longest)
+
+
 def chain_complex(F: Diagram, top: int = None, normalized: bool = True) -> ChainComplex:
     """Homological complex with C_n the sum of F(sigma_0) over n-chains.
 
@@ -107,33 +171,7 @@ def chain_complex(F: Diagram, top: int = None, normalized: bool = True) -> Chain
     (weak chains, repeats allowed) never vanishes in high degrees, so it
     is built only up to top and homology is refused at the cut.
     """
-    P = F.poset
-    longest = longest_chain_length(P)
-    if top is None:
-        top = longest
-    enum = enumerate_chains if normalized else enumerate_weak_chains
-    blocks = {n: enum(P, n) for n in range(top + 1)}
-    index = {n: {c.vertices: j for j, c in enumerate(blocks[n])}
-             for n in range(top + 1)}
-    sums = {n: direct_sum([F.groups[c.first] for c in blocks[n]])
-            for n in range(top + 1)}
-    diffs = {}
-    for n in range(1, top + 1):
-        entries = []
-        for j, ch in enumerate(blocks[n]):
-            v = ch.vertices
-            for i in range(n + 1):
-                face = v[:i] + v[i + 1:]
-                tj = index[n - 1][face]
-                if i == 0:
-                    blk = F.hom(v[0], v[1]).matrix
-                else:
-                    blk = la.eye(F.groups[v[0]].ambient_rank)
-                entries.append((tj, j, -1 if i % 2 else 1, blk))
-        diffs[n] = _assemble(sums, n, n - 1, entries)
-    _check_dd_zero(diffs, [(n - 1, n) for n in range(2, top + 1)])
-    return ChainComplex("homological", blocks, sums, diffs, top,
-                        normalized and top >= longest)
+    return _nerve_complex(F, "chain", top, normalized)
 
 
 def cochain_complex(F: Diagram, top: int = None, normalized: bool = True) -> ChainComplex:
@@ -144,33 +182,7 @@ def cochain_complex(F: Diagram, top: int = None, normalized: bool = True) -> Cha
     i-th face; the last coface is the only one that moves coefficients,
     through F(tau_n -> tau_{n+1}).
     """
-    P = F.poset
-    longest = longest_chain_length(P)
-    if top is None:
-        top = longest
-    enum = enumerate_chains if normalized else enumerate_weak_chains
-    blocks = {n: enum(P, n) for n in range(top + 1)}
-    index = {n: {c.vertices: j for j, c in enumerate(blocks[n])}
-             for n in range(top + 1)}
-    sums = {n: direct_sum([F.groups[c.last] for c in blocks[n]])
-            for n in range(top + 1)}
-    diffs = {}
-    for n in range(top):
-        entries = []
-        for tj, tau in enumerate(blocks[n + 1]):
-            v = tau.vertices
-            for i in range(n + 2):
-                face = v[:i] + v[i + 1:]
-                sj = index[n][face]
-                if i == n + 1:
-                    blk = F.hom(v[n], v[n + 1]).matrix
-                else:
-                    blk = la.eye(F.groups[v[n + 1]].ambient_rank)
-                entries.append((tj, sj, -1 if i % 2 else 1, blk))
-        diffs[n] = _assemble(sums, n, n + 1, entries)
-    _check_dd_zero(diffs, [(n + 1, n) for n in range(top - 1)])
-    return ChainComplex("cohomological", blocks, sums, diffs, top,
-                        normalized and top >= longest)
+    return _nerve_complex(F, "cochain", top, normalized)
 
 
 def reduce_complex(F: Diagram, kind: str) -> ChainComplex:
@@ -247,30 +259,22 @@ def _morse_complex(F, kind, cells, partner):
     matching is not acyclic and raises OracleViolation.
     """
     chain = kind == "chain"
-    groups = F.groups
-
-    def value(c):
-        return groups[c[0] if chain else c[-1]]
-
-    def faces(s):
-        """(face, sign, block) for each face of s; block None is the identity."""
-        n = len(s) - 1
-        if chain:
-            moving, blk = 0, F.hom(s[0], s[1]).matrix
-        else:
-            moving, blk = n, F.hom(s[n - 1], s[n]).matrix
-        return [(s[:i] + s[i + 1:], -1 if i % 2 else 1, blk if i == moving else None)
-                for i in range(n + 1)]
 
     def along(B, M):
         if B is None or M is None:
             return M if B is None else B
         return M @ B if chain else B @ M
 
-    def add(acc, c, sign, M):
-        if M is None:
-            M = la.eye(value(c).ambient_rank)
-        acc[c] = acc[c] + sign * M if c in acc else sign * M
+    def through(fs):
+        """The sum over the faces (b, sign, B) in fs of sign * B along flow(b)."""
+        acc = {}
+        for b, sign, B in fs:
+            for c, M in flow(b).items():
+                M = along(B, M)
+                if M is None:
+                    M = la.eye(F.groups[c[0] if chain else c[-1]].ambient_rank)
+                acc[c] = acc[c] + sign * M if c in acc else sign * M
+        return acc
 
     def partner_above(b):
         s = partner.get(b)
@@ -292,7 +296,7 @@ def _morse_complex(F, kind, cells, partner):
             if x in memo:
                 stack.pop()
             elif x not in expanding:
-                expanding[x] = fs = faces(partner[x])
+                expanding[x] = fs = _faces(F, kind, partner[x])
                 for y, _, _ in fs:
                     if y != x and y not in memo and partner_above(y) is not None:
                         if y in expanding:
@@ -301,45 +305,22 @@ def _morse_complex(F, kind, cells, partner):
                                 "the matching is not acyclic")
                         stack.append(y)
             else:
-                acc = {}
-                for y, sign, B in expanding.pop(x):
-                    if y == x:
-                        pair_sign = sign
-                        continue
-                    for c, M in flow(y).items():
-                        add(acc, c, sign, along(B, M))
+                fs = expanding.pop(x)
+                pair_sign = next(sign for y, sign, _ in fs if y == x)
+                acc = through([f for f in fs if f[0] != x])
                 memo[x] = {c: -pair_sign * M for c, M in acc.items() if any(M.cols)}
                 stack.pop()
         return memo[b]
+
+    def pieces(h):
+        return [(c, 1, M) for c, M in through(_faces(F, kind, h)).items()]
 
     top = max(len(c) for c in cells) - 1
     crit = {n: [] for n in range(top + 1)}
     for c in cells:
         if c not in partner:
-            crit[len(c) - 1].append(c)
-    index = {c: j for n in crit for j, c in enumerate(crit[n])}
-    blocks = {n: [Chain(c) for c in crit[n]] for n in crit}
-    sums = {n: direct_sum([value(c) for c in crit[n]]) for n in crit}
-    diffs = {}
-    for m in range(1, top + 1):
-        entries = []
-        for h in crit[m]:
-            acc = {}
-            for b, sign, B in faces(h):
-                for c, M in flow(b).items():
-                    add(acc, c, sign, along(B, M))
-            for c, M in acc.items():
-                entries.append((index[c], index[h], 1, M) if chain
-                               else (index[h], index[c], 1, M))
-        if chain:
-            diffs[m] = _assemble(sums, m, m - 1, entries)
-        else:
-            diffs[m - 1] = _assemble(sums, m - 1, m, entries)
-    if chain:
-        _check_dd_zero(diffs, [(n - 1, n) for n in range(2, top + 1)])
-        return ChainComplex("homological", blocks, sums, diffs, top, True)
-    _check_dd_zero(diffs, [(n + 1, n) for n in range(top - 1)])
-    return ChainComplex("cohomological", blocks, sums, diffs, top, True)
+            crit[len(c) - 1].append(Chain(c))
+    return _complex(F, kind, crit, pieces, True)
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:

@@ -183,7 +183,7 @@ class NatTransformation:
     failing cover.
     """
 
-    def __init__(self, source: Diagram, target: Diagram, components, check: bool = True):
+    def __init__(self, source: Diagram, target: Diagram, components):
         if source.poset.ids != target.poset.ids or \
                 sorted(source.poset.covers) != sorted(target.poset.covers):
             raise MismatchError("source and target live over different posets")
@@ -197,13 +197,12 @@ class NatTransformation:
             if not h.source.same_presentation(source.groups[i]) or \
                     not h.target.same_presentation(target.groups[i]):
                 raise MismatchError(f"component at {i!r} has the wrong endpoints")
-        if check:
-            for a, b in source.poset.covers:
-                left = compose(self.components[b], source.cover_maps[(a, b)])
-                right = compose(target.cover_maps[(a, b)], self.components[a])
-                if not left.equal(right):
-                    raise NotNaturalError(
-                        f"square over cover ({a!r}, {b!r}) does not commute")
+        for a, b in source.poset.covers:
+            left = compose(self.components[b], source.cover_maps[(a, b)])
+            right = compose(target.cover_maps[(a, b)], self.components[a])
+            if not left.equal(right):
+                raise NotNaturalError(
+                    f"square over cover ({a!r}, {b!r}) does not commute")
 
     def component(self, i: str) -> AbHom:
         return self.components[i]

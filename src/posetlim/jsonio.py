@@ -24,7 +24,7 @@ from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup
 from .diagram import Diagram, validate_functor
 from .errors import EmptyPosetError, PosetlimError, SchemaError, ValidationError
-from .poset import GradedPoset, infer_degrees, validate_graded
+from .poset import validate_graded
 
 FORMAT_VERSION = "1.0"
 TOOL_VERSION = "0.1.0"
@@ -128,29 +128,17 @@ def parse_diagram(data):
     pd = doc["poset"]
     if not pd["objects"]:
         raise EmptyPosetError("document declares no objects")
-    covers = [tuple(c) for c in pd["covers"]]
     given = [o for o in pd["objects"] if "degree" in o]
-    if pd.get("infer_degrees"):
-        if given:
-            _invalid("/poset", "infer_degrees is set, so objects must "
-                               "omit their degrees")
-        ids = [o["id"] for o in pd["objects"]]
-        # inference always propagates +1 along covers, so feed it the
-        # reversed covers when the document's degrees run downward
-        oriented = covers if pd["direction"] == "increasing" \
-            else [(b, a) for a, b in covers]
-        try:
-            deg = infer_degrees(ids, oriented)
-        except (PosetlimError, KeyError) as e:
-            _invalid("/poset", f"degree inference failed: {e}")
-        objects = [(i, deg[i]) for i in ids]
-    else:
-        if len(given) != len(pd["objects"]):
-            _invalid("/poset", "objects omit degrees but infer_degrees "
-                               "is not set")
-        objects = [(o["id"], o["degree"]) for o in pd["objects"]]
+    if pd.get("infer_degrees") and given:
+        _invalid("/poset", "infer_degrees is set, so objects must "
+                           "omit their degrees")
+    if not pd.get("infer_degrees") and len(given) != len(pd["objects"]):
+        _invalid("/poset", "objects omit degrees but infer_degrees "
+                           "is not set")
+    # a missing degree is None, which validate_graded infers from the covers
+    objects = [(o["id"], o.get("degree")) for o in pd["objects"]]
     try:
-        P = validate_graded(objects, covers, direction=pd["direction"])
+        P = validate_graded(objects, pd["covers"], direction=pd["direction"])
     except PosetlimError as e:
         _invalid("/poset", str(e))
 

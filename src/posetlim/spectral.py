@@ -363,13 +363,12 @@ def oracle_page_one(X: FilteredComplex):
     return first
 
 
-def oracle_page_recurrence(X: FilteredComplex, r_max: int = None):
-    """Cross-check: page r+1 is the homology of page r under d_r."""
-    if r_max is None:
-        r_max = X.span + 2
-    pages = [page(X, r) for r in range(r_max + 1)]
+def oracle_page_recurrence(X: FilteredComplex):
+    """Cross-check: page r+1 is the homology of page r under d_r, for
+    r < span + 2."""
+    pages = [page(X, r) for r in range(X.span + 3)]
     step = X.step
-    for r in range(r_max):
+    for r in range(X.span + 2):
         cur, nxt = pages[r], pages[r + 1]
         for (s, n), E in cur.sn_entries.items():
             d_out = cur.sn_diffs[(s, n)]

@@ -315,6 +315,31 @@ def test_parser_is_reused_across_calls(capsys, intro_path):
     assert "the following arguments are required: --variant" in reused[2][2]
 
 
+def test_closed_stdout_exits_one_quietly():
+    """A reader that leaves early (posetlim generate | head) closes the
+    pipe.  The read end is closed before the interpreter starts, so the
+    first write fails whatever the timing; the run must exit 1 with no
+    traceback and no 'Exception ignored' from the flush at exit."""
+    script = "\n".join([
+        "import sys",
+        "from posetlim import cli",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for argv in (["generate", "--seed", "1"], ["--json", "generate", "--seed", "1"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            r = subprocess.run([sys.executable, "-c", script, *argv], stdout=write_end,
+                               stderr=subprocess.PIPE, text=True,
+                               env=dict(os.environ, PYTHONPATH=path), timeout=300)
+        finally:
+            os.close(write_end)
+        assert r.returncode == 1, (argv, r.stderr[-2000:])
+        assert r.stderr == "", (argv, r.stderr[-2000:])
+
+
 def test_cli_never_imports_numpy():
     """IntMatrix is the only matrix type, so neither the library nor the
     CLI loads numpy; run in a fresh interpreter, where nothing else has."""

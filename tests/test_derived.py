@@ -95,6 +95,31 @@ def test_cochain_complex_of_pullback():
     assert d0.matrix == la.intmat([[1, -2, 0], [1, 0, -2]])
 
 
+def test_three_chain_differentials_by_hand():
+    """a < b < c with Z everywhere, F(a -> b) = 2 and F(b -> c) = 3, so
+    F(a -> c) = 6.  Degree 2 is the first where an interior face (sign -1,
+    identity block) sits between the two outer ones."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    Z = free_group(1)
+    F = validate_functor(P, {"a": Z, "b": Z, "c": Z},
+                         {("a", "b"): AbHom(Z, Z, [[2]]), ("b", "c"): AbHom(Z, Z, [[3]])})
+    X, Y = chain_complex(F), cochain_complex(F)
+    for C in (X, Y):
+        assert [c.vertices for c in C.blocks[1]] == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert [c.vertices for c in C.blocks[2]] == [("a", "b", "c")]
+    # d(a<b<c) = 2 (b<c) - (a<c) + (a<b), the first face moving F(a) by 2
+    assert X.d_from(2).matrix == la.intmat([[1], [-1], [2]])
+    assert X.d_from(1).matrix == la.intmat([[-1, -1, 0], [2, 0, -1], [0, 6, 3]])
+    # (dx)(a<b<c) = x(b<c) - x(a<c) + 3 x(a<b), the last face moving F(b) by 3
+    assert Y.d_from(1).matrix == la.intmat([[3, -1, 1]])
+    assert Y.d_from(0).matrix == la.intmat([[-2, 1, 0], [-6, 0, 1], [0, -3, 1]])
+    # a cone both ways: colim = F(c), lim = F(a), nothing higher
+    for C in (X, Y):
+        assert homology_at(C, 0).is_isomorphic_to(Z)
+        assert all(homology_at(C, n).is_trivial for n in (1, 2, 3))
+    assert_reduction_agrees(F)
+
+
 def test_cochain_of_skyscraper_at_maximal():
     P = validate_graded([("a", 0), ("b", 1), ("c", 2)],
                         [("a", "b"), ("b", "c")])

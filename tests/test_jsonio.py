@@ -286,6 +286,7 @@ def test_inference_unknown_cover_endpoint():
     with pytest.raises(ValidationError) as info:
         parse_diagram(doc)
     assert info.value.pointer == "/poset"
+    assert str(info.value) == "at /poset: cover references unknown id 'zzz'"
 
 
 # report documents
