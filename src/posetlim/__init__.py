@@ -12,9 +12,7 @@ no floating point anywhere.
 from .abgroup import (
     AbHom,
     FgAbGroup,
-    GroupInfo,
     Subgroup,
-    classify_group,
     compose,
     cyclic_group,
     direct_sum,

@@ -12,7 +12,7 @@ from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
-from .errors import AmbientMismatchError, MismatchError
+from .errors import AmbientMismatchError, MismatchError, OracleViolation
 
 
 class FgAbGroup:
@@ -106,29 +106,6 @@ def group_from_invariants(free_rank: int, factors) -> FgAbGroup:
     rel = la.from_blocks(g, len(factors), [(free_rank + j, j, int(d), la.eye(1))
                                            for j, d in enumerate(factors)])
     return FgAbGroup(g, rel)
-
-
-@dataclass(frozen=True)
-class GroupInfo:
-    free_rank: int
-    invariant_factors: tuple
-    is_free: bool
-    is_trivial: bool
-    is_injective_in_ab: bool
-
-
-def classify_group(G: FgAbGroup) -> GroupInfo:
-    """Structure of G from the Smith form of its relations.
-
-    A finitely generated group is injective (divisible) only when trivial.
-    """
-    return GroupInfo(
-        free_rank=G.free_rank,
-        invariant_factors=G.invariant_factors,
-        is_free=G.is_free,
-        is_trivial=G.is_trivial,
-        is_injective_in_ab=G.is_trivial,
-    )
 
 
 class AbHom:
@@ -237,9 +214,7 @@ class Subgroup:
     def as_group(self):
         """(FgAbGroup presenting the subgroup, embedding AbHom into ambient)."""
         basis = self._lattice
-        rels = la.solve(basis, self.ambient.relations)
-        assert rels is not None, "ambient relations must lie in the subgroup lattice"
-        grp = FgAbGroup(basis.shape[1], rels)
+        grp = subquotient(basis, self.ambient.relations, "a subgroup")
         emb = AbHom(grp, self.ambient, basis, check=False)
         return grp, emb
 
@@ -256,14 +231,6 @@ class Subgroup:
     def __repr__(self):
         grp, _ = self.as_group
         return f"Subgroup({grp.describe()} in {self.ambient.describe()})"
-
-
-def contains(S: Subgroup, x) -> bool | tuple:
-    """Membership of an element, or containment of another subgroup
-    (with witness on failure)."""
-    if isinstance(x, Subgroup):
-        return S.contains_subgroup(x)
-    return S.contains_element(x)
 
 
 def kernel(h: AbHom):
@@ -315,6 +282,23 @@ def direct_sum(groups) -> DirectSum:
         cat += G.relations.shape[1]
     total = FgAbGroup(rank, la.from_blocks(rank, cat, rel_blocks))
     return DirectSum(total, summands, offsets)
+
+
+def subquotient(L: la.IntMatrix, B: la.IntMatrix, where) -> FgAbGroup:
+    """span(L) / span(B), presented on L's columns; OracleViolation
+    naming where when B leaves span(L)."""
+    rels = la.solve(L, B)
+    if rels is None:
+        raise OracleViolation(f"boundary lattice escapes the cycle lattice at {where}")
+    return FgAbGroup(L.shape[1], rels)
+
+
+def homology(d_in: AbHom, d_out: AbHom, where) -> FgAbGroup:
+    """ker d_out / im d_in at the group between them.  The cycles are the
+    preimage of d_out's target relations, the boundaries d_in's image
+    joined with the middle group's relations."""
+    K = la.preimage_lattice(d_out.matrix, d_out.target.relations)
+    return subquotient(K, la.hstack([d_in.matrix, d_out.source.relations]), where)
 
 
 def hom_is_mono(h: AbHom) -> bool:

@@ -17,7 +17,6 @@ from . import intlinalg as la
 from .abgroup import (
     AbHom,
     Subgroup,
-    classify_group,
     compose,
     direct_sum,
     hom_is_epi,
@@ -174,7 +173,8 @@ def _condition_verdict(side: str, groups, pseudo) -> ConditionVerdict:
     for i0, G in groups:
         if side == "projective" and not G.is_free:
             return ConditionVerdict(False, f"cokernel at {i0!r} is {G.describe()}, not free")
-        if side == "injective" and not classify_group(G).is_injective_in_ab:
+        # a finitely generated group is injective (divisible) only when trivial
+        if side == "injective" and not G.is_trivial:
             return ConditionVerdict(
                 False, f"kernel at {i0!r} is {G.describe()}, not injective as a group")
     v = pseudo()
@@ -241,18 +241,16 @@ def classify_diagram(F: Diagram) -> ClassificationReport:
     """Everything at once: per-object structure, per-(object, d)
     verdicts, the four global verdicts, acyclicity, and the theorem
     implications as consistency flags."""
-    coker_groups = {i: coker_at(F, i)[0] for i in F.poset.ids}
-    ker_groups = {i: ker_at(F, i).as_group[0] for i in F.poset.ids}
-    cokernels = {i: classify_group(Q) for i, Q in coker_groups.items()}
-    kernels = {i: classify_group(grp) for i, grp in ker_groups.items()}
+    cokernels = {i: coker_at(F, i)[0] for i in F.poset.ids}
+    kernels = {i: ker_at(F, i).as_group[0] for i in F.poset.ids}
     pairs = _pairs(F.poset)
     pp_at = {(i0, d): is_pseudo_projective_at(F, i0, d) for i0, d in pairs}
     pi_at = {(i0, d): is_pseudo_injective_at(F, i0, d) for i0, d in pairs}
     pp = _first_failure(pp_at.values())
     pi = _first_failure(pi_at.values())
     # is_projective/is_injective, from the groups and verdicts at hand
-    proj = _condition_verdict("projective", coker_groups.items(), lambda: pp)
-    inj = _condition_verdict("injective", ker_groups.items(), lambda: pi)
+    proj = _condition_verdict("projective", cokernels.items(), lambda: pp)
+    inj = _condition_verdict("injective", kernels.items(), lambda: pi)
     ca = is_acyclic(F, "colim")
     lim_a = is_acyclic(F, "lim")
     consistency = {

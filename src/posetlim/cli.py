@@ -107,11 +107,6 @@ def _cmd_derived(args, direction):
     return rep, text
 
 
-def _describe_info(info) -> str:
-    parts = ["Z"] * info.free_rank + [f"Z/{d}" for d in info.invariant_factors]
-    return " + ".join(parts) if parts else "0"
-
-
 def _acyclic_json(a):
     out = {"acyclic": bool(a)}
     if not a:
@@ -167,9 +162,9 @@ def _cmd_classify(args):
         f"lim-acyclic:       {_acyclic_text(report.lim_acyclic)}",
     ]
     for i in sorted(report.cokernels):
-        lines.append(f"coker at {i}: {_describe_info(report.cokernels[i])}")
+        lines.append(f"coker at {i}: {report.cokernels[i].describe()}")
     for i in sorted(report.kernels):
-        lines.append(f"ker at {i}:   {_describe_info(report.kernels[i])}")
+        lines.append(f"ker at {i}:   {report.kernels[i].describe()}")
     return rep, "\n".join(lines)
 
 
@@ -248,7 +243,7 @@ def load_bundled(name: str):
 GALLERY_FACTS = {
     "colim_0": lambda P, F, r: derived_functor(F, "colim", 0).describe(),
     "colim_1": lambda P, F, r: derived_functor(F, "colim", 1).describe(),
-    "coker_b": lambda P, F, r: _describe_info(r.cokernels["b"]),
+    "coker_b": lambda P, F, r: r.cokernels["b"].describe(),
     "pseudo_projective": lambda P, F, r: r.pseudo_projective.ok,
     "pseudo_injective": lambda P, F, r: r.pseudo_injective.ok,
     "projective": lambda P, F, r: r.projective.ok,

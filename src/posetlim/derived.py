@@ -2,8 +2,8 @@
 
 The chain complex sums F(first vertex) over strictly ascending chains;
 the cochain complex sums F(last vertex).  colim_i and lim^i are the
-homology groups, computed exactly by the lattice method: cycles as a
-preimage lattice, boundaries joined with the ambient relations.
+homology groups, computed exactly by abgroup.homology, the one kernel
+modulo image of the package.
 
 One face rule (_faces) says which face moves coefficients, and one
 assembler (_complex) turns per-chain face sums into differentials for
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, direct_sum, trivial_group, zero_hom
+from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
 from .errors import OracleViolation
 from .poset import Chain, enumerate_chains, enumerate_weak_chains, longest_chain_length
@@ -53,20 +53,20 @@ class ChainComplex:
             return self.sums[n].group
         return trivial_group()
 
+    @property
+    def step(self) -> int:
+        """Degree shift of the differential."""
+        return -1 if self.orientation == "homological" else 1
+
     def d_from(self, n: int) -> AbHom:
         """The differential leaving degree n (zero hom when absent)."""
         h = self._diffs.get(n)
         if h is not None:
             return h
-        m = n - 1 if self.orientation == "homological" else n + 1
-        return zero_hom(self.group_at(n), self.group_at(m))
+        return zero_hom(self.group_at(n), self.group_at(n + self.step))
 
     def d_into(self, n: int) -> AbHom:
-        m = n + 1 if self.orientation == "homological" else n - 1
-        h = self._diffs.get(m)
-        if h is not None:
-            return h
-        return zero_hom(self.group_at(m), self.group_at(n))
+        return self.d_from(n - self.step)
 
     def block_offset(self, n: int, j: int) -> int:
         return self.sums[n].offsets[j]
@@ -97,11 +97,13 @@ def _composite_is_zero(outer: AbHom, inner: AbHom) -> bool:
     return True
 
 
-def _check_dd_zero(diffs, pairs):
-    for n_outer, n_inner in pairs:
-        if not _composite_is_zero(diffs[n_outer], diffs[n_inner]):
-            raise OracleViolation(
-                f"d o d is nonzero between degrees {n_inner} and {n_outer}")
+def _check_dd_zero(diffs, nxt):
+    """OracleViolation unless diffs[nxt(k)] o diffs[k] is zero for every
+    key k of diffs whose successor nxt(k) is one too."""
+    for k, inner in diffs.items():
+        outer = diffs.get(nxt(k))
+        if outer is not None and not _composite_is_zero(outer, inner):
+            raise OracleViolation(f"d o d is nonzero between degrees {k} and {nxt(k)}")
 
 
 def _faces(F: Diagram, kind: str, cell):
@@ -144,12 +146,10 @@ def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top) -> Chain
             diffs[m] = _assemble(sums, m, m - 1, entries)
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
-    if chain:
-        _check_dd_zero(diffs, [(n - 1, n) for n in range(2, top + 1)])
-    else:
-        _check_dd_zero(diffs, [(n + 1, n) for n in range(top - 1)])
-    return ChainComplex("homological" if chain else "cohomological",
-                        blocks, sums, diffs, top, vanishes_above_top)
+    X = ChainComplex("homological" if chain else "cohomological",
+                     blocks, sums, diffs, top, vanishes_above_top)
+    _check_dd_zero(diffs, lambda n: n + X.step)
+    return X
 
 
 def _nerve_complex(F: Diagram, kind: str, top, normalized) -> ChainComplex:
@@ -324,12 +324,8 @@ def _morse_complex(F, kind, cells, partner):
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
-    """H_n (or H^n): cycles modulo boundaries by the lattice method.
-
-    Cycles are the ambient vectors whose differential lies in the
-    relation span one degree over; boundaries are the image columns of
-    the incoming differential joined with this degree's own relations.
-    """
+    """H_n (or H^n) of X, trivial outside degrees 0..top when X vanishes
+    there; a truncated complex refuses its top degree and beyond."""
     if n < 0:
         return trivial_group()
     if n > X.top:
@@ -339,15 +335,7 @@ def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
     if n == X.top and not X.vanishes_above_top:
         raise ValueError(
             f"degree {n} needs the complex built through degree {n + 1}")
-    Cn = X.group_at(n)
-    d_out = X.d_from(n)
-    d_in = X.d_into(n)
-    K = la.preimage_lattice(d_out.matrix, d_out.target.relations)
-    B = la.hstack([d_in.matrix, Cn.relations])
-    rels = la.solve(K, B)
-    if rels is None:
-        raise OracleViolation("boundary lattice escapes the cycle lattice")
-    return FgAbGroup(K.shape[1], rels)
+    return homology(X.d_into(n), X.d_from(n), f"degree {n}")
 
 
 def derived_functor(F: Diagram, direction: str, i: int) -> FgAbGroup:
@@ -449,7 +437,8 @@ def colimit_direct(F: Diagram) -> FgAbGroup:
 
 def limit_direct(F: Diagram) -> FgAbGroup:
     """Compatible tuples: the joint equalizer of all cover maps inside
-    the product of the values."""
+    the product of the values, as the homology of the cover-difference
+    map with nothing arriving."""
     P = F.poset
     sums = direct_sum([F.groups[i] for i in P.ids])
     pos = {ident: k for k, ident in enumerate(P.ids)}
@@ -462,7 +451,5 @@ def limit_direct(F: Diagram) -> FgAbGroup:
         blocks.append((row, sums.offsets[pos[a]], 1, F.cover_maps[(a, b)].matrix))
         blocks.append((row, sums.offsets[pos[b]], -1, la.eye(F.groups[b].ambient_rank)))
     M = la.from_blocks(tgt.group.ambient_rank, sums.group.ambient_rank, blocks)
-    L = la.preimage_lattice(M, tgt.group.relations)
-    rels = la.solve(L, sums.group.relations)
-    assert rels is not None, "componentwise relations are always compatible"
-    return FgAbGroup(L.shape[1], rels)
+    return homology(zero_hom(trivial_group(), sums.group),
+                    AbHom(sums.group, tgt.group, M, check=False), "the limit")

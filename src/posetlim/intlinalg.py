@@ -8,14 +8,16 @@ the span of a matrix always means the span of its columns.  Matrices
 share columns freely, so a column is never changed once it is in a
 matrix; the routines below copy the columns they reduce in place.
 
-One column echelon routine serves lattice bases, kernels, solving, span
-membership and invariant factors, which need no transforms (Cohen, *A
-Course in Computational Algebraic Number Theory*, 2.4).  smith_normal_form
-keeps its unimodular certificates and is their oracle.
+One column echelon routine serves lattice bases, kernels, span
+membership and solving (both in SpanChecker), and invariant factors,
+which need no transforms (Cohen, *A Course in Computational Algebraic
+Number Theory*, 2.4).  smith_normal_form keeps its unimodular
+certificates and is their oracle.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -156,7 +158,9 @@ def zeros(m: int, n: int) -> IntMatrix:
     return IntMatrix((m, n), [{} for _ in range(n)])
 
 
+@cache
 def eye(n: int) -> IntMatrix:
+    """The n x n identity, one shared instance per n."""
     return IntMatrix((n, n), [{j: 1} for j in range(n)])
 
 
@@ -312,47 +316,38 @@ def kernel(M: IntMatrix) -> IntMatrix:
 
 def solve(M: IntMatrix, X: IntMatrix):
     """Integer solution Y of M Y = X, or None when some column has none."""
-    cols = _own_cols(M)
-    pivots, _, tcols = _echelon_cols(cols, track=True)
-    pivot_at = {r: (cols[j], tcols[j]) for r, j in pivots}
-    ycols = []
-    for resid in _own_cols(X):
-        # rows are cleared in increasing order, each by the pivot leading there
-        y = {}
-        while resid:
-            r = min(resid)
-            if r not in pivot_at:
-                return None
-            col, tcol = pivot_at[r]
-            c, rem = divmod(resid[r], col[r])
-            if rem:
-                return None
-            _axpy(resid, col, -c)
-            _axpy(y, tcol, c)
-        ycols.append(y)
-    return IntMatrix((M.shape[1], len(ycols)), ycols)
+    return SpanChecker(M).solve(X)
 
 
 class SpanChecker:
-    """Reusable membership oracle for one column span (echelon cached once).
+    """Membership, canonical residues and solutions for one column span,
+    from one tracked echelon of its matrix.
 
     Vectors are sequences of length m or {row: value} dicts of their
     nonzero entries.
     """
 
     def __init__(self, M: IntMatrix):
-        self.m = M.shape[0]
-        self.pivots = [(min(col), col) for col in _basis_cols(_own_cols(M))]
+        self.m, self.n = M.shape
+        cols = _own_cols(M)
+        pivots, _, tcols = _echelon_cols(cols, track=True)
+        self.pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
 
-    def _reduce(self, x):
+    def _reduce(self, x, coeffs=None):
+        """The residue of x: row by row, x less the floor multiple of the
+        pivot leading there, so residues are unique per coset.  Each
+        multiple taken, as a combination of M's columns, is added into
+        coeffs when given."""
         y = dict(x) if isinstance(x, dict) else {i: int(v) for i, v in enumerate(x) if v}
-        for r, col in self.pivots:
+        for r, col, tcol in self.pivots:
             if not y:
                 break
             if r in y:
                 q = y[r] // col[r]
                 if q:
                     _axpy(y, col, -q)
+                    if coeffs is not None:
+                        _axpy(coeffs, tcol, q)
         return y
 
     def residue(self, x):
@@ -360,11 +355,22 @@ class SpanChecker:
         return [y.get(i, 0) for i in range(self.m)]
 
     def contains(self, x) -> bool:
-        # residues are unique per coset, so members are exactly residue 0
+        # members are exactly residue 0
         return not self._reduce(x)
 
     def contains_all(self, M: IntMatrix) -> bool:
         return all(self.contains(col) for col in M.cols)
+
+    def solve(self, X: IntMatrix):
+        """Integer Y with M Y = X, or None when some column of X is
+        outside the span."""
+        ycols = []
+        for col in X.cols:
+            y = {}
+            if self._reduce(col, y):
+                return None
+            ycols.append(y)
+        return IntMatrix((self.n, len(ycols)), ycols)
 
 
 def smith_normal_form(M: IntMatrix):
@@ -541,15 +547,3 @@ def intersect_lattices(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     images = A @ IntMatrix((na, len(K)), [{i: x for i, x in k.items() if i < na} for k in K])
     basis = _basis_cols(_own_cols(images))
     return IntMatrix((A.shape[0], len(basis)), basis)
-
-
-def sublattice_supported_on(L: IntMatrix, keep_rows) -> IntMatrix:
-    """Basis of the elements of span(L) whose coordinates vanish outside
-    keep_rows (a boolean list per row)."""
-    drop = [i for i, keep in enumerate(keep_rows) if not keep]
-    if not drop or L.shape[1] == 0:
-        return lattice_basis(L)
-    at = {i: r for r, i in enumerate(drop)}
-    K = _kernel_cols([{at[i]: x for i, x in col.items() if i in at} for col in L.cols])
-    basis = _basis_cols(_own_cols(L @ IntMatrix((L.shape[1], len(K)), K)))
-    return IntMatrix((L.shape[0], len(basis)), basis)

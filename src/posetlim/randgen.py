@@ -32,6 +32,10 @@ from .poset import GradedPoset, validate_graded
 POSET_FAMILIES = ("forest", "layered")
 DIAGRAM_MODES = ("free_maps_on_forest", "sums_of_standard",
                  "pseudo_projective_by_construction")
+# free rank and torsion factors of random groups, entries of random maps
+MAX_GROUP_RANK = 2
+MAX_TORSION_FACTOR = 6
+MAX_MATRIX_ENTRY = 3
 
 
 @dataclass(frozen=True)
@@ -39,9 +43,6 @@ class GenConfig:
     seed: int = 0
     max_objects: int = 6
     max_degree_span: int = 3
-    max_group_rank: int = 2
-    max_torsion_factor: int = 6
-    max_matrix_entry: int = 3
     family: str = "forest"
 
     def __post_init__(self):
@@ -115,11 +116,11 @@ def _layered_poset(rng, cfg):
     return validate_graded(objects, covers)
 
 
-def _random_group(rng, cfg) -> FgAbGroup:
+def _random_group(rng) -> FgAbGroup:
     """Random presentation: some free coordinates, then diagonal
     torsion coordinates."""
-    rank = rng.randrange(0, cfg.max_group_rank + 1)
-    torsion = [rng.randrange(2, max(3, cfg.max_torsion_factor + 1))
+    rank = rng.randrange(0, MAX_GROUP_RANK + 1)
+    torsion = [rng.randrange(2, MAX_TORSION_FACTOR + 1)
                for _ in range(rng.randrange(0, 3))]
     return group_from_invariants(rank, torsion)
 
@@ -135,7 +136,7 @@ def _coordinate_orders(G: FgAbGroup):
     return orders
 
 
-def _random_hom(rng, cfg, A: FgAbGroup, B: FgAbGroup) -> AbHom:
+def _random_hom(rng, A: FgAbGroup, B: FgAbGroup) -> AbHom:
     """Random well-defined hom: each entry is a random multiple of the
     smallest coefficient sending the source generator's order into the
     target relation."""
@@ -144,7 +145,7 @@ def _random_hom(rng, cfg, A: FgAbGroup, B: FgAbGroup) -> AbHom:
     rows = [[0] * len(src) for _ in tgt]
     for j, m in enumerate(src):
         for i, k in enumerate(tgt):
-            c = rng.randrange(-cfg.max_matrix_entry, cfg.max_matrix_entry + 1)
+            c = rng.randrange(-MAX_MATRIX_ENTRY, MAX_MATRIX_ENTRY + 1)
             if m == 0:
                 rows[i][j] = c
             elif k != 0:
@@ -160,28 +161,28 @@ def gen_diagram(cfg: GenConfig, P: GradedPoset, mode: str) -> Diagram:
         if not is_forest(P):
             raise FamilyMismatchError(
                 "free random maps need a forest poset; paths are not unique here")
-        groups = {i: _random_group(rng, cfg) for i in P.ids}
-        maps = {(a, b): _random_hom(rng, cfg, groups[a], groups[b])
+        groups = {i: _random_group(rng) for i in P.ids}
+        maps = {(a, b): _random_hom(rng, groups[a], groups[b])
                 for a, b in P.covers}
         return validate_functor(P, groups, maps)
     if mode == "sums_of_standard":
-        parts = [_standard_part(rng, cfg, P)
+        parts = [_standard_part(rng, P)
                  for _ in range(rng.randrange(1, 5))]
         return direct_sum_diagrams(parts)
-    return _pseudo_projective_diagram(rng, cfg, P)
+    return _pseudo_projective_diagram(rng, P)
 
 
-def _standard_part(rng, cfg, P):
+def _standard_part(rng, P):
     kind = rng.choice(["representable", "skyscraper", "constant"])
     at = rng.choice(P.ids)
     if kind == "representable":
         return representable_diagram(P, at)
     if kind == "skyscraper":
-        return skyscraper_diagram(P, at, _random_group(rng, cfg))
-    return constant_diagram(P, _random_group(rng, cfg))
+        return skyscraper_diagram(P, at, _random_group(rng))
+    return constant_diagram(P, _random_group(rng))
 
 
-def _scaled_representable(rng, cfg, P):
+def _scaled_representable(rng, P):
     """Representable shape with each cover map replaced by a random
     positive multiplication; on a forest any choice is functorial, and
     every one-step assembly map stays injective."""
@@ -191,18 +192,18 @@ def _scaled_representable(rng, cfg, P):
     maps = {}
     for a, b in P.covers:
         if P.leq(at, a):
-            m = rng.randrange(1, cfg.max_matrix_entry + 1)
+            m = rng.randrange(1, MAX_MATRIX_ENTRY + 1)
             maps[(a, b)] = AbHom(groups[a], groups[b], la.intmat([[m]]))
         else:
             maps[(a, b)] = zero_hom(groups[a], groups[b])
     return validate_functor(P, groups, maps)
 
 
-def _pseudo_projective_diagram(rng, cfg, P):
+def _pseudo_projective_diagram(rng, P):
     forest = is_forest(P)
     for _ in range(20):
         if forest:
-            parts = [_scaled_representable(rng, cfg, P)
+            parts = [_scaled_representable(rng, P)
                      for _ in range(rng.randrange(1, 4))]
         else:
             parts = [representable_diagram(P, rng.choice(P.ids))

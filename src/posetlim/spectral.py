@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from math import prod
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, compose, direct_sum, trivial_group, zero_hom
-from .derived import ChainComplex, _cached_complex, derived_functor, homology_at
+from .abgroup import AbHom, FgAbGroup, direct_sum, homology, subquotient, trivial_group, zero_hom
+from .derived import ChainComplex, _cached_complex, _check_dd_zero, derived_functor, homology_at
 from .diagram import Diagram
 from .errors import ConvergenceViolation, MismatchError, OracleViolation, VariantMismatchError
 from .poset import GradedPoset
@@ -130,8 +130,7 @@ class FilteredComplex:
 
     @property
     def step(self) -> int:
-        """Degree shift of the differential."""
-        return -1 if self.base.orientation == "homological" else 1
+        return self.base.step
 
     def _block_widths(self, n):
         return [G.ambient_rank for G in self.base.sums[n].summands]
@@ -259,13 +258,8 @@ def page(X: FilteredComplex, r: int) -> SSPage:
             Z = X._Z(n, s, s - r)
             deeper = X._Z(n, s - 1, s - r)
             arriving = d_in.matrix @ X._Z(n - step, s + r - 1, s)
-            B = la.hstack([deeper, arriving])
-            rels = la.solve(Z, B)
-            if rels is None:
-                raise OracleViolation(
-                    f"boundary lattice escapes the cycle lattice at "
-                    f"level {s}, degree {n}, page {r}")
-            sn_entries[(s, n)] = FgAbGroup(Z.shape[1], rels)
+            sn_entries[(s, n)] = subquotient(Z, la.hstack([deeper, arriving]),
+                                             f"level {s}, degree {n}, page {r}")
             sn_lattice[(s, n)] = Z
     sn_diffs = {}
     for (s, n), E in sn_entries.items():
@@ -281,11 +275,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
             sn_diffs[(s, n)] = AbHom(E, sn_entries[tgt], coeff)
         else:
             sn_diffs[(s, n)] = zero_hom(E, trivial_group())
-    for (s, n), h in sn_diffs.items():
-        incoming = sn_diffs.get((s + r, n - step))
-        if incoming is not None and incoming.target is h.source:
-            if not compose(h, incoming).is_zero():
-                raise OracleViolation(f"d_{r} o d_{r} is nonzero at level {s}, degree {n}")
+    _check_dd_zero(sn_diffs, lambda k: (k[0] - r, k[1] + step))
     entries = {}
     diffs = {}
     for (s, n), E in sn_entries.items():
@@ -339,10 +329,7 @@ def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
         m = n + X.step
         M = place[m].T @ d.matrix @ place[n]
         diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
-    for n, d in diffs.items():
-        nxt = diffs.get(n + X.step)
-        if nxt is not None and not compose(nxt, d).is_zero():
-            raise OracleViolation("graded differential does not square to zero")
+    _check_dd_zero(diffs, lambda n: n + X.step)
     return ChainComplex(base.orientation, blocks, sums, diffs, base.top,
                         base.vanishes_above_top)
 
@@ -371,16 +358,9 @@ def oracle_page_recurrence(X: FilteredComplex):
     for r in range(X.span + 2):
         cur, nxt = pages[r], pages[r + 1]
         for (s, n), E in cur.sn_entries.items():
-            d_out = cur.sn_diffs[(s, n)]
-            d_in = cur.sn_diffs.get((s + r, n - step))
-            K = la.preimage_lattice(d_out.matrix, d_out.target.relations)
-            parts = [E.relations]
-            if d_in is not None and d_in.target is E:
-                parts.append(d_in.matrix)
-            rels = la.solve(K, la.hstack(parts))
-            if rels is None:
-                raise OracleViolation("page homology is not a subquotient")
-            H = FgAbGroup(K.shape[1], rels)
+            d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)
+            H = homology(d_in, cur.sn_diffs[(s, n)],
+                         f"level {s}, degree {n} of page {r}'s homology")
             if not H.is_isomorphic_to(nxt.sn_entries[(s, n)]):
                 raise OracleViolation(
                     f"homology of page {r} at level {s}, degree {n} is "
@@ -405,13 +385,22 @@ class ConvergenceReport:
     by_degree: dict
 
 
-def _stable_total(stable, n):
-    """(rank sum, order product) of the nontrivial stable entries in
-    total degree n; the product is None unless every one is finite."""
-    parts = [g for (s, m), g in stable.sn_entries.items()
-             if m == n and not g.is_trivial]
+def _compare_totals(stable, n, target, where, what) -> DegreeComparison:
+    """Rank additivity of the stable entries in total degree n against
+    target, and order multiplicativity when both sides are finite;
+    ConvergenceViolation at where, calling target what, otherwise."""
+    parts = [g for (s, m), g in stable.sn_entries.items() if m == n and not g.is_trivial]
+    rank = sum(g.free_rank for g in parts)
+    if rank != target.free_rank:
+        raise ConvergenceViolation(f"{where}: stable page ranks sum to {rank}, "
+                                   f"{what} has rank {target.free_rank}")
     orders = [g.order() for g in parts]
-    return sum(g.free_rank for g in parts), None if None in orders else prod(orders)
+    finite = target.order() is not None and None not in orders
+    order = prod(orders) if finite else None
+    if finite and order != target.order():
+        raise ConvergenceViolation(f"{where}: stable page orders multiply to {order}, "
+                                   f"{what} has order {target.order()}")
+    return DegreeComparison(rank, target.free_rank, finite, order, target.order())
 
 
 def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> ConvergenceReport:
@@ -422,23 +411,9 @@ def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> Convergen
     X = build_filtered(P, F, variant)
     stable = e_infinity(X)
     direction = "colim" if variant.complex == "chain" else "lim"
-    by_degree = {}
-    for n in range(X.base.top + 1):
-        target = derived_functor(F, direction, n)
-        rank_ss, order_ss = _stable_total(stable, n)
-        if rank_ss != target.free_rank:
-            raise ConvergenceViolation(
-                f"total degree {n}: stable page ranks sum to {rank_ss}, "
-                f"{direction}_{n} has rank {target.free_rank}")
-        finite = target.order() is not None and order_ss is not None
-        if not finite:
-            order_ss = None
-        elif order_ss != target.order():
-            raise ConvergenceViolation(
-                f"total degree {n}: stable page orders multiply to "
-                f"{order_ss}, {direction}_{n} has order {target.order()}")
-        by_degree[n] = DegreeComparison(rank_ss, target.free_rank, finite,
-                                        order_ss, target.order())
+    by_degree = {n: _compare_totals(stable, n, derived_functor(F, direction, n),
+                                    f"total degree {n}", f"{direction}_{n}")
+                 for n in range(X.base.top + 1)}
     return ConvergenceReport(True, variant, by_degree)
 
 
@@ -458,18 +433,7 @@ def inner_column_ss(P: GradedPoset, F: Diagram, p: int, variant: Variant):
     r_star = inner.span + 2
     pages = [page(inner, r) for r in range(r_star + 1)]
     outer_one = page(X, 1)
-    stable = pages[-1]
     for n in range(X.base.top + 1):
-        target = outer_one.sn_entries[(s_fixed, n)]
-        rank_ss, total = _stable_total(stable, n)
-        if rank_ss != target.free_rank:
-            raise ConvergenceViolation(
-                f"inner sequence at p = {p}, degree {n}: ranks sum to "
-                f"{rank_ss}, the outer column holds rank {target.free_rank}")
-        if (total is not None and target.order() is not None
-                and total != target.order()):
-            raise ConvergenceViolation(
-                f"inner sequence at p = {p}, degree {n}: orders "
-                f"multiply to {total}, the outer column has order "
-                f"{target.order()}")
+        _compare_totals(pages[-1], n, outer_one.sn_entries[(s_fixed, n)],
+                        f"inner sequence at p = {p}, degree {n}", "the outer column")
     return pages

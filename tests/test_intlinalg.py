@@ -16,7 +16,6 @@ from posetlim.intlinalg import (
     preimage_lattice,
     smith_normal_form,
     solve,
-    sublattice_supported_on,
     SpanChecker,
     zeros,
 )
@@ -229,17 +228,6 @@ def test_preimage_lattice_definition():
             x = [rng.randint(-3, 3) for _ in range(g)]
             img = [sum(int(A[i, j]) * x[j] for j in range(g)) for i in range(h)]
             assert chk_p.contains(x) == chk.contains(img)
-
-
-def test_sublattice_supported_on():
-    L = intmat([[1, 0], [1, 2], [0, 1]])
-    S = sublattice_supported_on(L, [False, True, True])
-    # elements a*(1,1,0)+b*(0,2,1) with first coordinate zero: a = 0
-    chk = SpanChecker(S)
-    assert chk.contains([0, 2, 1])
-    assert not chk.contains([1, 1, 0])
-    for j in range(S.shape[1]):
-        assert S[0, j] == 0
 
 
 def test_det_matches_numpy_on_small_floats():

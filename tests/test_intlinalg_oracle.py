@@ -17,7 +17,6 @@ from posetlim.intlinalg import (
     lattice_basis,
     preimage_lattice,
     solve,
-    sublattice_supported_on,
     zeros,
 )
 
@@ -160,10 +159,3 @@ def test_lattice_operations_match_dense_composition():
         B = random_sparse(rng, A.shape[0], rng.randrange(1, 5), 0.5)
         K = top_rows(dense_kernel(hstack([A, -B])), g)
         assert_identical(intersect_lattices(A, B), dense_lattice_basis(A @ K))
-        keep = [rng.random() < 0.5 for _ in range(A.shape[0])]
-        drop = [i for i, k in enumerate(keep) if not k]
-        if drop:
-            P = intmat([[1 if c == i else 0 for c in range(A.shape[0])] for i in drop])
-            K = dense_kernel(P @ A)
-            want = dense_lattice_basis(A @ intmat(K[1], K[0]))
-            assert_identical(sublattice_supported_on(A, keep), want)

@@ -153,7 +153,6 @@ def _public_calls(rng, M):
     X_odd = intmat(random_rows(rng, m, 2, density=0.7), (m, 2))
     L = intmat(random_rows(rng, m, 3, density=0.5, bound=4), (m, 3))
     x = [rng.randint(-5, 5) for _ in range(m)]
-    keep = [rng.random() < 0.5 for _ in range(m)]
     square = intmat(random_rows(rng, m, m), (m, m))
     return [
         ("lattice_basis", lambda: la.lattice_basis(M)),
@@ -169,7 +168,6 @@ def _public_calls(rng, M):
         ("det", lambda: la.det(square)),
         ("preimage_lattice", lambda: la.preimage_lattice(M, L)),
         ("intersect_lattices", lambda: la.intersect_lattices(M, L)),
-        ("sublattice_supported_on", lambda: la.sublattice_supported_on(M, keep)),
         ("hstack", lambda: la.hstack([M, L])),
         ("from_blocks", lambda: from_blocks(m, n, [(0, 0, 2, M), (0, 0, -1, M)])),
         ("arithmetic", lambda: (M + M, M - M, -M, 3 * M, M.T, M @ Y)),
@@ -188,6 +186,16 @@ def test_public_calls_leave_inputs_unchanged():
         for name, call in calls:
             call()
             assert [snapshot(A) for A in inputs] == before, name
+
+
+def test_identity_is_shared_and_never_changed():
+    # eye is memoized, so every caller holds the same matrix, and no
+    # routine may change its columns
+    assert eye(3) is eye(3)
+    calls, _ = _public_calls(random.Random(606), eye(3))
+    for name, call in calls:
+        call()
+        assert eye(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]], name
 
 
 def test_results_share_nothing_mutable_with_inputs():

@@ -7,6 +7,7 @@ from posetlim.errors import FamilyMismatchError
 from posetlim.poset import bounds, validate_graded
 from posetlim.randgen import (
     DIAGRAM_MODES,
+    MAX_MATRIX_ENTRY,
     GenConfig,
     gen_diagram,
     gen_poset,
@@ -71,14 +72,14 @@ def test_single_object_budget():
 def test_free_maps_respect_entry_bound():
     checked = 0
     for seed in range(20):
-        cfg = GenConfig(seed=seed, max_matrix_entry=3)
+        cfg = GenConfig(seed=seed)
         P = gen_poset(cfg)
         F = gen_diagram(cfg, P, "free_maps_on_forest")
         for (a, b), h in F.cover_maps.items():
             if F.groups[a].relations.size or F.groups[b].relations.size:
                 continue
             for v in h.matrix.flat:
-                assert abs(int(v)) <= 3
+                assert abs(int(v)) <= MAX_MATRIX_ENTRY
                 checked += 1
     assert checked > 0
 

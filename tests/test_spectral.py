@@ -161,6 +161,29 @@ def test_page_rejects_negative_r():
         page(X, -1)
 
 
+def test_pages_refuse_d_squared_nonzero_inside_one_level():
+    # on a < b < c with constant Z, d(bc) = c - b gets an extra c; every
+    # level (the last vertex's) is kept, but d(d(abc)) = c inside level 2
+    P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    base = chain_complex(constant_diagram(P, free_group(1)))
+    assert page(FilteredComplex(base, CHAIN_LAST_INC, P), 0).entries
+    d = base._diffs[1]
+    row = base.block_offset(0, [c.vertices for c in base.blocks[0]].index(("c",)))
+    col = base.block_offset(1, [c.vertices for c in base.blocks[1]].index(("b", "c")))
+    diffs = dict(base._diffs)
+    diffs[1] = AbHom(d.source, d.target,
+                     d.matrix + la.from_blocks(*d.matrix.shape, [(row, col, 1, la.eye(1))]),
+                     check=False)
+    bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs,
+                       base.top, base.vanishes_above_top)
+    X = FilteredComplex(bad, CHAIN_LAST_INC, P)
+    with pytest.raises(OracleViolation, match="d o d is nonzero"):
+        page(X, 0)
+    # the same check guards the associated-graded piece at that level
+    with pytest.raises(OracleViolation, match="d o d is nonzero"):
+        _restrict_to_level(X, 2)
+
+
 def test_e_infinity_pushout():
     F = intro_pushout()
     X = build_filtered(F.poset, F, CHAIN_LAST_INC)
