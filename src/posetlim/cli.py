@@ -431,9 +431,21 @@ def _emit_error(args, exc, code):
     return code
 
 
+def _join_pages_value(argv):
+    """argparse reads a value such as -2..1 after --pages as an option and
+    stops; join the pair into --pages=-2..1 so the range check sees it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--pages" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--pages={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_pages_value(sys.argv[1:] if argv is None else argv))
     try:
         rep, text = args.func(args)
     except (OracleViolation, ConvergenceViolation) as e:

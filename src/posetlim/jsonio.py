@@ -10,15 +10,28 @@ ValidationError; both carry a JSON-pointer location in the message and
 on the .pointer attribute.  An empty object list is the one poset
 error reported as itself (EmptyPosetError): there is no location to
 point at beyond the list.
+
+The two schema files under schemas/ are the only copy of the structural
+rules.  Each is compiled once per process into a plain-Python checker
+(compile_schema) that covers exactly the keywords the schemas use:
+type, properties, required, additionalProperties, items, minItems,
+maxItems, minLength, minimum, enum (of strings), pattern, propertyNames
+and $ref into $defs, plus the annotations $schema, $id and title; any
+other keyword makes the compiler raise.  The checker's "integer" is a
+Python int that is not a bool, so 1.0 is refused, where draft 2020-12
+would accept it.  jsonschema is imported only when the checker refuses
+a document, to explain the refusal with the message and pointer of its
+best_match; a refusal jsonschema does not share is a float-valued
+integer and is reported as "<value> is not of type 'integer'".
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import re
 from importlib import resources
-
-import jsonschema
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup
@@ -29,18 +42,161 @@ from .poset import validate_graded
 FORMAT_VERSION = "1.0"
 TOOL_VERSION = "0.1.0"
 
+DIAGRAM_SCHEMA = "diagram_document.schema.json"
+REPORT_SCHEMA = "report_document.schema.json"
 
-def _load_schema(name: str) -> dict:
-    blob = resources.files("posetlim").joinpath(f"schemas/{name}").read_text()
-    return json.loads(blob)
-
-
-def diagram_schema() -> dict:
-    return _load_schema("diagram_document.schema.json")
+MAX_MATRIX_DIM = 1 << 16
 
 
-def report_schema() -> dict:
-    return _load_schema("report_document.schema.json")
+_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items", "minItems",
+    "maxItems", "minLength", "minimum", "enum", "pattern", "propertyNames",
+    "$ref", "$defs", "$schema", "$id", "title"})
+
+# one check per type name: None when the value has the type, else ()
+_TYPES = {
+    "object": lambda v: None if isinstance(v, dict) else (),
+    "array": lambda v: None if isinstance(v, list) else (),
+    "string": lambda v: None if isinstance(v, str) else (),
+    "integer": lambda v: (None if type(v) is int
+                          or isinstance(v, int) and not isinstance(v, bool) else ()),
+    "boolean": lambda v: None if isinstance(v, bool) else (),
+    "null": lambda v: None if v is None else (),
+}
+
+
+def compile_schema(schema: dict):
+    """check(value) for a schema in the keyword subset of the module
+    docstring: None when value is valid, else the path (a tuple of keys
+    and indices) of the first value refused.  Raises ValueError on any
+    other keyword, type name or reference form.
+
+    >>> check = compile_schema({"type": "array", "items": {"type": "integer"}})
+    >>> check([1, 2]) is None, check([1, 2.0])
+    (True, (1,))
+    """
+    defs = {}
+
+    def ref(target: str):
+        name = target.removeprefix("#/$defs/")
+        if name == target or name not in schema.get("$defs", {}):
+            raise ValueError(f"unsupported $ref {target!r}")
+        if name not in defs:
+            defs[name] = None  # a reference back to name resolves at call time
+            defs[name] = build(schema["$defs"][name])
+        return lambda v: defs[name](v)
+
+    def build(s):
+        if isinstance(s, bool):
+            return (lambda v: None) if s else (lambda v: ())
+        unknown = set(s) - _KEYWORDS
+        if unknown:
+            raise ValueError(f"schema keywords outside the compiled subset: {sorted(unknown)}")
+        names = s.get("type", [])
+        names = [names] if isinstance(names, str) else names
+        if not set(names) <= set(_TYPES):
+            raise ValueError(f"unsupported type in {names}")
+        checks = []
+        if len(names) == 1:
+            checks.append(_TYPES[names[0]])
+        elif names:
+            tests = [_TYPES[n] for n in names]
+            checks.append(lambda v: () if all(t(v) is not None for t in tests) else None)
+        if "$ref" in s:
+            checks.append(ref(s["$ref"]))
+        if "enum" in s:
+            allowed = frozenset(s["enum"])
+            if not all(isinstance(e, str) for e in allowed):
+                raise ValueError(f"enum {s['enum']} is not all strings")
+            checks.append(lambda v: None if isinstance(v, str) and v in allowed else ())
+        checks += [c for c in (_object_check(s, build), _array_check(s, build),
+                               _scalar_check(s)) if c is not None]
+        if len(checks) == 1:
+            return checks[0]
+
+        def check(v):
+            for c in checks:
+                bad = c(v)
+                if bad is not None:
+                    return bad
+            return None
+        return check
+
+    return build(schema)
+
+
+def _object_check(s, build):
+    """properties, required, additionalProperties, propertyNames; a
+    value that is not an object passes them, as in JSON Schema."""
+    props = {k: build(sub) for k, sub in s.get("properties", {}).items()}
+    required = s.get("required", ())
+    extra = build(s["additionalProperties"]) if "additionalProperties" in s else None
+    names = build(s["propertyNames"]) if "propertyNames" in s else None
+    if not (props or required or extra or names):
+        return None
+
+    def check(v):
+        if not isinstance(v, dict):
+            return None
+        for k in required:
+            if k not in v:
+                return ()
+        for k, x in v.items():
+            c = props.get(k, extra)
+            if c is not None:
+                bad = c(x)
+                if bad is not None:
+                    return (k, *bad)
+            if names is not None and names(k) is not None:
+                return ()
+        return None
+    return check
+
+
+def _array_check(s, build):
+    """items, minItems, maxItems; a value that is not an array passes them."""
+    items = build(s["items"]) if "items" in s else None
+    lo, hi = s.get("minItems", 0), s.get("maxItems")
+    if items is None and not lo and hi is None:
+        return None
+
+    def check(v):
+        if not isinstance(v, list):
+            return None
+        if len(v) < lo or (hi is not None and len(v) > hi):
+            return ()
+        if items is not None:
+            for i, x in enumerate(v):
+                bad = items(x)
+                if bad is not None:
+                    return (i, *bad)
+        return None
+    return check
+
+
+def _scalar_check(s):
+    """minLength and pattern for strings, minimum for numbers."""
+    min_length, minimum = s.get("minLength", 0), s.get("minimum")
+    pattern = re.compile(s["pattern"]) if "pattern" in s else None
+    if not min_length and minimum is None and pattern is None:
+        return None
+
+    def check(v):
+        if isinstance(v, str):
+            if len(v) < min_length or (pattern is not None and not pattern.search(v)):
+                return ()
+        elif (minimum is not None and isinstance(v, (int, float))
+              and not isinstance(v, bool) and v < minimum):
+            return ()
+        return None
+    return check
+
+
+@functools.cache
+def _compiled(name: str):
+    """(schema, checker) for one schema file, read and compiled once per process."""
+    schema = json.loads(resources.files("posetlim").joinpath(f"schemas/{name}").read_text())
+    return schema, compile_schema(schema)
 
 
 def canonical_bytes(obj) -> bytes:
@@ -57,13 +213,24 @@ def _pointer(path) -> str:
     return "/" + "/".join(str(part) for part in path)
 
 
-def _schema_check(instance, schema):
+def _schema_check(instance, name: str):
+    schema, check = _compiled(name)
+    path = check(instance)
+    if path is None:
+        return
+    import jsonschema  # only a refused document pays for it
+
     validator = jsonschema.Draft202012Validator(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
     if error is not None:
-        exc = SchemaError(f"at {_pointer(error.absolute_path)}: {error.message}")
-        exc.pointer = _pointer(error.absolute_path)
-        raise exc
+        path, message = error.absolute_path, error.message
+    else:
+        # draft 2020-12 counts 1.0 as an integer; the checker does not
+        value = functools.reduce(lambda v, key: v[key], path, instance)
+        message = f"{value!r} is not of type 'integer'"
+    exc = SchemaError(f"at {_pointer(path)}: {message}")
+    exc.pointer = _pointer(path)
+    raise exc
 
 
 def _invalid(pointer: str, msg: str):
@@ -79,6 +246,10 @@ def matrix_to_json(M) -> dict:
 
 def matrix_from_json(doc: dict, pointer: str):
     rows, cols = doc["rows"], doc["cols"]
+    # with no entries any size matches the data, so bound it before allocating
+    if max(rows, cols) > MAX_MATRIX_DIM:
+        _invalid(pointer, f"matrix declares {rows}x{cols}; at most {MAX_MATRIX_DIM} "
+                          "rows and columns are supported")
     if len(doc["data"]) != rows * cols:
         _invalid(pointer, f"matrix declares {rows}x{cols} "
                           f"but carries {len(doc['data'])} entries")
@@ -123,7 +294,7 @@ def parse_diagram(data):
             raise exc from e
     else:
         doc = data
-    _schema_check(doc, diagram_schema())
+    _schema_check(doc, DIAGRAM_SCHEMA)
 
     pd = doc["poset"]
     if not pd["objects"]:
@@ -180,4 +351,4 @@ def parse_diagram(data):
 
 
 def validate_report(obj: dict):
-    _schema_check(obj, report_schema())
+    _schema_check(obj, REPORT_SCHEMA)

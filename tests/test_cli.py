@@ -191,11 +191,14 @@ def test_argparse_error_is_exit_one(capsys):
 @pytest.mark.parametrize("argv", [
     ["spectral", "DOC", "--variant", "3", "--pages", "-1"],
     ["spectral", "DOC", "--variant", "3", "--pages", "3..1"],
+    ["spectral", "DOC", "--variant", "3", "--pages", "-2..1"],
+    ["spectral", "DOC", "--variant", "3", "--pages=-2..1"],
     ["colim", "DOC", "--max-degree", "-1"],
     ["oracle", "--seeds", "-2"],
     ["generate", "--max-objects", "0"],
     ["generate", "--family", "layered", "--max-degree-span", "-1"],
-], ids=["negative_page", "reversed_pages", "negative_degree", "negative_seeds",
+], ids=["negative_page", "reversed_pages", "minus_range_spaced", "minus_range_joined",
+        "negative_degree", "negative_seeds",
         "no_objects", "negative_span"])
 def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
     argv = [intro_path if a == "DOC" else a for a in argv]
@@ -207,6 +210,18 @@ def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
         assert json.loads(err)["error"].startswith("PosetlimError: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_pages_with_leading_minus_same_in_both_spellings(capsys, intro_path, as_json):
+    """argparse would read the -2..1 of '--pages -2..1' as an option."""
+    prefix = ["--json"] if as_json else []
+    spaced = run(capsys, *prefix, "spectral", intro_path, "--variant", "3", "--pages", "-2..1")
+    joined = run(capsys, *prefix, "spectral", intro_path, "--variant", "3", "--pages=-2..1")
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 1 and out == ""
+    assert "bad page range '-2..1'; need 0 <= R0 <= R1" in err
 
 
 def test_variant_out_of_range(capsys, intro_path):
@@ -358,3 +373,40 @@ def test_cli_never_imports_numpy():
     r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
+
+
+def test_jsonschema_loads_only_to_explain_a_refusal(tmp_path):
+    """Valid documents and reports are checked without jsonschema; the first
+    refused document loads it and prints jsonschema's best_match text."""
+    bad = tmp_path / "bad.json"
+    doc = json.loads(resources.files("posetlim").joinpath("data/intro_pushout.json").read_text())
+    doc["poset"]["direction"] = "sideways"
+    bad.write_text(json.dumps(doc))
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "from importlib import resources",
+        "import posetlim",
+        "from posetlim import cli, jsonio",
+        "assert 'jsonschema' not in sys.modules, 'import posetlim'",
+        "doc = str(resources.files('posetlim').joinpath('data/intro_pushout.json'))",
+        "reports = []",
+        "for argv in (['validate', doc], ['colim', doc], ['lim', doc], ['classify', doc],",
+        "             ['spectral', '--variant', '3', doc], ['gallery']):",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        assert cli.main(['--json', *argv]) == 0, argv",
+        "    reports.append(json.loads(out.getvalue()))",
+        "    assert 'jsonschema' not in sys.modules, argv",
+        "for rep in reports:",
+        "    jsonio.validate_report(rep)",
+        "assert 'jsonschema' not in sys.modules, 'validate_report'",
+        "assert cli.main(['colim', sys.argv[1]]) == 1",
+        "assert 'jsonschema' in sys.modules, 'refused document'",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", script, str(bad)], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert r.stderr == ("error: at /poset/direction: 'sideways' is not one of "
+                        "['increasing', 'decreasing']\n")

@@ -1,4 +1,4 @@
-"""Property tests for kernels, solving and span residues."""
+"""Property tests for kernels, solving, span residues and Smith forms."""
 
 from fractions import Fraction
 
@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from posetlim.intlinalg import (  # noqa: E402
     SpanChecker,
+    det,
     diagonal_of_snf,
     intmat,
     kernel,
+    smith_normal_form,
     solve,
     zeros,
 )
@@ -37,6 +39,19 @@ def matrix_and_vectors(draw):
     x = draw(st.lists(entries, min_size=m, max_size=m))
     z = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     return M, x, z
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A @ B through an inner dimension below both sides: rank deficient."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(m, n) - 1))
+    A = draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                      min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=k, max_size=k))
+    return intmat([[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] if k else [0] * n
+                   for row in A])
 
 
 def rational_rank(M):
@@ -101,3 +116,21 @@ def test_contains_iff_residue_is_zero(case):
     chk = SpanChecker(M)
     assert chk.contains(x) == (not any(chk.residue(x)))
     assert chk.contains(times(M, z))
+
+
+@PROPERTY
+@given(st.one_of(matrices(), low_rank_matrices()))
+def test_smith_certificate(M):
+    U, D, V = smith_normal_form(M)
+    m, n = M.shape
+    assert (U.shape, D.shape, V.shape) == ((m, m), (m, n), (n, n))
+    assert U @ M @ V == D
+    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    assert all(D[i, j] == 0 for i in range(m) for j in range(n) if i != j)
+    diag = [int(D[i, i]) for i in range(min(m, n))]
+    nonzero = [d for d in diag if d]
+    # nonzero factors are positive, lead the diagonal and divide each next one
+    assert diag[:len(nonzero)] == nonzero and all(d > 0 for d in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert len(nonzero) == rational_rank(M)
+    assert nonzero == diagonal_of_snf(M)
