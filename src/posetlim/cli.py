@@ -33,6 +33,7 @@ from .errors import (
 )
 from .jsonio import (
     FORMAT_VERSION,
+    MAX_MATRIX_DIM,
     TOOL_VERSION,
     digest,
     group_to_json,
@@ -93,12 +94,16 @@ def _derived_table(F, direction, k):
 
 
 def _cmd_derived(args, direction):
-    doc, P, F = _load(args)
     k = args.max_degree
+    if k is not None and k < 0:
+        raise PosetlimError(f"--max-degree must be at least 0, got {k}")
+    if k is not None and k >= MAX_MATRIX_DIM:
+        # every degree past the nerve's length is zero, so a larger bound
+        # only loops over empty degrees
+        raise PosetlimError(f"--max-degree must be below {MAX_MATRIX_DIM}, got {k}")
+    doc, P, F = _load(args)
     if k is None:
         k = longest_chain_length(P)
-    if k < 0:
-        raise PosetlimError(f"--max-degree must be at least 0, got {k}")
     table = _derived_table(F, direction, k)
     rep = _base_report(direction, doc)
     rep["derived"] = {direction: [group_to_json(g) for g in table]}
@@ -211,17 +216,20 @@ def _parse_pages(spec_str: str):
         raise PosetlimError(f"bad page range {spec_str!r}; use R or R0..R1")
     if not 0 <= r0 <= r1:
         raise PosetlimError(f"bad page range {spec_str!r}; need 0 <= R0 <= R1")
+    if r1 - r0 >= MAX_MATRIX_DIM:
+        # pages past span + 1 all repeat one page, so a longer range only
+        # prints that page again
+        raise PosetlimError(f"page range {spec_str!r} asks for {r1 - r0 + 1} pages; "
+                            f"at most {MAX_MATRIX_DIM} are supported")
     return r0, r1
 
 
 def _cmd_spectral(args):
+    asked = None if args.pages is None else _parse_pages(args.pages)
     doc, P, F = _load(args)
     variant = _parse_variant(args.variant)
     X = build_filtered(P, F, variant)
-    if args.pages is None:
-        r0, r1 = 0, X.span + 2
-    else:
-        r0, r1 = _parse_pages(args.pages)
+    r0, r1 = asked or (0, X.span + 2)
     pages = [page(X, r) for r in range(r0, r1 + 1)]
     rep = _base_report("spectral", doc)
     rep["spectral"] = {"variant": variant.name,

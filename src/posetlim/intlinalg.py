@@ -9,8 +9,9 @@ share columns freely, so a column is never changed once it is in a
 matrix; the routines below copy the columns they reduce in place.
 
 One column echelon routine serves lattice bases, kernels, span
-membership and solving (both in SpanChecker), and invariant factors,
-which need no transforms (Cohen, *A Course in Computational Algebraic
+membership and solving (both in SpanChecker), the filtration-ordered
+cycle lattices of spectral pages, and invariant factors, which need no
+transforms (Cohen, *A Course in Computational Algebraic
 Number Theory*, 2.4).  smith_normal_form keeps its unimodular
 certificates and is their oracle.
 """

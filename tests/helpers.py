@@ -1,9 +1,17 @@
 """Small builders shared across test modules."""
 
+from importlib import resources
 from math import gcd
 
 from posetlim import intlinalg as la
-from posetlim.abgroup import AbHom, cyclic_group, free_group, group_from_invariants, zero_hom
+from posetlim.abgroup import (
+    AbHom,
+    cyclic_group,
+    free_group,
+    group_from_invariants,
+    subquotient,
+    zero_hom,
+)
 from posetlim.diagram import (
     constant_diagram,
     direct_sum_diagrams,
@@ -12,6 +20,7 @@ from posetlim.diagram import (
     validate_functor,
 )
 from posetlim.errors import PosetlimError
+from posetlim.jsonio import parse_diagram
 from posetlim.poset import validate_graded
 
 
@@ -44,6 +53,25 @@ def times_two_pullback():
         P, {i: Z for i in P.ids},
         {("b", "a"): two, ("c", "a"): two})
 
+
+
+def bundled_diagrams():
+    """(poset, diagram) of each of the nine documents shipped in the package."""
+    docs = sorted(p for p in resources.files("posetlim").joinpath("data").iterdir()
+                  if p.name.endswith(".json"))
+    assert len(docs) == 9
+    return [parse_diagram(path.read_text()) for path in docs]
+
+
+def z2_square():
+    """Z/2 on a square whose two paths differ by 2 (1 and 3)."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 1), ("d", 2)],
+                        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    T = cyclic_group(2)
+    return validate_functor(
+        P, {i: T for i in P.ids},
+        {("a", "b"): AbHom(T, T, [[1]]), ("a", "c"): AbHom(T, T, [[1]]),
+         ("b", "d"): AbHom(T, T, [[1]]), ("c", "d"): AbHom(T, T, [[3]])})
 
 def random_torsion_sum_diagram(rng, P, parts_range=(2, 5)):
     """Sum of standard diagrams with random parameters; functorial by
@@ -282,3 +310,55 @@ def dense_diagonal_of_snf(M):
             g = gcd(diag[a], diag[b])
             diag[a], diag[b] = g, diag[a] // g * diag[b]
     return diag
+
+
+# ------------------------------------------------ spectral page references
+# The cycle lattices and pages as the spectral module first computed
+# them: one lattice preimage and one intersection per key, and every
+# page from its own subquotients.  They share no code with
+# FilteredComplex beyond its levels and its base complex.
+
+def reference_lambda(X, n, s):
+    """Coordinate columns of the blocks of C_n at level <= s, joined with
+    the relations of C_n; no clamping, so any integer s works."""
+    group = X.base.group_at(n)
+    blocks, at = [], 0
+    if 0 <= n <= X.base.top:
+        for j, (lv, G) in enumerate(zip(X._levels[n], X.base.sums[n].summands)):
+            if lv <= s:
+                blocks.append((X.base.block_offset(n, j), at, 1, la.eye(G.ambient_rank)))
+                at += G.ambient_rank
+    blocks.append((0, at, 1, group.relations))
+    return la.from_blocks(group.ambient_rank, at + group.relations.shape[1], blocks)
+
+
+def reference_cycles(X, n, s, star):
+    """Z(n, s, star): level-<= s elements of C_n whose differential lies
+    at level <= star, both modulo relations, as the preimage of the
+    target's level-<= star lattice intersected with the level-<= s one."""
+    if not 0 <= n <= X.base.top:
+        return la.zeros(0, 0)
+    d = X.base.d_from(n)
+    pre = la.preimage_lattice(d.matrix, reference_lambda(X, n + X.step, star))
+    return la.intersect_lattices(reference_lambda(X, n, s), pre)
+
+
+def same_lattice(A, B):
+    """Mutual containment of two column spans in one ambient space."""
+    return (A.shape[0] == B.shape[0] and la.SpanChecker(A).contains_all(B)
+            and la.SpanChecker(B).contains_all(A))
+
+
+def reference_page_entries(X, r):
+    """Page r's entries, keyed (level, degree), each the subquotient of
+    reference cycles reaching r levels down by those one level deeper and
+    the boundaries arriving from r - 1 levels up."""
+    out = {}
+    for n in range(X.base.top + 1):
+        d_in = X.base.d_into(n)
+        for s in range(X.span + 1):
+            Z = reference_cycles(X, n, s, s - r)
+            deeper = reference_cycles(X, n, s - 1, s - r)
+            arriving = d_in.matrix @ reference_cycles(X, n - X.step, s + r - 1, s)
+            out[(s, n)] = subquotient(Z, la.hstack([deeper, arriving]), f"level {s}, degree {n}")
+    return out

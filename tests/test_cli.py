@@ -197,9 +197,13 @@ def test_argparse_error_is_exit_one(capsys):
     ["oracle", "--seeds", "-2"],
     ["generate", "--max-objects", "0"],
     ["generate", "--family", "layered", "--max-degree-span", "-1"],
+    ["spectral", "DOC", "--variant", "3", "--pages", "0..100000000"],
+    ["colim", "DOC", "--max-degree", "100000000"],
+    ["lim", "DOC", "--max-degree", "65536"],
 ], ids=["negative_page", "reversed_pages", "minus_range_spaced", "minus_range_joined",
         "negative_degree", "negative_seeds",
-        "no_objects", "negative_span"])
+        "no_objects", "negative_span",
+        "huge_page_range", "huge_degree", "degree_at_bound"])
 def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
     argv = [intro_path if a == "DOC" else a for a in argv]
     code, out, err = run(capsys, *(["--json"] if as_json else []), *argv)
@@ -210,6 +214,28 @@ def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
         assert json.loads(err)["error"].startswith("PosetlimError: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_on_pages_and_degrees_are_named(capsys, intro_path):
+    code, _, err = run(capsys, "spectral", intro_path, "--variant", "3", "--pages", "1..65537")
+    assert code == 1
+    assert "asks for 65537 pages; at most 65536 are supported" in err
+    code, _, err = run(capsys, "colim", intro_path, "--max-degree", "65536")
+    assert code == 1
+    assert "--max-degree must be below 65536, got 65536" in err
+
+
+def test_far_page_is_the_page_after_the_span(capsys, intro_path):
+    """intro_pushout spans one degree, so page 2 is where pages settle."""
+    code, out, _ = run(capsys, "--json", "spectral", intro_path, "--variant", "3",
+                       "--pages", "5000")
+    assert code == 0
+    far, = json.loads(out)["spectral"]["pages"]
+    code, out, _ = run(capsys, "--json", "spectral", intro_path, "--variant", "3",
+                       "--pages", "2")
+    settled, = json.loads(out)["spectral"]["pages"]
+    assert far["r"] == 5000 and far["bidegree"] == [-5000, 4999]
+    assert far["entries"] == settled["entries"] and far["entries"]
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])

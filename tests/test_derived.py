@@ -37,11 +37,11 @@ from posetlim.diagram import (
     validate_functor,
 )
 from posetlim.errors import FamilyMismatchError, OracleViolation
-from posetlim.jsonio import parse_diagram
 from posetlim.poset import enumerate_chains, longest_chain_length, opposite, validate_graded
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    bundled_diagrams,
     intro_pushout,
     pullback_poset,
     pushout_poset,
@@ -49,6 +49,7 @@ from helpers import (
     random_free_forest_diagram,
     random_torsion_sum_diagram,
     times_two_pullback,
+    z2_square,
 )
 
 
@@ -330,17 +331,6 @@ def test_sparse_dd_check_agrees_with_dense_composite():
     assert seen[True] and seen[False]
 
 
-def z2_square():
-    """Z/2 on a square whose two paths differ by 2 (1 and 3)."""
-    P = validate_graded([("a", 0), ("b", 1), ("c", 1), ("d", 2)],
-                        [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-    T = cyclic_group(2)
-    return validate_functor(
-        P, {i: T for i in P.ids},
-        {("a", "b"): AbHom(T, T, [[1]]), ("a", "c"): AbHom(T, T, [[1]]),
-         ("b", "d"): AbHom(T, T, [[1]]), ("c", "d"): AbHom(T, T, [[3]])})
-
-
 def test_dd_check_works_modulo_relations():
     """Over Z/2 the two paths around the square differ by 2, so d o d is
     a nonzero integer matrix that vanishes in the target group."""
@@ -437,11 +427,7 @@ def test_reduced_matches_unreduced_on_seeded_diagrams():
 
 
 def test_reduced_matches_unreduced_on_bundled_documents():
-    docs = sorted(p for p in resources.files("posetlim").joinpath("data").iterdir()
-                  if p.name.endswith(".json"))
-    assert len(docs) == 9
-    for path in docs:
-        _, F = parse_diagram(path.read_text())
+    for _, F in bundled_diagrams():
         assert_reduction_agrees(F)
 
 

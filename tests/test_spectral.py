@@ -9,16 +9,18 @@ from posetlim.derived import ChainComplex, chain_complex, cochain_complex, deriv
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
     ConvergenceViolation,
+    FamilyMismatchError,
     MismatchError,
     OracleViolation,
     VariantMismatchError,
 )
 from posetlim.poset import opposite, validate_graded
-from posetlim.randgen import GenConfig, gen_diagram, gen_poset
+from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagram, gen_poset
 from posetlim.spectral import (
     TABLE_VARIANTS,
     FilteredComplex,
     Variant,
+    _public_key,
     _restrict_to_level,
     build_filtered,
     convergence_check,
@@ -31,12 +33,17 @@ from posetlim.spectral import (
 )
 
 from helpers import (
+    bundled_diagrams,
     intro_pushout,
     pushout_poset,
     random_forest_poset,
     random_free_forest_diagram,
     random_torsion_sum_diagram,
+    reference_cycles,
+    reference_page_entries,
+    same_lattice,
     times_two_pullback,
+    z2_square,
 )
 
 
@@ -438,8 +445,8 @@ def test_build_filtered_checks_on_a_cache_hit():
 
 def _block_of(X, n, coord):
     """The block of C_n holding coordinate coord, by a linear scan."""
-    for j, w in enumerate(X._block_widths(n)):
-        if X.base.block_offset(n, j) <= coord < X.base.block_offset(n, j) + w:
+    for j, G in enumerate(X.base.sums[n].summands):
+        if X.base.block_offset(n, j) <= coord < X.base.block_offset(n, j) + G.ambient_rank:
             return j
     raise AssertionError(f"coordinate {coord} of C_{n} is in no block")
 
@@ -507,3 +514,88 @@ def test_graded_pieces_are_the_diagonal_blocks():
                 got = graded._diffs[n].matrix
                 assert got.shape == (len(keep_rows), len(keep_cols))
                 assert got.tolist() == want
+
+
+# ------------------------------------------ cycle lattices and shared pages
+
+def _oracle_complexes():
+    """The filtered complexes both reference oracles run on: randgen
+    families x modes x seeds on each poset and its opposite, the bundled
+    documents and the Z/2 square, in every variant whose direction
+    matches, each followed by the inner complexes that inner_column_ss
+    refilters at every level."""
+    diagrams = []
+    for family in POSET_FAMILIES:
+        for mode in DIAGRAM_MODES:
+            for seed in range(2):
+                cfg = GenConfig(seed=5200 + seed, family=family, max_objects=4)
+                P = gen_poset(cfg)
+                for Q in (P, opposite(P)):
+                    try:
+                        diagrams.append((Q, gen_diagram(cfg, Q, mode)))
+                    except FamilyMismatchError:
+                        continue
+    diagrams += bundled_diagrams()
+    square = z2_square()
+    diagrams.append((square.poset, square))
+    for P, F in diagrams:
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            X = build_filtered(P, F, v)
+            yield X
+            for s in range(X.span + 1):
+                yield FilteredComplex(_restrict_to_level(X, s), v.second, P)
+
+
+def test_cycle_lattices_match_reference():
+    """Every Z(n, s, star) from the one filtration-ordered echelon spans
+    the preimage-and-intersection lattice, clamped keys included; ordering
+    the rows lowest level first breaks this."""
+    seen = set()
+    keys = 0
+    for X in _oracle_complexes():
+        seen.add(X.variant.name)
+        for n in range(X.base.top + 1):
+            for s in range(-1, X.span + 2):
+                for star in range(-3, X.span + 2):
+                    got, want = X._Z(n, s, star), reference_cycles(X, n, s, star)
+                    assert same_lattice(got, want), (X.variant.name, n, s, star)
+                    keys += 1
+    assert seen == {v.name for v in TABLE_VARIANTS}
+    assert keys > 5000
+
+
+def test_shared_pages_match_reference_pages():
+    """Pages past span + 1 are page span + 1 relabelled; built the long
+    way from reference cycle lattices they hold the same groups."""
+    for X in _oracle_complexes():
+        for r in (X.span + 2, X.span + 3, 50):
+            pg = page(X, r)
+            want = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
+            assert (pg.r, pg.bidegree) == (r, want)
+            ref = reference_page_entries(X, r)
+            assert set(pg.sn_entries) == set(ref)
+            for k, g in ref.items():
+                assert pg.sn_entries[k].is_isomorphic_to(g), (X.variant.name, r, k)
+            assert set(pg.entries) == {_public_key(X, s, n)
+                                       for (s, n), g in ref.items() if not g.is_trivial}
+
+
+def test_pages_use_neither_lattice_preimage_nor_intersection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a page asked for a lattice preimage or intersection")
+
+    monkeypatch.setattr(la, "preimage_lattice", refuse)
+    monkeypatch.setattr(la, "intersect_lattices", refuse)
+    seen = set()
+    for P, F in bundled_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.name)
+            X = build_filtered(P, F, v)
+            for r in range(X.span + 4):
+                page(X, r)
+            e_infinity(X)
+    assert seen == {v.name for v in TABLE_VARIANTS}
