@@ -11,11 +11,14 @@ both kinds: the unreduced complexes take the faces as they are, the
 Morse-reduced ones sum them along zig-zag flows.
 
 derived_functor takes them from the Morse-reduced nerve complex
-(reduce_complex), which keeps only the critical chains of an acyclic
-matching; on a poset with a greatest (least) element that is a single
-chain.  The unreduced nerve complexes stay: they are the base of the
-spectral sequences and the tests' oracle for the reduced ones.  Direct
-(co)limits are independent degree-0 oracles, and the Euler
+(reduce_complex) on the carrier matching, which keeps only the critical
+chains of an acyclic matching; on a poset with a greatest (least)
+element that is a single chain.  The spectral sequences take the
+reduced complex on whichever matching keeps their filtration's key
+vertex, the carrier one or the two-ended one.  A reduced complex builds
+the unreduced one only when asked, for page 0 and the spectral oracles;
+the unreduced complexes are also the tests' oracle for the reduced
+ones.  Direct (co)limits are independent degree-0 oracles, and the Euler
 characteristic, counted from the poset alone, checks every full table.
 """
 
@@ -27,7 +30,7 @@ from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
 from .errors import OracleViolation
-from .poset import Chain, enumerate_chains, enumerate_weak_chains, longest_chain_length
+from .poset import Chain, chains_up_to, longest_chain_length
 
 
 class ChainComplex:
@@ -37,16 +40,26 @@ class ChainComplex:
     orientation "homological": differentials lower the degree by one;
     "cohomological": they raise it.  vanishes_above_top records whether
     degrees beyond top are genuinely zero (true for the normalized
-    complex) or merely not built (unnormalized debug mode).
+    complex) or merely not built (unnormalized debug mode).  A Morse
+    complex also holds its matching (each matched chain's vertices to its
+    partner's) and a zero-argument source that returns the complex it
+    reduces; an unreduced complex has neither.
     """
 
-    def __init__(self, orientation, blocks, sums, diffs, top, vanishes_above_top):
+    def __init__(self, orientation, blocks, sums, diffs, top, vanishes_above_top,
+                 matching=None, source=None):
         self.orientation = orientation
         self.blocks = blocks
         self.sums = sums
         self._diffs = diffs
         self.top = top
         self.vanishes_above_top = vanishes_above_top
+        self.matching = matching or {}
+        self._source = source
+
+    def unreduced(self) -> "ChainComplex":
+        """The complex this one reduces, itself when it is not reduced."""
+        return self if self._source is None else self._source()
 
     def group_at(self, n: int) -> FgAbGroup:
         if 0 <= n <= self.top:
@@ -121,7 +134,8 @@ def _faces(F: Diagram, kind: str, cell):
             for i in range(n + 1)]
 
 
-def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top) -> ChainComplex:
+def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top,
+             matching=None, source=None) -> ChainComplex:
     """The complex with one block per chain of blocks[n], holding F at the
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
@@ -147,7 +161,7 @@ def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top) -> Chain
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
     X = ChainComplex("homological" if chain else "cohomological",
-                     blocks, sums, diffs, top, vanishes_above_top)
+                     blocks, sums, diffs, top, vanishes_above_top, matching, source)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
 
@@ -157,8 +171,7 @@ def _nerve_complex(F: Diagram, kind: str, top, normalized) -> ChainComplex:
     longest = longest_chain_length(P)
     if top is None:
         top = longest
-    enum = enumerate_chains if normalized else enumerate_weak_chains
-    blocks = {n: enum(P, n) for n in range(top + 1)}
+    blocks = dict(enumerate(chains_up_to(P, top, weak=not normalized)))
     return _complex(F, kind, blocks, lambda c: _faces(F, kind, c),
                     normalized and top >= longest)
 
@@ -185,46 +198,79 @@ def cochain_complex(F: Diagram, top: int = None, normalized: bool = True) -> Cha
     return _nerve_complex(F, "cochain", top, normalized)
 
 
-def reduce_complex(F: Diagram, kind: str) -> ChainComplex:
+MATCHINGS = ("carrier", "ends")
+
+
+def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainComplex:
     """The Morse complex of the normalized chain ("chain") or cochain
     ("cochain") complex of F, built from the chain list and F's maps;
     the unreduced differentials are never assembled.
 
     A chain's carrier is the vertex whose value it holds: the first
-    vertex for chains, the last for cochains.  Within one carrier v the
-    tails (the chains of P_{>v}, or P_{<v}, the empty one included) are
-    paired by Jonsson's sequential element matching, which is acyclic
-    (*Simplicial Complexes of Graphs*, 2008).  A pair differs by a vertex
-    other than the carrier, so its block is +-identity on F(v) whatever F
-    is.  The one face that moves coefficients also moves the carrier
-    strictly, always the same way, so no gradient path can come back to
-    a carrier it left.  The unpaired (critical) chains span the Morse
-    complex, whose differentials sum the zig-zag paths between them
-    (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is checked on the result.
+    vertex for chains, the last for cochains.  The "carrier" matching
+    groups the chains by carrier, the "ends" matching by their first and
+    last vertex together; inside a group the other vertices, the tails
+    (chains of the open interval the fixed ends bound, the empty one
+    included), are paired by Jonsson's sequential element matching, which
+    is acyclic (*Simplicial Complexes of Graphs*, 2008).  A pair differs
+    by a vertex that is neither fixed end, so its block is +-identity on
+    the carrier's value whatever F is.  The only faces that leave a group
+    drop a fixed end: for the carrier matching that moves the carrier
+    strictly, always the same way, and for the ends matching it strictly
+    shrinks the interval from the first vertex to the last, so no
+    gradient path comes back to a group it left.  The unpaired (critical)
+    chains span the Morse complex, whose differentials sum the zig-zag
+    paths between them (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is
+    checked on the result.
+
+    The carrier matching keeps the first (chain) or last (cochain)
+    vertex of every pair, the ends matching both, which is what a
+    filtration by that vertex's degree needs (spectral.build_filtered).
+    The complex keeps its matching, and its source builds the unreduced
+    complex on first use, once per diagram.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown complex kind {kind!r}")
+    if matching not in MATCHINGS:
+        raise ValueError(f"unknown matching {matching!r}")
     P = F.poset
-    cells = [c.vertices for n in range(longest_chain_length(P) + 1)
-             for c in enumerate_chains(P, n)]
-    return _morse_complex(F, kind, cells, _element_matching(P, kind, cells))
+    cells = [c.vertices for chains in chains_up_to(P, longest_chain_length(P))
+             for c in chains]
+    if matching == "ends":
+        ends = (1, 1)
+    else:
+        ends = (1, 0) if kind == "chain" else (0, 1)
+    unreduced = F._detached
+    return _morse_complex(F, kind, cells, _element_matching(P, kind, cells, ends),
+                          lambda: _cached_complex(unreduced, kind))
 
 
-def _element_matching(P, kind, cells):
-    """Sequential element matching inside each carrier, as a dict sending
-    each matched cell to its partner.  The elements are tried in order of
-    internal degree, descending for chains and ascending for cochains
-    (ties by id), so a greatest (least) element pairs off every tail."""
+def _element_matching(P, kind, cells, ends):
+    """Sequential element matching inside each group, as a dict sending
+    each matched cell to its partner.  ends = (h, f) fixes the first h and
+    the last f vertices of every cell (each 0 or 1, not both 0): a cell is
+    head + tail + foot, the group is (head, foot), and the elements tried
+    are those of the open interval the head and foot bound.  They are
+    tried in order of internal degree, descending for chains and
+    ascending for cochains (ties by id), so a greatest (least) element of
+    the interval pairs off every tail."""
     chain = kind == "chain"
     deg = P.degree
+    h, f = ends
     tails = {}
     for c in cells:
-        v, tail = (c[0], c[1:]) if chain else (c[-1], c[:-1])
-        tails.setdefault(v, set()).add(tail)
+        cut = len(c) - f
+        tails.setdefault((c[:h], c[cut:]), set()).add(c[h:cut])
     partner = {}
-    for v, free in tails.items():
-        others = P.strictly_above[v] if chain else P.strictly_below[v]
-        for x in sorted(others, key=lambda y: (-deg[y] if chain else deg[y], y)):
+    for (head, foot), free in tails.items():
+        if not head:
+            inside = P.strictly_below[foot[0]]
+        elif not foot:
+            inside = P.strictly_above[head[0]]
+        else:
+            below = set(P.strictly_below[foot[0]])
+            inside = [x for x in P.strictly_above[head[0]] if x in below]
+        for x in sorted(inside, key=lambda y: (-deg[y] if chain else deg[y], y)):
             if not free:
                 break
             pairs = []
@@ -239,13 +285,13 @@ def _element_matching(P, kind, cells):
             for t, up in pairs:
                 free.discard(t)
                 free.discard(up)
-                lo, hi = ((v,) + t, (v,) + up) if chain else (t + (v,), up + (v,))
+                lo, hi = head + t + foot, head + up + foot
                 partner[lo] = hi
                 partner[hi] = lo
     return partner
 
 
-def _morse_complex(F, kind, cells, partner):
+def _morse_complex(F, kind, cells, partner, source=None):
     """The Morse complex of F's nerve complex for a matching of its cells.
 
     flow(b) holds the zig-zag sum from the cell b one degree below a
@@ -320,7 +366,11 @@ def _morse_complex(F, kind, cells, partner):
     for c in cells:
         if c not in partner:
             crit[len(c) - 1].append(Chain(c))
-    return _complex(F, kind, crit, pieces, True)
+    X = _complex(F, kind, crit, pieces, True, partner, source)
+    # flow and through refer to each other; unlinking them lets reference
+    # counting free F and everything cached on it once F is dropped
+    flow = through = None
+    return X
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
@@ -343,7 +393,7 @@ def derived_functor(F: Diagram, direction: str, i: int) -> FgAbGroup:
     the Morse-reduced nerve complex."""
     if i < 0:
         raise ValueError("derived functors are indexed by i >= 0")
-    return homology_at(_cached_complex(F, _kind(direction), reduced=True), i)
+    return homology_at(_cached_complex(F, _kind(direction), "carrier"), i)
 
 
 def _kind(direction: str) -> str:
@@ -354,14 +404,14 @@ def _kind(direction: str) -> str:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _cached_complex(F: Diagram, which: str, reduced: bool = False) -> ChainComplex:
+def _cached_complex(F: Diagram, which: str, matching: str = None) -> ChainComplex:
     """The normalized chain or cochain complex of F, or its Morse
-    reduction, built once per diagram."""
+    reduction by the named matching, built once per diagram."""
     cache = F._complexes
-    key = (which, reduced)
+    key = (which, matching)
     if key not in cache:
-        if reduced:
-            cache[key] = reduce_complex(F, which)
+        if matching:
+            cache[key] = reduce_complex(F, which, matching)
         else:
             cache[key] = chain_complex(F) if which == "chain" else cochain_complex(F)
     return cache[key]

@@ -9,6 +9,8 @@ witness paths.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import intlinalg as la
 from .abgroup import (
     AbHom,
@@ -41,10 +43,18 @@ class Diagram:
         self.cover_maps = cover_maps
         self._composites = composites
         self._paths = paths
-        # nerve complexes by (kind, reduced) and filtered complexes by
+        # nerve complexes by (kind, matching) and filtered complexes by
         # (variant, display degrees); filled by derived and spectral
         self._complexes = {}
         self._filtered = {}
+
+    @cached_property
+    def _detached(self) -> "Diagram":
+        """The same functor under a Diagram of its own, with its own
+        caches.  A cached object that builds a complex later holds this,
+        not the diagram it is cached on, so the caches make no reference
+        cycle and a dropped diagram is freed at once."""
+        return Diagram(self.poset, self.groups, self.cover_maps, self._composites, self._paths)
 
     def group(self, i: str) -> FgAbGroup:
         self.poset._check_id(i)

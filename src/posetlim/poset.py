@@ -236,39 +236,37 @@ def infer_degrees(ids, covers) -> dict:
     return deg
 
 
-def _walk_chains(P: GradedPoset, n: int, weak: bool):
-    """The depth-first walk behind enumerate_chains and
-    enumerate_weak_chains; a weak walk may repeat the last vertex
-    before it moves up."""
-    if n < 0:
-        return []
-    out = []
+def chains_up_to(P: GradedPoset, top: int, weak: bool = False):
+    """[the n-chains for n = 0..top], each degree in lexicographic order
+    of its id sequences, from one depth-first walk that emits every
+    prefix it visits.  A weak walk (the unnormalized nerve) may repeat
+    the last vertex before it moves up."""
+    out = [[] for _ in range(top + 1)]
+    above = P.strictly_above
 
-    def extend(prefix, last):
-        if len(prefix) == n + 1:
-            out.append(Chain(tuple(prefix)))
-            return
-        above = P.strictly_above[last]
-        for nxt in [last] + above if weak else above:
-            prefix.append(nxt)
-            extend(prefix, nxt)
-            prefix.pop()
+    def extend(prefix):
+        out[len(prefix) - 1].append(Chain(prefix))
+        if len(prefix) <= top:
+            last = prefix[-1]
+            for nxt in [last] + above[last] if weak else above[last]:
+                extend(prefix + (nxt,))
 
-    for start in P.ids:
-        extend([start], start)
+    if top >= 0:
+        for start in P.ids:
+            extend((start,))
     return out
 
 
 def enumerate_chains(P: GradedPoset, n: int):
     """All strictly ascending chains with n+1 vertices, in lexicographic
     order of their id sequences."""
-    return _walk_chains(P, n, weak=False)
+    return chains_up_to(P, n)[n] if n >= 0 else []
 
 
 def enumerate_weak_chains(P: GradedPoset, n: int):
     """Weakly ascending (n+1)-tuples (repeats allowed); the simplices of
     the unnormalized nerve."""
-    return _walk_chains(P, n, weak=True)
+    return chains_up_to(P, n, weak=True)[n] if n >= 0 else []
 
 
 def longest_chain_length(P: GradedPoset) -> int:

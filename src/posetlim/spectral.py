@@ -7,6 +7,18 @@ formula on integer lattices, so every page is exact and the classical
 page-to-page homology recurrence is available as an independent check
 rather than the method of computation.
 
+Pages from r = 1 on are computed on a filtered Morse complex: the
+nerve complex reduced by a matching whose pairs keep the preset's key
+vertex, hence stay inside one filtration level.  Such a reduction is a
+filtered homotopy equivalence, so it changes no page from E1 on
+(Mischaikow-Nanda, 2013).  The carrier matching keeps the first vertex
+of a chain and the last of a cochain; the other two keys take the
+two-ended matching, which keeps both.  Every matched pair is checked to
+keep the key vertex.  Page 0 is the associated graded of the unreduced
+complex, read off its level blocks; the unreduced complex is built on
+first use, by page 0, the page-1 oracle or an inner sequence, and never
+by later pages, E-infinity or the convergence check.
+
 The cycle lattices of one degree and level, for every level their
 differential may reach, come from a single tracked echelon with the
 target's rows in filtration order, highest level first: the integer
@@ -23,13 +35,14 @@ declared homological or cohomological type.
 
 Each page is computed once per filtered complex and kept on it, and
 each filtered complex once per (diagram, variant, grading) and kept on
-the diagram over the diagram's cached nerve complex, so E-infinity, the
-convergence check and both page oracles reuse the same pages.
+the diagram over the diagram's cached reduced complex, so E-infinity,
+the convergence check and both page oracles reuse the same pages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
@@ -86,6 +99,14 @@ class Variant:
         vertex = "sigma_n" if self.key == "last" else "sigma_0"
         return f"{self.complex}:{vertex}:{self.direction}"
 
+    @property
+    def matching(self) -> str:
+        """The Morse matching that keeps the key vertex of every pair: the
+        carrier matching when the key is the carrier (the first vertex of
+        a chain, the last of a cochain), the two-ended one otherwise."""
+        carrier = "first" if self.complex == "chain" else "last"
+        return "carrier" if self.key == carrier else "ends"
+
 
 TABLE_VARIANTS = tuple(
     Variant(c, k, d)
@@ -103,13 +124,15 @@ def variant_by_name(name: str) -> Variant:
 
 
 class FilteredComplex:
-    """A nerve complex with a level attached to every chain block.
+    """A nerve complex, unreduced or Morse-reduced, with a level attached
+    to every chain block.
 
     filtration_index maps (degree n, chain) to the preset's p, the
     display degree of the key vertex.  Canonical levels shift that to
     0-based increasing form; the respect invariant (the differential
     never raises the canonical level) is verified on construction, entry
-    by nonzero entry.
+    by nonzero entry, and so is the base's matching: every matched pair
+    must keep its key vertex, or the reduction would not be filtered.
     """
 
     def __init__(self, base: ChainComplex, variant: Variant, poset: GradedPoset):
@@ -137,7 +160,9 @@ class FilteredComplex:
         self._lambda_cache = {}
         self._z_cache = {}
         self._pages = {}
+        self._pieces = {}
         self._check_respected()
+        self._check_matching()
 
     @property
     def step(self) -> int:
@@ -152,6 +177,22 @@ class FilteredComplex:
                     raise OracleViolation(
                         "differential raises the filtration level "
                         f"between degrees {n} and {m}")
+
+    def _check_matching(self):
+        at = -1 if self.variant.key == "last" else 0
+        for lo, hi in self.base.matching.items():
+            if lo[at] != hi[at]:
+                raise OracleViolation(
+                    f"matched chains {lo} and {hi} differ in their {self.variant.key} "
+                    "vertex, which carries the filtration level")
+
+    @cached_property
+    def unreduced(self) -> "FilteredComplex":
+        """The same filtration on the complex the base reduces, built on
+        first use; self when the base is not reduced.  Page 0, the page-1
+        oracle and the inner sequences read its level blocks."""
+        source = self.base.unreduced()
+        return self if source is self.base else FilteredComplex(source, self.variant, self.poset)
 
     def _lambda(self, n, s):
         """Ambient lattice of the level-<= s subgroup of C_n: coordinate
@@ -241,9 +282,9 @@ class FilteredComplex:
 
 
 def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComplex:
-    """The filtered nerve complex of F for this preset and P's degrees,
-    built once per (variant, display degrees) and kept on F; the checks
-    run on every call."""
+    """The filtered Morse-reduced nerve complex of F for this preset and
+    P's degrees, on the variant's matching, built once per (variant,
+    display degrees) and kept on F; the checks run on every call."""
     if variant.direction != P.direction:
         raise VariantMismatchError(
             f"variant expects a {variant.direction} degree function, "
@@ -253,7 +294,7 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
     key = (variant, tuple(P.display_degrees[i] for i in P.ids))
     X = F._filtered.get(key)
     if X is None:
-        X = FilteredComplex(_cached_complex(F, variant.complex), variant, P)
+        X = FilteredComplex(_cached_complex(F, variant.complex, variant.matching), variant, P)
         F._filtered[key] = X
     return X
 
@@ -286,10 +327,16 @@ def _public_key(X: FilteredComplex, s, n):
 
 
 def page(X: FilteredComplex, r: int) -> SSPage:
-    """The explicit subquotient page: at each level s and degree n,
-    cycles reaching r levels down, modulo the same from one level
-    deeper plus boundaries from r-1 levels shallower.  Computed once
-    per (X, r); the returned page is shared and must not be mutated.
+    """Page r, computed once per (X, r); the returned page is shared and
+    must not be mutated.
+
+    Page 0 is the associated graded of the unreduced complex: at level s
+    and degree n, the level-s chains' values, with the in-level part of d.
+    From r = 1 on, the explicit subquotient on X's base: at each level s
+    and degree n, cycles reaching r levels down, modulo the same from one
+    level deeper plus boundaries from r-1 levels shallower.  A matching
+    inside the levels is a filtered homotopy equivalence, so the reduced
+    base gives the same pages from r = 1 on (Mischaikow-Nanda, 2013).
 
     From r = span + 1 on, every lattice below clamps to the same keys
     (cycles reaching level -1, boundaries from the top level) and no
@@ -305,10 +352,40 @@ def page(X: FilteredComplex, r: int) -> SSPage:
         X._pages[r] = replace(page(X, X.span + 1), r=r, bidegree=bidegree)
         return X._pages[r]
     step = X.step
-    top = X.base.top
+    sn_entries, sn_diffs = _graded_page(X) if r == 0 else _subquotient_page(X, r)
+    _check_dd_zero(sn_diffs, lambda k: (k[0] - r, k[1] + step))
+    entries = {}
+    diffs = {}
+    for (s, n), E in sn_entries.items():
+        if E.is_trivial:
+            continue
+        pq = _public_key(X, s, n)
+        entries[pq] = E
+        diffs[pq] = sn_diffs[(s, n)]
+    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs, sn_entries, sn_diffs)
+    return X._pages[r]
+
+
+def _graded_page(X: FilteredComplex):
+    """Page 0's entries and differentials, keyed (level, degree): the
+    groups and differentials of the unreduced complex's graded pieces."""
+    sn_entries = {}
+    sn_diffs = {}
+    for s in range(X.span + 1):
+        graded = _restrict_to_level(X.unreduced, s)
+        for n in range(graded.top + 1):
+            sn_entries[(s, n)] = graded.group_at(n)
+            sn_diffs[(s, n)] = graded.d_from(n)
+    return sn_entries, sn_diffs
+
+
+def _subquotient_page(X: FilteredComplex, r: int):
+    """Page r's entries and differentials for r >= 1, keyed (level,
+    degree), from the cycle lattices of X's base."""
+    step = X.step
     sn_entries = {}
     sn_lattice = {}
-    for n in range(top + 1):
+    for n in range(X.base.top + 1):
         d_in = X.base.d_into(n)
         for s in range(X.span + 1):
             Z = X._Z(n, s, s - r)
@@ -331,17 +408,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
             sn_diffs[(s, n)] = AbHom(E, sn_entries[tgt], coeff)
         else:
             sn_diffs[(s, n)] = zero_hom(E, trivial_group())
-    _check_dd_zero(sn_diffs, lambda k: (k[0] - r, k[1] + step))
-    entries = {}
-    diffs = {}
-    for (s, n), E in sn_entries.items():
-        if E.is_trivial:
-            continue
-        pq = _public_key(X, s, n)
-        entries[pq] = E
-        diffs[pq] = sn_diffs[(s, n)]
-    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs, sn_entries, sn_diffs)
-    return X._pages[r]
+    return sn_entries, sn_diffs
 
 
 def _pages_agree(a: SSPage, b: SSPage) -> bool:
@@ -371,34 +438,38 @@ def e_infinity(X: FilteredComplex) -> SSPage:
 
 def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
     """The associated-graded complex at level s: the blocks at that
-    exact level with the induced differential."""
+    exact level with the induced differential, built once per (X, s)."""
+    hit = X._pieces.get(s)
+    if hit is not None:
+        return hit
     base = X.base
     keep = {n: [j for j, lv in enumerate(X._levels[n]) if lv == s]
             for n in range(base.top + 1)}
     blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
     sums = {n: direct_sum([base.sums[n].summands[j] for j in keep[n]]) for n in keep}
-    # place[n] includes the kept blocks into C_n, so the graded piece of d
-    # is place[m].T @ d @ place[n]
-    place = {n: la.from_blocks(
-        base.group_at(n).ambient_rank, sums[n].group.ambient_rank,
-        [(base.block_offset(n, j), off, 1, la.eye(G.ambient_rank))
-         for j, G, off in zip(keep[n], sums[n].summands, sums[n].offsets)]) for n in keep}
+    # the kept blocks keep their order, so the level's coordinates of C_n,
+    # renumbered from 0, are the piece's coordinates
+    coords = {n: [i for i, lv in enumerate(X._coord_levels[n]) if lv == s] for n in keep}
     diffs = {}
     for n, d in base._diffs.items():
         m = n + X.step
-        M = place[m].T @ d.matrix @ place[n]
+        row = {i: k for k, i in enumerate(coords[m])}
+        cols = [{row[i]: x for i, x in d.matrix.cols[j].items() if i in row} for j in coords[n]]
+        M = la.IntMatrix((len(row), len(cols)), cols)
         diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
     _check_dd_zero(diffs, lambda n: n + X.step)
-    return ChainComplex(base.orientation, blocks, sums, diffs, base.top,
-                        base.vanishes_above_top)
+    X._pieces[s] = ChainComplex(base.orientation, blocks, sums, diffs, base.top,
+                                base.vanishes_above_top)
+    return X._pieces[s]
 
 
 def oracle_page_one(X: FilteredComplex):
-    """Cross-check: page-1 entries equal the homology of the
-    associated-graded complexes computed by restriction."""
+    """Cross-check: page-1 entries equal the homology of the graded
+    pieces of the unreduced complex, so on a reduced base this checks
+    the reduction as well."""
     first = page(X, 1)
     for s in range(X.span + 1):
-        graded = _restrict_to_level(X, s)
+        graded = _restrict_to_level(X.unreduced, s)
         for n in range(X.base.top + 1):
             expected = homology_at(graded, n)
             got = first.sn_entries[(s, n)]
@@ -478,16 +549,18 @@ def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> Convergen
 
 def inner_column_ss(P: GradedPoset, F: Diagram, p: int, variant: Variant):
     """Pages of the second-level sequence feeding the outer page-1
-    column at p: the level-p graded piece refiltered by the other
-    vertex.  The stable inner page is checked for rank/order
-    consistency against that column."""
+    column at p: the level-p graded piece of the unreduced complex
+    refiltered by the other vertex (the matching keeps only the first
+    filtration's key vertex, so a reduced piece would change the inner
+    pages).  The stable inner page is checked for rank/order consistency
+    against that column."""
     X = build_filtered(P, F, variant)
     if not (X.min_degree <= p <= X.max_degree):
         raise ValueError(f"p = {p} outside the degree range "
                          f"[{X.min_degree}, {X.max_degree}]")
     ge = X.variant.condition == ">="
     s_fixed = (X.max_degree - p) if ge else (p - X.min_degree)
-    graded = _restrict_to_level(X, s_fixed)
+    graded = _restrict_to_level(X.unreduced, s_fixed)
     inner = FilteredComplex(graded, variant.second, P)
     r_star = inner.span + 2
     pages = [page(inner, r) for r in range(r_star + 1)]

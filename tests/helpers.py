@@ -1,5 +1,6 @@
 """Small builders shared across test modules."""
 
+import itertools
 from importlib import resources
 from math import gcd
 
@@ -22,6 +23,33 @@ from posetlim.diagram import (
 from posetlim.errors import PosetlimError
 from posetlim.jsonio import parse_diagram
 from posetlim.poset import validate_graded
+
+
+def boolean_lattice(n):
+    """The subsets of {0, .., n-1} by inclusion, graded by size."""
+    name = {s: "s" + "".join(map(str, s)) for k in range(n + 1)
+            for s in itertools.combinations(range(n), k)}
+    covers = [(name[s], name[tuple(sorted(s + (x,)))]) for s in name
+              for x in range(n) if x not in s]
+    return validate_graded([(name[s], len(s)) for s in name], covers)
+
+
+def grid(w, h):
+    """The product of a w-chain and an h-chain."""
+    covers = ([(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(w - 1) for j in range(h)]
+              + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(w) for j in range(h - 1)])
+    return validate_graded([(f"g{i}_{j}", i + j) for i in range(w) for j in range(h)], covers)
+
+
+SHAPES = {"bool2": (boolean_lattice, 2), "grid2x3": (grid, 2, 3), "bool3": (boolean_lattice, 3),
+          "grid3x3": (grid, 3, 3), "bool4": (boolean_lattice, 4), "grid4x4": (grid, 4, 4),
+          "bool5": (boolean_lattice, 5), "grid5x5": (grid, 5, 5)}
+
+
+def shape(name):
+    """One of the eight cones of SHAPES, each with a least element."""
+    build, *args = SHAPES[name]
+    return build(*args)
 
 
 def pushout_poset():

@@ -1,4 +1,3 @@
-import itertools
 import random
 import tracemalloc
 from importlib import resources
@@ -41,13 +40,16 @@ from posetlim.poset import enumerate_chains, longest_chain_length, opposite, val
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    boolean_lattice,
     bundled_diagrams,
+    grid,
     intro_pushout,
     pullback_poset,
     pushout_poset,
     random_forest_poset,
     random_free_forest_diagram,
     random_torsion_sum_diagram,
+    shape,
     times_two_pullback,
     z2_square,
 )
@@ -350,20 +352,6 @@ def test_dd_check_works_modulo_relations():
 KINDS = (("chain", chain_complex), ("cochain", cochain_complex))
 
 
-def boolean_lattice(n):
-    name = {s: "s" + "".join(map(str, s)) for k in range(n + 1)
-            for s in itertools.combinations(range(n), k)}
-    covers = [(name[s], name[tuple(sorted(s + (x,)))]) for s in name
-              for x in range(n) if x not in s]
-    return validate_graded([(name[s], len(s)) for s in name], covers)
-
-
-def grid(w, h):
-    covers = ([(f"g{i}_{j}", f"g{i + 1}_{j}") for i in range(w - 1) for j in range(h)]
-              + [(f"g{i}_{j}", f"g{i}_{j + 1}") for i in range(w) for j in range(h - 1)])
-    return validate_graded([(f"g{i}_{j}", i + j) for i in range(w) for j in range(h)], covers)
-
-
 @pytest.mark.parametrize("build, bound_mb", [
     (lambda: chain_complex(constant_diagram(grid(4, 4), group_from_invariants(1, [2]))), 4),
     (lambda: direct_sum([free_group(1)] * 2000), 1),
@@ -392,10 +380,12 @@ def octahedron():
 
 def assert_reduction_agrees(F):
     for kind, build in KINDS:
-        X, R = build(F), reduce_complex(F, kind)
-        assert R.orientation == X.orientation and R.top == X.top
-        for n in range(X.top + 2):
-            assert homology_at(R, n).is_isomorphic_to(homology_at(X, n)), (kind, n)
+        X = build(F)
+        for matching in derived.MATCHINGS:
+            R = reduce_complex(F, kind, matching)
+            assert R.orientation == X.orientation and R.top == X.top
+            for n in range(X.top + 2):
+                assert homology_at(R, n).is_isomorphic_to(homology_at(X, n)), (kind, matching, n)
 
 
 def seeded_randgen_diagrams():
@@ -459,6 +449,37 @@ def test_reduced_matches_unreduced_off_cones():
             for mode in ("sums_of_standard", "pseudo_projective_by_construction"):
                 assert_reduction_agrees(gen_diagram(cfg, Q, mode))
                 assert_reduction_agrees(gen_diagram(cfg, opposite(Q), mode))
+
+
+@pytest.mark.parametrize("name, ends", [("bool2", 9), ("grid2x3", 15), ("bool3", 27),
+                                        ("grid3x3", 25), ("bool4", 81), ("grid4x4", 49)])
+def test_critical_chain_counts(name, ends):
+    """The carrier matching leaves one chain on a cone.  The two-ended one
+    leaves one chain per interval [a, b] that is a boolean lattice, a = b
+    included: its open interval is empty or a sphere.  Every other
+    interval of these shapes has a contractible open interval, and the
+    matching pairs off all of its chains."""
+    F = constant_diagram(shape(name), group_from_invariants(1, [2]))
+    chains = sum(len(b) for b in chain_complex(F).blocks.values())
+    for kind in ("chain", "cochain"):
+        for matching, want in (("carrier", 1), ("ends", ends)):
+            R = reduce_complex(F, kind, matching)
+            assert sum(len(R.blocks[n]) for n in range(R.top + 1)) == want, (kind, matching)
+            assert len(R.matching) + want == chains
+    with pytest.raises(ValueError):
+        reduce_complex(F, "chain", "middle")
+
+
+def test_matched_pairs_keep_their_fixed_ends():
+    for name in ("bool3", "grid3x3"):
+        F = constant_diagram(shape(name), free_group(1))
+        for kind, kept in (("chain", (0,)), ("cochain", (-1,))):
+            for matching, ends in (("carrier", kept), ("ends", (0, -1))):
+                pairs = reduce_complex(F, kind, matching).matching
+                assert pairs
+                for lo, hi in pairs.items():
+                    assert pairs[hi] == lo and abs(len(lo) - len(hi)) == 1
+                    assert all(lo[i] == hi[i] for i in ends)
 
 
 @pytest.mark.parametrize("kind, flip", [("chain", 2), ("cochain", 0)])

@@ -13,6 +13,7 @@ from posetlim.poset import (
     GradedPoset,
     PosetObject,
     bounds,
+    chains_up_to,
     enumerate_chains,
     enumerate_weak_chains,
     infer_degrees,
@@ -20,6 +21,9 @@ from posetlim.poset import (
     opposite,
     validate_graded,
 )
+from posetlim.randgen import GenConfig, gen_poset
+
+from helpers import SHAPES, shape
 
 
 def pushout_poset():
@@ -86,6 +90,49 @@ def test_chain_enumeration_matches_brute_force():
     assert enumerate_chains(P, 5) == []
     assert enumerate_chains(P, -1) == []
     assert longest_chain_length(P) == 2
+
+
+def per_degree_walk(P, n, weak=False):
+    """The n-chains from a depth-first walk of their own, every shorter
+    prefix walked again: how enumerate_chains listed one degree before
+    one walk served them all."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == n + 1:
+            out.append(tuple(prefix))
+            return
+        last = prefix[-1]
+        for nxt in [last] + P.strictly_above[last] if weak else P.strictly_above[last]:
+            extend(prefix + [nxt])
+
+    for start in P.ids:
+        extend([start])
+    return out
+
+
+def test_one_walk_lists_every_degree_as_the_per_degree_walks_do():
+    posets = [shape(name) for name in SHAPES]
+    for seed in range(12):
+        cfg = GenConfig(seed=900 + seed, family=("forest", "layered")[seed % 2],
+                        max_objects=10)
+        posets += [gen_poset(cfg), opposite(gen_poset(cfg))]
+    for P in posets:
+        top = longest_chain_length(P)
+        walked = chains_up_to(P, top)
+        assert len(walked) == top + 1 and walked[top]
+        for n, chains in enumerate(walked):
+            want = per_degree_walk(P, n)
+            assert [c.vertices for c in chains] == want == sorted(want)
+            assert [c.vertices for c in enumerate_chains(P, n)] == want
+        assert enumerate_chains(P, top + 1) == []
+    for P in posets[:3]:
+        weak = chains_up_to(P, 3, weak=True)
+        for n in range(4):
+            assert [c.vertices for c in weak[n]] == per_degree_walk(P, n, weak=True)
+            assert [c.vertices for c in enumerate_weak_chains(P, n)] == per_degree_walk(
+                P, n, weak=True)
+    assert chains_up_to(posets[0], -1) == []
 
 
 def test_chain_properties():

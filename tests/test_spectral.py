@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from posetlim import derived
 from posetlim import intlinalg as la
-from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group
+from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
 from posetlim.derived import ChainComplex, chain_complex, cochain_complex, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
@@ -20,6 +22,7 @@ from posetlim.spectral import (
     TABLE_VARIANTS,
     FilteredComplex,
     Variant,
+    _compare_totals,
     _public_key,
     _restrict_to_level,
     build_filtered,
@@ -42,6 +45,7 @@ from helpers import (
     reference_cycles,
     reference_page_entries,
     same_lattice,
+    shape,
     times_two_pullback,
     z2_square,
 )
@@ -104,11 +108,18 @@ def test_filtration_indices_by_last_vertex():
 
 def test_filtration_indices_by_first_vertex():
     F = intro_pushout()
-    X = build_filtered(F.poset, F, Variant("chain", "first", "increasing"))
+    v = Variant("chain", "first", "increasing")
+    X = FilteredComplex(chain_complex(F), v, F.poset)
     got = {(n, c.vertices): p for (n, c), p in X.filtration_index.items()}
     assert got == {
         (0, ("a",)): 0, (0, ("b",)): 1, (0, ("c",)): 1,
         (1, ("a", "b")): 0, (1, ("a", "c")): 0,
+    }
+    # the carrier matching pairs (a) with (a, b); the critical chains keep
+    # their indices
+    reduced = build_filtered(F.poset, F, v)
+    assert {(n, c.vertices): p for (n, c), p in reduced.filtration_index.items()} == {
+        (0, ("b",)): 1, (0, ("c",)): 1, (1, ("a", "c")): 0,
     }
 
 
@@ -359,19 +370,26 @@ def _seeded_diagrams(count=4):
         yield P, gen_diagram(cfg, P, "sums_of_standard")
 
 
-def _assert_same_page(got, want):
+def _assert_same_groups(got, want):
     assert (got.r, got.type, got.bidegree) == (want.r, want.type, want.bidegree)
     assert set(got.entries) == set(want.entries)
     assert set(got.sn_entries) == set(want.sn_entries)
     for k, g in want.sn_entries.items():
         h = got.sn_entries[k]
         assert (h.free_rank, h.invariant_factors) == (g.free_rank, g.invariant_factors)
+
+
+def _assert_same_page(got, want):
+    _assert_same_groups(got, want)
     assert set(got.sn_diffs) == set(want.sn_diffs)
     for k, d in want.sn_diffs.items():
         assert got.sn_diffs[k].matrix == d.matrix
 
 
 def test_cached_pages_match_fresh_filtered_complexes():
+    """Cached pages equal, matrix for matrix, those of a fresh filtered
+    complex on the same reduced base, and their groups those of the
+    unreduced nerve complex."""
     seen = set()
     for P, F in _seeded_diagrams():
         for v in TABLE_VARIANTS:
@@ -380,10 +398,12 @@ def test_cached_pages_match_fresh_filtered_complexes():
             seen.add(v.name)
             X = build_filtered(P, F, v)
             e_infinity(X)
+            fresh = FilteredComplex(X.base, v, P)
             base = chain_complex(F) if v.complex == "chain" else cochain_complex(F)
-            fresh = FilteredComplex(base, v, P)
+            unreduced = FilteredComplex(base, v, P)
             for r in range(X.span + 4):
                 _assert_same_page(page(X, r), page(fresh, r))
+                _assert_same_groups(page(X, r), page(unreduced, r))
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
@@ -400,6 +420,9 @@ def test_pages_and_filtered_complexes_are_shared():
 
 
 def test_convergence_after_build_filtered_reuses_the_nerve(monkeypatch):
+    """Pages r >= 1, E-infinity and the convergence check run on the
+    Morse-reduced nerve alone; page 0 builds the unreduced complex once,
+    and the oracles and inner sequences after it build nothing more."""
     builds = []
     for name in ("chain_complex", "cochain_complex"):
         def counted(*a, _real=getattr(derived, name), **k):
@@ -407,16 +430,29 @@ def test_convergence_after_build_filtered_reuses_the_nerve(monkeypatch):
             return _real(*a, **k)
         monkeypatch.setattr(derived, name, counted)
     for P, F in _seeded_diagrams():
-        v = next(v for v in TABLE_VARIANTS if v.direction == P.direction)
-        X = build_filtered(P, F, v)
-        stable = e_infinity(X)
-        before = len(builds)
-        assert convergence_check(P, F, v).ok
-        oracle_page_recurrence(X)
-        assert len(builds) == before
-        assert build_filtered(P, F, v) is X
-        assert e_infinity(X) is stable
-    assert len(builds) == 4
+        built = set()
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            X = build_filtered(P, F, v)
+            new = v.complex not in built
+            built.add(v.complex)
+            before = len(builds)
+            for r in range(1, X.span + 4):
+                page(X, r)
+            stable = e_infinity(X)
+            assert convergence_check(P, F, v).ok
+            assert len(builds) == before
+            page(X, 0)
+            assert len(builds) == before + new
+            oracle_page_one(X)
+            oracle_page_recurrence(X)
+            inner_column_ss(P, F, X.min_degree, v)
+            assert len(builds) == before + new
+            assert build_filtered(P, F, v) is X
+            assert e_infinity(X) is stable
+    # one chain and one cochain complex per diagram
+    assert len(builds) == 8
 
 
 def test_shifted_grading_gets_its_own_filtered_complex():
@@ -518,12 +554,10 @@ def test_graded_pieces_are_the_diagonal_blocks():
 
 # ------------------------------------------ cycle lattices and shared pages
 
-def _oracle_complexes():
-    """The filtered complexes both reference oracles run on: randgen
-    families x modes x seeds on each poset and its opposite, the bundled
-    documents and the Z/2 square, in every variant whose direction
-    matches, each followed by the inner complexes that inner_column_ss
-    refilters at every level."""
+def _oracle_diagrams():
+    """(poset, diagram) pairs for the reference oracles: randgen families x
+    modes x seeds on each poset and its opposite, the bundled documents
+    and the Z/2 square."""
     diagrams = []
     for family in POSET_FAMILIES:
         for mode in DIAGRAM_MODES:
@@ -538,14 +572,21 @@ def _oracle_complexes():
     diagrams += bundled_diagrams()
     square = z2_square()
     diagrams.append((square.poset, square))
-    for P, F in diagrams:
+    return diagrams
+
+
+def _oracle_complexes():
+    """The filtered complexes both reference oracles run on: the oracle
+    diagrams in every variant whose direction matches, each followed by
+    the inner complexes that inner_column_ss refilters at every level."""
+    for P, F in _oracle_diagrams():
         for v in TABLE_VARIANTS:
             if v.direction != P.direction:
                 continue
             X = build_filtered(P, F, v)
             yield X
             for s in range(X.span + 1):
-                yield FilteredComplex(_restrict_to_level(X, s), v.second, P)
+                yield FilteredComplex(_restrict_to_level(X.unreduced, s), v.second, P)
 
 
 def test_cycle_lattices_match_reference():
@@ -599,3 +640,123 @@ def test_pages_use_neither_lattice_preimage_nor_intersection(monkeypatch):
                 page(X, r)
             e_infinity(X)
     assert seen == {v.name for v in TABLE_VARIANTS}
+
+
+# ------------------------------------------------ the filtered Morse complex
+
+def _unreduced(F, v, P):
+    return FilteredComplex(chain_complex(F) if v.complex == "chain" else cochain_complex(F),
+                           v, P)
+
+
+def test_reduced_pages_match_unreduced_pages():
+    """Pages 1..span+3, E-infinity and the convergence report on the
+    filtered Morse complex hold the groups of those on the whole nerve,
+    key by key; page 0 holds the subquotient-formula page 0 of the whole
+    nerve."""
+    seen = set()
+    for P, F in _oracle_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.matching)
+            X, U = build_filtered(P, F, v), _unreduced(F, v, P)
+            for r in range(1, X.span + 4):
+                got, want = page(X, r).sn_entries, page(U, r).sn_entries
+                assert set(got) == set(want)
+                for k, g in want.items():
+                    assert got[k].is_isomorphic_to(g), (v.name, r, k)
+            got, want = e_infinity(X).sn_entries, e_infinity(U).sn_entries
+            assert set(got) == set(want)
+            assert all(got[k].is_isomorphic_to(g) for k, g in want.items())
+            direction = "colim" if v.complex == "chain" else "lim"
+            report = convergence_check(P, F, v)
+            for n, c in report.by_degree.items():
+                assert c == _compare_totals(e_infinity(U), n, derived_functor(F, direction, n),
+                                            "", "")
+            zero = page(X, 0).sn_entries
+            ref = reference_page_entries(U, 0)
+            assert set(zero) == set(ref)
+            assert all(zero[k].is_isomorphic_to(g) for k, g in ref.items())
+    assert seen == {"carrier", "ends"}
+
+
+def test_a_matching_across_levels_is_refused():
+    """chain:sigma_n and cochain:sigma_0 filter by the vertex the carrier
+    matching moves: the pair check refuses the carrier complex, and
+    without the check its pages are wrong, though every differential
+    respects the levels."""
+    cases = []
+    for name in ("bool2", "grid2x3", "bool3"):
+        P = shape(name)
+        F = constant_diagram(P, group_from_invariants(1, [2]))
+        for v in (Variant("chain", "last", "increasing"),
+                  Variant("cochain", "first", "increasing")):
+            assert v.matching == "ends"
+            carrier = derived._cached_complex(F, v.complex, "carrier")
+            with pytest.raises(OracleViolation, match="carries the filtration level"):
+                FilteredComplex(carrier, v, P)
+            cases.append((P, F, v, carrier))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FilteredComplex, "_check_matching", lambda self: None)
+        for P, F, v, carrier in cases:
+            X, U = FilteredComplex(carrier, v, P), _unreduced(F, v, P)
+            assert not _raises_level(X, X.base._diffs)
+            assert not all(page(X, r).sn_entries[k].is_isomorphic_to(g)
+                           for r in range(1, X.span + 4)
+                           for k, g in page(U, r).sn_entries.items())
+
+
+def test_inner_sequences_refilter_the_unreduced_piece():
+    """Every inner page equals the one built on the unreduced level-p
+    piece; a piece of the reduced base would change some of them, since
+    the matching does not keep the second filtration's key vertex."""
+    seen = set()
+    for k in range(30):
+        cfg = GenConfig(seed=6100 + k, family="forest" if k % 2 == 0 else "layered",
+                        max_objects=6)
+        P = gen_poset(cfg)
+        if k % 4 >= 2:
+            P = opposite(P)
+        F = gen_diagram(cfg, P, "sums_of_standard")
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.name)
+            U = _unreduced(F, v, P)
+            for p in range(U.min_degree, U.max_degree + 1):
+                s = (U.max_degree - p) if v.condition == ">=" else (p - U.min_degree)
+                inner = FilteredComplex(_restrict_to_level(U, s), v.second, P)
+                pages = inner_column_ss(P, F, p, v)
+                assert len(pages) == inner.span + 3
+                for r, pg in enumerate(pages):
+                    _assert_same_groups(pg, page(inner, r))
+    assert seen == {v.name for v in TABLE_VARIANTS}
+
+
+def test_e_infinity_of_a_grid_cone():
+    F = constant_diagram(shape("grid4x4"), group_from_invariants(1, [2]))
+    for v in (CHAIN_LAST_INC, Variant("cochain", "last", "increasing")):
+        stable = e_infinity(build_filtered(F.poset, F, v))
+        assert entries_by_factors(stable) == {(0, 0): (1, (2,))}
+
+
+def test_a_dropped_diagram_is_freed_without_the_cycle_collector():
+    """No cache makes a reference cycle through the diagram, so dropping
+    it frees it and every complex and page cached on it at once."""
+    gc.disable()
+    try:
+        P = shape("bool2")
+        F = random_torsion_sum_diagram(random.Random(7), P)
+        freed = weakref.ref(F)
+        for v in TABLE_VARIANTS:
+            if v.direction == P.direction:
+                X = build_filtered(P, F, v)
+                oracle_page_one(X)
+                oracle_page_recurrence(X)
+                convergence_check(P, F, v)
+                inner_column_ss(P, F, X.min_degree, v)
+        del F, X
+        assert freed() is None
+    finally:
+        gc.enable()
