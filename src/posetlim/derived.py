@@ -38,22 +38,18 @@ class ChainComplex:
     critical chain when Morse-reduced).
 
     orientation "homological": differentials lower the degree by one;
-    "cohomological": they raise it.  vanishes_above_top records whether
-    degrees beyond top are genuinely zero (true for the normalized
-    complex) or merely not built (unnormalized debug mode).  A Morse
-    complex also holds its matching (each matched chain's vertices to its
-    partner's) and a zero-argument source that returns the complex it
-    reduces; an unreduced complex has neither.
+    "cohomological": they raise it.  Degrees outside 0..top are zero.
+    A Morse complex also holds its matching (each matched chain's
+    vertices to its partner's) and a zero-argument source that returns
+    the complex it reduces; an unreduced complex has neither.
     """
 
-    def __init__(self, orientation, blocks, sums, diffs, top, vanishes_above_top,
-                 matching=None, source=None):
+    def __init__(self, orientation, blocks, sums, diffs, top, matching=None, source=None):
         self.orientation = orientation
         self.blocks = blocks
         self.sums = sums
         self._diffs = diffs
         self.top = top
-        self.vanishes_above_top = vanishes_above_top
         self.matching = matching or {}
         self._source = source
 
@@ -134,8 +130,7 @@ def _faces(F: Diagram, kind: str, cell):
             for i in range(n + 1)]
 
 
-def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top,
-             matching=None, source=None) -> ChainComplex:
+def _complex(F: Diagram, kind: str, blocks, pieces, matching=None, source=None) -> ChainComplex:
     """The complex with one block per chain of blocks[n], holding F at the
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
@@ -161,33 +156,27 @@ def _complex(F: Diagram, kind: str, blocks, pieces, vanishes_above_top,
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
     X = ChainComplex("homological" if chain else "cohomological",
-                     blocks, sums, diffs, top, vanishes_above_top, matching, source)
+                     blocks, sums, diffs, top, matching, source)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
 
 
-def _nerve_complex(F: Diagram, kind: str, top, normalized) -> ChainComplex:
+def _nerve_complex(F: Diagram, kind: str) -> ChainComplex:
     P = F.poset
-    longest = longest_chain_length(P)
-    if top is None:
-        top = longest
-    blocks = dict(enumerate(chains_up_to(P, top, weak=not normalized)))
-    return _complex(F, kind, blocks, lambda c: _faces(F, kind, c),
-                    normalized and top >= longest)
+    blocks = dict(enumerate(chains_up_to(P, longest_chain_length(P))))
+    return _complex(F, kind, blocks, lambda c: _faces(F, kind, c))
 
 
-def chain_complex(F: Diagram, top: int = None, normalized: bool = True) -> ChainComplex:
+def chain_complex(F: Diagram) -> ChainComplex:
     """Homological complex with C_n the sum of F(sigma_0) over n-chains.
 
     d = sum of (-1)^i d_i; d_0 applies F(sigma_0 -> sigma_1), the other
-    faces keep the coefficient and drop a vertex.  The unnormalized mode
-    (weak chains, repeats allowed) never vanishes in high degrees, so it
-    is built only up to top and homology is refused at the cut.
+    faces keep the coefficient and drop a vertex.
     """
-    return _nerve_complex(F, "chain", top, normalized)
+    return _nerve_complex(F, "chain")
 
 
-def cochain_complex(F: Diagram, top: int = None, normalized: bool = True) -> ChainComplex:
+def cochain_complex(F: Diagram) -> ChainComplex:
     """Cohomological complex with C^n the product of F(sigma_n) over
     n-chains (finite, so a direct sum).
 
@@ -195,7 +184,7 @@ def cochain_complex(F: Diagram, top: int = None, normalized: bool = True) -> Cha
     i-th face; the last coface is the only one that moves coefficients,
     through F(tau_n -> tau_{n+1}).
     """
-    return _nerve_complex(F, "cochain", top, normalized)
+    return _nerve_complex(F, "cochain")
 
 
 MATCHINGS = ("carrier", "ends")
@@ -366,7 +355,7 @@ def _morse_complex(F, kind, cells, partner, source=None):
     for c in cells:
         if c not in partner:
             crit[len(c) - 1].append(Chain(c))
-    X = _complex(F, kind, crit, pieces, True, partner, source)
+    X = _complex(F, kind, crit, pieces, partner, source)
     # flow and through refer to each other; unlinking them lets reference
     # counting free F and everything cached on it once F is dropped
     flow = through = None
@@ -374,17 +363,9 @@ def _morse_complex(F, kind, cells, partner, source=None):
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
-    """H_n (or H^n) of X, trivial outside degrees 0..top when X vanishes
-    there; a truncated complex refuses its top degree and beyond."""
-    if n < 0:
+    """H_n (or H^n) of X, trivial outside degrees 0..top."""
+    if not 0 <= n <= X.top:
         return trivial_group()
-    if n > X.top:
-        if X.vanishes_above_top:
-            return trivial_group()
-        raise ValueError(f"complex truncated at {X.top}, degree {n} unavailable")
-    if n == X.top and not X.vanishes_above_top:
-        raise ValueError(
-            f"degree {n} needs the complex built through degree {n + 1}")
     return homology(X.d_into(n), X.d_from(n), f"degree {n}")
 
 
@@ -405,15 +386,12 @@ def _kind(direction: str) -> str:
 
 
 def _cached_complex(F: Diagram, which: str, matching: str = None) -> ChainComplex:
-    """The normalized chain or cochain complex of F, or its Morse
-    reduction by the named matching, built once per diagram."""
+    """The chain or cochain complex of F, or its Morse reduction by the
+    named matching, built once per diagram."""
     cache = F._complexes
     key = (which, matching)
     if key not in cache:
-        if matching:
-            cache[key] = reduce_complex(F, which, matching)
-        else:
-            cache[key] = chain_complex(F) if which == "chain" else cochain_complex(F)
+        cache[key] = reduce_complex(F, which, matching) if matching else _nerve_complex(F, which)
     return cache[key]
 
 

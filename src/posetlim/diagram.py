@@ -146,15 +146,6 @@ def im_at(F: Diagram, i0: str) -> Subgroup:
     return Subgroup(F.groups[i0], gens)
 
 
-def im_at_all_arrows(F: Diagram, i0: str) -> Subgroup:
-    """Same subgroup computed from every non-identity arrow into i0;
-    kept as an independent cross-check of the cover reduction."""
-    blocks = [F.hom(j, i0).matrix for j in F.poset.strictly_below[i0]]
-    rank = F.groups[i0].ambient_rank
-    gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
-    return Subgroup(F.groups[i0], gens)
-
-
 def coker_at(F: Diagram, i0: str):
     """(F(i0)/Im at i0, projection hom)."""
     return quotient(F.groups[i0], im_at(F, i0))
@@ -177,12 +168,6 @@ def ker_at(F: Diagram, i0: str) -> Subgroup:
         ker_q = la.preimage_lattice(h.matrix, h.target.relations)
         lattice = la.intersect_lattices(lattice, ker_q)
     return Subgroup(G, lattice)
-
-
-def coim_at(F: Diagram, i0: str) -> FgAbGroup:
-    """F(i0) modulo the joint kernel at i0."""
-    Q, _ = quotient(F.groups[i0], ker_at(F, i0))
-    return Q
 
 
 class NatTransformation:
@@ -221,51 +206,6 @@ class NatTransformation:
         return all(h.is_zero() for h in self.components.values())
 
 
-def coker_functor(F: Diagram):
-    """(Coker diagram, sigma).
-
-    The cokernel diagram carries F(i)/Im at each object and zero on
-    every non-identity arrow; sigma is the objectwise projection, which
-    is natural because each cover map lands inside the image subgroup.
-    """
-    parts = {i: coker_at(F, i) for i in F.poset.ids}
-    groups = {i: parts[i][0] for i in F.poset.ids}
-    maps = {c: zero_hom(groups[c[0]], groups[c[1]]) for c in F.poset.covers}
-    C = validate_functor(F.poset, groups, maps)
-    sigma = NatTransformation(F, C, {i: parts[i][1] for i in F.poset.ids})
-    return C, sigma
-
-
-def coker_prime_functor(F: Diagram):
-    """(Coker' diagram, pi).
-
-    Coker'(i0) sums Coker values over every arrow into i0, identity
-    included; in a poset arrows are determined by their source, so
-    summands are keyed by source id in sorted order.  Transition maps
-    re-index summands along composition (the key is preserved), and pi
-    projects onto the identity-arrow summand.
-    """
-    C, _ = coker_functor(F)
-    keys = {i: sorted(F.poset.strictly_below[i] + [i]) for i in F.poset.ids}
-    sums = {i: direct_sum([C.groups[k] for k in keys[i]]) for i in F.poset.ids}
-    groups = {i: sums[i].group for i in F.poset.ids}
-    maps = {}
-    for a, b in F.poset.covers:
-        M = la.from_blocks(
-            groups[b].ambient_rank, groups[a].ambient_rank,
-            [(sums[b].offsets[keys[b].index(k)], sums[a].offsets[pos_a], 1,
-              la.eye(C.groups[k].ambient_rank)) for pos_a, k in enumerate(keys[a])])
-        maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
-    Cp = validate_functor(F.poset, groups, maps)
-    pi = {}
-    for i in F.poset.ids:
-        r = C.groups[i].ambient_rank
-        M = la.from_blocks(r, groups[i].ambient_rank,
-                           [(0, sums[i].offsets[keys[i].index(i)], 1, la.eye(r))])
-        pi[i] = AbHom(groups[i], C.groups[i], M, check=False)
-    return Cp, NatTransformation(Cp, C, pi)
-
-
 def representable_diagram(P: GradedPoset, c: str) -> Diagram:
     """Z at every object above c, trivial elsewhere, identities between
     the Z's."""
@@ -294,50 +234,6 @@ def constant_diagram(P: GradedPoset, A: FgAbGroup) -> Diagram:
     groups = {i: A for i in P.ids}
     maps = {c: identity_hom(A) for c in P.covers}
     return validate_functor(P, groups, maps)
-
-
-def check_adjunction_instance(F: Diagram, i0: str, A: FgAbGroup, h: AbHom):
-    """Turn h: Coker(i0) -> A into the transformation F => skyscraper
-    and verify the bijection both ways.
-
-    Forward: the component at i0 is h after the projection, zero
-    elsewhere; naturality is checked.  Backward: the built
-    transformation's i0 component kills the image subgroup, so its
-    matrix is well defined on the cokernel, and recovering h that way
-    must give back the hom we started from.
-    """
-    Q, proj = coker_at(F, i0)
-    if not h.source.same_presentation(Q):
-        raise MismatchError("hom source is not the cokernel at i0")
-    sky = skyscraper_diagram(F.poset, i0, A)
-    comps = {}
-    for i in F.poset.ids:
-        if i == i0:
-            comps[i] = AbHom(F.groups[i0], A, h.matrix @ proj.matrix, check=False)
-        else:
-            comps[i] = zero_hom(F.groups[i], sky.groups[i])
-    eta = NatTransformation(F, sky, comps)
-    back = transformation_to_hom(F, i0, eta)
-    assert back.equal(h), "adjunction round trip must return the same hom"
-    return eta
-
-
-def transformation_to_hom(F: Diagram, i0: str, eta: NatTransformation) -> AbHom:
-    """The hom Coker(i0) -> A induced by a transformation into the
-    skyscraper at i0.
-
-    The i0 component must kill the image subgroup at i0 (this is what
-    naturality into a skyscraper forces); the same matrix then descends
-    to the cokernel.
-    """
-    Q, _ = coker_at(F, i0)
-    A = eta.target.groups[i0]
-    comp = eta.component(i0)
-    for col in (comp.matrix @ im_at(F, i0).generators).cols:
-        if not A.element_is_zero(col):
-            raise NotNaturalError(
-                "component at the skyscraper object does not kill the image subgroup")
-    return AbHom(Q, A, comp.matrix)
 
 
 def transpose_diagram(F: Diagram) -> Diagram:

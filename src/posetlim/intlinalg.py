@@ -10,10 +10,11 @@ matrix; the routines below copy the columns they reduce in place.
 
 One column echelon routine serves lattice bases, kernels, span
 membership and solving (both in SpanChecker), the filtration-ordered
-cycle lattices of spectral pages, and invariant factors, which need no
-transforms (Cohen, *A Course in Computational Algebraic
-Number Theory*, 2.4).  smith_normal_form keeps its unimodular
-certificates and is their oracle.
+cycle lattices of spectral pages, and Smith normal forms.  One Smith
+driver alternates its column and row steps: diagonal_of_snf runs it
+without transforms for the invariant factors every group needs (Cohen,
+*A Course in Computational Algebraic Number Theory*, 2.4), and
+smith_normal_form runs it tracked for the unimodular certificates.
 """
 
 from __future__ import annotations
@@ -374,6 +375,80 @@ class SpanChecker:
         return IntMatrix((self.n, len(ycols)), ycols)
 
 
+def _smith(cols, m, track):
+    """Smith elimination of the m-row matrix with these columns.
+
+    Column echelon steps alternate with column echelon steps on the
+    transpose.  Each keeps only its pivots, in lead-row order, and drops
+    zero columns and rows.  That order makes the first pivot the only
+    entry of the transpose's first column, so each step splits it off or
+    makes it strictly smaller, until every column has one entry.
+    Untracked, an echelon whose leading entries are all 1 ends it early:
+    it spans a direct summand, so every factor is 1.  The diagonal is
+    then sorted, and gcd/lcm exchanges turn it into a divisor chain
+    unless it is one.
+
+    Returns (diag, left, right): the nonzero invariant factors and, when
+    track, the rows of U and the columns of V with U M V = D, those of
+    the diagonal first (else None, None).
+    """
+    if track:
+        # sides[0] holds the transforms over M's columns, sides[1] over
+        # its rows, zero those of the zero columns and rows dropped on the
+        # way; the working columns are on side w
+        dims = (len(cols), m)
+        sides = [[{j: 1} for j in range(dims[0])], [{i: 1} for i in range(m)]]
+        zero = [[], []]
+        w = 0
+    while True:
+        pivots, live, tcols = _echelon_cols(cols, track)
+        cols = [cols[j] for _, j in pivots]
+        diag = [col[r] for (r, _), col in zip(pivots, cols)]
+        if not track and all(d == 1 for d in diag):
+            return diag, None, None
+        last = all(len(col) == 1 for col in cols)
+        if not last:
+            rows = {}
+            for j, col in enumerate(cols):
+                for i, x in col.items():
+                    rows.setdefault(i, {})[j] = x
+        keep = [r for r, _ in pivots] if last else sorted(rows)
+        if track:
+            k = len(tcols)
+            done = (IntMatrix((dims[w], k), sides[w]) @ IntMatrix((k, k), tcols)).cols
+            kept = set(keep)
+            zero[w] += [done[j] for j in live]
+            zero[1 - w] += [t for i, t in enumerate(sides[1 - w]) if i not in kept]
+            sides[w] = [done[j] for _, j in pivots]
+            sides[1 - w] = [sides[1 - w][i] for i in keep]
+            w = 1 - w
+        if last:
+            break
+        cols = [rows[i] for i in keep]
+    if track:
+        order = sorted(range(len(diag)), key=diag.__getitem__)
+        right, left = ([side[k] for k in order] for side in sides)
+        diag = [diag[k] for k in order]
+    else:
+        diag.sort()
+    if any(b % a for a, b in zip(diag, diag[1:])):
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                x, y = diag[a], diag[b]
+                if not track:
+                    g = gcd(x, y)
+                    diag[a], diag[b] = g, x // g * y
+                elif y % x:
+                    g, s, t = _xgcd(x, y)
+                    u, v = x // g, y // g
+                    left[a], left[b] = _unimodular_step(left[a], left[b], s, t, u, v)
+                    right[a], right[b] = _unimodular_step(right[a], right[b], 1, 1, s * u, t * v)
+                    diag[a], diag[b] = g, u * y
+    if not track:
+        return diag, None, None
+    return diag, left + zero[1], right + zero[0]
+
+
 def smith_normal_form(M: IntMatrix):
     """Smith normal form with certificate: (U, D, V) with U @ M @ V == D,
     U and V unimodular, and D diagonal with d1 | d2 | ... | dk, all >= 0.
@@ -383,142 +458,14 @@ def smith_normal_form(M: IntMatrix):
     [2, 4]
     """
     m, n = M.shape
-    D = M.tolist()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_axpy(dst, src, c):
-        D[dst] = [a + c * b for a, b in zip(D[dst], D[src])]
-        U[dst] = [a + c * b for a, b in zip(U[dst], U[src])]
-
-    def col_axpy(dst, src, c):
-        for row in D:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def row_swap(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        D[i] = [-a for a in D[i]]
-        U[i] = [-a for a in U[i]]
-
-    def balanced_q(a, p):
-        # quotient minimizing |a - q*p|, p > 0
-        return (2 * a + p) // (2 * p)
-
-    k = 0
-    while k < min(m, n):
-        # re-select the smallest nonzero entry of the trailing block every
-        # sweep; this is what keeps intermediate entries from exploding
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < abs(D[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != k:
-            row_swap(k, best[0])
-        if best[1] != k:
-            col_swap(k, best[1])
-        if D[k][k] < 0:
-            row_neg(k)
-        p = D[k][k]
-        col_dirty = False
-        for i in range(k + 1, m):
-            if D[i][k] != 0:
-                row_axpy(i, k, -balanced_q(D[i][k], p))
-                if D[i][k] != 0:
-                    col_dirty = True
-        if col_dirty:
-            continue
-        row_dirty = False
-        for j in range(k + 1, n):
-            if D[k][j] != 0:
-                col_axpy(j, k, -balanced_q(D[k][j], p))
-                if D[k][j] != 0:
-                    row_dirty = True
-        if row_dirty:
-            continue
-        offender = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if D[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_axpy(k, offender, 1)
-            continue
-        k += 1
-    for i in range(k):
-        if D[i][i] < 0:
-            row_neg(i)
-    return intmat(U, (m, m)), intmat(D, (m, n)), intmat(V, (n, n))
+    diag, left, right = _smith(_own_cols(M), m, track=True)
+    D = [{j: d} for j, d in enumerate(diag)] + [{} for _ in range(n - len(diag))]
+    return IntMatrix((m, m), left).T, IntMatrix((m, n), D), IntMatrix((n, n), right)
 
 
 def diagonal_of_snf(M: IntMatrix):
-    """Nonzero invariant factors d1 | d2 | ... of M, without transforms.
-
-    An echelon basis of the columns with all leading entries 1 spans a
-    direct summand, so all factors are 1.  Otherwise Smith elimination runs
-    on that basis alone by alternating row and column echelon steps (each
-    splits off its first pivot or makes it strictly smaller), and gcd/lcm
-    exchanges turn the final diagonal into a divisor chain.
-    """
-    cols = _own_cols(M)
-    while True:
-        cols = _basis_cols(cols)
-        diag = [col[min(col)] for col in cols]
-        if all(d == 1 for d in diag):
-            return diag
-        if all(len(col) == 1 for col in cols):
-            break
-        rows = {}
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-        cols = [rows[i] for i in sorted(rows)]
-    for a in range(len(diag)):
-        for b in range(a + 1, len(diag)):
-            g = gcd(diag[a], diag[b])
-            diag[a], diag[b] = g, diag[a] // g * diag[b]
-    return diag
-
-
-def det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n, n2 = M.shape
-    if n != n2:
-        raise ValueError("square matrix required")
-    if n == 0:
-        return 1
-    a = M.tolist()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Nonzero invariant factors d1 | d2 | ... of M, without transforms."""
+    return _smith(_own_cols(M), M.shape[0], track=False)[0]
 
 
 def _difference_cols(A: IntMatrix, B: IntMatrix):

@@ -236,19 +236,17 @@ def infer_degrees(ids, covers) -> dict:
     return deg
 
 
-def chains_up_to(P: GradedPoset, top: int, weak: bool = False):
+def chains_up_to(P: GradedPoset, top: int):
     """[the n-chains for n = 0..top], each degree in lexicographic order
     of its id sequences, from one depth-first walk that emits every
-    prefix it visits.  A weak walk (the unnormalized nerve) may repeat
-    the last vertex before it moves up."""
+    prefix it visits."""
     out = [[] for _ in range(top + 1)]
     above = P.strictly_above
 
     def extend(prefix):
         out[len(prefix) - 1].append(Chain(prefix))
         if len(prefix) <= top:
-            last = prefix[-1]
-            for nxt in [last] + above[last] if weak else above[last]:
+            for nxt in above[prefix[-1]]:
                 extend(prefix + (nxt,))
 
     if top >= 0:
@@ -261,12 +259,6 @@ def enumerate_chains(P: GradedPoset, n: int):
     """All strictly ascending chains with n+1 vertices, in lexicographic
     order of their id sequences."""
     return chains_up_to(P, n)[n] if n >= 0 else []
-
-
-def enumerate_weak_chains(P: GradedPoset, n: int):
-    """Weakly ascending (n+1)-tuples (repeats allowed); the simplices of
-    the unnormalized nerve."""
-    return chains_up_to(P, n, weak=True)[n] if n >= 0 else []
 
 
 def longest_chain_length(P: GradedPoset) -> int:

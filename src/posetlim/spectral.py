@@ -458,8 +458,7 @@ def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
         M = la.IntMatrix((len(row), len(cols)), cols)
         diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
     _check_dd_zero(diffs, lambda n: n + X.step)
-    X._pieces[s] = ChainComplex(base.orientation, blocks, sums, diffs, base.top,
-                                base.vanishes_above_top)
+    X._pieces[s] = ChainComplex(base.orientation, blocks, sums, diffs, base.top)
     return X._pieces[s]
 
 

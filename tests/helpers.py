@@ -4,25 +4,33 @@ import itertools
 from importlib import resources
 from math import gcd
 
+from posetlim import derived
 from posetlim import intlinalg as la
 from posetlim.abgroup import (
     AbHom,
+    Subgroup,
     cyclic_group,
+    direct_sum,
     free_group,
     group_from_invariants,
+    quotient,
     subquotient,
     zero_hom,
 )
 from posetlim.diagram import (
+    NatTransformation,
+    coker_at,
     constant_diagram,
     direct_sum_diagrams,
+    im_at,
+    ker_at,
     representable_diagram,
     skyscraper_diagram,
     validate_functor,
 )
-from posetlim.errors import PosetlimError
+from posetlim.errors import MismatchError, NotNaturalError, PosetlimError
 from posetlim.jsonio import parse_diagram
-from posetlim.poset import validate_graded
+from posetlim.poset import Chain, validate_graded
 
 
 def boolean_lattice(n):
@@ -182,6 +190,173 @@ def random_free_forest_diagram(rng, P, max_rank=3, max_entry=3):
                 for _ in range(ranks[a])] for _ in range(ranks[b])]
         maps[(a, b)] = AbHom(groups[a], groups[b], mat)
     return validate_functor(P, groups, maps)
+
+
+# ------------------------------------------------ the unnormalized nerve
+
+def per_degree_walk(P, n, weak=False):
+    """The n-chains, or the weak ones (a vertex may repeat) when weak,
+    from a depth-first walk of their own, every shorter prefix walked
+    again: the reference for poset.chains_up_to's one walk, and the
+    cells of the unnormalized nerve."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == n + 1:
+            out.append(tuple(prefix))
+            return
+        last = prefix[-1]
+        for nxt in [last] + P.strictly_above[last] if weak else P.strictly_above[last]:
+            extend(prefix + [nxt])
+
+    for start in P.ids:
+        extend([start])
+    return out
+
+
+def unnormalized_complex(F, kind, top):
+    """The chain ("chain") or cochain ("cochain") complex of F on the weak
+    chains of degree 0..top, from the library's face rule and assembler.
+    Weak chains exist in every degree, so homology_at is right on it in
+    degrees below top only."""
+    blocks = {n: [Chain(c) for c in per_degree_walk(F.poset, n, weak=True)]
+              for n in range(top + 1)}
+    return derived._complex(F, kind, blocks, lambda c: derived._faces(F, kind, c))
+
+
+# ------------------------------------------------ diagram constructions
+# Cross-checks and constructions from the paper that only the tests use.
+
+def im_at_all_arrows(F, i0):
+    """Same subgroup computed from every non-identity arrow into i0;
+    kept as an independent cross-check of the cover reduction."""
+    blocks = [F.hom(j, i0).matrix for j in F.poset.strictly_below[i0]]
+    rank = F.groups[i0].ambient_rank
+    gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
+    return Subgroup(F.groups[i0], gens)
+
+
+def coim_at(F, i0):
+    """F(i0) modulo the joint kernel at i0."""
+    Q, _ = quotient(F.groups[i0], ker_at(F, i0))
+    return Q
+
+
+def coker_functor(F):
+    """(Coker diagram, sigma).
+
+    The cokernel diagram carries F(i)/Im at each object and zero on
+    every non-identity arrow; sigma is the objectwise projection, which
+    is natural because each cover map lands inside the image subgroup.
+    """
+    parts = {i: coker_at(F, i) for i in F.poset.ids}
+    groups = {i: parts[i][0] for i in F.poset.ids}
+    maps = {c: zero_hom(groups[c[0]], groups[c[1]]) for c in F.poset.covers}
+    C = validate_functor(F.poset, groups, maps)
+    sigma = NatTransformation(F, C, {i: parts[i][1] for i in F.poset.ids})
+    return C, sigma
+
+
+def coker_prime_functor(F):
+    """(Coker' diagram, pi).
+
+    Coker'(i0) sums Coker values over every arrow into i0, identity
+    included; in a poset arrows are determined by their source, so
+    summands are keyed by source id in sorted order.  Transition maps
+    re-index summands along composition (the key is preserved), and pi
+    projects onto the identity-arrow summand.
+    """
+    C, _ = coker_functor(F)
+    keys = {i: sorted(F.poset.strictly_below[i] + [i]) for i in F.poset.ids}
+    sums = {i: direct_sum([C.groups[k] for k in keys[i]]) for i in F.poset.ids}
+    groups = {i: sums[i].group for i in F.poset.ids}
+    maps = {}
+    for a, b in F.poset.covers:
+        M = la.from_blocks(
+            groups[b].ambient_rank, groups[a].ambient_rank,
+            [(sums[b].offsets[keys[b].index(k)], sums[a].offsets[pos_a], 1,
+              la.eye(C.groups[k].ambient_rank)) for pos_a, k in enumerate(keys[a])])
+        maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
+    Cp = validate_functor(F.poset, groups, maps)
+    pi = {}
+    for i in F.poset.ids:
+        r = C.groups[i].ambient_rank
+        M = la.from_blocks(r, groups[i].ambient_rank,
+                           [(0, sums[i].offsets[keys[i].index(i)], 1, la.eye(r))])
+        pi[i] = AbHom(groups[i], C.groups[i], M, check=False)
+    return Cp, NatTransformation(Cp, C, pi)
+
+
+def check_adjunction_instance(F, i0, A, h):
+    """Turn h: Coker(i0) -> A into the transformation F => skyscraper
+    and verify the bijection both ways.
+
+    Forward: the component at i0 is h after the projection, zero
+    elsewhere; naturality is checked.  Backward: the built
+    transformation's i0 component kills the image subgroup, so its
+    matrix is well defined on the cokernel, and recovering h that way
+    must give back the hom we started from.
+    """
+    Q, proj = coker_at(F, i0)
+    if not h.source.same_presentation(Q):
+        raise MismatchError("hom source is not the cokernel at i0")
+    sky = skyscraper_diagram(F.poset, i0, A)
+    comps = {}
+    for i in F.poset.ids:
+        if i == i0:
+            comps[i] = AbHom(F.groups[i0], A, h.matrix @ proj.matrix, check=False)
+        else:
+            comps[i] = zero_hom(F.groups[i], sky.groups[i])
+    eta = NatTransformation(F, sky, comps)
+    back = transformation_to_hom(F, i0, eta)
+    assert back.equal(h), "adjunction round trip must return the same hom"
+    return eta
+
+
+def transformation_to_hom(F, i0, eta):
+    """The hom Coker(i0) -> A induced by a transformation into the
+    skyscraper at i0.
+
+    The i0 component must kill the image subgroup at i0 (this is what
+    naturality into a skyscraper forces); the same matrix then descends
+    to the cokernel.
+    """
+    Q, _ = coker_at(F, i0)
+    A = eta.target.groups[i0]
+    comp = eta.component(i0)
+    for col in (comp.matrix @ im_at(F, i0).generators).cols:
+        if not A.element_is_zero(col):
+            raise NotNaturalError(
+                "component at the skyscraper object does not kill the image subgroup")
+    return AbHom(Q, A, comp.matrix)
+
+
+
+# ------------------------------------------------ exact determinant
+
+def det(M):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    n, n2 = M.shape
+    if n != n2:
+        raise ValueError("square matrix required")
+    if n == 0:
+        return 1
+    a = M.tolist()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # ------------------------------------------------ dense intlinalg reference

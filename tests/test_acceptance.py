@@ -52,7 +52,14 @@ from posetlim.spectral import (
     oracle_page_recurrence,
 )
 
-from helpers import intro_pushout, pushout_poset, random_mixed_diagram
+from helpers import (
+    dense_diagonal_of_snf,
+    det,
+    intro_pushout,
+    pushout_poset,
+    random_mixed_diagram,
+    unnormalized_complex,
+)
 
 
 def _line(k, text):
@@ -62,12 +69,14 @@ def _line(k, text):
 def test_criterion_01_intro_pushout():
     F = intro_pushout()
 
-    # independent oracle: Smith form of the hand-written degree-1
-    # boundary (columns the 1-chains (a,b), (a,c); rows a, b, c)
+    # independent oracle: the dense reference Smith form of the
+    # hand-written degree-1 boundary (columns the 1-chains (a,b), (a,c);
+    # rows a, b, c), which the certified Smith form must match
     B = la.intmat([[-1, -1], [2, 0], [0, 2]])
-    _, D, _ = la.smith_normal_form(B)
-    diag = [int(D[i, i]) for i in range(2)]
-    expected_free = 3 - sum(1 for d in diag if d != 0)
+    diag = dense_diagonal_of_snf(B)
+    U, D, V = la.smith_normal_form(B)
+    assert U @ B @ V == D and [int(D[i, i]) for i in range(2)] == diag
+    expected_free = 3 - len(diag)
     expected_torsion = tuple(d for d in diag if d > 1)
     assert (expected_free, expected_torsion) == (1, (2,))
 
@@ -258,11 +267,11 @@ def test_criterion_10_normalization_is_invisible_in_homology():
         P = gen_poset(cfg)
         F = gen_diagram(cfg, P, "sums_of_standard")
         longest = longest_chain_length(P)
-        for build in (chain_complex, cochain_complex):
+        for kind, build in (("chain", chain_complex), ("cochain", cochain_complex)):
             Cn = build(F)
             # weak chains exist in every degree, so the unnormalized
             # complex must be built past the last degree compared
-            Cu = build(F, top=longest + 2, normalized=False)
+            Cu = unnormalized_complex(F, kind, longest + 2)
             for n in range(longest + 2):
                 assert homology_at(Cn, n).is_isomorphic_to(homology_at(Cu, n))
     _line(10, "normalized and unnormalized complexes agree in homology "
@@ -278,8 +287,8 @@ def test_criterion_11_smith_certificates():
                        for _ in range(m)])
         U, D, V = la.smith_normal_form(M)
         assert U @ M @ V == D
-        assert abs(la.det(U)) == 1
-        assert abs(la.det(V)) == 1
+        assert abs(det(U)) == 1
+        assert abs(det(V)) == 1
         diag = [int(D[i, i]) for i in range(min(m, n))]
         assert all(int(D[i, j]) == 0 for i in range(m) for j in range(n) if i != j)
         assert all(d >= 0 for d in diag)

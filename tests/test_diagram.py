@@ -16,19 +16,13 @@ from posetlim.abgroup import (
 )
 from posetlim.diagram import (
     NatTransformation,
-    check_adjunction_instance,
-    coim_at,
     coker_at,
-    coker_functor,
-    coker_prime_functor,
     constant_diagram,
     direct_sum_diagrams,
     im_at,
-    im_at_all_arrows,
     ker_at,
     representable_diagram,
     skyscraper_diagram,
-    transformation_to_hom,
     validate_functor,
 )
 from posetlim.errors import (
@@ -41,7 +35,17 @@ from posetlim.errors import (
 )
 from posetlim.poset import validate_graded
 
-from helpers import intro_pushout, pushout_poset, random_torsion_sum_diagram
+from helpers import (
+    check_adjunction_instance,
+    coim_at,
+    coker_functor,
+    coker_prime_functor,
+    im_at_all_arrows,
+    intro_pushout,
+    pushout_poset,
+    random_torsion_sum_diagram,
+    transformation_to_hom,
+)
 
 
 def chain_times(ns):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from posetlim import intlinalg as la
 from posetlim.intlinalg import (
-    det,
+    IntMatrix,
     diagonal_of_snf,
     eye,
     hstack,
@@ -19,6 +20,8 @@ from posetlim.intlinalg import (
     SpanChecker,
     zeros,
 )
+
+from helpers import dense_diagonal_of_snf, det
 
 
 def random_matrix(rng, max_dim=12, bound=50):
@@ -77,16 +80,29 @@ def snf_diagonal(M):
 
 
 def test_diagonal_of_snf_matches_certified_snf_seeded_batch():
+    # both Smith forms run one elimination loop, so the dense reference in
+    # helpers is the oracle; the certificate is still checked on each
     rng = random.Random(20261017)
     for _ in range(300):
         M = random_matrix(rng)
-        assert diagonal_of_snf(M) == snf_diagonal(M)
+        assert diagonal_of_snf(M) == dense_diagonal_of_snf(M) == snf_diagonal(M)
     # sparse, low-rank and torsion-heavy matrices, like relation matrices
     for _ in range(300):
         m, n = rng.randrange(1, 10), rng.randrange(1, 10)
         M = intmat([[rng.choice([0, 0, 0, 1, -1, 2, -2, 3, 4, 6]) for _ in range(n)]
                     for _ in range(m)])
-        assert diagonal_of_snf(M) == snf_diagonal(M)
+        assert diagonal_of_snf(M) == dense_diagonal_of_snf(M) == snf_diagonal(M)
+
+
+def test_a_divisor_chain_diagonal_needs_no_gcd(monkeypatch):
+    # 3,000 equal factors already form a divisor chain once sorted, so
+    # the quadratic gcd/lcm exchange must not run: calling None raises
+    monkeypatch.setattr(la, "gcd", None)
+    monkeypatch.setattr(la, "_xgcd", None)
+    M = IntMatrix((3000, 3000), [{j: 2} for j in range(3000)])
+    assert diagonal_of_snf(M) == [2] * 3000
+    # sorting alone makes a chain of a permuted one
+    assert diagonal_of_snf(intmat([[0, 0, 6], [3, 0, 0], [0, 12, 0]])) == [3, 6, 12]
 
 
 def test_diagonal_of_snf_edge_cases():
@@ -100,6 +116,8 @@ def test_diagonal_of_snf_edge_cases():
     # as given: diag(-4, 6) has invariant factors 2, 12
     M = intmat([[-4, 0], [0, 6]])
     assert diagonal_of_snf(M) == snf_diagonal(M) == [2, 12]
+    M = intmat([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
+    assert diagonal_of_snf(M) == dense_diagonal_of_snf(M) == snf_diagonal(M) == [2, 2, 60]
     M = intmat([[-1, -1], [2, 0], [0, 2]])
     assert diagonal_of_snf(M) == snf_diagonal(M) == [1, 2]
     # unit pivots mixed with torsion
@@ -122,12 +140,14 @@ def test_diagonal_of_snf_matches_sympy():
     from sympy import Matrix, ZZ
 
     rng = random.Random(17)
+    cases = [[[4, 0, 0], [0, 6, 0], [0, 0, 10]]]  # no divisor chain: factors 2, 2, 60
     for _ in range(150):
         m, n = rng.randrange(1, 7), rng.randrange(1, 7)
-        rows = [[rng.choice([0, 0, 1, -1, 2, 3, -4, 6, rng.randint(-20, 20)])
-                 for _ in range(n)] for _ in range(m)]
+        cases.append([[rng.choice([0, 0, 1, -1, 2, 3, -4, 6, rng.randint(-20, 20)])
+                       for _ in range(n)] for _ in range(m)])
+    for rows in cases:
         S = matrices.smith_normal_form(Matrix(rows), domain=ZZ)
-        want = sorted(abs(int(S[i, i])) for i in range(min(m, n)) if S[i, i] != 0)
+        want = sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0)
         assert diagonal_of_snf(intmat(rows)) == want
 
 
@@ -230,14 +250,13 @@ def test_preimage_lattice_definition():
             assert chk_p.contains(x) == chk.contains(img)
 
 
-def test_det_matches_numpy_on_small_floats():
-    np = pytest.importorskip("numpy")
+def test_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(42)
     for _ in range(50):
         n = rng.randrange(1, 6)
         M = intmat([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
-        f = np.array([[float(M[i, j]) for j in range(n)] for i in range(n)])
-        assert abs(det(M) - round(np.linalg.det(f))) <= 0
+        assert det(M) == sympy.Matrix(M.tolist()).det()
 
 
 def test_hstack_and_eye():

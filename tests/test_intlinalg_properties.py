@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from posetlim.intlinalg import (  # noqa: E402
     SpanChecker,
-    det,
     diagonal_of_snf,
     intmat,
     kernel,
@@ -17,6 +16,8 @@ from posetlim.intlinalg import (  # noqa: E402
     solve,
     zeros,
 )
+
+from helpers import det  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 

@@ -192,8 +192,7 @@ def test_pages_refuse_d_squared_nonzero_inside_one_level():
     diffs[1] = AbHom(d.source, d.target,
                      d.matrix + la.from_blocks(*d.matrix.shape, [(row, col, 1, la.eye(1))]),
                      check=False)
-    bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs,
-                       base.top, base.vanishes_above_top)
+    bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs, base.top)
     X = FilteredComplex(bad, CHAIN_LAST_INC, P)
     with pytest.raises(OracleViolation, match="d o d is nonzero"):
         page(X, 0)
@@ -424,11 +423,11 @@ def test_convergence_after_build_filtered_reuses_the_nerve(monkeypatch):
     Morse-reduced nerve alone; page 0 builds the unreduced complex once,
     and the oracles and inner sequences after it build nothing more."""
     builds = []
-    for name in ("chain_complex", "cochain_complex"):
-        def counted(*a, _real=getattr(derived, name), **k):
-            builds.append(1)
-            return _real(*a, **k)
-        monkeypatch.setattr(derived, name, counted)
+
+    def counted(*a, _real=derived._nerve_complex, **k):
+        builds.append(1)
+        return _real(*a, **k)
+    monkeypatch.setattr(derived, "_nerve_complex", counted)
     for P, F in _seeded_diagrams():
         built = set()
         for v in TABLE_VARIANTS:
@@ -522,8 +521,7 @@ def test_level_check_agrees_with_a_blockwise_scan():
                                               rng.choice([1, -1, 2]), la.eye(1))])
                 diffs = dict(base._diffs)
                 diffs[n] = AbHom(d.source, d.target, d.matrix + bump, check=False)
-                bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs,
-                                   base.top, base.vanishes_above_top)
+                bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs, base.top)
                 want = _raises_level(X, diffs)
                 try:
                     FilteredComplex(bad, X.variant, X.poset)
