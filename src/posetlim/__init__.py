@@ -69,6 +69,7 @@ from .diagram import (
     validate_functor,
 )
 from .errors import (
+    ChainBudgetError,
     ConvergenceViolation,
     CycleError,
     DegreeError,
@@ -95,6 +96,7 @@ from .poset import (
     GradedPoset,
     PosetObject,
     bounds,
+    chain_counts,
     longest_chain_length,
     opposite,
     validate_graded,

@@ -24,7 +24,13 @@ from .classify import (
     pushout_projectivity_criterion,
     telescope_projectivity_criterion,
 )
-from .derived import check_euler_characteristic, derived_functor, is_acyclic
+from .derived import (
+    DEFAULT_MAX_CHAINS,
+    chain_budget,
+    check_euler_characteristic,
+    derived_functor,
+    is_acyclic,
+)
 from .diagram import transpose_diagram
 from .errors import (
     ConvergenceViolation,
@@ -389,6 +395,9 @@ def _build_parser():
                                  "diagrams of abelian groups on graded posets.")
     parser.add_argument("--json", action="store_true",
                         help="emit the report document as JSON")
+    parser.add_argument("--max-chains", type=int, default=DEFAULT_MAX_CHAINS,
+                        help="refuse an input whose complexes would list more "
+                             "chains than this (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text, with_file=True):
@@ -455,7 +464,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_join_pages_value(sys.argv[1:] if argv is None else argv))
     try:
-        rep, text = args.func(args)
+        if args.max_chains < 0:
+            raise PosetlimError(f"--max-chains must be at least 0, got {args.max_chains}")
+        with chain_budget(args.max_chains):
+            rep, text = args.func(args)
     except (OracleViolation, ConvergenceViolation) as e:
         return _emit_error(args, e, 2)
     except (PosetlimError, FileNotFoundError, json.JSONDecodeError) as e:

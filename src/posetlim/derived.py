@@ -13,24 +13,62 @@ Morse-reduced ones sum them along zig-zag flows.
 derived_functor takes them from the Morse-reduced nerve complex
 (reduce_complex) on the carrier matching, which keeps only the critical
 chains of an acyclic matching; on a poset with a greatest (least)
-element that is a single chain.  The spectral sequences take the
-reduced complex on whichever matching keeps their filtration's key
-vertex, the carrier one or the two-ended one.  A reduced complex builds
-the unreduced one only when asked, for page 0 and the spectral oracles;
-the unreduced complexes are also the tests' oracle for the reduced
-ones.  Direct (co)limits are independent degree-0 oracles, and the Euler
-characteristic, counted from the poset alone, checks every full table.
+element that is a single chain.  The matching is decided group by
+group, and a group whose interval has a cone point is paired off
+without listing a chain, so such a poset's nerve is never listed.  The
+spectral sequences take the reduced complex on whichever matching keeps
+their filtration's key vertex, the carrier one or the two-ended one.  A
+reduced complex builds the unreduced one only when asked, for page 0
+and the spectral oracles; the unreduced complexes are also the tests'
+oracle for the reduced ones.  Direct (co)limits are independent
+degree-0 oracles, and the Euler characteristic, counted from the poset
+alone, checks every full table.
+
+Whatever lists chains counts them first (poset.chain_counts) and
+refuses with ChainBudgetError past the chain budget (chain_budget, the
+CLI's --max-chains), so an input too wide to list fails at once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
-from .errors import OracleViolation
-from .poset import Chain, chains_up_to, longest_chain_length
+from .errors import ChainBudgetError, OracleViolation
+from .poset import Chain, chain_counts, chains_up_to
+
+# The most chains one complex may list; the CLI's --max-chains.  The
+# largest list the tests, the bundled documents and the benchmark make
+# is grid5x5's nerve, 10,271 chains; 32,063 chains (grid6x5) take about
+# 1.3 s and 80 MB to build unreduced.
+DEFAULT_MAX_CHAINS = 100_000
+_max_chains = ContextVar("max_chains", default=DEFAULT_MAX_CHAINS)
+
+
+@contextmanager
+def chain_budget(limit: int):
+    """Inside the block, refuse to list more than limit chains for one
+    complex (ChainBudgetError)."""
+    token = _max_chains.set(limit)
+    try:
+        yield
+    finally:
+        _max_chains.reset(token)
+
+
+def _check_budget(count: int, what: str):
+    """ChainBudgetError when what would list more than the budget's
+    chains; count may be a partial count that is already over it."""
+    limit = _max_chains.get()
+    if count > limit:
+        raise ChainBudgetError(
+            f"{what} would list at least {count} chains, more than the budget "
+            f"of {limit} (--max-chains)")
 
 
 class ChainComplex:
@@ -39,19 +77,25 @@ class ChainComplex:
 
     orientation "homological": differentials lower the degree by one;
     "cohomological": they raise it.  Degrees outside 0..top are zero.
-    A Morse complex also holds its matching (each matched chain's
-    vertices to its partner's) and a zero-argument source that returns
-    the complex it reduces; an unreduced complex has neither.
+    A Morse complex also holds a zero-argument pairs that lists its
+    matching and a zero-argument source that returns the complex it
+    reduces; an unreduced complex has neither.
     """
 
-    def __init__(self, orientation, blocks, sums, diffs, top, matching=None, source=None):
+    def __init__(self, orientation, blocks, sums, diffs, top, pairs=None, source=None):
         self.orientation = orientation
         self.blocks = blocks
         self.sums = sums
         self._diffs = diffs
         self.top = top
-        self.matching = matching or {}
+        self._pairs = pairs
         self._source = source
+
+    @cached_property
+    def matching(self) -> dict:
+        """Each matched chain's vertices to its partner's, listed on first
+        read; empty on an unreduced complex."""
+        return self._pairs() if self._pairs else {}
 
     def unreduced(self) -> "ChainComplex":
         """The complex this one reduces, itself when it is not reduced."""
@@ -130,7 +174,7 @@ def _faces(F: Diagram, kind: str, cell):
             for i in range(n + 1)]
 
 
-def _complex(F: Diagram, kind: str, blocks, pieces, matching=None, source=None) -> ChainComplex:
+def _complex(F: Diagram, kind: str, blocks, pieces, pairs=None, source=None) -> ChainComplex:
     """The complex with one block per chain of blocks[n], holding F at the
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
@@ -156,14 +200,15 @@ def _complex(F: Diagram, kind: str, blocks, pieces, matching=None, source=None) 
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
     X = ChainComplex("homological" if chain else "cohomological",
-                     blocks, sums, diffs, top, matching, source)
+                     blocks, sums, diffs, top, pairs, source)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
 
 
 def _nerve_complex(F: Diagram, kind: str) -> ChainComplex:
     P = F.poset
-    blocks = dict(enumerate(chains_up_to(P, longest_chain_length(P))))
+    _check_budget(sum(chain_counts(P)), "the nerve")
+    blocks = dict(enumerate(chains_up_to(P, P.length)))
     return _complex(F, kind, blocks, lambda c: _faces(F, kind, c))
 
 
@@ -192,8 +237,9 @@ MATCHINGS = ("carrier", "ends")
 
 def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainComplex:
     """The Morse complex of the normalized chain ("chain") or cochain
-    ("cochain") complex of F, built from the chain list and F's maps;
-    the unreduced differentials are never assembled.
+    ("cochain") complex of F, built from the critical chains and F's
+    maps; the unreduced differentials are never assembled, and a chain
+    that no group of the matching needs is never listed.
 
     A chain's carrier is the vertex whose value it holds: the first
     vertex for chains, the last for cochains.  The "carrier" matching
@@ -201,87 +247,177 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     last vertex together; inside a group the other vertices, the tails
     (chains of the open interval the fixed ends bound, the empty one
     included), are paired by Jonsson's sequential element matching, which
-    is acyclic (*Simplicial Complexes of Graphs*, 2008).  A pair differs
-    by a vertex that is neither fixed end, so its block is +-identity on
-    the carrier's value whatever F is.  The only faces that leave a group
-    drop a fixed end: for the carrier matching that moves the carrier
-    strictly, always the same way, and for the ends matching it strictly
-    shrinks the interval from the first vertex to the last, so no
-    gradient path comes back to a group it left.  The unpaired (critical)
-    chains span the Morse complex, whose differentials sum the zig-zag
-    paths between them (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is
-    checked on the result.
+    is acyclic (*Simplicial Complexes of Graphs*, 2008); _ElementMatching
+    decides it one group at a time.  A pair differs by a vertex that is
+    neither fixed end, so its block is +-identity on the carrier's value
+    whatever F is.  The only faces that leave a group drop a fixed end:
+    for the carrier matching that moves the carrier strictly, always the
+    same way, and for the ends matching it strictly shrinks the interval
+    from the first vertex to the last, so no gradient path comes back to
+    a group it left.  The unpaired (critical) chains span the Morse
+    complex, whose differentials sum the zig-zag paths between them
+    (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is checked on the
+    result.
 
     The carrier matching keeps the first (chain) or last (cochain)
     vertex of every pair, the ends matching both, which is what a
     filtration by that vertex's degree needs (spectral.build_filtered).
-    The complex keeps its matching, and its source builds the unreduced
-    complex on first use, once per diagram.
+    The complex lists its matching on first read, and its source builds
+    the unreduced complex on first use, once per diagram.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown complex kind {kind!r}")
     if matching not in MATCHINGS:
         raise ValueError(f"unknown matching {matching!r}")
-    P = F.poset
-    cells = [c.vertices for chains in chains_up_to(P, longest_chain_length(P))
-             for c in chains]
     if matching == "ends":
         ends = (1, 1)
     else:
         ends = (1, 0) if kind == "chain" else (0, 1)
+    M = _ElementMatching(F.poset, kind, ends)
     unreduced = F._detached
-    return _morse_complex(F, kind, cells, _element_matching(P, kind, cells, ends),
-                          lambda: _cached_complex(unreduced, kind))
+    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner,
+                          lambda: _cached_complex(unreduced, kind), M.pairs)
 
 
-def _element_matching(P, kind, cells, ends):
-    """Sequential element matching inside each group, as a dict sending
-    each matched cell to its partner.  ends = (h, f) fixes the first h and
-    the last f vertices of every cell (each 0 or 1, not both 0): a cell is
-    head + tail + foot, the group is (head, foot), and the elements tried
-    are those of the open interval the head and foot bound.  They are
-    tried in order of internal degree, descending for chains and
-    ascending for cochains (ties by id), so a greatest (least) element of
-    the interval pairs off every tail."""
-    chain = kind == "chain"
-    deg = P.degree
-    h, f = ends
-    tails = {}
-    for c in cells:
-        cut = len(c) - f
-        tails.setdefault((c[:h], c[cut:]), set()).add(c[h:cut])
-    partner = {}
-    for (head, foot), free in tails.items():
-        if not head:
-            inside = P.strictly_below[foot[0]]
-        elif not foot:
-            inside = P.strictly_above[head[0]]
-        else:
-            below = set(P.strictly_below[foot[0]])
-            inside = [x for x in P.strictly_above[head[0]] if x in below]
-        for x in sorted(inside, key=lambda y: (-deg[y] if chain else deg[y], y)):
-            if not free:
-                break
-            pairs = []
-            for t in free:
-                if x in t:
-                    continue
-                # tails ascend in degree, so x has one possible place
-                k = sum(1 for y in t if deg[y] < deg[x])
-                up = t[:k] + (x,) + t[k:]
-                if up in free:
-                    pairs.append((t, up))
-            for t, up in pairs:
-                free.discard(t)
-                free.discard(up)
-                lo, hi = head + t + foot, head + up + foot
-                partner[lo] = hi
-                partner[hi] = lo
-    return partner
+class _ElementMatching:
+    """The sequential element matching inside each group, decided one
+    group at a time.  ends = (h, f) fixes the first h and the last f
+    vertices of every cell (each 0 or 1, not both 0): a cell is head +
+    tail + foot, the group is (head, foot), and the elements tried are
+    those of the open interval the head and foot bound.  They are tried
+    in order of internal degree, descending for chains and ascending for
+    cochains (ties by id), one step each: a step pairs every free tail t
+    without the element x with t plus x when that is free too.
+
+    When the first element x is comparable to the whole interval (a cone
+    point), step 1 pairs every tail with the tail that differs from it by
+    x, so the group has no critical cell: its cells are never listed, and
+    partner works a cell's partner out from the cell.  Every other group
+    lists its tails, walking inside the interval, and runs the steps on
+    them; a greatest (least) element of the interval is such a cone
+    point."""
+
+    def __init__(self, P, kind, ends):
+        self.P = P
+        self.chain = kind == "chain"
+        self.h, self.f = ends
+        deg = P.degree
+        self._order = ((lambda y: (-deg[y], y)) if self.chain
+                       else (lambda y: (deg[y], y)))
+        # (head, foot) -> (cone point, None) or (None, {cell: partner})
+        self._groups = {}
+
+    def _intervals(self):
+        """Each group (head, foot) with its open interval."""
+        P = self.P
+        for v in P.ids:
+            if not self.f:
+                yield ((v,), ()), P.above_set[v]
+            elif not self.h:
+                yield ((), (v,)), P.below_set[v]
+            else:
+                for b in (v, *P.strictly_above[v]):
+                    yield ((v,), (b,)), P.above_set[v] & P.below_set[b]
+
+    def _cone_point(self, inside):
+        """The first element of inside when it is comparable to all of
+        inside, else None.  It has the extreme degree there, so the rest
+        must lie below it (chains) or above it (cochains)."""
+        if not inside:
+            return None
+        x = min(inside, key=self._order)
+        rest = (self.P.below_set if self.chain else self.P.above_set)[x]
+        return x if len(inside & rest) == len(inside) - 1 else None
+
+    def _tails(self, inside):
+        """The chains of the subposet inside, the empty one first."""
+        if not inside:
+            return [()]
+        return [()] + [c.vertices for chains in chains_up_to(self.P, self.P.length, inside)
+                       for c in chains]
+
+    def critical(self):
+        """The unpaired cells.  Every group is decided here: the tails of
+        the groups without a cone point are counted against the chain
+        budget before any of them is listed."""
+        listed = []
+        for key, inside in self._intervals():
+            x = self._cone_point(inside)
+            if x is None:
+                listed.append((key, inside))
+            else:
+                self._groups[key] = (x, None)
+        total = 0
+        for _, inside in listed:
+            total += 1 + sum(chain_counts(self.P, inside))
+            _check_budget(total, "the Morse matching")
+        out = []
+        for (head, foot), inside in listed:
+            if head and head == foot:
+                # the one cell (a,) of the ends matching's group (a, a)
+                self._groups[(head, foot)] = (None, {})
+                out.append(head)
+                continue
+            free = set(self._tails(inside))
+            pairs = {}
+            for x in sorted(inside, key=self._order):
+                if not free:
+                    break
+                ups = []
+                for t in free:
+                    if x not in t:
+                        up = self._insert(t, x)
+                        if up in free:
+                            ups.append((t, up))
+                for t, up in ups:
+                    free.discard(t)
+                    free.discard(up)
+                    lo, hi = head + t + foot, head + up + foot
+                    pairs[lo] = hi
+                    pairs[hi] = lo
+            self._groups[(head, foot)] = (None, pairs)
+            out.extend(head + t + foot for t in free)
+        return out
+
+    def _insert(self, t, x):
+        # tails ascend in degree, so x has one possible place
+        deg = self.P.degree
+        k = sum(1 for y in t if deg[y] < deg[x])
+        return t[:k] + (x,) + t[k:]
+
+    def partner(self, c):
+        """The cell matched with c, None when c is critical."""
+        cut = len(c) - self.f
+        head, foot = c[:self.h], c[cut:]
+        x, pairs = self._groups[(head, foot)]
+        if x is None:
+            return pairs.get(c)
+        t = c[self.h:cut]
+        if x in t:
+            k = t.index(x)
+            return head + t[:k] + t[k + 1:] + foot
+        return head + self._insert(t, x) + foot
+
+    def pairs(self):
+        """Every matched cell to its partner, from the whole chain list,
+        which is counted against the chain budget first."""
+        P = self.P
+        _check_budget(sum(chain_counts(P)), "listing the Morse matching")
+        out = {}
+        for chains in chains_up_to(P, P.length):
+            for c in chains:
+                s = self.partner(c.vertices)
+                if s is not None:
+                    out[c.vertices] = s
+        return out
 
 
-def _morse_complex(F, kind, cells, partner, source=None):
-    """The Morse complex of F's nerve complex for a matching of its cells.
+def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
+    """The Morse complex of F's nerve complex for an acyclic matching,
+    given by its critical cells, the nerve's top degree and partner, which
+    sends a cell to the cell matched with it (None for a critical cell).
+    pairs, when given, lists the whole matching as a dict; the complex
+    calls it on the first read of its matching.
 
     flow(b) holds the zig-zag sum from the cell b one degree below a
     critical cell h to the critical cells of b's degree, as
@@ -312,7 +448,7 @@ def _morse_complex(F, kind, cells, partner, source=None):
         return acc
 
     def partner_above(b):
-        s = partner.get(b)
+        s = partner(b)
         return s if s is not None and len(s) > len(b) else None
 
     memo = {}
@@ -320,9 +456,10 @@ def _morse_complex(F, kind, cells, partner, source=None):
     def flow(b):
         if b in memo:
             return memo[b]
-        if b not in partner:
+        s = partner(b)
+        if s is None:
             return {b: None}
-        if partner_above(b) is None:
+        if len(s) < len(b):
             return {}
         stack = [b]
         expanding = {}
@@ -331,7 +468,7 @@ def _morse_complex(F, kind, cells, partner, source=None):
             if x in memo:
                 stack.pop()
             elif x not in expanding:
-                expanding[x] = fs = _faces(F, kind, partner[x])
+                expanding[x] = fs = _faces(F, kind, partner(x))
                 for y, _, _ in fs:
                     if y != x and y not in memo and partner_above(y) is not None:
                         if y in expanding:
@@ -350,12 +487,10 @@ def _morse_complex(F, kind, cells, partner, source=None):
     def pieces(h):
         return [(c, 1, M) for c, M in through(_faces(F, kind, h)).items()]
 
-    top = max(len(c) for c in cells) - 1
     crit = {n: [] for n in range(top + 1)}
-    for c in cells:
-        if c not in partner:
-            crit[len(c) - 1].append(Chain(c))
-    X = _complex(F, kind, crit, pieces, partner, source)
+    for c in sorted(critical):
+        crit[len(c) - 1].append(Chain(c))
+    X = _complex(F, kind, crit, pieces, pairs, source)
     # flow and through refer to each other; unlinking them lets reference
     # counting free F and everything cached on it once F is dropped
     flow = through = None
@@ -437,7 +572,7 @@ def is_acyclic(F: Diagram, direction: str) -> AcyclicityResult:
     """All higher derived functors trivial; on failure carries the first
     nonvanishing degree and its group.  An acyclic verdict is checked
     against the Euler characteristic, which degree 0 must then carry."""
-    for i in range(1, longest_chain_length(F.poset) + 1):
+    for i in range(1, F.poset.length + 1):
         H = derived_functor(F, direction, i)
         if not H.is_trivial:
             return AcyclicityResult(False, i, H)

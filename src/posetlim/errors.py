@@ -55,6 +55,10 @@ class DiamondError(PosetlimError):
         self.matrix_b = matrix_b
 
 
+class ChainBudgetError(PosetlimError):
+    """Listing the chains a complex needs would exceed the chain budget."""
+
+
 class NotNaturalError(PosetlimError):
     """A candidate transformation fails a naturality square."""
 

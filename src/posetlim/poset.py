@@ -71,8 +71,8 @@ class GradedPoset:
         return {i: sorted(v) for i, v in into.items()}
 
     @cached_property
-    def strictly_above(self):
-        """id -> sorted ids strictly above it (transitive closure)."""
+    def above_set(self):
+        """id -> frozenset of the ids strictly above it (transitive closure)."""
         memo = {}
 
         def walk(i):
@@ -87,20 +87,42 @@ class GradedPoset:
 
         for i in self.ids:
             walk(i)
-        return {i: sorted(memo[i]) for i in self.ids}
+        return {i: frozenset(memo[i]) for i in self.ids}
+
+    @cached_property
+    def below_set(self):
+        """id -> frozenset of the ids strictly below it."""
+        below = {i: set() for i in self.ids}
+        for i, ups in self.above_set.items():
+            for j in ups:
+                below[j].add(i)
+        return {i: frozenset(v) for i, v in below.items()}
+
+    @cached_property
+    def strictly_above(self):
+        """id -> sorted ids strictly above it."""
+        return {i: sorted(v) for i, v in self.above_set.items()}
 
     @cached_property
     def strictly_below(self):
-        below = {i: [] for i in self.ids}
-        for i, ups in self.strictly_above.items():
-            for j in ups:
-                below[j].append(i)
-        return {i: sorted(v) for i, v in below.items()}
+        return {i: sorted(v) for i, v in self.below_set.items()}
+
+    @cached_property
+    def length(self) -> int:
+        """Largest n with a strict chain of n+1 vertices."""
+        memo = {}
+
+        def depth(i):
+            if i not in memo:
+                memo[i] = 1 + max((depth(j) for j in self.covers_out[i]), default=0)
+            return memo[i]
+
+        return max(depth(i) for i in self.ids) - 1
 
     def leq(self, p: str, q: str) -> bool:
         self._check_id(p)
         self._check_id(q)
-        return p == q or q in set(self.strictly_above[p])
+        return p == q or q in self.above_set[p]
 
     def _check_id(self, p: str):
         if p not in self.degree:
@@ -236,12 +258,17 @@ def infer_degrees(ids, covers) -> dict:
     return deg
 
 
-def chains_up_to(P: GradedPoset, top: int):
+def chains_up_to(P: GradedPoset, top: int, inside=None):
     """[the n-chains for n = 0..top], each degree in lexicographic order
     of its id sequences, from one depth-first walk that emits every
-    prefix it visits."""
+    prefix it visits; with inside (a set of ids), only the chains of
+    that subposet."""
     out = [[] for _ in range(top + 1)]
-    above = P.strictly_above
+    if inside is None:
+        starts, above = P.ids, P.strictly_above
+    else:
+        starts = sorted(inside)
+        above = {i: [j for j in P.strictly_above[i] if j in inside] for i in starts}
 
     def extend(prefix):
         out[len(prefix) - 1].append(Chain(prefix))
@@ -250,9 +277,33 @@ def chains_up_to(P: GradedPoset, top: int):
                 extend(prefix + (nxt,))
 
     if top >= 0:
-        for start in P.ids:
+        for start in starts:
             extend((start,))
     return out
+
+
+def chain_counts(P: GradedPoset, inside=None):
+    """[the number of n-chains for n = 0..], without listing a chain; with
+    inside (a set of ids), of the chains of that subposet.  The n-chains
+    that start at v are v followed by an (n-1)-chain that starts above
+    it, so one pass from the top degree down counts them all."""
+    ids = P.ids if inside is None else inside
+    starting = {}
+    for v in sorted(ids, key=P.degree.get, reverse=True):
+        acc = [1]
+        for w in P.above_set[v]:
+            if w in starting:
+                ws = starting[w]
+                acc.extend([0] * (len(ws) + 1 - len(acc)))
+                for n, c in enumerate(ws, 1):
+                    acc[n] += c
+        starting[v] = acc
+    total = []
+    for acc in starting.values():
+        total.extend([0] * (len(acc) - len(total)))
+        for n, c in enumerate(acc):
+            total[n] += c
+    return total
 
 
 def enumerate_chains(P: GradedPoset, n: int):
@@ -262,15 +313,9 @@ def enumerate_chains(P: GradedPoset, n: int):
 
 
 def longest_chain_length(P: GradedPoset) -> int:
-    """Largest n with a strict chain of n+1 vertices."""
-    memo = {}
-
-    def depth(i):
-        if i not in memo:
-            memo[i] = 1 + max((depth(j) for j in P.covers_out[i]), default=0)
-        return memo[i]
-
-    return max(depth(i) for i in P.ids) - 1
+    """Largest n with a strict chain of n+1 vertices, computed once per
+    poset."""
+    return P.length
 
 
 def opposite(P: GradedPoset) -> GradedPoset:

@@ -9,10 +9,12 @@ from posetlim import intlinalg as la
 from posetlim.abgroup import (
     AbHom,
     Subgroup,
+    compose,
     cyclic_group,
     direct_sum,
     free_group,
     group_from_invariants,
+    identity_hom,
     quotient,
     subquotient,
     zero_hom,
@@ -28,9 +30,9 @@ from posetlim.diagram import (
     skyscraper_diagram,
     validate_functor,
 )
-from posetlim.errors import MismatchError, NotNaturalError, PosetlimError
+from posetlim.errors import DiamondError, MismatchError, NotNaturalError, PosetlimError
 from posetlim.jsonio import parse_diagram
-from posetlim.poset import Chain, validate_graded
+from posetlim.poset import Chain, chains_up_to, validate_graded
 
 
 def boolean_lattice(n):
@@ -58,6 +60,15 @@ def shape(name):
     """One of the eight cones of SHAPES, each with a least element."""
     build, *args = SHAPES[name]
     return build(*args)
+
+
+def crown_tower(levels):
+    """Two objects per degree 0..levels-1, each below both objects of
+    the next degree: no greatest or least element, and 3^levels - 1
+    chains (the octahedron is crown_tower(3))."""
+    ids = [[f"c{d}a", f"c{d}b"] for d in range(levels)]
+    return validate_graded([(i, d) for d, lv in enumerate(ids) for i in lv],
+                           [(x, y) for lo, hi in zip(ids, ids[1:]) for x in lo for y in hi])
 
 
 def pushout_poset():
@@ -222,6 +233,102 @@ def unnormalized_complex(F, kind, top):
     blocks = {n: [Chain(c) for c in per_degree_walk(F.poset, n, weak=True)]
               for n in range(top + 1)}
     return derived._complex(F, kind, blocks, lambda c: derived._faces(F, kind, c))
+
+
+# ------------------------------------------------ the eager Morse matching
+# reduce_complex as it was before the matching was decided group by
+# group: every chain listed, then paired by the sequential element
+# matching over the whole list.  The lazy matching must give the same
+# critical chains, the same pairs and equal differentials.
+
+def element_matching(P, kind, cells, ends):
+    """Sequential element matching inside each group, as a dict sending
+    each matched cell to its partner.  ends = (h, f) fixes the first h and
+    the last f vertices of every cell (each 0 or 1, not both 0): a cell is
+    head + tail + foot, the group is (head, foot), and the elements tried
+    are those of the open interval the head and foot bound.  They are
+    tried in order of internal degree, descending for chains and
+    ascending for cochains (ties by id), so a greatest (least) element of
+    the interval pairs off every tail."""
+    chain = kind == "chain"
+    deg = P.degree
+    h, f = ends
+    tails = {}
+    for c in cells:
+        cut = len(c) - f
+        tails.setdefault((c[:h], c[cut:]), set()).add(c[h:cut])
+    partner = {}
+    for (head, foot), free in tails.items():
+        if not head:
+            inside = P.strictly_below[foot[0]]
+        elif not foot:
+            inside = P.strictly_above[head[0]]
+        else:
+            below = set(P.strictly_below[foot[0]])
+            inside = [x for x in P.strictly_above[head[0]] if x in below]
+        for x in sorted(inside, key=lambda y: (-deg[y] if chain else deg[y], y)):
+            if not free:
+                break
+            pairs = []
+            for t in free:
+                if x in t:
+                    continue
+                # tails ascend in degree, so x has one possible place
+                k = sum(1 for y in t if deg[y] < deg[x])
+                up = t[:k] + (x,) + t[k:]
+                if up in free:
+                    pairs.append((t, up))
+            for t, up in pairs:
+                free.discard(t)
+                free.discard(up)
+                lo, hi = head + t + foot, head + up + foot
+                partner[lo] = hi
+                partner[hi] = lo
+    return partner
+
+
+def eager_reduce_complex(F, kind, matching="carrier"):
+    """The Morse complex of reduce_complex from the whole chain list and
+    element_matching."""
+    P = F.poset
+    cells = [c.vertices for chains in chains_up_to(P, P.length) for c in chains]
+    ends = (1, 1) if matching == "ends" else (1, 0) if kind == "chain" else (0, 1)
+    partner = element_matching(P, kind, cells, ends)
+    critical = [c for c in cells if c not in partner]
+    return derived._morse_complex(F, kind, critical, P.length, partner.get,
+                                  pairs=lambda: partner)
+
+
+# ------------------------------------------------ all-pairs functor check
+
+def all_pairs_composites(poset, groups, maps):
+    """(composites, paths) of a functor given by its values and cover
+    maps, composed along every first cover of p below q for every pair
+    p < q and all compared: DiamondError at the first pair, by degree
+    gap, whose first covers disagree.  validate_functor compares fewer
+    composites and must agree with this."""
+    composites = {(i, i): identity_hom(groups[i]) for i in poset.ids}
+    paths = {(i, i): (i,) for i in poset.ids}
+    pairs = sorted(
+        ((p, q) for p in poset.ids for q in poset.strictly_above[p]),
+        key=lambda pq: (poset.degree[pq[1]] - poset.degree[pq[0]], pq))
+    for p, q in pairs:
+        chosen = None
+        for x in poset.covers_out[p]:
+            if not poset.leq(x, q):
+                continue
+            comp = compose(composites[(x, q)], maps[(p, x)])
+            path = (p,) + paths[(x, q)]
+            if chosen is None:
+                chosen = (comp, path)
+            elif not chosen[0].equal(comp):
+                raise DiamondError(
+                    f"paths {chosen[1]} and {path} compose to different homs",
+                    path_a=chosen[1], path_b=path,
+                    matrix_a=chosen[0].matrix, matrix_b=comp.matrix)
+        composites[(p, q)] = chosen[0]
+        paths[(p, q)] = chosen[1]
+    return composites, paths
 
 
 # ------------------------------------------------ diagram constructions

@@ -5,16 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
 
 from posetlim import cli
-from posetlim.diagram import diagrams_equal
+from posetlim.abgroup import free_group
+from posetlim.diagram import constant_diagram, diagrams_equal
 from posetlim.errors import OracleViolation
 from posetlim.jsonio import parse_diagram, serialize_diagram, validate_report
 
-from helpers import intro_pushout
+from helpers import crown_tower, intro_pushout
 
 
 @pytest.fixture
@@ -214,6 +216,34 @@ def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
         assert json.loads(err)["error"].startswith("PosetlimError: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_over_the_chain_budget_exits_one_within_a_second(capsys, tmp_path):
+    """crown_tower(30) has 3^30 - 1 chains and no greatest or least
+    element, so no group of its matchings is a cone; every command that
+    needs a complex refuses it, counting chains without listing them."""
+    doc = serialize_diagram(constant_diagram(crown_tower(30), free_group(1)), name="tower")
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["colim", str(path)], ["lim", str(path)], ["classify", str(path)],
+                 ["spectral", str(path), "--variant", "3"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.endswith(
+            "chains, more than the budget of 100000 (--max-chains)\n"), err
+
+
+def test_max_chains_counts_what_is_listed(capsys, intro_path):
+    """On the pushout the colim matching lists the 3 tails above a and
+    the lone chains b and c; lim's groups below b and c are cones."""
+    code, _, err = run(capsys, "--max-chains", "4", "colim", intro_path)
+    assert code == 1 and "would list at least 5 chains" in err
+    assert run(capsys, "--max-chains", "5", "colim", intro_path)[0] == 0
+    assert run(capsys, "--max-chains", "1", "lim", intro_path)[0] == 0
+    code, _, err = run(capsys, "--max-chains", "-1", "lim", intro_path)
+    assert code == 1 and err == "error: --max-chains must be at least 0, got -1\n"
 
 
 def test_bounds_on_pages_and_degrees_are_named(capsys, intro_path):

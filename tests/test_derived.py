@@ -35,13 +35,23 @@ from posetlim.diagram import (
     transpose_diagram,
     validate_functor,
 )
-from posetlim.errors import FamilyMismatchError, OracleViolation
-from posetlim.poset import enumerate_chains, longest_chain_length, opposite, validate_graded
+from posetlim import poset
+from posetlim.errors import ChainBudgetError, FamilyMismatchError, OracleViolation
+from posetlim.poset import (
+    chain_counts,
+    enumerate_chains,
+    longest_chain_length,
+    opposite,
+    validate_graded,
+)
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    SHAPES,
     boolean_lattice,
     bundled_diagrams,
+    crown_tower,
+    eager_reduce_complex,
     grid,
     intro_pushout,
     pullback_poset,
@@ -511,10 +521,99 @@ def test_cyclic_matching_is_refused():
     partner = {}
     for lo, hi in cycle:
         partner[lo], partner[hi] = hi, lo
+    critical = [c for c in cells if c not in partner]
     with pytest.raises(OracleViolation, match="not acyclic"):
-        derived._morse_complex(F, "chain", cells, partner)
+        derived._morse_complex(F, "chain", critical, 3, partner.get)
     # the matching reduce_complex builds on the same poset is acyclic
     assert_reduction_agrees(F)
+
+
+# ------------------------------------------------ the lazy matching
+
+def assert_matches_eager(F):
+    """reduce_complex has the critical chains, the pairs and, entry for
+    entry, the differentials of the matching run over the whole chain
+    list, for both kinds and both matchings."""
+    for kind in ("chain", "cochain"):
+        for matching in derived.MATCHINGS:
+            R, E = reduce_complex(F, kind, matching), eager_reduce_complex(F, kind, matching)
+            assert R.top == E.top and R.blocks == E.blocks, (kind, matching)
+            assert R.matching == E.matching, (kind, matching)
+            assert R._diffs.keys() == E._diffs.keys()
+            for n, d in E._diffs.items():
+                assert R._diffs[n].matrix == d.matrix, (kind, matching, n)
+
+
+def test_lazy_matching_matches_eager_on_seeded_diagrams():
+    for _, F in seeded_randgen_diagrams():
+        assert_matches_eager(F)
+
+
+def test_lazy_matching_matches_eager_on_forests_and_towers():
+    rng = random.Random(41)
+    for _ in range(25):
+        assert_matches_eager(random_free_forest_diagram(rng, random_forest_poset(rng)))
+    for levels in (3, 4):
+        P = crown_tower(levels)
+        assert_matches_eager(constant_diagram(P, group_from_invariants(1, [2])))
+        for _ in range(3):
+            assert_matches_eager(random_torsion_sum_diagram(rng, P))
+            assert_matches_eager(random_torsion_sum_diagram(rng, opposite(P)))
+
+
+@pytest.mark.parametrize("name", list(SHAPES))
+def test_lazy_matching_matches_eager_on_shapes(name):
+    P = shape(name)
+    assert_matches_eager(constant_diagram(P, group_from_invariants(1, [2])))
+    if len(P) <= 16:
+        assert_matches_eager(random_torsion_sum_diagram(random.Random(len(P)), P))
+
+
+def test_cones_list_no_chain(monkeypatch):
+    """Every carrier group of a grid has a cone point, so derived_functor
+    on grid8x8 lists no chain, and it answers under a budget of one
+    chain: the critical one."""
+    walks = []
+
+    def counted(*a, **k):
+        walks.append(a)
+        return poset.chains_up_to(*a, **k)
+    monkeypatch.setattr(derived, "chains_up_to", counted)
+    G = group_from_invariants(1, [2])
+    for P in (grid(8, 8), grid(6, 6), boolean_lattice(6)):
+        F = constant_diagram(P, G)
+        with derived.chain_budget(1):
+            for direction in ("colim", "lim"):
+                table = [derived_functor(F, direction, i) for i in range(P.length + 1)]
+                assert table[0].is_isomorphic_to(G)
+                assert all(H.is_trivial for H in table[1:])
+    assert walks == []
+    # the count sees the walks of groups without a cone point
+    reduce_complex(constant_diagram(crown_tower(3), G), "chain")
+    assert walks
+
+
+def test_chain_budget_refuses_before_listing():
+    """Each builder that lists chains counts them first: the nerve, the
+    groups of the matching without a cone point, and the matching when
+    it is read."""
+    F = constant_diagram(crown_tower(4), free_group(1))
+    total = sum(chain_counts(F.poset))
+    assert total == 3 ** 4 - 1
+    with derived.chain_budget(total - 1):
+        with pytest.raises(ChainBudgetError, match=f"nerve would list at least {total} chains"):
+            chain_complex(F)
+    with derived.chain_budget(total):
+        assert sum(len(b) for b in chain_complex(F).blocks.values()) == total
+    with derived.chain_budget(20):
+        with pytest.raises(ChainBudgetError, match="Morse matching would list at least"):
+            reduce_complex(F, "chain")
+    G = constant_diagram(grid(3, 3), free_group(1))
+    with derived.chain_budget(1):
+        R = reduce_complex(G, "cochain")
+        with pytest.raises(ChainBudgetError, match="listing the Morse matching"):
+            R.matching
+    assert len(R.matching) == sum(chain_counts(G.poset)) - 1
 
 
 def test_cone_reduces_to_one_critical_cell():

@@ -36,6 +36,7 @@ from posetlim.errors import (
 from posetlim.poset import validate_graded
 
 from helpers import (
+    all_pairs_composites,
     check_adjunction_instance,
     coim_at,
     coker_functor,
@@ -44,6 +45,7 @@ from helpers import (
     intro_pushout,
     pushout_poset,
     random_torsion_sum_diagram,
+    shape,
     transformation_to_hom,
 )
 
@@ -95,6 +97,53 @@ def test_diamond_error_with_witnesses():
     assert {err.path_a, err.path_b} == {("a", "b", "d"), ("a", "c", "d")}
     vals = {int(err.matrix_a[0, 0]), int(err.matrix_b[0, 0])}
     assert vals == {2, 3}
+
+
+def test_one_broken_cover_gives_the_all_pairs_witnesses():
+    """Doubling one cover map of constant Z breaks the squares through it;
+    validate_functor reports the pair, the paths and the matrices that
+    the all-pairs comparison reports, whichever cover is broken."""
+    Z = free_group(1)
+    for name in ("bool3", "grid3x3"):
+        P = shape(name)
+        groups = {i: Z for i in P.ids}
+        for broken in P.covers:
+            maps = {c: AbHom(Z, Z, [[2 if c == broken else 1]]) for c in P.covers}
+            with pytest.raises(DiamondError) as want:
+                all_pairs_composites(P, groups, maps)
+            with pytest.raises(DiamondError) as got:
+                validate_functor(P, groups, maps)
+            a, b = got.value, want.value
+            assert str(a) == str(b)
+            assert (a.path_a, a.path_b) == (b.path_a, b.path_b), (name, broken)
+            assert a.matrix_a == b.matrix_a and a.matrix_b == b.matrix_b
+
+
+def test_composites_match_all_pairs():
+    rng = random.Random(83)
+    for name in ("bool3", "grid3x3", "bool4", "grid4x4"):
+        P = shape(name)
+        for _ in range(2):
+            F = random_torsion_sum_diagram(rng, P)
+            composites, paths = all_pairs_composites(P, F.groups, F.cover_maps)
+            assert F._paths == paths
+            assert F._composites.keys() == composites.keys()
+            assert all(F._composites[k].matrix == h.matrix for k, h in composites.items())
+
+
+@pytest.mark.parametrize("name, compared", [("grid4x4", 9), ("bool5", 80)])
+def test_one_comparison_per_component_of_first_covers(monkeypatch, name, compared):
+    """grid4x4 compares its 9 squares, not the 36 pairs of first covers;
+    bool5 80, not 194."""
+    calls = []
+    real = AbHom.equal
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+    monkeypatch.setattr(AbHom, "equal", counted)
+    constant_diagram(shape(name), free_group(1))
+    assert len(calls) == compared
 
 
 def test_validate_missing_and_mismatched_data():

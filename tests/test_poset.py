@@ -13,6 +13,7 @@ from posetlim.poset import (
     GradedPoset,
     PosetObject,
     bounds,
+    chain_counts,
     chains_up_to,
     enumerate_chains,
     infer_degrees,
@@ -107,6 +108,30 @@ def test_one_walk_lists_every_degree_as_the_per_degree_walks_do():
             assert [c.vertices for c in enumerate_chains(P, n)] == want
         assert enumerate_chains(P, top + 1) == []
     assert chains_up_to(posets[0], -1) == []
+
+
+def test_chain_counts_and_sets_agree_with_the_walk():
+    """chain_counts matches the listed chains per degree, on the whole
+    poset and inside the open intervals; the up- and down-sets and the
+    length match the sorted lists and the longest walked chain."""
+    posets = [shape(name) for name in SHAPES if name != "grid5x5"]
+    for seed in range(8):
+        cfg = GenConfig(seed=950 + seed, family=("forest", "layered")[seed % 2],
+                        max_objects=10)
+        posets += [gen_poset(cfg), opposite(gen_poset(cfg))]
+    for P in posets:
+        walked = chains_up_to(P, P.length)
+        assert chain_counts(P) == [len(c) for c in walked]
+        assert P.length == longest_chain_length(P) == len(walked) - 1
+        for a in P.ids:
+            assert sorted(P.above_set[a]) == P.strictly_above[a]
+            assert sorted(P.below_set[a]) == P.strictly_below[a]
+            for b in P.strictly_above[a]:
+                inside = P.above_set[a] & P.below_set[b]
+                got = [len(c) for c in chains_up_to(P, P.length, inside)]
+                want = chain_counts(P, inside)
+                assert got[:len(want)] == want and not any(got[len(want):])
+    assert sum(chain_counts(shape("grid5x5"))) == 10271
 
 
 def test_chain_properties():
