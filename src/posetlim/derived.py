@@ -90,6 +90,7 @@ class ChainComplex:
         self.top = top
         self._pairs = pairs
         self._source = source
+        self._homology = {}
 
     @cached_property
     def matching(self) -> dict:
@@ -498,10 +499,14 @@ def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
-    """H_n (or H^n) of X, trivial outside degrees 0..top."""
+    """H_n (or H^n) of X, trivial outside degrees 0..top; computed once
+    per degree and kept on X."""
     if not 0 <= n <= X.top:
         return trivial_group()
-    return homology(X.d_into(n), X.d_from(n), f"degree {n}")
+    H = X._homology.get(n)
+    if H is None:
+        H = X._homology[n] = homology(X.d_into(n), X.d_from(n), f"degree {n}")
+    return H
 
 
 def derived_functor(F: Diagram, direction: str, i: int) -> FgAbGroup:

@@ -3,12 +3,14 @@
 A diagram assigns a group to each object and a hom to each cover; the
 composite along any cover path between two comparable objects is the
 value on the unique arrow, so all diamonds must commute.  Validation
-caches one composite per comparable pair and compares composites only
-where no shorter pair already forces them equal: one comparison per
-connected component of the first covers, grid4x4's 9 squares rather
-than all 36 pairs of first covers.  It reports the first failing
-diamond with both witness paths, the same ones an all-pairs comparison
-reports.
+compares composites only at objects with two or more upper covers, and
+only where no shorter pair already forces them equal: one comparison
+per connected component of the first covers, grid4x4's 9 squares rather
+than all 36 pairs of first covers.  It composes only the homs those
+comparisons need, and reports the first failing diamond with both
+witness paths, the same ones an all-pairs comparison reports.  Every
+other composite is composed the first time it is asked for, along the
+first cover of its source below its target, and kept.
 """
 
 from __future__ import annotations
@@ -41,16 +43,19 @@ from .poset import GradedPoset
 class Diagram:
     """Validated functor.  Construct through validate_functor."""
 
-    def __init__(self, poset, groups, cover_maps, composites, paths):
+    def __init__(self, poset, groups, cover_maps, composites):
         self.poset = poset
         self.groups = groups
         self.cover_maps = cover_maps
+        # (hom, cover path) by comparable pair, filled as they are asked for
         self._composites = composites
-        self._paths = paths
         # nerve complexes by (kind, matching) and filtered complexes by
         # (variant, display degrees); filled by derived and spectral
         self._complexes = {}
         self._filtered = {}
+        # im_at and ker_at by object
+        self._images = {}
+        self._kernels = {}
 
     @cached_property
     def _detached(self) -> "Diagram":
@@ -58,31 +63,61 @@ class Diagram:
         caches.  A cached object that builds a complex later holds this,
         not the diagram it is cached on, so the caches make no reference
         cycle and a dropped diagram is freed at once."""
-        return Diagram(self.poset, self.groups, self.cover_maps, self._composites, self._paths)
+        return Diagram(self.poset, self.groups, self.cover_maps, self._composites)
 
     def group(self, i: str) -> FgAbGroup:
         self.poset._check_id(i)
         return self.groups[i]
 
     def hom(self, p: str, q: str) -> AbHom:
-        self.poset._check_id(p)
-        self.poset._check_id(q)
-        try:
-            return self._composites[(p, q)]
-        except KeyError:
-            raise NoArrowError(f"no arrow {p!r} -> {q!r}") from None
+        """The value on the arrow p -> q: the composite along path(p, q)."""
+        return self._composite(p, q)[0]
 
     def path(self, p, q):
-        """The cover path whose composite is cached for (p, q)."""
-        return self._paths[(p, q)]
+        """The cover path whose composite is hom(p, q)."""
+        return self._composite(p, q)[1]
+
+    def _composite(self, p, q):
+        """(hom, path) for p <= q, kept once composed.  The path runs
+        through the first cover of p below q, then along path(x, q) for
+        that cover x."""
+        cache = self._composites
+        hit = cache.get((p, q))
+        if hit is not None:
+            return hit
+        P = self.poset
+        P._check_id(p)
+        P._check_id(q)
+        if p == q:
+            hit = cache[(p, p)] = (identity_hom(self.groups[p]), (p,))
+            return hit
+        if q not in P.above_set[p]:
+            raise NoArrowError(f"no arrow {p!r} -> {q!r}")
+        # first covers up from p to a pair already composed or a cover of q
+        walk = [p]
+        while (walk[-1], q) not in cache and q not in P.covers_out[walk[-1]]:
+            walk.append(_first_cover(P, walk[-1], q))
+        x = walk.pop()
+        h, path = cache.get((x, q)) or (self.cover_maps[(x, q)], (x, q))
+        cache[(x, q)] = (h, path)
+        for y in reversed(walk):
+            h, path = compose(h, self.cover_maps[(y, x)]), (y,) + path
+            cache[(y, q)] = (h, path)
+            x = y
+        return h, path
 
     def __repr__(self):
         vals = ", ".join(f"{i}: {self.groups[i].describe()}" for i in self.poset.ids)
         return f"Diagram({vals})"
 
 
+def _first_cover(P: GradedPoset, p, q):
+    """The first of p's upper covers strictly below q."""
+    return next(x for x in P.covers_out[p] if q in P.above_set[x])
+
+
 def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
-    """Check the data of a functor and cache all path composites.
+    """Check the data of a functor; composites are composed when asked for.
 
     groups: id -> FgAbGroup for every object.
     cover_maps: (p, p') -> AbHom for every cover, endpoints matching.
@@ -105,48 +140,49 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
     for c in cover_maps:
         if tuple(c) not in maps:
             raise MissingDataError(f"map given for {c!r}, which is not a cover")
+    F = Diagram(poset, dict(groups), maps, {})
 
-    composites = {}
-    paths = {}
-    for i in poset.ids:
-        composites[(i, i)] = identity_hom(groups[i])
-        paths[(i, i)] = (i,)
-
-    # composites by increasing degree gap, each from the first of p's
-    # first covers below q.  Two first covers x, x' both below some z < q
-    # give equal composites once the shorter pairs (p, z), (x, q) and
-    # (x', q) are path independent, since both paths then run through z.
-    # So only the first member of each connected component of that
-    # relation is compared, and the first one that differs is the first
-    # cover that an all-pairs comparison would have reported.
+    # pairs by increasing degree gap.  Two first covers x, x' of p below
+    # q, both below some z < q, give equal composites once the shorter
+    # pairs (p, z), (x, q) and (x', q) are path independent, since both
+    # paths then run through z.  So only the first member of each
+    # connected component of that relation is compared, and the first
+    # one that differs is the first cover that an all-pairs comparison
+    # would have reported.  At a gap of 2 nothing lies strictly between
+    # a first cover and q, so every first cover is a head.
     above, below = poset.above_set, poset.below_set
-    pairs = sorted(
-        ((p, q) for p in poset.ids for q in poset.strictly_above[p]),
-        key=lambda pq: (poset.degree[pq[1]] - poset.degree[pq[0]], pq))
-    for p, q in pairs:
-        firsts = [x for x in poset.covers_out[p] if x == q or q in above[x]]
-        heads = _component_heads(firsts, lambda x: above[x] & below[q])
-        x = heads[0]
-        chosen = compose(composites[(x, q)], maps[(p, x)])
-        path = (p,) + paths[(x, q)]
-        for y in heads[1:]:
-            comp = compose(composites[(y, q)], maps[(p, y)])
+    checks = []
+    for p in poset.ids:
+        ups = poset.covers_out[p]
+        if len(ups) > 1:
+            for q in above[p]:
+                firsts = [x for x in ups if q in above[x]]
+                if len(firsts) > 1:
+                    checks.append((poset.degree[q] - poset.degree[p], p, q, firsts))
+    checks.sort()
+    for gap, p, q, firsts in checks:
+        if gap > 2:
+            firsts = _component_heads(firsts, lambda x: above[x] & below[q])
+            if len(firsts) < 2:
+                continue
+        x = firsts[0]
+        chosen = compose(F.hom(x, q), maps[(p, x)])
+        path = (p,) + F.path(x, q)
+        for y in firsts[1:]:
+            comp = compose(F.hom(y, q), maps[(p, y)])
             if not chosen.equal(comp):
-                other = (p,) + paths[(y, q)]
+                other = (p,) + F.path(y, q)
                 raise DiamondError(
                     f"paths {path} and {other} compose to different homs",
                     path_a=path, path_b=other,
                     matrix_a=chosen.matrix, matrix_b=comp.matrix)
-        composites[(p, q)] = chosen
-        paths[(p, q)] = path
-    return Diagram(poset, dict(groups), maps, composites, paths)
+        F._composites[(p, q)] = (chosen, path)
+    return F
 
 
 def _component_heads(items, reach):
     """The first item of each connected component, in order, where two
     items are joined when their reach sets meet."""
-    if len(items) == 1:
-        return items
     heads, reaches = [], []
     for x in items:
         r = reach(x)
@@ -166,13 +202,17 @@ def im_at(F: Diagram, i0: str) -> Subgroup:
     """Subgroup of F(i0) generated by the images of all
 
     non-identity incoming arrows; covers into i0 suffice because every
-    arrow of degree > 1 factors through a final cover.
+    arrow of degree > 1 factors through a final cover.  Built once per
+    object and kept on F.
     """
-    F.poset._check_id(i0)
-    blocks = [F.cover_maps[(j, i0)].matrix for j in F.poset.covers_into[i0]]
-    rank = F.groups[i0].ambient_rank
-    gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
-    return Subgroup(F.groups[i0], gens)
+    hit = F._images.get(i0)
+    if hit is None:
+        F.poset._check_id(i0)
+        blocks = [F.cover_maps[(j, i0)].matrix for j in F.poset.covers_into[i0]]
+        rank = F.groups[i0].ambient_rank
+        gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
+        hit = F._images[i0] = Subgroup(F.groups[i0], gens)
+    return hit
 
 
 def coker_at(F: Diagram, i0: str):
@@ -182,21 +222,25 @@ def coker_at(F: Diagram, i0: str):
 
 def ker_at(F: Diagram, i0: str) -> Subgroup:
     """Intersection of the kernels of all non-identity arrows out of i0;
-    the full group when there are none.
+    the full group when there are none.  Built once per object and kept
+    on F.
 
     Unlike images, kernels are intersected over every outgoing arrow,
     not just covers (the cover intersection happens to agree, because a
     vector killed by every first cover step is killed by every longer
     composite; both are computed in the tests).
     """
-    F.poset._check_id(i0)
-    G = F.groups[i0]
-    lattice = la.eye(G.ambient_rank)
-    for q in F.poset.strictly_above[i0]:
-        h = F.hom(i0, q)
-        ker_q = la.preimage_lattice(h.matrix, h.target.relations)
-        lattice = la.intersect_lattices(lattice, ker_q)
-    return Subgroup(G, lattice)
+    hit = F._kernels.get(i0)
+    if hit is None:
+        F.poset._check_id(i0)
+        G = F.groups[i0]
+        lattice = la.eye(G.ambient_rank)
+        for q in F.poset.strictly_above[i0]:
+            h = F.hom(i0, q)
+            ker_q = la.preimage_lattice(h.matrix, h.target.relations)
+            lattice = la.intersect_lattices(lattice, ker_q)
+        hit = F._kernels[i0] = Subgroup(G, lattice)
+    return hit
 
 
 class NatTransformation:

@@ -15,6 +15,11 @@ driver alternates its column and row steps: diagonal_of_snf runs it
 without transforms for the invariant factors every group needs (Cohen,
 *A Course in Computational Algebraic Number Theory*, 2.4), and
 smith_normal_form runs it tracked for the unimodular certificates.
+
+A matrix with no nonzero entry decides its answer at once: the basis,
+invariant factors and span checker of a zero matrix are empty, and the
+preimage of any lattice under it is the identity.  The relations of
+every free group and every zero map take that route.
 """
 
 from __future__ import annotations
@@ -306,6 +311,8 @@ def _kernel_cols(cols):
 def lattice_basis(M: IntMatrix) -> IntMatrix:
     """Echelon basis of the column span: independent columns with strictly
     increasing leading rows and positive leading entries."""
+    if not any(M.cols):
+        return zeros(M.shape[0], 0)
     basis = _basis_cols(_own_cols(M))
     return IntMatrix((M.shape[0], len(basis)), basis)
 
@@ -331,9 +338,11 @@ class SpanChecker:
 
     def __init__(self, M: IntMatrix):
         self.m, self.n = M.shape
-        cols = _own_cols(M)
-        pivots, _, tcols = _echelon_cols(cols, track=True)
-        self.pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
+        self.pivots = []
+        if any(M.cols):
+            cols = _own_cols(M)
+            pivots, _, tcols = _echelon_cols(cols, track=True)
+            self.pivots = [(r, cols[j], tcols[j]) for r, j in pivots]
 
     def _reduce(self, x, coeffs=None):
         """The residue of x: row by row, x less the floor multiple of the
@@ -465,6 +474,8 @@ def smith_normal_form(M: IntMatrix):
 
 def diagonal_of_snf(M: IntMatrix):
     """Nonzero invariant factors d1 | d2 | ... of M, without transforms."""
+    if not any(M.cols):
+        return []
     return _smith(_own_cols(M), M.shape[0], track=False)[0]
 
 
@@ -481,6 +492,9 @@ def preimage_lattice(A: IntMatrix, L: IntMatrix) -> IntMatrix:
     Computed as the projection of ker [A | -L] onto the x block.
     """
     g = A.shape[1]
+    if not any(A.cols) and A.shape[0] == L.shape[0]:
+        # every x maps to 0, which lies in every span
+        return eye(g)
     K = _kernel_cols(_difference_cols(A, L))
     basis = _basis_cols([{i: x for i, x in k.items() if i < g} for k in K])
     return IntMatrix((g, len(basis)), basis)

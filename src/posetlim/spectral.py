@@ -481,15 +481,19 @@ def oracle_page_one(X: FilteredComplex):
 
 def oracle_page_recurrence(X: FilteredComplex):
     """Cross-check: page r+1 is the homology of page r under d_r, for
-    r < span + 2."""
+    r < span + 2.  Page 0 and d_0 are the graded pieces of the unreduced
+    complex, so their homology is the one oracle_page_one reads."""
     pages = [page(X, r) for r in range(X.span + 3)]
     step = X.step
     for r in range(X.span + 2):
         cur, nxt = pages[r], pages[r + 1]
         for (s, n), E in cur.sn_entries.items():
-            d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)
-            H = homology(d_in, cur.sn_diffs[(s, n)],
-                         f"level {s}, degree {n} of page {r}'s homology")
+            if r == 0:
+                H = homology_at(_restrict_to_level(X.unreduced, s), n)
+            else:
+                d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)
+                H = homology(d_in, cur.sn_diffs[(s, n)],
+                             f"level {s}, degree {n} of page {r}'s homology")
             if not H.is_isomorphic_to(nxt.sn_entries[(s, n)]):
                 raise OracleViolation(
                     f"homology of page {r} at level {s}, degree {n} is "

@@ -622,6 +622,34 @@ def dense_diagonal_of_snf(M):
     return diag
 
 
+# ------------------------------------------------ full routes on zero input
+# The lattice routines as they were before a matrix with no nonzero
+# entry took a short cut: every input runs the full echelon.  The
+# short cuts must give the same shape and the same columns.
+
+def full_lattice_basis(M):
+    basis = la._basis_cols(la._own_cols(M))
+    return la.IntMatrix((M.shape[0], len(basis)), basis)
+
+
+def full_span_pivots(M):
+    """SpanChecker(M).pivots from a tracked echelon."""
+    cols = la._own_cols(M)
+    pivots, _, tcols = la._echelon_cols(cols, track=True)
+    return [(r, cols[j], tcols[j]) for r, j in pivots]
+
+
+def full_diagonal_of_snf(M):
+    return la._smith(la._own_cols(M), M.shape[0], track=False)[0]
+
+
+def full_preimage_lattice(A, L):
+    g = A.shape[1]
+    K = la._kernel_cols(la._difference_cols(A, L))
+    basis = la._basis_cols([{i: x for i, x in k.items() if i < g} for k in K])
+    return la.IntMatrix((g, len(basis)), basis)
+
+
 # ------------------------------------------------ spectral page references
 # The cycle lattices and pages as the spectral module first computed
 # them: one lattice preimage and one intersection per key, and every

@@ -31,12 +31,14 @@ from posetlim.diagram import (
     NatTransformation,
     constant_diagram,
     direct_sum_diagrams,
+    ker_at,
     representable_diagram,
     skyscraper_diagram,
     transpose_diagram,
     validate_functor,
 )
 from posetlim.errors import UnknownIdError
+from posetlim.jsonio import parse_diagram, serialize_diagram
 from posetlim.poset import opposite, validate_graded
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
@@ -401,3 +403,24 @@ def test_classify_diagram_verdicts_match_the_public_checks():
     # the injective side fails its group check before the pseudo check
     assert kinds == {("projective", "ok"), ("projective", "cokernel"),
                      ("projective", "not"), ("injective", "ok"), ("injective", "kernel")}
+
+
+def test_classify_builds_each_joint_kernel_once(monkeypatch):
+    """ker_at is kept per object, so a whole classification intersects
+    one kernel lattice per comparable pair, however many (object, d)
+    verdicts read each joint kernel."""
+    cfg = GenConfig(seed=17, family="forest", max_objects=14, max_degree_span=4)
+    P0 = gen_poset(cfg)
+    P, F = parse_diagram(serialize_diagram(gen_diagram(cfg, P0, "sums_of_standard")))
+    pairs = sum(len(P.strictly_above[i]) for i in P.ids)
+    assert P.dimension == 4 and pairs == 22
+    calls = []
+    real = la.intersect_lattices
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+    monkeypatch.setattr(la, "intersect_lattices", counted)
+    rep = classify_diagram(F)
+    assert len(calls) == pairs
+    assert all(rep.kernels[i] is ker_at(F, i).as_group[0] for i in P.ids)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from posetlim import diagram as diagram_module
 from posetlim import intlinalg as la
 from posetlim.abgroup import (
     AbHom,
@@ -126,9 +127,31 @@ def test_composites_match_all_pairs():
         for _ in range(2):
             F = random_torsion_sum_diagram(rng, P)
             composites, paths = all_pairs_composites(P, F.groups, F.cover_maps)
-            assert F._paths == paths
-            assert F._composites.keys() == composites.keys()
-            assert all(F._composites[k].matrix == h.matrix for k, h in composites.items())
+            for (p, q), h in composites.items():
+                assert F.hom(p, q).matrix == h.matrix, (name, p, q)
+                assert F.path(p, q) == paths[(p, q)], (name, p, q)
+
+
+def test_validation_composes_only_what_it_compares(monkeypatch):
+    """Constant Z on grid4x4 composes two homs per square at validation,
+    18 rather than one per comparable pair; every other composite is
+    composed when asked for, equal to the all-pairs one."""
+    calls = []
+
+    def counted(second, first):
+        calls.append(1)
+        return compose(second, first)
+    monkeypatch.setattr(diagram_module, "compose", counted)
+    P = shape("grid4x4")
+    F = constant_diagram(P, free_group(1))
+    assert len(calls) == 18
+    composites, paths = all_pairs_composites(P, F.groups, F.cover_maps)
+    for (p, q), h in composites.items():
+        assert F.hom(p, q).matrix == h.matrix
+        assert F.path(p, q) == paths[(p, q)]
+    a, b = (i for i in P.ids if P.degree[i] == 1)
+    with pytest.raises(NoArrowError):
+        F.hom(a, b)
 
 
 @pytest.mark.parametrize("name, compared", [("grid4x4", 9), ("bool5", 80)])

@@ -12,12 +12,20 @@ from posetlim.intlinalg import (  # noqa: E402
     diagonal_of_snf,
     intmat,
     kernel,
+    lattice_basis,
+    preimage_lattice,
     smith_normal_form,
     solve,
     zeros,
 )
 
-from helpers import det  # noqa: E402
+from helpers import (  # noqa: E402
+    det,
+    full_diagonal_of_snf,
+    full_lattice_basis,
+    full_preimage_lattice,
+    full_span_pivots,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -135,3 +143,28 @@ def test_smith_certificate(M):
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     assert len(nonzero) == rational_rank(M)
     assert nonzero == diagonal_of_snf(M)
+
+
+@st.composite
+def maps_and_lattices(draw):
+    """(A, L) with one row count, each at most 4 x 4; A is zero in about
+    half the draws, and empty shapes come up often."""
+    m, g, k = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(n, zero):
+        if zero:
+            return zeros(m, n)
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+        return intmat(rows, (m, n))
+    return matrix(g, draw(st.booleans())), matrix(k, False)
+
+
+@PROPERTY
+@given(maps_and_lattices())
+def test_zero_input_short_cuts_match_the_full_routes(case):
+    """Shape and columns, entry for entry, as the full echelon gives them."""
+    A, L = case
+    assert lattice_basis(A) == full_lattice_basis(A)
+    assert SpanChecker(A).pivots == full_span_pivots(A)
+    assert diagonal_of_snf(A) == full_diagonal_of_snf(A)
+    assert preimage_lattice(A, L) == full_preimage_lattice(A, L)
