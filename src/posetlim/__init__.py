@@ -30,22 +30,16 @@ from .classify import (
     PseudoVerdict,
     PseudoWitness,
     classify_diagram,
-    free_cover,
     is_injective,
     is_projective,
     is_pseudo_injective,
     is_pseudo_injective_at,
     is_pseudo_projective,
     is_pseudo_projective_at,
-    oracle_theorem_b,
-    projective_by_lifting,
-    solve_lifting,
 )
 from .derived import (
     AcyclicityResult,
     ChainComplex,
-    chain_complex,
-    cochain_complex,
     colimit_direct,
     derived_functor,
     euler_characteristic,
@@ -56,10 +50,8 @@ from .derived import (
 )
 from .diagram import (
     Diagram,
-    NatTransformation,
     coker_at,
     constant_diagram,
-    diagrams_equal,
     direct_sum_diagrams,
     im_at,
     ker_at,
@@ -95,7 +87,6 @@ from .poset import (
     Chain,
     GradedPoset,
     PosetObject,
-    bounds,
     chain_counts,
     longest_chain_length,
     opposite,
@@ -110,7 +101,6 @@ from .spectral import (
     build_filtered,
     convergence_check,
     e_infinity,
-    inner_column_ss,
     page,
     variant_by_name,
 )

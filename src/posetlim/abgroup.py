@@ -309,28 +309,3 @@ def hom_is_mono(h: AbHom) -> bool:
 def hom_is_epi(h: AbHom) -> bool:
     Q, _ = quotient(h.target, image(h))
     return Q.is_trivial
-
-
-def enumerate_elements(G: FgAbGroup, cap: int = 4096):
-    """All elements of a finite group as canonical representatives.
-
-    Closure of the ambient generators under addition; None when the
-    group is infinite or larger than cap.
-    """
-    if G.free_rank:
-        return None
-    gens = [tuple(1 if i == j else 0 for i in range(G.ambient_rank))
-            for j in range(G.ambient_rank)]
-    zero = G.reduce_element([0] * G.ambient_rank)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.reduce_element([a + b for a, b in zip(x, g)])
-            if y not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(y)
-                frontier.append(y)
-    return seen

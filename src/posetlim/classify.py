@@ -4,9 +4,10 @@ The pseudo-conditions quantify over families of fixed-degree arrows:
 pseudo-projective at (i0, d) means every relation among degree-d
 arrows into i0 already lives in the image subgroups; dually for
 pseudo-injective.  Projectivity is equivalent to free cokernels plus
-pseudo-projectivity, and that equivalence is also checkable directly
-through a lifting solver that walks objects in degree order, and on
-pushouts and chains through closed-form criteria of their own.
+pseudo-projectivity; on pushouts and chains that equivalence is also
+checkable through closed-form criteria of their own.  The lifting
+solver that checks it on any diagram, walking objects in degree order,
+is a test oracle (tests/helpers.py), not part of the library.
 """
 
 from __future__ import annotations
@@ -14,30 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import intlinalg as la
-from .abgroup import (
-    AbHom,
-    Subgroup,
-    compose,
-    direct_sum,
-    hom_is_epi,
-    hom_is_mono,
-    identity_hom,
-    kernel,
-    trivial_group,
-    zero_hom,
-)
+from .abgroup import Subgroup, compose, direct_sum, hom_is_mono, kernel
 from .derived import AcyclicityResult, is_acyclic
-from .diagram import (
-    Diagram,
-    NatTransformation,
-    constant_diagram,
-    coker_at,
-    diagrams_equal,
-    direct_sum_diagrams,
-    im_at,
-    ker_at,
-    representable_diagram,
-)
+from .diagram import Diagram, coker_at, im_at, ker_at
 from .errors import OracleViolation
 
 
@@ -196,32 +176,6 @@ def is_injective(F: Diagram) -> ConditionVerdict:
                               lambda: is_pseudo_injective(F))
 
 
-@dataclass(frozen=True)
-class TheoremOracleVerdict:
-    pseudo_projective: bool
-    colim_acyclic: bool
-    pseudo_injective: bool
-    lim_acyclic: bool
-    consistent: bool = True
-
-
-def oracle_theorem_b(F: Diagram) -> TheoremOracleVerdict:
-    """Assert the two guaranteed implications: pseudo-projective forces
-    colim-acyclic and pseudo-injective forces lim-acyclic.  A violation
-    is an implementation bug, never a property of the input."""
-    pp = bool(is_pseudo_projective(F))
-    ca = is_acyclic(F, "colim")
-    pi = bool(is_pseudo_injective(F))
-    lim_a = is_acyclic(F, "lim")
-    if pp and not ca:
-        raise OracleViolation(
-            f"pseudo-projective but colim_{ca.degree} = {ca.group.describe()}")
-    if pi and not lim_a:
-        raise OracleViolation(
-            f"pseudo-injective but lim^{lim_a.degree} = {lim_a.group.describe()}")
-    return TheoremOracleVerdict(pp, bool(ca), pi, bool(lim_a))
-
-
 @dataclass
 class ClassificationReport:
     cokernels: dict
@@ -265,124 +219,6 @@ def classify_diagram(F: Diagram) -> ClassificationReport:
     return ClassificationReport(
         cokernels, kernels, pp_at, pi_at, pp, pi, proj, inj, ca, lim_a,
         consistency)
-
-
-def free_cover(F: Diagram):
-    """(A, counit): A sums one representable per ambient generator of
-    each value, and the counit evaluates that generator.  The counit is
-    epi at every object because the identity summands hit the whole
-    ambient basis."""
-    P = F.poset
-    summands = []
-    labels = []
-    for i in P.ids:
-        for t in range(F.groups[i].ambient_rank):
-            summands.append(representable_diagram(P, i))
-            labels.append((i, t))
-    if not summands:
-        A = constant_diagram(P, trivial_group())
-        counit = NatTransformation(
-            A, F, {j: zero_hom(A.groups[j], F.groups[j]) for j in P.ids})
-        return A, counit
-    A = direct_sum_diagrams(summands)
-    comps = {}
-    for j in P.ids:
-        # summand (i, t) occupies one column at j exactly when i <= j,
-        # in list order, matching the offsets the sum construction used
-        cols = [F.hom(i, j).matrix.cols[t] for (i, t) in labels if P.leq(i, j)]
-        E = la.IntMatrix((F.groups[j].ambient_rank, len(cols)), cols)
-        comps[j] = AbHom(A.groups[j], F.groups[j], E, check=False)
-    counit = NatTransformation(A, F, comps)
-    return A, counit
-
-
-def solve_lifting(pi: NatTransformation, sigma: NatTransformation):
-    """A lift rho of sigma through the epi pi, or None.
-
-    Objects are solved in increasing degree order; at each one the
-    unknown matrix must commute with the already-fixed components over
-    incoming covers, descend along the source relations, and project to
-    sigma.  Any solution extends whenever the source satisfies the
-    free-cokernel and pseudo-projectivity conditions, so a None from a
-    diagram passing those checks signals a bug.
-    """
-    A = pi.source
-    B = pi.target
-    F = sigma.source
-    if sigma.target is not B and not diagrams_equal(sigma.target, B):
-        raise ValueError("the two transformations must share their target")
-    P = F.poset
-    for i in P.ids:
-        if not hom_is_epi(pi.component(i)):
-            raise ValueError(f"pi is not an epimorphism at {i!r}")
-    order = sorted(P.ids, key=lambda i: (P.degree[i], i))
-    rho = {}
-    for i0 in order:
-        R = _solve_component(A, F, pi, sigma, rho, i0)
-        if R is None:
-            return None
-        rho[i0] = AbHom(F.groups[i0], A.groups[i0], R)
-    out = NatTransformation(F, A, rho)
-    for i in P.ids:
-        if not compose(pi.component(i), out.component(i)).equal(sigma.component(i)):
-            raise OracleViolation("solved lift does not project to sigma")
-    return out
-
-
-def _solve_component(A, F, pi, sigma, rho, i0):
-    """One affine system: unknowns are the entries of R (column per
-    ambient generator of F(i0)) plus relation coefficients that absorb
-    the mod-relations slack of each constraint."""
-    P = F.poset
-    a = A.groups[i0].ambient_rank
-    f = F.groups[i0].ambient_rank
-    rel_a = A.groups[i0].relations
-    rel_b = pi.target.groups[i0].relations
-    b = pi.target.groups[i0].ambient_rank
-
-    # constraints R @ v = w (mod rel_a), v and w as {row: value} columns
-    pairs = []
-    for p in P.covers_into[i0]:
-        w_block = A.cover_maps[(p, i0)].matrix @ rho[p].matrix
-        pairs += zip(F.cover_maps[(p, i0)].matrix.cols, w_block.cols)
-    pairs += [(col, {}) for col in F.groups[i0].relations.cols]
-
-    n_pairs = len(pairs)
-    ra = rel_a.shape[1]
-    rb = rel_b.shape[1]
-    blocks = []
-    rhs = []
-    for c, (v, w) in enumerate(pairs):
-        r0 = c * a
-        blocks += [(r0, s * a, x, la.eye(a)) for s, x in v.items()]
-        blocks.append((r0, a * f + c * ra, -1, rel_a))
-        rhs.append((r0, 0, 1, la.IntMatrix((a, 1), [w])))
-    proj = pi.component(i0).matrix
-    sig = sigma.component(i0).matrix
-    base = a * n_pairs
-    for s in range(f):
-        r0 = base + s * b
-        blocks.append((r0, s * a, 1, proj))
-        blocks.append((r0, a * f + ra * n_pairs + s * rb, -1, rel_b))
-        rhs.append((r0, 0, 1, la.IntMatrix((b, 1), [sig.cols[s]])))
-    rows = a * n_pairs + b * f
-    M = la.from_blocks(rows, a * f + ra * n_pairs + rb * f, blocks)
-    z = la.solve(M, la.from_blocks(rows, 1, rhs))
-    if z is None:
-        return None
-    return la.intmat([[z[s * a + i, 0] for s in range(f)] for i in range(a)], (a, f))
-
-
-def identity_transformation(F: Diagram) -> NatTransformation:
-    return NatTransformation(
-        F, F, {i: identity_hom(F.groups[i]) for i in F.poset.ids})
-
-
-def projective_by_lifting(F: Diagram) -> bool:
-    """Independent route to projectivity: a retraction of the free
-    cover exists exactly for projective diagrams."""
-    A, counit = free_cover(F)
-    return solve_lifting(counit, identity_transformation(F)) is not None
 
 
 def pushout_projectivity_criterion(F: Diagram) -> bool:

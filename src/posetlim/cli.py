@@ -470,7 +470,7 @@ def main(argv=None) -> int:
             rep, text = args.func(args)
     except (OracleViolation, ConvergenceViolation) as e:
         return _emit_error(args, e, 2)
-    except (PosetlimError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (PosetlimError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         return _emit_error(args, e, 1)
     try:
         print(json.dumps(rep, indent=2, sort_keys=True) if args.json else text)

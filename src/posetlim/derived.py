@@ -207,30 +207,22 @@ def _complex(F: Diagram, kind: str, blocks, pieces, pairs=None, source=None) -> 
 
 
 def _nerve_complex(F: Diagram, kind: str) -> ChainComplex:
+    """The unreduced nerve complex of F of this kind.
+
+    "chain": the homological complex with C_n the sum of F(sigma_0) over
+    n-chains.  d = sum of (-1)^i d_i; d_0 applies F(sigma_0 -> sigma_1),
+    the other faces keep the coefficient and drop a vertex.
+
+    "cochain": the cohomological complex with C^n the product of
+    F(sigma_n) over n-chains (finite, so a direct sum).  The component
+    of d(x) at an (n+1)-chain tau sums (-1)^i x at the i-th face; the
+    last coface is the only one that moves coefficients, through
+    F(tau_n -> tau_{n+1}).
+    """
     P = F.poset
     _check_budget(sum(chain_counts(P)), "the nerve")
     blocks = dict(enumerate(chains_up_to(P, P.length)))
     return _complex(F, kind, blocks, lambda c: _faces(F, kind, c))
-
-
-def chain_complex(F: Diagram) -> ChainComplex:
-    """Homological complex with C_n the sum of F(sigma_0) over n-chains.
-
-    d = sum of (-1)^i d_i; d_0 applies F(sigma_0 -> sigma_1), the other
-    faces keep the coefficient and drop a vertex.
-    """
-    return _nerve_complex(F, "chain")
-
-
-def cochain_complex(F: Diagram) -> ChainComplex:
-    """Cohomological complex with C^n the product of F(sigma_n) over
-    n-chains (finite, so a direct sum).
-
-    The component of d(x) at an (n+1)-chain tau sums (-1)^i x at the
-    i-th face; the last coface is the only one that moves coefficients,
-    through F(tau_n -> tau_{n+1}).
-    """
-    return _nerve_complex(F, "cochain")
 
 
 MATCHINGS = ("carrier", "ends")

@@ -35,7 +35,6 @@ from .errors import (
     MismatchError,
     MissingDataError,
     NoArrowError,
-    NotNaturalError,
 )
 from .poset import GradedPoset
 
@@ -243,42 +242,6 @@ def ker_at(F: Diagram, i0: str) -> Subgroup:
     return hit
 
 
-class NatTransformation:
-    """Componentwise hom between diagrams over the same poset.
-
-    Naturality is verified on covers at construction (sufficient, since
-    composites are cover products); NotNaturalError carries the first
-    failing cover.
-    """
-
-    def __init__(self, source: Diagram, target: Diagram, components):
-        if source.poset.ids != target.poset.ids or \
-                sorted(source.poset.covers) != sorted(target.poset.covers):
-            raise MismatchError("source and target live over different posets")
-        self.source = source
-        self.target = target
-        self.components = dict(components)
-        for i in source.poset.ids:
-            h = self.components.get(i)
-            if h is None:
-                raise MissingDataError(f"no component at {i!r}")
-            if not h.source.same_presentation(source.groups[i]) or \
-                    not h.target.same_presentation(target.groups[i]):
-                raise MismatchError(f"component at {i!r} has the wrong endpoints")
-        for a, b in source.poset.covers:
-            left = compose(self.components[b], source.cover_maps[(a, b)])
-            right = compose(target.cover_maps[(a, b)], self.components[a])
-            if not left.equal(right):
-                raise NotNaturalError(
-                    f"square over cover ({a!r}, {b!r}) does not commute")
-
-    def component(self, i: str) -> AbHom:
-        return self.components[i]
-
-    def is_zero(self) -> bool:
-        return all(h.is_zero() for h in self.components.values())
-
-
 def representable_diagram(P: GradedPoset, c: str) -> Diagram:
     """Z at every object above c, trivial elsewhere, identities between
     the Z's."""
@@ -329,18 +292,6 @@ def transpose_diagram(F: Diagram) -> Diagram:
         M = F.cover_maps[(a, b)].matrix
         maps[(b, a)] = AbHom(F.groups[b], F.groups[a], M.T, check=False)
     return validate_functor(Q, dict(F.groups), maps)
-
-
-def diagrams_equal(F: Diagram, G: Diagram) -> bool:
-    """Objectwise equal presentations and coverwise equal homs."""
-    if F.poset.ids != G.poset.ids or sorted(F.poset.covers) != sorted(G.poset.covers):
-        return False
-    if any(F.poset.degree[i] != G.poset.degree[i] for i in F.poset.ids):
-        return False
-    for i in F.poset.ids:
-        if not F.groups[i].same_presentation(G.groups[i]):
-            return False
-    return all(F.cover_maps[c].equal(G.cover_maps[c]) for c in F.poset.covers)
 
 
 def direct_sum_diagrams(diagrams):

@@ -59,10 +59,6 @@ class ChainBudgetError(PosetlimError):
     """Listing the chains a complex needs would exceed the chain budget."""
 
 
-class NotNaturalError(PosetlimError):
-    """A candidate transformation fails a naturality square."""
-
-
 class OracleViolation(PosetlimError):
     """An implication guaranteed by theory failed; signals an implementation bug."""
 

@@ -10,11 +10,11 @@ matrix; the routines below copy the columns they reduce in place.
 
 One column echelon routine serves lattice bases, kernels, span
 membership and solving (both in SpanChecker), the filtration-ordered
-cycle lattices of spectral pages, and Smith normal forms.  One Smith
-driver alternates its column and row steps: diagonal_of_snf runs it
-without transforms for the invariant factors every group needs (Cohen,
-*A Course in Computational Algebraic Number Theory*, 2.4), and
-smith_normal_form runs it tracked for the unimodular certificates.
+cycle lattices of spectral pages, and invariant factors.  The Smith
+loop alternates its column and row steps without transforms, for the
+invariant factors every group needs (Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.4); no routine here returns unimodular
+certificates.
 
 A matrix with no nonzero entry decides its answer at once: the basis,
 invariant factors and span checker of a zero matrix are empty, and the
@@ -317,12 +317,6 @@ def lattice_basis(M: IntMatrix) -> IntMatrix:
     return IntMatrix((M.shape[0], len(basis)), basis)
 
 
-def kernel(M: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : M x = 0}, one column per basis vector."""
-    K = _kernel_cols(_own_cols(M))
-    return IntMatrix((M.shape[1], len(K)), K)
-
-
 def solve(M: IntMatrix, X: IntMatrix):
     """Integer solution Y of M Y = X, or None when some column has none."""
     return SpanChecker(M).solve(X)
@@ -384,99 +378,45 @@ class SpanChecker:
         return IntMatrix((self.n, len(ycols)), ycols)
 
 
-def _smith(cols, m, track):
-    """Smith elimination of the m-row matrix with these columns.
+def _smith(cols):
+    """Invariant factors of the matrix with these columns.
 
     Column echelon steps alternate with column echelon steps on the
     transpose.  Each keeps only its pivots, in lead-row order, and drops
     zero columns and rows.  That order makes the first pivot the only
     entry of the transpose's first column, so each step splits it off or
-    makes it strictly smaller, until every column has one entry.
-    Untracked, an echelon whose leading entries are all 1 ends it early:
-    it spans a direct summand, so every factor is 1.  The diagonal is
-    then sorted, and gcd/lcm exchanges turn it into a divisor chain
-    unless it is one.
-
-    Returns (diag, left, right): the nonzero invariant factors and, when
-    track, the rows of U and the columns of V with U M V = D, those of
-    the diagonal first (else None, None).
+    makes it strictly smaller, until every column has one entry.  An
+    echelon whose leading entries are all 1 ends it early: it spans a
+    direct summand, so every factor is 1.  The diagonal is then sorted,
+    and gcd/lcm exchanges turn it into a divisor chain unless it is one.
     """
-    if track:
-        # sides[0] holds the transforms over M's columns, sides[1] over
-        # its rows, zero those of the zero columns and rows dropped on the
-        # way; the working columns are on side w
-        dims = (len(cols), m)
-        sides = [[{j: 1} for j in range(dims[0])], [{i: 1} for i in range(m)]]
-        zero = [[], []]
-        w = 0
     while True:
-        pivots, live, tcols = _echelon_cols(cols, track)
+        pivots, _, _ = _echelon_cols(cols, track=False)
         cols = [cols[j] for _, j in pivots]
         diag = [col[r] for (r, _), col in zip(pivots, cols)]
-        if not track and all(d == 1 for d in diag):
-            return diag, None, None
-        last = all(len(col) == 1 for col in cols)
-        if not last:
-            rows = {}
-            for j, col in enumerate(cols):
-                for i, x in col.items():
-                    rows.setdefault(i, {})[j] = x
-        keep = [r for r, _ in pivots] if last else sorted(rows)
-        if track:
-            k = len(tcols)
-            done = (IntMatrix((dims[w], k), sides[w]) @ IntMatrix((k, k), tcols)).cols
-            kept = set(keep)
-            zero[w] += [done[j] for j in live]
-            zero[1 - w] += [t for i, t in enumerate(sides[1 - w]) if i not in kept]
-            sides[w] = [done[j] for _, j in pivots]
-            sides[1 - w] = [sides[1 - w][i] for i in keep]
-            w = 1 - w
-        if last:
+        if all(d == 1 for d in diag):
+            return diag
+        if all(len(col) == 1 for col in cols):
             break
-        cols = [rows[i] for i in keep]
-    if track:
-        order = sorted(range(len(diag)), key=diag.__getitem__)
-        right, left = ([side[k] for k in order] for side in sides)
-        diag = [diag[k] for k in order]
-    else:
-        diag.sort()
+        rows = {}
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows.setdefault(i, {})[j] = x
+        cols = [rows[i] for i in sorted(rows)]
+    diag.sort()
     if any(b % a for a, b in zip(diag, diag[1:])):
         for a in range(len(diag)):
             for b in range(a + 1, len(diag)):
-                x, y = diag[a], diag[b]
-                if not track:
-                    g = gcd(x, y)
-                    diag[a], diag[b] = g, x // g * y
-                elif y % x:
-                    g, s, t = _xgcd(x, y)
-                    u, v = x // g, y // g
-                    left[a], left[b] = _unimodular_step(left[a], left[b], s, t, u, v)
-                    right[a], right[b] = _unimodular_step(right[a], right[b], 1, 1, s * u, t * v)
-                    diag[a], diag[b] = g, u * y
-    if not track:
-        return diag, None, None
-    return diag, left + zero[1], right + zero[0]
-
-
-def smith_normal_form(M: IntMatrix):
-    """Smith normal form with certificate: (U, D, V) with U @ M @ V == D,
-    U and V unimodular, and D diagonal with d1 | d2 | ... | dk, all >= 0.
-
-    >>> U, D, V = smith_normal_form(intmat([[2, 4], [6, 8]]))
-    >>> [int(D[i, i]) for i in range(2)]
-    [2, 4]
-    """
-    m, n = M.shape
-    diag, left, right = _smith(_own_cols(M), m, track=True)
-    D = [{j: d} for j, d in enumerate(diag)] + [{} for _ in range(n - len(diag))]
-    return IntMatrix((m, m), left).T, IntMatrix((m, n), D), IntMatrix((n, n), right)
+                g = gcd(diag[a], diag[b])
+                diag[a], diag[b] = g, diag[a] // g * diag[b]
+    return diag
 
 
 def diagonal_of_snf(M: IntMatrix):
     """Nonzero invariant factors d1 | d2 | ... of M, without transforms."""
     if not any(M.cols):
         return []
-    return _smith(_own_cols(M), M.shape[0], track=False)[0]
+    return _smith(_own_cols(M))
 
 
 def _difference_cols(A: IntMatrix, B: IntMatrix):

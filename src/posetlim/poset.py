@@ -323,11 +323,3 @@ def opposite(P: GradedPoset) -> GradedPoset:
     flag flipped (so internal degrees negate).  Exact involution."""
     flipped = "decreasing" if P.direction == "increasing" else "increasing"
     return GradedPoset(P.objects, [(b, a) for a, b in P.covers], flipped)
-
-
-def bounds(P: GradedPoset):
-    """(min display degree, max display degree, dimension)."""
-    if not P.objects:
-        raise EmptyPosetError("empty poset has no bounds")
-    degs = [o.degree for o in P.objects]
-    return min(degs), max(degs), P.dimension

@@ -1,6 +1,9 @@
-"""Small builders shared across test modules."""
+"""Small builders shared across test modules, and the oracles the tests
+run against the library: reference routines and the parts of the old
+public surface that only the tests call."""
 
 import itertools
+from dataclasses import dataclass
 from importlib import resources
 from math import gcd
 
@@ -14,13 +17,16 @@ from posetlim.abgroup import (
     direct_sum,
     free_group,
     group_from_invariants,
+    hom_is_epi,
     identity_hom,
     quotient,
     subquotient,
+    trivial_group,
     zero_hom,
 )
+from posetlim.classify import is_pseudo_injective, is_pseudo_projective
+from posetlim.derived import is_acyclic
 from posetlim.diagram import (
-    NatTransformation,
     coker_at,
     constant_diagram,
     direct_sum_diagrams,
@@ -30,9 +36,23 @@ from posetlim.diagram import (
     skyscraper_diagram,
     validate_functor,
 )
-from posetlim.errors import DiamondError, MismatchError, NotNaturalError, PosetlimError
+from posetlim.errors import (
+    DiamondError,
+    EmptyPosetError,
+    MismatchError,
+    MissingDataError,
+    OracleViolation,
+    PosetlimError,
+)
 from posetlim.jsonio import parse_diagram
 from posetlim.poset import Chain, chains_up_to, validate_graded
+from posetlim.spectral import (
+    FilteredComplex,
+    _compare_totals,
+    _restrict_to_level,
+    build_filtered,
+    page,
+)
 
 
 def boolean_lattice(n):
@@ -640,7 +660,7 @@ def full_span_pivots(M):
 
 
 def full_diagonal_of_snf(M):
-    return la._smith(la._own_cols(M), M.shape[0], track=False)[0]
+    return la._smith(la._own_cols(M))
 
 
 def full_preimage_lattice(A, L):
@@ -700,3 +720,350 @@ def reference_page_entries(X, r):
             arriving = d_in.matrix @ reference_cycles(X, n - X.step, s + r - 1, s)
             out[(s, n)] = subquotient(Z, la.hstack([deeper, arriving]), f"level {s}, degree {n}")
     return out
+
+
+# ------------------------------------------------ test-only library surface
+# Definitions that nothing in the package, the benchmark or the demos
+# calls, kept here because the tests run them as oracles or use them to
+# build inputs.
+
+def chain_complex(F):
+    """The unreduced nerve chain complex, sum of F(sigma_0) over chains."""
+    return derived._nerve_complex(F, "chain")
+
+
+def cochain_complex(F):
+    """The unreduced nerve cochain complex, sum of F(sigma_n) over chains."""
+    return derived._nerve_complex(F, "cochain")
+
+
+def bounds(P):
+    """(min display degree, max display degree, dimension)."""
+    if not P.objects:
+        raise EmptyPosetError("empty poset has no bounds")
+    degs = [o.degree for o in P.objects]
+    return min(degs), max(degs), P.dimension
+
+
+def enumerate_elements(G, cap=4096):
+    """All elements of a finite group as canonical representatives.
+
+    Closure of the ambient generators under addition; None when the
+    group is infinite or larger than cap.
+    """
+    if G.free_rank:
+        return None
+    gens = [tuple(1 if i == j else 0 for i in range(G.ambient_rank))
+            for j in range(G.ambient_rank)]
+    zero = G.reduce_element([0] * G.ambient_rank)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.reduce_element([a + b for a, b in zip(x, g)])
+            if y not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def kernel(M):
+    """Basis of the integer kernel {x : M x = 0}, one column per basis vector."""
+    K = la._kernel_cols(la._own_cols(M))
+    return la.IntMatrix((M.shape[1], len(K)), K)
+
+
+# ------------------------------------------------ certified Smith form
+# The tracked copy of intlinalg._smith: the same alternating column and
+# row echelon steps, each also applied to the transforms, so it returns
+# the unimodular U and V that the library's invariant factors do without.
+
+def _tracked_smith(cols, m):
+    """(diag, left, right): the nonzero invariant factors, and the rows of
+    U and the columns of V with U M V = D, those of the diagonal first."""
+    # sides[0] holds the transforms over M's columns, sides[1] over its
+    # rows, zero those of the zero columns and rows dropped on the way;
+    # the working columns are on side w
+    dims = (len(cols), m)
+    sides = [[{j: 1} for j in range(dims[0])], [{i: 1} for i in range(m)]]
+    zero = [[], []]
+    w = 0
+    while True:
+        pivots, live, tcols = la._echelon_cols(cols, track=True)
+        cols = [cols[j] for _, j in pivots]
+        diag = [col[r] for (r, _), col in zip(pivots, cols)]
+        last = all(len(col) == 1 for col in cols)
+        if not last:
+            rows = {}
+            for j, col in enumerate(cols):
+                for i, x in col.items():
+                    rows.setdefault(i, {})[j] = x
+        keep = [r for r, _ in pivots] if last else sorted(rows)
+        k = len(tcols)
+        done = (la.IntMatrix((dims[w], k), sides[w]) @ la.IntMatrix((k, k), tcols)).cols
+        kept = set(keep)
+        zero[w] += [done[j] for j in live]
+        zero[1 - w] += [t for i, t in enumerate(sides[1 - w]) if i not in kept]
+        sides[w] = [done[j] for _, j in pivots]
+        sides[1 - w] = [sides[1 - w][i] for i in keep]
+        w = 1 - w
+        if last:
+            break
+        cols = [rows[i] for i in keep]
+    order = sorted(range(len(diag)), key=diag.__getitem__)
+    right, left = ([side[k] for k in order] for side in sides)
+    diag = [diag[k] for k in order]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            x, y = diag[a], diag[b]
+            if y % x:
+                g, s, t = la._xgcd(x, y)
+                u, v = x // g, y // g
+                left[a], left[b] = la._unimodular_step(left[a], left[b], s, t, u, v)
+                right[a], right[b] = la._unimodular_step(right[a], right[b], 1, 1, s * u, t * v)
+                diag[a], diag[b] = g, u * y
+    return diag, left + zero[1], right + zero[0]
+
+
+def smith_normal_form(M):
+    """Smith normal form with certificate: (U, D, V) with U @ M @ V == D,
+    U and V unimodular, and D diagonal with d1 | d2 | ... | dk, all >= 0.
+
+    >>> U, D, V = smith_normal_form(la.intmat([[2, 4], [6, 8]]))
+    >>> [int(D[i, i]) for i in range(2)]
+    [2, 4]
+    """
+    m, n = M.shape
+    diag, left, right = _tracked_smith(la._own_cols(M), m)
+    D = [{j: d} for j, d in enumerate(diag)] + [{} for _ in range(n - len(diag))]
+    return la.IntMatrix((m, m), left).T, la.IntMatrix((m, n), D), la.IntMatrix((n, n), right)
+
+
+# ------------------------------------------------ natural transformations
+# and the lifting oracle: projectivity decided by solving for a
+# retraction of the free cover, object by object, independently of the
+# free-cokernel and pseudo-projectivity conditions the library checks.
+
+class NotNaturalError(PosetlimError):
+    """A candidate transformation fails a naturality square."""
+
+
+class NatTransformation:
+    """Componentwise hom between diagrams over the same poset.
+
+    Naturality is verified on covers at construction (sufficient, since
+    composites are cover products); NotNaturalError carries the first
+    failing cover.
+    """
+
+    def __init__(self, source, target, components):
+        if source.poset.ids != target.poset.ids or \
+                sorted(source.poset.covers) != sorted(target.poset.covers):
+            raise MismatchError("source and target live over different posets")
+        self.source = source
+        self.target = target
+        self.components = dict(components)
+        for i in source.poset.ids:
+            h = self.components.get(i)
+            if h is None:
+                raise MissingDataError(f"no component at {i!r}")
+            if not h.source.same_presentation(source.groups[i]) or \
+                    not h.target.same_presentation(target.groups[i]):
+                raise MismatchError(f"component at {i!r} has the wrong endpoints")
+        for a, b in source.poset.covers:
+            left = compose(self.components[b], source.cover_maps[(a, b)])
+            right = compose(target.cover_maps[(a, b)], self.components[a])
+            if not left.equal(right):
+                raise NotNaturalError(
+                    f"square over cover ({a!r}, {b!r}) does not commute")
+
+    def component(self, i):
+        return self.components[i]
+
+    def is_zero(self):
+        return all(h.is_zero() for h in self.components.values())
+
+
+def diagrams_equal(F, G):
+    """Objectwise equal presentations and coverwise equal homs."""
+    if F.poset.ids != G.poset.ids or sorted(F.poset.covers) != sorted(G.poset.covers):
+        return False
+    if any(F.poset.degree[i] != G.poset.degree[i] for i in F.poset.ids):
+        return False
+    for i in F.poset.ids:
+        if not F.groups[i].same_presentation(G.groups[i]):
+            return False
+    return all(F.cover_maps[c].equal(G.cover_maps[c]) for c in F.poset.covers)
+
+
+@dataclass(frozen=True)
+class TheoremOracleVerdict:
+    pseudo_projective: bool
+    colim_acyclic: bool
+    pseudo_injective: bool
+    lim_acyclic: bool
+    consistent: bool = True
+
+
+def oracle_theorem_b(F):
+    """Assert the two guaranteed implications: pseudo-projective forces
+    colim-acyclic and pseudo-injective forces lim-acyclic.  A violation
+    is an implementation bug, never a property of the input."""
+    pp = bool(is_pseudo_projective(F))
+    ca = is_acyclic(F, "colim")
+    pi = bool(is_pseudo_injective(F))
+    lim_a = is_acyclic(F, "lim")
+    if pp and not ca:
+        raise OracleViolation(
+            f"pseudo-projective but colim_{ca.degree} = {ca.group.describe()}")
+    if pi and not lim_a:
+        raise OracleViolation(
+            f"pseudo-injective but lim^{lim_a.degree} = {lim_a.group.describe()}")
+    return TheoremOracleVerdict(pp, bool(ca), pi, bool(lim_a))
+
+
+def free_cover(F):
+    """(A, counit): A sums one representable per ambient generator of
+    each value, and the counit evaluates that generator.  The counit is
+    epi at every object because the identity summands hit the whole
+    ambient basis."""
+    P = F.poset
+    summands = []
+    labels = []
+    for i in P.ids:
+        for t in range(F.groups[i].ambient_rank):
+            summands.append(representable_diagram(P, i))
+            labels.append((i, t))
+    if not summands:
+        A = constant_diagram(P, trivial_group())
+        counit = NatTransformation(
+            A, F, {j: zero_hom(A.groups[j], F.groups[j]) for j in P.ids})
+        return A, counit
+    A = direct_sum_diagrams(summands)
+    comps = {}
+    for j in P.ids:
+        # summand (i, t) occupies one column at j exactly when i <= j,
+        # in list order, matching the offsets the sum construction used
+        cols = [F.hom(i, j).matrix.cols[t] for (i, t) in labels if P.leq(i, j)]
+        E = la.IntMatrix((F.groups[j].ambient_rank, len(cols)), cols)
+        comps[j] = AbHom(A.groups[j], F.groups[j], E, check=False)
+    counit = NatTransformation(A, F, comps)
+    return A, counit
+
+
+def solve_lifting(pi, sigma):
+    """A lift rho of sigma through the epi pi, or None.
+
+    Objects are solved in increasing degree order; at each one the
+    unknown matrix must commute with the already-fixed components over
+    incoming covers, descend along the source relations, and project to
+    sigma.  Any solution extends whenever the source satisfies the
+    free-cokernel and pseudo-projectivity conditions, so a None from a
+    diagram passing those checks signals a bug.
+    """
+    A = pi.source
+    B = pi.target
+    F = sigma.source
+    if sigma.target is not B and not diagrams_equal(sigma.target, B):
+        raise ValueError("the two transformations must share their target")
+    P = F.poset
+    for i in P.ids:
+        if not hom_is_epi(pi.component(i)):
+            raise ValueError(f"pi is not an epimorphism at {i!r}")
+    order = sorted(P.ids, key=lambda i: (P.degree[i], i))
+    rho = {}
+    for i0 in order:
+        R = _solve_component(A, F, pi, sigma, rho, i0)
+        if R is None:
+            return None
+        rho[i0] = AbHom(F.groups[i0], A.groups[i0], R)
+    out = NatTransformation(F, A, rho)
+    for i in P.ids:
+        if not compose(pi.component(i), out.component(i)).equal(sigma.component(i)):
+            raise OracleViolation("solved lift does not project to sigma")
+    return out
+
+
+def _solve_component(A, F, pi, sigma, rho, i0):
+    """One affine system: unknowns are the entries of R (column per
+    ambient generator of F(i0)) plus relation coefficients that absorb
+    the mod-relations slack of each constraint."""
+    P = F.poset
+    a = A.groups[i0].ambient_rank
+    f = F.groups[i0].ambient_rank
+    rel_a = A.groups[i0].relations
+    rel_b = pi.target.groups[i0].relations
+    b = pi.target.groups[i0].ambient_rank
+
+    # constraints R @ v = w (mod rel_a), v and w as {row: value} columns
+    pairs = []
+    for p in P.covers_into[i0]:
+        w_block = A.cover_maps[(p, i0)].matrix @ rho[p].matrix
+        pairs += zip(F.cover_maps[(p, i0)].matrix.cols, w_block.cols)
+    pairs += [(col, {}) for col in F.groups[i0].relations.cols]
+
+    n_pairs = len(pairs)
+    ra = rel_a.shape[1]
+    rb = rel_b.shape[1]
+    blocks = []
+    rhs = []
+    for c, (v, w) in enumerate(pairs):
+        r0 = c * a
+        blocks += [(r0, s * a, x, la.eye(a)) for s, x in v.items()]
+        blocks.append((r0, a * f + c * ra, -1, rel_a))
+        rhs.append((r0, 0, 1, la.IntMatrix((a, 1), [w])))
+    proj = pi.component(i0).matrix
+    sig = sigma.component(i0).matrix
+    base = a * n_pairs
+    for s in range(f):
+        r0 = base + s * b
+        blocks.append((r0, s * a, 1, proj))
+        blocks.append((r0, a * f + ra * n_pairs + s * rb, -1, rel_b))
+        rhs.append((r0, 0, 1, la.IntMatrix((b, 1), [sig.cols[s]])))
+    rows = a * n_pairs + b * f
+    M = la.from_blocks(rows, a * f + ra * n_pairs + rb * f, blocks)
+    z = la.solve(M, la.from_blocks(rows, 1, rhs))
+    if z is None:
+        return None
+    return la.intmat([[z[s * a + i, 0] for s in range(f)] for i in range(a)], (a, f))
+
+
+def identity_transformation(F):
+    return NatTransformation(
+        F, F, {i: identity_hom(F.groups[i]) for i in F.poset.ids})
+
+
+def projective_by_lifting(F):
+    """Independent route to projectivity: a retraction of the free
+    cover exists exactly for projective diagrams."""
+    A, counit = free_cover(F)
+    return solve_lifting(counit, identity_transformation(F)) is not None
+
+
+# ------------------------------------------------ inner-column sequences
+
+def inner_column_ss(P, F, p, variant):
+    """Pages of the second-level sequence feeding the outer page-1
+    column at p: the level-p graded piece of the unreduced complex
+    refiltered by the other vertex (the matching keeps only the first
+    filtration's key vertex, so a reduced piece would change the inner
+    pages).  The stable inner page is checked for rank/order consistency
+    against that column."""
+    X = build_filtered(P, F, variant)
+    if not (X.min_degree <= p <= X.max_degree):
+        raise ValueError(f"p = {p} outside the degree range "
+                         f"[{X.min_degree}, {X.max_degree}]")
+    ge = X.variant.condition == ">="
+    s_fixed = (X.max_degree - p) if ge else (p - X.min_degree)
+    graded = _restrict_to_level(X.unreduced, s_fixed)
+    inner = FilteredComplex(graded, variant.second, P)
+    r_star = inner.span + 2
+    pages = [page(inner, r) for r in range(r_star + 1)]
+    outer_one = page(X, 1)
+    for n in range(X.base.top + 1):
+        _compare_totals(pages[-1], n, outer_one.sn_entries[(s_fixed, n)],
+                        f"inner sequence at p = {p}, degree {n}", "the outer column")
+    return pages

@@ -6,7 +6,8 @@ Runs every command of the sweep in process and writes the sha256 of its
 stdout and of its stderr, and its exit code, to golden_outputs.json next
 to this file.  The sweep is validate, colim, lim, classify and spectral
 --variant 1..8 on each bundled document, then gallery and oracle --seeds
-25, each in text and with --json.  Rerun it only when an output is meant
+25, each in text and with --json, and then the stdout of each script in
+demos/, run in process.  Rerun it only when an output is meant
 to change: the diff of golden_outputs.json then names every output that
 changed.
 """
@@ -18,11 +19,14 @@ import hashlib
 import io
 import json
 import os
+import runpy
 from importlib import resources
 
 from posetlim import cli
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_outputs.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden_outputs.json")
+DEMOS = os.path.join(os.path.dirname(HERE), "demos")
 
 DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + [
     ["spectral", "--variant", str(v)] for v in range(1, 9)]
@@ -51,8 +55,20 @@ def digests(argv):
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
+def demo_digest(path):
+    """{"stdout"} of running the demo script at path, as sha256."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(path, run_name="__main__")
+    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
 def sweep():
-    return {key: digests(argv) for key, argv in sweep_commands()}
+    got = {key: digests(argv) for key, argv in sweep_commands()}
+    for name in sorted(os.listdir(DEMOS)):
+        if name.endswith(".py"):
+            got["demo " + name] = demo_digest(os.path.join(DEMOS, name))
+    return got
 
 
 if __name__ == "__main__":

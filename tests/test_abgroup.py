@@ -13,7 +13,6 @@ from posetlim.abgroup import (
     compose,
     cyclic_group,
     direct_sum,
-    enumerate_elements,
     free_group,
     group_from_invariants,
     hom_is_epi,
@@ -28,6 +27,8 @@ from posetlim.abgroup import (
     zero_hom,
 )
 from posetlim.errors import AmbientMismatchError, MismatchError, OracleViolation
+
+from helpers import enumerate_elements
 
 
 def test_classification_of_worked_example():

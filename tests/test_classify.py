@@ -13,22 +13,16 @@ from posetlim.abgroup import (
 )
 from posetlim.classify import (
     classify_diagram,
-    free_cover,
-    identity_transformation,
     is_injective,
     is_projective,
     is_pseudo_injective,
     is_pseudo_injective_at,
     is_pseudo_projective,
     is_pseudo_projective_at,
-    oracle_theorem_b,
-    projective_by_lifting,
-    solve_lifting,
     telescope_projectivity_criterion,
 )
 from posetlim.derived import is_acyclic
 from posetlim.diagram import (
-    NatTransformation,
     constant_diagram,
     direct_sum_diagrams,
     ker_at,
@@ -43,12 +37,19 @@ from posetlim.poset import opposite, validate_graded
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    NatTransformation,
+    enumerate_elements,
+    free_cover,
+    identity_transformation,
     intro_pushout,
+    oracle_theorem_b,
+    projective_by_lifting,
     pushout_poset,
     random_forest_poset,
     random_free_forest_diagram,
     random_mixed_diagram,
     random_torsion_sum_diagram,
+    solve_lifting,
     times_two_pullback,
 )
 
@@ -305,7 +306,7 @@ def subsets(items):
 
 
 def brute_pseudo_projective(F, i0, sources):
-    from posetlim.abgroup import direct_sum, enumerate_elements
+    from posetlim.abgroup import direct_sum
     from posetlim.diagram import im_at
     ds = direct_sum([F.groups[i] for i in sources])
     elements = enumerate_elements(ds.group)
@@ -326,7 +327,7 @@ def brute_pseudo_projective(F, i0, sources):
 
 
 def brute_pseudo_injective(F, i0, targets):
-    from posetlim.abgroup import Subgroup, direct_sum, enumerate_elements
+    from posetlim.abgroup import Subgroup, direct_sum
     from posetlim.diagram import ker_at
     ds = direct_sum([F.groups[t] for t in targets])
     elements = enumerate_elements(ds.group)

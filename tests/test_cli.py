@@ -12,11 +12,11 @@ import pytest
 
 from posetlim import cli
 from posetlim.abgroup import free_group
-from posetlim.diagram import constant_diagram, diagrams_equal
+from posetlim.diagram import constant_diagram
 from posetlim.errors import OracleViolation
 from posetlim.jsonio import parse_diagram, serialize_diagram, validate_report
 
-from helpers import crown_tower, intro_pushout
+from helpers import crown_tower, diagrams_equal, intro_pushout
 
 
 @pytest.fixture
@@ -170,6 +170,20 @@ def test_bad_json_file(capsys, tmp_path):
     p.write_text("{nope")
     code, _, err = run(capsys, "validate", str(p))
     assert code == 1
+
+
+def test_unreadable_input_is_exit_one(capsys, tmp_path):
+    # a directory cannot be read, and bytes that are not UTF-8 cannot be
+    # decoded: both are input errors, in text and in the JSON envelope
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"a": "\xff"}')
+    for path in (str(tmp_path), str(p)):
+        code, out, err = run(capsys, "colim", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        code, out, err = run(capsys, "--json", "colim", path)
+        assert (code, out) == (1, "")
+        assert "error" in json.loads(err)
 
 
 def test_semantic_error_is_exit_one(capsys, intro_path):

@@ -17,8 +17,6 @@ from posetlim.abgroup import (
     trivial_group,
 )
 from posetlim.derived import (
-    chain_complex,
-    cochain_complex,
     colimit_direct,
     derived_functor,
     euler_characteristic,
@@ -50,6 +48,8 @@ from helpers import (
     SHAPES,
     boolean_lattice,
     bundled_diagrams,
+    chain_complex,
+    cochain_complex,
     crown_tower,
     eager_reduce_complex,
     grid,

@@ -16,7 +16,6 @@ from posetlim.abgroup import (
     zero_hom,
 )
 from posetlim.diagram import (
-    NatTransformation,
     coker_at,
     constant_diagram,
     direct_sum_diagrams,
@@ -31,12 +30,13 @@ from posetlim.errors import (
     MismatchError,
     MissingDataError,
     NoArrowError,
-    NotNaturalError,
     UnknownIdError,
 )
 from posetlim.poset import validate_graded
 
 from helpers import (
+    NatTransformation,
+    NotNaturalError,
     all_pairs_composites,
     check_adjunction_instance,
     coim_at,

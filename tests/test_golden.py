@@ -1,7 +1,8 @@
 """The CLI's outputs on a fixed sweep stay byte for byte as recorded.
 
 golden_outputs.json holds the sha256 of stdout and stderr and the exit
-code of every command of record_golden.sweep_commands().  This test only
+code of every command of record_golden.sweep_commands(), and the sha256
+of the stdout of each demo script.  This test only
 reads it; record_golden.py rewrites it when an output is meant to change.
 """
 

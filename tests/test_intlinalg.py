@@ -12,16 +12,14 @@ from posetlim.intlinalg import (
     hstack,
     intersect_lattices,
     intmat,
-    kernel,
     lattice_basis,
     preimage_lattice,
-    smith_normal_form,
     solve,
     SpanChecker,
     zeros,
 )
 
-from helpers import dense_diagonal_of_snf, det
+from helpers import dense_diagonal_of_snf, det, kernel, smith_normal_form
 
 
 def random_matrix(rng, max_dim=12, bound=50):

@@ -13,7 +13,6 @@ from posetlim.intlinalg import (
     hstack,
     intersect_lattices,
     intmat,
-    kernel,
     lattice_basis,
     preimage_lattice,
     solve,
@@ -27,6 +26,7 @@ from helpers import (
     dense_lattice_basis,
     dense_residue,
     dense_solve,
+    kernel,
 )
 
 

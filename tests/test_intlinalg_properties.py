@@ -11,10 +11,8 @@ from posetlim.intlinalg import (  # noqa: E402
     SpanChecker,
     diagonal_of_snf,
     intmat,
-    kernel,
     lattice_basis,
     preimage_lattice,
-    smith_normal_form,
     solve,
     zeros,
 )
@@ -25,6 +23,8 @@ from helpers import (  # noqa: E402
     full_lattice_basis,
     full_preimage_lattice,
     full_span_pivots,
+    kernel,
+    smith_normal_form,
 )
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -11,7 +11,6 @@ from importlib import resources
 import pytest
 
 from posetlim import cli
-from posetlim.diagram import diagrams_equal
 from posetlim.errors import EmptyPosetError, SchemaError, ValidationError
 from posetlim.jsonio import (
     DIAGRAM_SCHEMA,
@@ -26,7 +25,7 @@ from posetlim.jsonio import (
 )
 from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagram, gen_poset
 
-from helpers import intro_pushout, times_two_pullback
+from helpers import diagrams_equal, intro_pushout, times_two_pullback
 
 
 def sample_doc():

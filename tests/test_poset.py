@@ -12,7 +12,6 @@ from posetlim.errors import (
 from posetlim.poset import (
     GradedPoset,
     PosetObject,
-    bounds,
     chain_counts,
     chains_up_to,
     enumerate_chains,
@@ -23,7 +22,7 @@ from posetlim.poset import (
 )
 from posetlim.randgen import GenConfig, gen_poset
 
-from helpers import SHAPES, per_degree_walk, shape
+from helpers import SHAPES, bounds, per_degree_walk, shape
 
 
 def pushout_poset():

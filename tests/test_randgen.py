@@ -2,9 +2,9 @@ import pytest
 
 from posetlim.classify import is_pseudo_projective
 from posetlim.derived import is_acyclic
-from posetlim.diagram import diagrams_equal, validate_functor
+from posetlim.diagram import validate_functor
 from posetlim.errors import FamilyMismatchError
-from posetlim.poset import bounds, validate_graded
+from posetlim.poset import validate_graded
 from posetlim.randgen import (
     DIAGRAM_MODES,
     MAX_MATRIX_ENTRY,
@@ -14,7 +14,7 @@ from posetlim.randgen import (
     is_forest,
 )
 
-from helpers import pullback_poset, pushout_poset
+from helpers import bounds, diagrams_equal, pullback_poset, pushout_poset
 
 
 def test_config_validation():

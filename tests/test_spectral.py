@@ -7,7 +7,7 @@ import pytest
 from posetlim import derived
 from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
-from posetlim.derived import ChainComplex, chain_complex, cochain_complex, derived_functor
+from posetlim.derived import ChainComplex, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
     ConvergenceViolation,
@@ -28,7 +28,6 @@ from posetlim.spectral import (
     build_filtered,
     convergence_check,
     e_infinity,
-    inner_column_ss,
     oracle_page_one,
     oracle_page_recurrence,
     page,
@@ -37,6 +36,9 @@ from posetlim.spectral import (
 
 from helpers import (
     bundled_diagrams,
+    chain_complex,
+    cochain_complex,
+    inner_column_ss,
     intro_pushout,
     pushout_poset,
     random_forest_poset,
@@ -619,6 +621,24 @@ def test_shared_pages_match_reference_pages():
                 assert pg.sn_entries[k].is_isomorphic_to(g), (X.variant.name, r, k)
             assert set(pg.entries) == {_public_key(X, s, n)
                                        for (s, n), g in ref.items() if not g.is_trivial}
+
+
+def test_pages_past_span_plus_one_share_its_entries():
+    """What e_infinity and oracle_page_recurrence rely on in comparing no
+    page past span + 1: those pages hold page span + 1's very entries,
+    and no differential of page span + 1 is nonzero."""
+    seen = set()
+    for P, F in bundled_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.name)
+            X = build_filtered(P, F, v)
+            last = page(X, X.span + 1)
+            for r in (X.span + 2, X.span + 3):
+                assert page(X, r).sn_entries is last.sn_entries
+            assert all(d.is_zero() for d in last.sn_diffs.values()), v.name
+    assert seen == {v.name for v in TABLE_VARIANTS}
 
 
 def test_pages_use_neither_lattice_preimage_nor_intersection(monkeypatch):
