@@ -144,7 +144,8 @@ class AbHom:
         """Equality as homs: matrices differ by the target relation span."""
         if self.matrix.shape != other.matrix.shape:
             return False
-        return self.target._rel_checker.contains_all(self.matrix - other.matrix)
+        return (self.matrix == other.matrix
+                or self.target._rel_checker.contains_all(self.matrix - other.matrix))
 
     def is_zero(self) -> bool:
         return self.target._rel_checker.contains_all(self.matrix)

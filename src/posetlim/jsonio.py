@@ -288,7 +288,7 @@ def parse_diagram(data):
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             exc = SchemaError(f"invalid JSON: {e}")
             exc.pointer = ""
             raise exc from e

@@ -27,7 +27,15 @@ target's rows in filtration order, highest level first: the integer
 form of the persistence reduction (Edelsbrunner-Letscher-Zomorodian,
 2002; Basu-Parida, 2017).  Past r = span + 1 every page has the same
 lattices and no differential, so those pages share page span + 1's
-entries.
+entries.  Each cycle lattice gets one SpanChecker, which every solve
+against it reuses.
+
+From r = 1 on, most entries are zero.  Every trivial entry is one shared
+zero group of ambient rank 0, and every map into or out of it is an
+empty zero map; an empty cycle lattice skips the subquotient, and the
+page recurrence takes the homology at a zero entry to be zero.  The
+checks on the boundaries, the containment of each differential in its
+target's cycles and well-definedness still run there.
 
 Internal bookkeeping uses one canonical shape: levels are shifted so
 the filtration is increasing from 0 and the differential never raises
@@ -48,7 +56,7 @@ from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, direct_sum, homology, subquotient, trivial_group, zero_hom
+from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
 from .derived import ChainComplex, _cached_complex, _check_dd_zero, derived_functor, homology_at
 from .diagram import Diagram
 from .errors import ConvergenceViolation, MismatchError, OracleViolation, VariantMismatchError
@@ -67,6 +75,9 @@ _CONDITION = {
     ("cochain", "increasing", "last"): ">=",
     ("cochain", "increasing", "first"): "<=",
 }
+
+# the one group every trivial entry of a page r >= 1 is stored as
+_ZERO = trivial_group()
 
 
 @dataclass(frozen=True)
@@ -161,6 +172,7 @@ class FilteredComplex:
                                      for _ in range(G.ambient_rank)]
         self._lambda_cache = {}
         self._z_cache = {}
+        self._checkers = {}
         self._pages = {}
         self._pieces = {}
         self._check_respected()
@@ -237,6 +249,14 @@ class FilteredComplex:
             hit = self._z_cache[key]
         return hit
 
+    def _checker(self, Z):
+        """The SpanChecker of a lattice from _Z, built once per lattice
+        object; the entry keeps Z alive, so its id is not reused."""
+        hit = self._checkers.get(id(Z))
+        if hit is None:
+            hit = self._checkers[id(Z)] = (Z, la.SpanChecker(Z))
+        return hit[1]
+
     def _cycle_lattices(self, n, s):
         """Z(n, s, star) for every star in -1..s-1, keyed (n, s, star).
 
@@ -304,9 +324,12 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
 @dataclass(frozen=True)
 class SSPage:
     """One page: entries keyed by the variant's public (p, q), plus the
-    same data in canonical (level, degree) keys for cross-checks.  Pages
-    are cached on their filtered complex and shared by every caller, so
-    the dicts they hold must not be mutated."""
+    same data in canonical (level, degree) keys for cross-checks.  Only
+    nonzero entries are published; from r = 1 on every trivial entry of
+    sn_entries is one shared group of ambient rank 0, and each sn_diffs
+    map into or out of it has an empty matrix.  Pages are cached on their
+    filtered complex and shared by every caller, so the dicts they hold
+    must not be mutated."""
     r: int
     type: str
     bidegree: tuple
@@ -383,33 +406,60 @@ def _graded_page(X: FilteredComplex):
 
 def _subquotient_page(X: FilteredComplex, r: int):
     """Page r's entries and differentials for r >= 1, keyed (level,
-    degree), from the cycle lattices of X's base."""
+    degree), from the cycle lattices of X's base.
+
+    A trivial entry is _ZERO, so every map into or out of it is an empty
+    zero_hom, but the checks still run there: the boundaries lie in the
+    cycles (at an empty cycle lattice they are zero), every entry's
+    differential lands in its target's cycles, and out of a trivial
+    entry into a nonzero one it is well defined on the entry's own
+    presentation.  Into a trivial entry every map is well defined, as its
+    relations span its whole ambient lattice."""
     step = X.step
     sn_entries = {}
     sn_lattice = {}
+    presented = {}
     for n in range(X.base.top + 1):
         d_in = X.base.d_into(n)
         for s in range(X.span + 1):
             Z = X._Z(n, s, s - r)
             deeper = X._Z(n, s - 1, s - r)
             arriving = d_in.matrix @ X._Z(n - step, s + r - 1, s)
-            sn_entries[(s, n)] = subquotient(Z, la.hstack([deeper, arriving]),
-                                             f"level {s}, degree {n}, page {r}")
+            if Z.shape[1]:
+                rels = X._checker(Z).solve(la.hstack([deeper, arriving]))
+                E = None if rels is None else FgAbGroup(Z.shape[1], rels)
+            else:
+                # an empty cycle lattice presents 0 and holds no boundary but 0
+                E = None if any(deeper.cols) or any(arriving.cols) else _ZERO
+            if E is None:
+                raise OracleViolation("boundary lattice escapes the cycle lattice at "
+                                      f"level {s}, degree {n}, page {r}")
+            if E is not _ZERO and E.is_trivial:
+                presented[(s, n)] = E
+                E = _ZERO
+            sn_entries[(s, n)] = E
             sn_lattice[(s, n)] = Z
     sn_diffs = {}
     for (s, n), E in sn_entries.items():
-        d = X.base.d_from(n)
-        moved = d.matrix @ sn_lattice[(s, n)]
         tgt = (s - r, n + step)
-        if tgt in sn_entries:
-            coeff = la.solve(sn_lattice[tgt], moved)
-            if coeff is None:
-                raise OracleViolation(
-                    f"page-{r} differential leaves the target cycles at "
-                    f"level {s}, degree {n}")
-            sn_diffs[(s, n)] = AbHom(E, sn_entries[tgt], coeff)
+        if tgt not in sn_entries:
+            sn_diffs[(s, n)] = zero_hom(E, _ZERO)
+            continue
+        T = sn_entries[tgt]
+        moved = X.base.d_from(n).matrix @ sn_lattice[(s, n)]
+        coeff = X._checker(sn_lattice[tgt]).solve(moved)
+        if coeff is None:
+            raise OracleViolation(
+                f"page-{r} differential leaves the target cycles at "
+                f"level {s}, degree {n}")
+        if T is _ZERO:
+            sn_diffs[(s, n)] = zero_hom(E, T)
+        elif E is not _ZERO:
+            sn_diffs[(s, n)] = AbHom(E, T, coeff)
         else:
-            sn_diffs[(s, n)] = zero_hom(E, trivial_group())
+            if (s, n) in presented:
+                AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
+            sn_diffs[(s, n)] = zero_hom(E, T)
     return sn_entries, sn_diffs
 
 
@@ -471,9 +521,10 @@ def oracle_page_recurrence(X: FilteredComplex):
     """Cross-check: page r+1 is the homology of page r under d_r, for
     r <= span, and returns pages 0..span + 2.  Page 0 and d_0 are the
     graded pieces of the unreduced complex, so their homology is the one
-    oracle_page_one reads.  Pages past span + 1 are page span + 1 under
-    another r (see page), with no differential landing on a level, so
-    they are not compared again."""
+    oracle_page_one reads.  From r = 1 on, the homology at a zero entry
+    is zero, and page r + 1 is still compared at every key.  Pages past
+    span + 1 are page span + 1 under another r (see page), with no
+    differential landing on a level, so they are not compared again."""
     pages = [page(X, r) for r in range(X.span + 3)]
     step = X.step
     for r in range(X.span + 1):
@@ -481,6 +532,8 @@ def oracle_page_recurrence(X: FilteredComplex):
         for (s, n), E in cur.sn_entries.items():
             if r == 0:
                 H = homology_at(_restrict_to_level(X.unreduced, s), n)
+            elif E.is_trivial:
+                H = E
             else:
                 d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)
                 H = homology(d_in, cur.sn_diffs[(s, n)],

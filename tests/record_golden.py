@@ -5,9 +5,11 @@
 Runs every command of the sweep in process and writes the sha256 of its
 stdout and of its stderr, and its exit code, to golden_outputs.json next
 to this file.  The sweep is validate, colim, lim, classify and spectral
---variant 1..8 on each bundled document, then gallery and oracle --seeds
-25, each in text and with --json, and then the stdout of each script in
-demos/, run in process.  Rerun it only when an output is meant
+--variant 1..8 on each bundled document, spectral --variant 1..8 on the
+seeded documents that generate writes (forest and layered,
+sums_of_standard, seeds 0-3, --max-objects 8), then gallery and oracle
+--seeds 25, each in text and with --json, and then the stdout of each
+script in demos/, run in process.  Rerun it only when an output is meant
 to change: the diff of golden_outputs.json then names every output that
 changed.
 """
@@ -20,6 +22,7 @@ import io
 import json
 import os
 import runpy
+import tempfile
 from importlib import resources
 
 from posetlim import cli
@@ -28,18 +31,38 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_outputs.json")
 DEMOS = os.path.join(os.path.dirname(HERE), "demos")
 
-DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + [
-    ["spectral", "--variant", str(v)] for v in range(1, 9)]
+SPECTRAL_COMMANDS = [["spectral", "--variant", str(v)] for v in range(1, 9)]
+DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + SPECTRAL_COMMANDS
+GENERATED = [(family, seed) for family in ("forest", "layered") for seed in range(4)]
 PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
 
 
-def sweep_commands():
-    """(key, argv) for every command of the sweep; the key names a
-    document by its file name, so it is the same in every checkout."""
+def write_generated(folder):
+    """Write each seeded document of GENERATED into folder, as generate
+    prints it; returns {name: path}, the name giving family and seed."""
+    paths = {}
+    for family, seed in GENERATED:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["generate", "--family", family, "--mode", "sums_of_standard",
+                      "--seed", str(seed), "--max-objects", "8"])
+        name = f"generated {family} seed={seed}"
+        paths[name] = os.path.join(folder, f"{family}-{seed}.json")
+        with open(paths[name], "w") as fh:
+            fh.write(out.getvalue())
+    return paths
+
+
+def sweep_commands(generated):
+    """(key, argv) for every command of the sweep, generated being
+    write_generated's {name: path}; the key names a document by its file
+    name or by family and seed, so it is the same in every checkout."""
     data = resources.files("posetlim") / "data"
     names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
             for name in names for cmd in DOCUMENT_COMMANDS]
+    runs += [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], path] + cmd[1:])
+             for name, path in generated.items() for cmd in SPECTRAL_COMMANDS]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]
@@ -64,7 +87,8 @@ def demo_digest(path):
 
 
 def sweep():
-    got = {key: digests(argv) for key, argv in sweep_commands()}
+    with tempfile.TemporaryDirectory() as folder:
+        got = {key: digests(argv) for key, argv in sweep_commands(write_generated(folder))}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):
             got["demo " + name] = demo_digest(os.path.join(DEMOS, name))

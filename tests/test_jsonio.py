@@ -95,6 +95,12 @@ def test_invalid_json_text():
         parse_diagram("{not json")
 
 
+def test_non_utf8_bytes_are_invalid_json():
+    with pytest.raises(SchemaError, match="^invalid JSON: 'utf-8' codec") as info:
+        parse_diagram(b'{"a": "\xff"}')
+    assert info.value.pointer == ""
+
+
 def test_missing_required_field():
     doc = sample_doc()
     del doc["format_version"]

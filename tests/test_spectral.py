@@ -660,6 +660,133 @@ def test_pages_use_neither_lattice_preimage_nor_intersection(monkeypatch):
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
+# ------------------------------------------------------------ zero entries
+
+def _zero_entry_complexes():
+    """Filtered complexes of the bundled documents and of seeded forest
+    and layered diagrams, on each poset and its opposite, in every
+    variant whose direction matches."""
+    diagrams = bundled_diagrams() + list(_seeded_diagrams(8))
+    for P, F in diagrams:
+        for v in TABLE_VARIANTS:
+            if v.direction == P.direction:
+                yield build_filtered(P, F, v)
+
+
+def test_trivial_entries_are_one_zero_group_with_empty_maps():
+    """From r = 1 on, every trivial entry is the same group of ambient
+    rank 0, and every map into or out of it has an empty matrix."""
+    seen, zeros, nonzero = set(), set(), 0
+    for X in _zero_entry_complexes():
+        seen.add(X.variant.name)
+        for r in range(1, X.span + 4):
+            pg = page(X, r)
+            for E in pg.sn_entries.values():
+                if E.is_trivial:
+                    assert E.ambient_rank == 0
+                    zeros.add(id(E))
+                else:
+                    nonzero += 1
+            for d in pg.sn_diffs.values():
+                if d.source.is_trivial or d.target.is_trivial:
+                    assert d.matrix.size == 0 and not any(d.matrix.cols)
+    assert seen == {v.name for v in TABLE_VARIANTS}
+    assert len(zeros) == 1 and nonzero > 0
+
+
+def _chain_on_three():
+    """The chain complex of constant Z on a < b < c, filtered by the last
+    vertex's degree, and {vertices: coordinate} in each degree."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    base = chain_complex(constant_diagram(P, free_group(1)))
+    at = {n: {c.vertices: base.block_offset(n, j) for j, c in enumerate(base.blocks[n])}
+          for n in range(base.top + 1)}
+    return FilteredComplex(base, CHAIN_LAST_INC, P), at
+
+
+def _with_lattice(X, key, Z):
+    """A fresh filtered complex on X's base whose cycle lattice at key
+    is Z, every other lattice of key's degree computed as usual."""
+    Y = FilteredComplex(X.base, X.variant, X.poset)
+    n = key[0]
+    for s in range(Y.span + 1):
+        Y._Z(n, s, -1)  # computes every star below s, so none is recomputed later
+    Y._z_cache[key] = Z
+    return Y
+
+
+def test_an_empty_cycle_lattice_refuses_arriving_boundaries():
+    """At level 2, degree 1 of page 2, d(abc) arrives; a cycle lattice
+    emptied there cannot hold it."""
+    X, at = _chain_on_three()
+    assert page(X, 2).sn_entries[(2, 1)].is_trivial
+    assert X._z_cache[(1, 1, 0)].shape[1] == 0  # the deeper cycles are empty
+    Y = _with_lattice(X, (1, 2, 0), la.zeros(len(at[1]), 0))
+    with pytest.raises(OracleViolation, match="boundary lattice escapes the cycle lattice "
+                                              "at level 2, degree 1, page 2"):
+        page(Y, 2)
+
+
+def test_containment_is_checked_into_a_zero_entry():
+    """Page 1 maps level 2, degree 1 into the zero entry at level 1,
+    degree 0.  A cycle lattice widened by bc, whose boundary c - b
+    reaches level 2, leaves the target cycles."""
+    X, at = _chain_on_three()
+    assert page(X, 1).sn_entries[(1, 0)].ambient_rank == 0
+    Z = X._Z(1, 2, 1)
+    bc = la.IntMatrix((Z.shape[0], 1), [{at[1][("b", "c")]: 1}])
+    Y = _with_lattice(X, (1, 2, 1), la.hstack([Z, bc]))
+    with pytest.raises(OracleViolation, match="page-1 differential leaves the target "
+                                              "cycles at level 2, degree 1"):
+        page(Y, 1)
+
+
+def test_a_zero_source_is_checked_to_be_well_defined():
+    """On page 2, level 2, degree 1 is the zero entry spanned by d(abc),
+    and level 0, degree 0 is Z on a.  With d(ab) = b, d(d(abc)) = a is a
+    relation of the source sent to a nonzero element of the target.
+
+    Editing cycle lattices cannot reach this check: once the boundary
+    and containment checks pass, the image of a source relation is the
+    target's arriving boundary plus d(d(...)), so only a base with
+    d o d nonzero can."""
+    X, at = _chain_on_three()
+    pg = page(X, 2)
+    assert pg.sn_entries[(2, 1)].ambient_rank == 0 and pg.sn_entries[(0, 0)].free_rank == 1
+    d = X.base._diffs[1]
+    fix = la.from_blocks(*d.matrix.shape, [(at[0][("a",)], at[1][("a", "b")], 1, la.eye(1))])
+    diffs = dict(X.base._diffs)
+    diffs[1] = AbHom(d.source, d.target, d.matrix + fix, check=False)
+    bad = ChainComplex(X.base.orientation, X.base.blocks, X.base.sums, diffs, X.base.top)
+    with pytest.raises(ValueError, match="not well defined"):
+        page(FilteredComplex(bad, CHAIN_LAST_INC, X.poset), 2)
+
+
+def test_each_cycle_lattice_gets_one_span_checker(monkeypatch):
+    """All pages of a filtered complex, E-infinity and both oracles build
+    at most one SpanChecker per cycle lattice they read."""
+    built = []
+    real = la.SpanChecker
+
+    def counting(M):
+        built.append(M)
+        return real(M)
+
+    monkeypatch.setattr(la, "SpanChecker", counting)
+    for P, F in bundled_diagrams() + list(_seeded_diagrams(4)):
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            X = FilteredComplex(build_filtered(P, F, v).base, v, P)
+            built.clear()
+            oracle_page_one(X)
+            oracle_page_recurrence(X)
+            e_infinity(X)
+            lattices = {id(Z) for Z in X._z_cache.values()}
+            on_lattices = [id(M) for M in built if id(M) in lattices]
+            assert len(on_lattices) == len(set(on_lattices)) <= len(lattices)
+
+
 # ------------------------------------------------ the filtered Morse complex
 
 def _unreduced(F, v, P):
