@@ -206,12 +206,15 @@ def _page_grid(pg) -> str:
 
 
 def _parse_variant(spec_str: str):
-    if spec_str.isdigit():
+    if spec_str.isascii() and spec_str.isdigit():
         k = int(spec_str)
         if not 1 <= k <= 8:
             raise PosetlimError(f"variant number {k} outside 1..8")
         return TABLE_VARIANTS[k - 1]
-    return variant_by_name(spec_str)
+    try:
+        return variant_by_name(spec_str)
+    except ValueError as e:
+        raise PosetlimError(str(e)) from e
 
 
 def _parse_pages(spec_str: str):

@@ -18,7 +18,9 @@ group, and a group whose interval has a cone point is paired off
 without listing a chain, so such a poset's nerve is never listed.  The
 spectral sequences take the reduced complex on whichever matching keeps
 their filtration's key vertex, the carrier one or the two-ended one.  A
-reduced complex builds the unreduced one only when asked, for page 0
+reduced complex records the ends its matching fixes, and every pair a
+flow expands is checked to keep them, so the matching is never listed.
+A reduced complex builds the unreduced one only when asked, for page 0
 and the spectral oracles; the unreduced complexes are also the tests'
 oracle for the reduced ones.  Direct (co)limits are independent
 degree-0 oracles, and the Euler characteristic, counted from the poset
@@ -34,7 +36,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
@@ -77,26 +78,21 @@ class ChainComplex:
 
     orientation "homological": differentials lower the degree by one;
     "cohomological": they raise it.  Degrees outside 0..top are zero.
-    A Morse complex also holds a zero-argument pairs that lists its
-    matching and a zero-argument source that returns the complex it
-    reduces; an unreduced complex has neither.
+    A Morse complex also holds fixed = (h, f): every pair of its matching
+    shares its first h and its last f vertices (each 0 or 1).  It also
+    holds a zero-argument source that returns the complex it reduces; an
+    unreduced complex has neither.
     """
 
-    def __init__(self, orientation, blocks, sums, diffs, top, pairs=None, source=None):
+    def __init__(self, orientation, blocks, sums, diffs, top, fixed=None, source=None):
         self.orientation = orientation
         self.blocks = blocks
         self.sums = sums
         self._diffs = diffs
         self.top = top
-        self._pairs = pairs
+        self.fixed = fixed
         self._source = source
         self._homology = {}
-
-    @cached_property
-    def matching(self) -> dict:
-        """Each matched chain's vertices to its partner's, listed on first
-        read; empty on an unreduced complex."""
-        return self._pairs() if self._pairs else {}
 
     def unreduced(self) -> "ChainComplex":
         """The complex this one reduces, itself when it is not reduced."""
@@ -175,7 +171,7 @@ def _faces(F: Diagram, kind: str, cell):
             for i in range(n + 1)]
 
 
-def _complex(F: Diagram, kind: str, blocks, pieces, pairs=None, source=None) -> ChainComplex:
+def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None, source=None) -> ChainComplex:
     """The complex with one block per chain of blocks[n], holding F at the
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
@@ -201,7 +197,7 @@ def _complex(F: Diagram, kind: str, blocks, pieces, pairs=None, source=None) -> 
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
     X = ChainComplex("homological" if chain else "cohomological",
-                     blocks, sums, diffs, top, pairs, source)
+                     blocks, sums, diffs, top, fixed, source)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
 
@@ -255,8 +251,9 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     The carrier matching keeps the first (chain) or last (cochain)
     vertex of every pair, the ends matching both, which is what a
     filtration by that vertex's degree needs (spectral.build_filtered).
-    The complex lists its matching on first read, and its source builds
-    the unreduced complex on first use, once per diagram.
+    The complex records those ends as its fixed, every pair the flows
+    expand is checked to keep them, and nothing lists the matching.  Its
+    source builds the unreduced complex on first use, once per diagram.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -268,8 +265,8 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
         ends = (1, 0) if kind == "chain" else (0, 1)
     M = _ElementMatching(F.poset, kind, ends)
     unreduced = F._detached
-    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner,
-                          lambda: _cached_complex(unreduced, kind), M.pairs)
+    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner, ends,
+                          lambda: _cached_complex(unreduced, kind))
 
 
 class _ElementMatching:
@@ -391,26 +388,13 @@ class _ElementMatching:
             return head + t[:k] + t[k + 1:] + foot
         return head + self._insert(t, x) + foot
 
-    def pairs(self):
-        """Every matched cell to its partner, from the whole chain list,
-        which is counted against the chain budget first."""
-        P = self.P
-        _check_budget(sum(chain_counts(P)), "listing the Morse matching")
-        out = {}
-        for chains in chains_up_to(P, P.length):
-            for c in chains:
-                s = self.partner(c.vertices)
-                if s is not None:
-                    out[c.vertices] = s
-        return out
 
-
-def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
+def _morse_complex(F, kind, critical, top, partner, fixed, source=None):
     """The Morse complex of F's nerve complex for an acyclic matching,
-    given by its critical cells, the nerve's top degree and partner, which
-    sends a cell to the cell matched with it (None for a critical cell).
-    pairs, when given, lists the whole matching as a dict; the complex
-    calls it on the first read of its matching.
+    given by its critical cells, the nerve's top degree, partner, which
+    sends a cell to the cell matched with it (None for a critical cell),
+    and fixed = (h, f), the first h and last f vertices that every pair
+    keeps; the complex records fixed.
 
     flow(b) holds the zig-zag sum from the cell b one degree below a
     critical cell h to the critical cells of b's degree, as
@@ -420,9 +404,12 @@ def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
     with flow(b').  Chain blocks act after the flow (values move down
     the path), cochain blocks before it.  Each flow is computed once; a
     path that comes back to a cell still being expanded means the
-    matching is not acyclic and raises OracleViolation.
+    matching is not acyclic, and a pair it expands that moves a fixed
+    end means the matching is not the one fixed names: both raise
+    OracleViolation.
     """
     chain = kind == "chain"
+    h, f = fixed
 
     def along(B, M):
         if B is None or M is None:
@@ -461,7 +448,11 @@ def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
             if x in memo:
                 stack.pop()
             elif x not in expanding:
-                expanding[x] = fs = _faces(F, kind, partner(x))
+                s = partner(x)
+                if x[:h] != s[:h] or x[len(x) - f:] != s[len(s) - f:]:
+                    raise OracleViolation(f"matched chains {x} and {s} differ in an end "
+                                          f"the matching fixes {fixed}")
+                expanding[x] = fs = _faces(F, kind, s)
                 for y, _, _ in fs:
                     if y != x and y not in memo and partner_above(y) is not None:
                         if y in expanding:
@@ -483,7 +474,7 @@ def _morse_complex(F, kind, critical, top, partner, source=None, pairs=None):
     crit = {n: [] for n in range(top + 1)}
     for c in sorted(critical):
         crit[len(c) - 1].append(Chain(c))
-    X = _complex(F, kind, crit, pieces, pairs, source)
+    X = _complex(F, kind, crit, pieces, fixed, source)
     # flow and through refer to each other; unlinking them lets reference
     # counting free F and everything cached on it once F is dropped
     flow = through = None

@@ -221,21 +221,17 @@ def coker_at(F: Diagram, i0: str):
 
 def ker_at(F: Diagram, i0: str) -> Subgroup:
     """Intersection of the kernels of all non-identity arrows out of i0;
-    the full group when there are none.  Built once per object and kept
-    on F.
-
-    Unlike images, kernels are intersected over every outgoing arrow,
-    not just covers (the cover intersection happens to agree, because a
-    vector killed by every first cover step is killed by every longer
-    composite; both are computed in the tests).
+    the full group when there are none.  Covers out of i0 suffice because
+    every such arrow factors through a first cover, so what every cover
+    kills every arrow kills.  Built once per object and kept on F.
     """
     hit = F._kernels.get(i0)
     if hit is None:
         F.poset._check_id(i0)
         G = F.groups[i0]
         lattice = la.eye(G.ambient_rank)
-        for q in F.poset.strictly_above[i0]:
-            h = F.hom(i0, q)
+        for q in F.poset.covers_out[i0]:
+            h = F.cover_maps[(i0, q)]
             ker_q = la.preimage_lattice(h.matrix, h.target.relations)
             lattice = la.intersect_lattices(lattice, ker_q)
         hit = F._kernels[i0] = Subgroup(G, lattice)

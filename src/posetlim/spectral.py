@@ -13,19 +13,23 @@ vertex, hence stay inside one filtration level.  Such a reduction is a
 filtered homotopy equivalence, so it changes no page from E1 on
 (Mischaikow-Nanda, 2013).  The carrier matching keeps the first vertex
 of a chain and the last of a cochain; the other two keys take the
-two-ended matching, which keeps both.  Every matched pair is checked to
-keep the key vertex.  Page 0 is the associated graded of the unreduced
-complex, read off its level blocks; the unreduced complex is built on
-first use, by page 0 or the page-1 oracle, and never by later pages,
-E-infinity or the convergence check.  The inner-column sequences, which
-refilter one graded piece of the unreduced complex by the other vertex,
-are a test oracle (tests/helpers.py), not part of the library.
+two-ended matching, which keeps both.  The filtered complex checks that
+its base's matching fixes the key vertex, and the base checked every
+pair its flows expand against the ends it fixes, so each matched pair
+that shapes a differential is checked to keep the key vertex, and the
+matching is never listed.  Page 0 is the associated graded of the
+unreduced complex, read off its level blocks; the unreduced complex is
+built on first use, by page 0 or the page-1 oracle, and never by later
+pages, E-infinity or the convergence check.  The inner-column
+sequences, which refilter one graded piece of the unreduced complex by
+the other vertex, are a test oracle (tests/helpers.py), not part of the
+library.
 
 The cycle lattices of one degree and level, for every level their
-differential may reach, come from a single tracked echelon with the
-target's rows in filtration order, highest level first: the integer
-form of the persistence reduction (Edelsbrunner-Letscher-Zomorodian,
-2002; Basu-Parida, 2017).  Past r = span + 1 every page has the same
+differential may reach, that level included, come from a single tracked
+echelon with the target's rows in filtration order, highest level
+first: the integer form of the persistence reduction
+(Edelsbrunner-Letscher-Zomorodian, 2002; Basu-Parida, 2017).  Past r = span + 1 every page has the same
 lattices and no differential, so those pages share page span + 1's
 entries.  Each cycle lattice gets one SpanChecker, which every solve
 against it reuses.
@@ -144,8 +148,10 @@ class FilteredComplex:
     display degree of the key vertex.  Canonical levels shift that to
     0-based increasing form; the respect invariant (the differential
     never raises the canonical level) is verified on construction, entry
-    by nonzero entry, and so is the base's matching: every matched pair
-    must keep its key vertex, or the reduction would not be filtered.
+    by nonzero entry, and so is the base's matching: it must fix the key
+    vertex of every pair, or the reduction would not be filtered.  The
+    base checks each pair its flows expand against the ends it fixes
+    (derived._morse_complex).
     """
 
     def __init__(self, base: ChainComplex, variant: Variant, poset: GradedPoset):
@@ -170,7 +176,6 @@ class FilteredComplex:
             self._levels[n] = lv
             self._coord_levels[n] = [level for level, G in zip(lv, base.sums[n].summands)
                                      for _ in range(G.ambient_rank)]
-        self._lambda_cache = {}
         self._z_cache = {}
         self._checkers = {}
         self._pages = {}
@@ -193,12 +198,13 @@ class FilteredComplex:
                         f"between degrees {n} and {m}")
 
     def _check_matching(self):
-        at = -1 if self.variant.key == "last" else 0
-        for lo, hi in self.base.matching.items():
-            if lo[at] != hi[at]:
-                raise OracleViolation(
-                    f"matched chains {lo} and {hi} differ in their {self.variant.key} "
-                    "vertex, which carries the filtration level")
+        """An unreduced base has no matching; a reduced one must fix the
+        first vertex (key first) or the last (key last)."""
+        fixed = self.base.fixed
+        if fixed is not None and not fixed[-1 if self.variant.key == "last" else 0]:
+            raise OracleViolation(
+                f"the base's matching fixes the ends {fixed}, so its pairs may move the "
+                f"{self.variant.key} vertex, which carries the filtration level")
 
     @cached_property
     def unreduced(self) -> "FilteredComplex":
@@ -208,31 +214,11 @@ class FilteredComplex:
         source = self.base.unreduced()
         return self if source is self.base else FilteredComplex(source, self.variant, self.poset)
 
-    def _lambda(self, n, s):
-        """Ambient lattice of the level-<= s subgroup of C_n: coordinate
-        columns of the admissible blocks joined with all relations."""
-        if not (0 <= n <= self.base.top):
-            return la.zeros(0, 0)
-        s = min(s, self.span)
-        key = (n, max(s, -1))
-        hit = self._lambda_cache.get(key)
-        if hit is not None:
-            return hit
-        group = self.base.group_at(n)
-        rels = group.relations
-        if s < 0:
-            out = rels
-        else:
-            units = [{i: 1} for i, lv in enumerate(self._coord_levels[n]) if lv <= s]
-            out = la.hstack([la.IntMatrix((group.ambient_rank, len(units)), units), rels])
-        self._lambda_cache[key] = out
-        return out
-
     def _Z(self, n, s, star):
         """Level-<= s elements whose differential lies at level <= star
         (both read modulo relations), as an echelon basis.  For star >= s
-        that is all of _lambda(n, s); the stars below s all come from one
-        echelon, see _cycle_lattices."""
+        that is every level-<= s element; all stars of one (n, s) come
+        from one echelon, see _cycle_lattices."""
         if not (0 <= n <= self.base.top):
             return la.zeros(0, 0)
         if s < 0:
@@ -242,10 +228,7 @@ class FilteredComplex:
         key = (n, s, star)
         hit = self._z_cache.get(key)
         if hit is None:
-            if star == s:
-                self._z_cache[key] = la.lattice_basis(self._lambda(n, s))
-            else:
-                self._z_cache.update(self._cycle_lattices(n, s))
+            self._z_cache.update(self._cycle_lattices(n, s))
             hit = self._z_cache[key]
         return hit
 
@@ -258,21 +241,28 @@ class FilteredComplex:
         return hit[1]
 
     def _cycle_lattices(self, n, s):
-        """Z(n, s, star) for every star in -1..s-1, keyed (n, s, star).
+        """Z(n, s, star) for every star in -1..s, keyed (n, s, star), for
+        0 <= n <= top and 0 <= s <= span.
 
-        With L = _lambda(n, s) and R the relations of the target degree
-        m, Z(n, s, star) is L times the y parts of {(y, z) : d L y - R z
-        vanishes on the coordinates of C_m above level star}.  One tracked
-        echelon of [d L | -R], its rows ordered by level from the highest
-        down, gives them all: the transforms of the kernel columns and of
-        the pivot columns whose lead row is at level <= star span that
-        set, because the pivot columns have distinct lead rows and the
-        rows above level star come first (the persistence reduction with
-        rows in filtration order).  The generator sets grow with star, so
-        one basis is extended from star = -1 up, and a star that adds
-        nothing shares the lattice object of the star below.
+        With L the ambient lattice of the level-<= s subgroup of C_n (the
+        coordinate columns of its blocks joined with all relations) and R
+        the relations of the target degree m, Z(n, s, star) is L times the
+        y parts of {(y, z) : d L y - R z vanishes on the coordinates of
+        C_m above level star}.  One tracked echelon of [d L | -R], its rows
+        ordered by level from the highest down, gives them all: the
+        transforms of the kernel columns and of the pivot columns whose
+        lead row is at level <= star span that set, because the pivot
+        columns have distinct lead rows and the rows above level star come
+        first (the persistence reduction with rows in filtration order).
+        The differential never raises the level, so Z(n, s, s) is all of
+        L.  The generator sets grow with star, so one basis is extended
+        from star = -1 up, and a star that adds nothing shares the lattice
+        object of the star below.
         """
-        lam = self._lambda(n, s)
+        group = self.base.group_at(n)
+        units = [{i: 1} for i, lv in enumerate(self._coord_levels[n]) if lv <= s]
+        lam = la.hstack([la.IntMatrix((group.ambient_rank, len(units)), units),
+                         group.relations])
         g = lam.shape[1]
         m = n + self.step
         levels = self._coord_levels.get(m, [])
@@ -285,10 +275,10 @@ class FilteredComplex:
                 + [{pos[i]: -x for i, x in col.items()} for col in rels.cols])
         pivots, live, tcols = la._echelon_cols(cols, track=True)
         # generators by the first star they serve: star + 1 indexes gens
-        gens = [[] for _ in range(s + 1)]
+        gens = [[] for _ in range(s + 2)]
         gens[0] = [tcols[j] for j in live]
         for r, j in pivots:
-            if row_level[r] < s:
+            if row_level[r] <= s:
                 gens[row_level[r] + 1].append(tcols[j])
         out = {}
         basis = []
@@ -337,10 +327,6 @@ class SSPage:
     differentials: dict
     sn_entries: dict = field(repr=False, default_factory=dict)
     sn_diffs: dict = field(repr=False, default_factory=dict)
-
-    def entry(self, p, q) -> FgAbGroup:
-        hit = self.entries.get((p, q))
-        return hit if hit is not None else trivial_group()
 
 
 def _public_key(X: FilteredComplex, s, n):
@@ -520,19 +506,18 @@ def oracle_page_one(X: FilteredComplex):
 def oracle_page_recurrence(X: FilteredComplex):
     """Cross-check: page r+1 is the homology of page r under d_r, for
     r <= span, and returns pages 0..span + 2.  Page 0 and d_0 are the
-    graded pieces of the unreduced complex, so their homology is the one
-    oracle_page_one reads.  From r = 1 on, the homology at a zero entry
-    is zero, and page r + 1 is still compared at every key.  Pages past
+    graded pieces of the unreduced complex, so the r = 0 step is
+    oracle_page_one.  From r = 1 on, the homology at a zero entry is
+    zero, and page r + 1 is still compared at every key.  Pages past
     span + 1 are page span + 1 under another r (see page), with no
     differential landing on a level, so they are not compared again."""
+    oracle_page_one(X)
     pages = [page(X, r) for r in range(X.span + 3)]
     step = X.step
-    for r in range(X.span + 1):
+    for r in range(1, X.span + 1):
         cur, nxt = pages[r], pages[r + 1]
         for (s, n), E in cur.sn_entries.items():
-            if r == 0:
-                H = homology_at(_restrict_to_level(X.unreduced, s), n)
-            elif E.is_trivial:
+            if E.is_trivial:
                 H = E
             else:
                 d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)

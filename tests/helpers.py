@@ -307,16 +307,36 @@ def element_matching(P, kind, cells, ends):
     return partner
 
 
+def matching_ends(kind, matching):
+    """The ends (h, f) that reduce_complex's matching of this name fixes."""
+    return (1, 1) if matching == "ends" else (1, 0) if kind == "chain" else (0, 1)
+
+
 def eager_reduce_complex(F, kind, matching="carrier"):
-    """The Morse complex of reduce_complex from the whole chain list and
-    element_matching."""
+    """(Morse complex, partner dict): the complex of reduce_complex from
+    the whole chain list and element_matching, and that matching."""
     P = F.poset
     cells = [c.vertices for chains in chains_up_to(P, P.length) for c in chains]
-    ends = (1, 1) if matching == "ends" else (1, 0) if kind == "chain" else (0, 1)
+    ends = matching_ends(kind, matching)
     partner = element_matching(P, kind, cells, ends)
     critical = [c for c in cells if c not in partner]
-    return derived._morse_complex(F, kind, critical, P.length, partner.get,
-                                  pairs=lambda: partner)
+    return derived._morse_complex(F, kind, critical, P.length, partner.get, ends), partner
+
+
+def listed_matching(F, kind, matching="carrier"):
+    """Every matched chain of reduce_complex's matching to its partner,
+    from the whole chain list and the library's _ElementMatching.partner:
+    the oracle for the checks that never list the matching."""
+    P = F.poset
+    M = derived._ElementMatching(P, kind, matching_ends(kind, matching))
+    M.critical()
+    out = {}
+    for chains in chains_up_to(P, P.length):
+        for c in chains:
+            s = M.partner(c.vertices)
+            if s is not None:
+                out[c.vertices] = s
+    return out
 
 
 # ------------------------------------------------ all-pairs functor check
@@ -361,6 +381,16 @@ def im_at_all_arrows(F, i0):
     rank = F.groups[i0].ambient_rank
     gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
     return Subgroup(F.groups[i0], gens)
+
+
+def ker_at_all_arrows(F, i0):
+    """Same subgroup as ker_at, intersected over every non-identity arrow
+    out of i0; kept as an independent cross-check of the cover reduction."""
+    lattice = la.eye(F.groups[i0].ambient_rank)
+    for q in F.poset.strictly_above[i0]:
+        h = F.hom(i0, q)
+        lattice = la.intersect_lattices(lattice, la.preimage_lattice(h.matrix, h.target.relations))
+    return Subgroup(F.groups[i0], lattice)
 
 
 def coim_at(F, i0):

@@ -7,11 +7,12 @@ stdout and of its stderr, and its exit code, to golden_outputs.json next
 to this file.  The sweep is validate, colim, lim, classify and spectral
 --variant 1..8 on each bundled document, spectral --variant 1..8 on the
 seeded documents that generate writes (forest and layered,
-sums_of_standard, seeds 0-3, --max-objects 8), then gallery and oracle
---seeds 25, each in text and with --json, and then the stdout of each
-script in demos/, run in process.  Rerun it only when an output is meant
-to change: the diff of golden_outputs.json then names every output that
-changed.
+sums_of_standard, seeds 0-3, --max-objects 8), the refusals of spectral
+--variant foo, ², 9 and --pages 3..1 on intro_pushout.json, then gallery
+and oracle --seeds 25, each in text and with --json, and then the
+stdout of each script in demos/, run in process.  Rerun it only when an
+output is meant to change: the diff of golden_outputs.json then names
+every output that changed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ DEMOS = os.path.join(os.path.dirname(HERE), "demos")
 SPECTRAL_COMMANDS = [["spectral", "--variant", str(v)] for v in range(1, 9)]
 DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + SPECTRAL_COMMANDS
 GENERATED = [(family, seed) for family in ("forest", "layered") for seed in range(4)]
+REFUSED_ON = "intro_pushout.json"
+REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
+           + [["spectral", "--variant", "3", "--pages", "3..1"]])
 PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
 
 
@@ -63,6 +67,8 @@ def sweep_commands(generated):
             for name in names for cmd in DOCUMENT_COMMANDS]
     runs += [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], path] + cmd[1:])
              for name, path in generated.items() for cmd in SPECTRAL_COMMANDS]
+    runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
+             for cmd in REFUSED]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]

@@ -407,14 +407,14 @@ def test_classify_diagram_verdicts_match_the_public_checks():
 
 
 def test_classify_builds_each_joint_kernel_once(monkeypatch):
-    """ker_at is kept per object, so a whole classification intersects
-    one kernel lattice per comparable pair, however many (object, d)
-    verdicts read each joint kernel."""
+    """ker_at is kept per object and intersects the kernels of the covers
+    out of it, so a whole classification intersects one kernel lattice
+    per cover, however many (object, d) verdicts read each joint kernel."""
     cfg = GenConfig(seed=17, family="forest", max_objects=14, max_degree_span=4)
     P0 = gen_poset(cfg)
     P, F = parse_diagram(serialize_diagram(gen_diagram(cfg, P0, "sums_of_standard")))
     pairs = sum(len(P.strictly_above[i]) for i in P.ids)
-    assert P.dimension == 4 and pairs == 22
+    assert P.dimension == 4 and pairs == 22 and len(P.covers) == 10
     calls = []
     real = la.intersect_lattices
 
@@ -423,5 +423,5 @@ def test_classify_builds_each_joint_kernel_once(monkeypatch):
         return real(A, B)
     monkeypatch.setattr(la, "intersect_lattices", counted)
     rep = classify_diagram(F)
-    assert len(calls) == pairs
+    assert len(calls) == len(P.covers)
     assert all(rep.kernels[i] is ker_at(F, i).as_group[0] for i in P.ids)

@@ -300,6 +300,21 @@ def test_variant_out_of_range(capsys, intro_path):
     assert "1..8" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("spec", ["foo", "²"], ids=["name", "superscript_digit"])
+def test_unknown_variant_exits_one(capsys, intro_path, spec, as_json):
+    """A name that is no preset, or a digit that is not ASCII, is refused
+    like any other bad argument, with the library's ValueError text."""
+    code, out, err = run(capsys, *(["--json"] if as_json else []),
+                         "spectral", intro_path, "--variant", spec)
+    assert code == 1 and out == "" and "Traceback" not in err
+    message = f"unknown variant {spec!r}; choose from chain:sigma_n:decreasing"
+    if as_json:
+        assert json.loads(err)["error"].startswith("PosetlimError: " + message)
+    else:
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
 def test_variant_direction_mismatch(capsys, intro_path):
     # variant 1 filters decreasing posets, the intro pushout is increasing
     code, _, err = run(capsys, "spectral", intro_path, "--variant", "1")

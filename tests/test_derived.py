@@ -52,8 +52,10 @@ from helpers import (
     cochain_complex,
     crown_tower,
     eager_reduce_complex,
+    element_matching,
     grid,
     intro_pushout,
+    listed_matching,
     pullback_poset,
     pushout_poset,
     random_forest_poset,
@@ -468,21 +470,26 @@ def test_critical_chain_counts(name, ends):
         for matching, want in (("carrier", 1), ("ends", ends)):
             R = reduce_complex(F, kind, matching)
             assert sum(len(R.blocks[n]) for n in range(R.top + 1)) == want, (kind, matching)
-            assert len(R.matching) + want == chains
+            assert len(listed_matching(F, kind, matching)) + want == chains
     with pytest.raises(ValueError):
         reduce_complex(F, "chain", "middle")
 
 
 def test_matched_pairs_keep_their_fixed_ends():
+    """The listed pairs keep exactly the ends that R.fixed names: every
+    pair keeps a fixed end, and some pair moves each other end."""
     for name in ("bool3", "grid3x3"):
         F = constant_diagram(shape(name), free_group(1))
         for kind, kept in (("chain", (0,)), ("cochain", (-1,))):
             for matching, ends in (("carrier", kept), ("ends", (0, -1))):
-                pairs = reduce_complex(F, kind, matching).matching
+                pairs = listed_matching(F, kind, matching)
                 assert pairs
                 for lo, hi in pairs.items():
                     assert pairs[hi] == lo and abs(len(lo) - len(hi)) == 1
-                    assert all(lo[i] == hi[i] for i in ends)
+                kept_by_all = {i for i in (0, -1)
+                               if all(lo[i] == hi[i] for lo, hi in pairs.items())}
+                fixed = reduce_complex(F, kind, matching).fixed
+                assert kept_by_all == set(ends) == {i for i, on in zip((0, -1), fixed) if on}
 
 
 @pytest.mark.parametrize("kind, flip", [("chain", 2), ("cochain", 0)])
@@ -523,9 +530,25 @@ def test_cyclic_matching_is_refused():
         partner[lo], partner[hi] = hi, lo
     critical = [c for c in cells if c not in partner]
     with pytest.raises(OracleViolation, match="not acyclic"):
-        derived._morse_complex(F, "chain", critical, 3, partner.get)
+        derived._morse_complex(F, "chain", critical, 3, partner.get, (1, 0))
     # the matching reduce_complex builds on the same poset is acyclic
     assert_reduction_agrees(F)
+
+
+def test_a_pair_that_moves_a_fixed_end_is_refused():
+    """Grouped by the last vertex, the sequential matching of the
+    octahedron's chains is acyclic and reduces the chain complex, but its
+    pairs move the first vertex, so the flows refuse it under the chain
+    carrier matching's fixed ends."""
+    P = octahedron()
+    F = constant_diagram(P, free_group(1))
+    cells = [c.vertices for chains in poset.chains_up_to(P, P.length) for c in chains]
+    partner = element_matching(P, "chain", cells, (0, 1))
+    critical = [c for c in cells if c not in partner]
+    R = derived._morse_complex(F, "chain", critical, P.length, partner.get, (0, 1))
+    assert R.fixed == (0, 1) and any(len(R.blocks[n]) for n in range(1, R.top + 1))
+    with pytest.raises(OracleViolation, match="differ in an end the matching fixes"):
+        derived._morse_complex(F, "chain", critical, P.length, partner.get, (1, 0))
 
 
 # ------------------------------------------------ the lazy matching
@@ -536,9 +559,11 @@ def assert_matches_eager(F):
     list, for both kinds and both matchings."""
     for kind in ("chain", "cochain"):
         for matching in derived.MATCHINGS:
-            R, E = reduce_complex(F, kind, matching), eager_reduce_complex(F, kind, matching)
+            R = reduce_complex(F, kind, matching)
+            E, pairs = eager_reduce_complex(F, kind, matching)
             assert R.top == E.top and R.blocks == E.blocks, (kind, matching)
-            assert R.matching == E.matching, (kind, matching)
+            assert R.fixed == E.fixed, (kind, matching)
+            assert listed_matching(F, kind, matching) == pairs, (kind, matching)
             assert R._diffs.keys() == E._diffs.keys()
             for n, d in E._diffs.items():
                 assert R._diffs[n].matrix == d.matrix, (kind, matching, n)
@@ -594,9 +619,10 @@ def test_cones_list_no_chain(monkeypatch):
 
 
 def test_chain_budget_refuses_before_listing():
-    """Each builder that lists chains counts them first: the nerve, the
-    groups of the matching without a cone point, and the matching when
-    it is read."""
+    """Each builder that lists chains counts them first: the nerve and
+    the groups of the matching without a cone point.  Nothing lists the
+    whole matching, so a reduced complex on one critical chain builds
+    under a budget of one chain."""
     F = constant_diagram(crown_tower(4), free_group(1))
     total = sum(chain_counts(F.poset))
     assert total == 3 ** 4 - 1
@@ -611,9 +637,8 @@ def test_chain_budget_refuses_before_listing():
     G = constant_diagram(grid(3, 3), free_group(1))
     with derived.chain_budget(1):
         R = reduce_complex(G, "cochain")
-        with pytest.raises(ChainBudgetError, match="listing the Morse matching"):
-            R.matching
-    assert len(R.matching) == sum(chain_counts(G.poset)) - 1
+    assert sum(len(b) for b in R.blocks.values()) == 1
+    assert len(listed_matching(G, "cochain")) == sum(chain_counts(G.poset)) - 1
 
 
 def test_cone_reduces_to_one_critical_cell():

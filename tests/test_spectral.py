@@ -4,12 +4,13 @@ import weakref
 
 import pytest
 
-from posetlim import derived
+from posetlim import derived, poset
 from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
 from posetlim.derived import ChainComplex, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
+    ChainBudgetError,
     ConvergenceViolation,
     FamilyMismatchError,
     MismatchError,
@@ -38,6 +39,7 @@ from helpers import (
     bundled_diagrams,
     chain_complex,
     cochain_complex,
+    grid,
     inner_column_ss,
     intro_pushout,
     pushout_poset,
@@ -884,6 +886,34 @@ def test_e_infinity_of_a_grid_cone():
     for v in (CHAIN_LAST_INC, Variant("cochain", "last", "increasing")):
         stable = e_infinity(build_filtered(F.poset, F, v))
         assert entries_by_factors(stable) == {(0, 0): (1, (2,))}
+
+
+def test_carrier_variants_of_grid6x6_list_no_chain(monkeypatch):
+    """grid6x6 has 107,711 chains, over the default budget, but each
+    carrier group has a cone point and the pair check reads the ends the
+    matching fixes, so E-infinity and the convergence check of the two
+    variants filtered by the carrier list no chain.  The two filtered by
+    the other vertex take the ends matching, which the budget refuses."""
+    walks = []
+
+    def counted(*a, **k):
+        walks.append(a)
+        return poset.chains_up_to(*a, **k)
+    monkeypatch.setattr(derived, "chains_up_to", counted)
+    G = group_from_invariants(1, [2])
+    P = grid(6, 6)
+    F = constant_diagram(P, G)
+    for name in ("chain:sigma_0:increasing", "cochain:sigma_n:increasing"):
+        v = variant_by_name(name)
+        assert v.matching == "carrier"
+        X = build_filtered(P, F, v)
+        assert [len(X.base.blocks[n]) for n in range(X.base.top + 1)] == [1] + [0] * X.base.top
+        assert list(entries_by_factors(e_infinity(X)).values()) == [(1, (2,))]
+        assert convergence_check(P, F, v).ok
+    for name in ("chain:sigma_n:increasing", "cochain:sigma_0:increasing"):
+        with pytest.raises(ChainBudgetError, match="Morse matching would list"):
+            build_filtered(P, F, variant_by_name(name))
+    assert walks == []
 
 
 def test_a_dropped_diagram_is_freed_without_the_cycle_collector():
