@@ -18,7 +18,6 @@ from .abgroup import (
     direct_sum,
     free_group,
     group_from_invariants,
-    hom_is_epi,
     hom_is_mono,
     identity_hom,
     trivial_group,

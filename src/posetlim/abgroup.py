@@ -2,7 +2,8 @@
 
 A group is Z^g modulo the column span of a g x k relations matrix.  Homs
 are matrices on ambient generators, equal when they differ by target
-relations.  Everything reduces to exact integer lattice computations.
+relations, and zero when every nonzero column is a target relation
+combination.  Everything reduces to exact integer lattice computations.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class FgAbGroup:
     def element_is_zero(self, x) -> bool:
         return self._rel_checker.contains(x)
 
-    def reduce_element(self, x):
-        """Canonical coset representative of x (unique per class)."""
-        return tuple(self._rel_checker.residue(x))
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
@@ -148,7 +145,10 @@ class AbHom:
                 or self.target._rel_checker.contains_all(self.matrix - other.matrix))
 
     def is_zero(self) -> bool:
-        return self.target._rel_checker.contains_all(self.matrix)
+        """Every column lies in the target relation span; a zero column
+        needs no check, so an all-zero matrix never builds the target's
+        relation checker."""
+        return all(not col or self.target.element_is_zero(col) for col in self.matrix.cols)
 
     def __repr__(self):
         return f"AbHom({self.source.describe()} -> {self.target.describe()})"
@@ -206,11 +206,6 @@ class Subgroup:
                 return False, other.generators[:, j]
         return True, None
 
-    def same_subgroup(self, other: "Subgroup") -> bool:
-        a, _ = self.contains_subgroup(other)
-        b, _ = other.contains_subgroup(self)
-        return a and b
-
     @cached_property
     def as_group(self):
         """(FgAbGroup presenting the subgroup, embedding AbHom into ambient)."""
@@ -223,11 +218,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         grp, _ = self.as_group
         return grp.is_trivial
-
-    def is_full(self) -> bool:
-        full = Subgroup(self.ambient, la.eye(self.ambient.ambient_rank))
-        ok, _ = self.contains_subgroup(full)
-        return ok
 
     def __repr__(self):
         grp, _ = self.as_group
@@ -246,11 +236,6 @@ def kernel(h: AbHom):
     K = Subgroup(h.source, K_lattice)
     grp, emb = K.as_group
     return K, grp, emb
-
-
-def image(h: AbHom) -> Subgroup:
-    """Image of h as a subgroup of the target."""
-    return Subgroup(h.target, h.matrix)
 
 
 def quotient(G: FgAbGroup, S: Subgroup):
@@ -305,8 +290,3 @@ def homology(d_in: AbHom, d_out: AbHom, where) -> FgAbGroup:
 def hom_is_mono(h: AbHom) -> bool:
     _, ker_grp, _ = kernel(h)
     return ker_grp.is_trivial
-
-
-def hom_is_epi(h: AbHom) -> bool:
-    Q, _ = quotient(h.target, image(h))
-    return Q.is_trivial

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from importlib import resources
 
@@ -43,6 +44,7 @@ from .jsonio import (
     TOOL_VERSION,
     digest,
     group_to_json,
+    load_document,
     parse_diagram,
     serialize_diagram,
 )
@@ -52,16 +54,30 @@ from .spectral import (
     TABLE_VARIANTS,
     build_filtered,
     convergence_check,
-    oracle_page_one,
     oracle_page_recurrence,
     page,
     variant_by_name,
 )
 
 
-def _read_document(path: str):
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """text as an int when it is an optional sign and ASCII digits; int()
+    alone would also take other Unicode digits, underscores and spaces."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+# argparse names the type in its refusal: "invalid int value: '...'"
+_integer.__name__ = "int"
+
+
+def _read_document(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -77,8 +93,7 @@ def _base_report(command: str, doc=None) -> dict:
 
 
 def _load(args):
-    raw = _read_document(args.file)
-    doc = json.loads(raw) if not isinstance(raw, dict) else raw
+    doc = load_document(_read_document(args.file))
     P, F = parse_diagram(doc)
     return doc, P, F
 
@@ -220,7 +235,7 @@ def _parse_variant(spec_str: str):
 def _parse_pages(spec_str: str):
     lo, sep, hi = spec_str.partition("..")
     try:
-        r0, r1 = int(lo), int(hi if sep else lo)
+        r0, r1 = _integer(lo), _integer(hi if sep else lo)
     except ValueError:
         raise PosetlimError(f"bad page range {spec_str!r}; use R or R0..R1")
     if not 0 <= r0 <= r1:
@@ -324,7 +339,7 @@ def _cmd_gallery(args):
 def _default_seed() -> int:
     raw = os.environ.get("POSETLIM_SEED", "0")
     try:
-        return int(raw)
+        return _integer(raw)
     except ValueError:
         raise PosetlimError(f"POSETLIM_SEED must be an integer, got {raw!r}")
 
@@ -372,9 +387,7 @@ def _cmd_oracle(args):
                 continue
             convergence_check(P, H, variant)
             counts["convergence"] += 1
-        X = build_filtered(P, H, TABLE_VARIANTS[2])
-        oracle_page_one(X)
-        oracle_page_recurrence(X)
+        oracle_page_recurrence(build_filtered(P, H, TABLE_VARIANTS[2]))
         counts["page_recurrence"] += 1
     rep = _base_report("oracle")
     rep["oracle"] = counts
@@ -398,7 +411,7 @@ def _build_parser():
                                  "diagrams of abelian groups on graded posets.")
     parser.add_argument("--json", action="store_true",
                         help="emit the report document as JSON")
-    parser.add_argument("--max-chains", type=int, default=DEFAULT_MAX_CHAINS,
+    parser.add_argument("--max-chains", type=_integer, default=DEFAULT_MAX_CHAINS,
                         help="refuse an input whose complexes would list more "
                              "chains than this (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -414,7 +427,7 @@ def _build_parser():
     for d in ("colim", "lim"):
         sp = add(d, (lambda dd: lambda a: _cmd_derived(a, dd))(d),
                  f"derived functors of {d}")
-        sp.add_argument("--max-degree", type=int, default=None)
+        sp.add_argument("--max-degree", type=_integer, default=None)
     add("classify", _cmd_classify,
         "projectivity, injectivity and the pseudo conditions")
     sp = add("spectral", _cmd_spectral, "spectral sequence pages")
@@ -426,16 +439,16 @@ def _build_parser():
         with_file=False)
     sp = add("generate", _cmd_generate, "emit a random DiagramDocument",
              with_file=False)
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=_integer, default=None,
                     help="default: POSETLIM_SEED or 0")
     sp.add_argument("--family", choices=["forest", "layered"], default="forest")
     sp.add_argument("--mode", choices=list(DIAGRAM_MODES), default="sums_of_standard")
-    sp.add_argument("--max-objects", type=int, default=6)
-    sp.add_argument("--max-degree-span", type=int, default=3)
+    sp.add_argument("--max-objects", type=_integer, default=6)
+    sp.add_argument("--max-degree-span", type=_integer, default=3)
     sp.add_argument("--name", default=None)
     sp = add("oracle", _cmd_oracle,
              "randomized theorem and convergence checks", with_file=False)
-    sp.add_argument("--seeds", type=int, default=25)
+    sp.add_argument("--seeds", type=_integer, default=25)
     return parser
 
 
@@ -473,7 +486,7 @@ def main(argv=None) -> int:
             rep, text = args.func(args)
     except (OracleViolation, ConvergenceViolation) as e:
         return _emit_error(args, e, 2)
-    except (PosetlimError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (PosetlimError, OSError) as e:
         return _emit_error(args, e, 1)
     try:
         print(json.dumps(rep, indent=2, sort_keys=True) if args.json else text)

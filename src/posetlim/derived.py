@@ -1,9 +1,9 @@
 """Derived functors of colim and lim over a graded poset.
 
-The chain complex sums F(first vertex) over strictly ascending chains;
-the cochain complex sums F(last vertex).  colim_i and lim^i are the
-homology groups, computed exactly by abgroup.homology, the one kernel
-modulo image of the package.
+The chain complex sums F(first vertex) over strictly ascending chains,
+each held as its tuple of ids; the cochain complex sums F(last vertex).
+colim_i and lim^i are the homology groups, computed exactly by
+abgroup.homology, the one kernel modulo image of the package.
 
 One face rule (_faces) says which face moves coefficients, and one
 assembler (_complex) turns per-chain face sums into differentials for
@@ -38,10 +38,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
+from .abgroup import AbHom, FgAbGroup, compose, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
 from .errors import ChainBudgetError, OracleViolation
-from .poset import Chain, chain_counts, chains_up_to
+from .poset import chain_counts, chains_up_to
 
 # The most chains one complex may list; the CLI's --max-chains.  The
 # largest list the tests, the bundled documents and the benchmark make
@@ -74,7 +74,8 @@ def _check_budget(count: int, what: str):
 
 class ChainComplex:
     """Bounded complex of f.g. groups with one block per chain (per
-    critical chain when Morse-reduced).
+    critical chain when Morse-reduced); blocks[n] lists the degree-n
+    chains as tuples of ids, in block order.
 
     orientation "homological": differentials lower the degree by one;
     "cohomological": they raise it.  Degrees outside 0..top are zero.
@@ -118,9 +119,6 @@ class ChainComplex:
     def d_into(self, n: int) -> AbHom:
         return self.d_from(n - self.step)
 
-    def block_offset(self, n: int, j: int) -> int:
-        return self.sums[n].offsets[j]
-
 
 def _assemble(sums, n_src, n_tgt, entries):
     """Matrix of a differential from blockwise (sign, block) pieces.
@@ -137,22 +135,12 @@ def _assemble(sums, n_src, n_tgt, entries):
     return AbHom(src.group, tgt.group, M, check=False)
 
 
-def _composite_is_zero(outer: AbHom, inner: AbHom) -> bool:
-    """compose(outer, inner).is_zero() from the product's columns alone:
-    each column that is not zero outright goes through the target's
-    membership check, and the first one outside the relations decides."""
-    for col in (outer.matrix @ inner.matrix).cols:
-        if col and not outer.target.element_is_zero(col):
-            return False
-    return True
-
-
 def _check_dd_zero(diffs, nxt):
     """OracleViolation unless diffs[nxt(k)] o diffs[k] is zero for every
     key k of diffs whose successor nxt(k) is one too."""
     for k, inner in diffs.items():
         outer = diffs.get(nxt(k))
-        if outer is not None and not _composite_is_zero(outer, inner):
+        if outer is not None and not compose(outer, inner).is_zero():
             raise OracleViolation(f"d o d is nonzero between degrees {k} and {nxt(k)}")
 
 
@@ -179,15 +167,15 @@ def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None, source=None) -> 
     identity; it runs h -> c for chains and c -> h for cochains."""
     chain = kind == "chain"
     top = len(blocks) - 1
-    index = {c.vertices: j for n in blocks for j, c in enumerate(blocks[n])}
-    sums = {n: direct_sum([F.groups[c.first if chain else c.last] for c in blocks[n]])
+    index = {c: j for n in blocks for j, c in enumerate(blocks[n])}
+    sums = {n: direct_sum([F.groups[c[0] if chain else c[-1]] for c in blocks[n]])
             for n in blocks}
     diffs = {}
     for m in range(1, top + 1):
         entries = []
         for h in blocks[m]:
-            hj = index[h.vertices]
-            for c, sign, blk in pieces(h.vertices):
+            hj = index[h]
+            for c, sign, blk in pieces(h):
                 if blk is None:
                     blk = la.eye(F.groups[c[0] if chain else c[-1]].ambient_rank)
                 entries.append((index[c], hj, sign, blk) if chain
@@ -323,7 +311,7 @@ class _ElementMatching:
         """The chains of the subposet inside, the empty one first."""
         if not inside:
             return [()]
-        return [()] + [c.vertices for chains in chains_up_to(self.P, self.P.length, inside)
+        return [()] + [c for chains in chains_up_to(self.P, self.P.length, inside)
                        for c in chains]
 
     def critical(self):
@@ -473,7 +461,7 @@ def _morse_complex(F, kind, critical, top, partner, fixed, source=None):
 
     crit = {n: [] for n in range(top + 1)}
     for c in sorted(critical):
-        crit[len(c) - 1].append(Chain(c))
+        crit[len(c) - 1].append(c)
     X = _complex(F, kind, crit, pieces, fixed, source)
     # flow and through refer to each other; unlinking them lets reference
     # counting free F and everything cached on it once F is dropped

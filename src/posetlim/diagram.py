@@ -64,10 +64,6 @@ class Diagram:
         cycle and a dropped diagram is freed at once."""
         return Diagram(self.poset, self.groups, self.cover_maps, self._composites)
 
-    def group(self, i: str) -> FgAbGroup:
-        self.poset._check_id(i)
-        return self.groups[i]
-
     def hom(self, p: str, q: str) -> AbHom:
         """The value on the arrow p -> q: the composite along path(p, q)."""
         return self._composite(p, q)[0]

@@ -283,17 +283,20 @@ def serialize_diagram(F: Diagram, name: str = None) -> dict:
     return doc
 
 
+def load_document(data):
+    """The JSON value that data (bytes or str) holds; SchemaError at
+    pointer "" when it is not JSON, or is bytes that are not UTF-8."""
+    try:
+        return json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        exc = SchemaError(f"invalid JSON: {e}")
+        exc.pointer = ""
+        raise exc from e
+
+
 def parse_diagram(data):
     """bytes | str | dict -> (GradedPoset, Diagram)."""
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            exc = SchemaError(f"invalid JSON: {e}")
-            exc.pointer = ""
-            raise exc from e
-    else:
-        doc = data
+    doc = load_document(data) if isinstance(data, (bytes, str)) else data
     _schema_check(doc, DIAGRAM_SCHEMA)
 
     pd = doc["poset"]

@@ -3,6 +3,8 @@
 Every cover changes degree by exactly one.  Posets declared with
 direction="decreasing" (degrees fall along covers) are normalized to an
 internal increasing degree; the user's degrees are kept for display.
+A chain is the tuple of its object ids in ascending order; only
+enumerate_chains wraps each in a Chain.
 """
 
 from __future__ import annotations
@@ -27,13 +29,9 @@ class PosetObject:
 
 @dataclass(frozen=True)
 class Chain:
-    """Strictly ascending chain of object ids; a chain with n+1 vertices
-    has dimension n."""
+    """Strictly ascending chain of object ids, as enumerate_chains lists
+    it; everything else holds a chain as its tuple of ids."""
     vertices: tuple
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices) - 1
 
     @property
     def first(self) -> str:
@@ -133,17 +131,6 @@ class GradedPoset:
         """Span of the degree function (max - min)."""
         degs = list(self.degree.values())
         return max(degs) - min(degs)
-
-    @property
-    def min_internal(self) -> int:
-        return min(self.degree.values())
-
-    @property
-    def max_internal(self) -> int:
-        return max(self.degree.values())
-
-    def __len__(self):
-        return len(self.objects)
 
 
 def validate_graded(objects, covers, direction: str = "increasing") -> GradedPoset:
@@ -259,8 +246,8 @@ def infer_degrees(ids, covers) -> dict:
 
 
 def chains_up_to(P: GradedPoset, top: int, inside=None):
-    """[the n-chains for n = 0..top], each degree in lexicographic order
-    of its id sequences, from one depth-first walk that emits every
+    """[the n-chains for n = 0..top], each a tuple of ids, each degree in
+    lexicographic order, from one depth-first walk that emits every
     prefix it visits; with inside (a set of ids), only the chains of
     that subposet."""
     out = [[] for _ in range(top + 1)]
@@ -271,7 +258,7 @@ def chains_up_to(P: GradedPoset, top: int, inside=None):
         above = {i: [j for j in P.strictly_above[i] if j in inside] for i in starts}
 
     def extend(prefix):
-        out[len(prefix) - 1].append(Chain(prefix))
+        out[len(prefix) - 1].append(prefix)
         if len(prefix) <= top:
             for nxt in above[prefix[-1]]:
                 extend(prefix + (nxt,))
@@ -307,9 +294,9 @@ def chain_counts(P: GradedPoset, inside=None):
 
 
 def enumerate_chains(P: GradedPoset, n: int):
-    """All strictly ascending chains with n+1 vertices, in lexicographic
-    order of their id sequences."""
-    return chains_up_to(P, n)[n] if n >= 0 else []
+    """All strictly ascending chains with n+1 vertices as Chains, in
+    lexicographic order of their id sequences."""
+    return [Chain(c) for c in chains_up_to(P, n)[n]] if n >= 0 else []
 
 
 def longest_chain_length(P: GradedPoset) -> int:

@@ -144,8 +144,8 @@ class FilteredComplex:
     """A nerve complex, unreduced or Morse-reduced, with a level attached
     to every chain block.
 
-    filtration_index maps (degree n, chain) to the preset's p, the
-    display degree of the key vertex.  Canonical levels shift that to
+    A block's preset p is the display degree of its chain's key vertex.
+    Canonical levels (_levels, per degree in block order) shift that to
     0-based increasing form; the respect invariant (the differential
     never raises the canonical level) is verified on construction, entry
     by nonzero entry, and so is the base's matching: it must fix the key
@@ -163,15 +163,12 @@ class FilteredComplex:
         self.max_degree = max(degs.values())
         self.span = self.max_degree - self.min_degree
         ge = variant.condition == ">="
-        self.filtration_index = {}
         self._levels = {}
         self._coord_levels = {}
         for n in range(base.top + 1):
             lv = []
             for c in base.blocks[n]:
-                key_id = c.last if variant.key == "last" else c.first
-                p = degs[key_id]
-                self.filtration_index[(n, c)] = p
+                p = degs[c[-1] if variant.key == "last" else c[0]]
                 lv.append((self.max_degree - p) if ge else (p - self.min_degree))
             self._levels[n] = lv
             self._coord_levels[n] = [level for level, G in zip(lv, base.sums[n].summands)

@@ -17,7 +17,6 @@ from posetlim.abgroup import (
     direct_sum,
     free_group,
     group_from_invariants,
-    hom_is_epi,
     identity_hom,
     quotient,
     subquotient,
@@ -45,7 +44,7 @@ from posetlim.errors import (
     PosetlimError,
 )
 from posetlim.jsonio import parse_diagram
-from posetlim.poset import Chain, chains_up_to, validate_graded
+from posetlim.poset import chains_up_to, validate_graded
 from posetlim.spectral import (
     FilteredComplex,
     _compare_totals,
@@ -250,8 +249,7 @@ def unnormalized_complex(F, kind, top):
     chains of degree 0..top, from the library's face rule and assembler.
     Weak chains exist in every degree, so homology_at is right on it in
     degrees below top only."""
-    blocks = {n: [Chain(c) for c in per_degree_walk(F.poset, n, weak=True)]
-              for n in range(top + 1)}
+    blocks = {n: per_degree_walk(F.poset, n, weak=True) for n in range(top + 1)}
     return derived._complex(F, kind, blocks, lambda c: derived._faces(F, kind, c))
 
 
@@ -316,7 +314,7 @@ def eager_reduce_complex(F, kind, matching="carrier"):
     """(Morse complex, partner dict): the complex of reduce_complex from
     the whole chain list and element_matching, and that matching."""
     P = F.poset
-    cells = [c.vertices for chains in chains_up_to(P, P.length) for c in chains]
+    cells = [c for chains in chains_up_to(P, P.length) for c in chains]
     ends = matching_ends(kind, matching)
     partner = element_matching(P, kind, cells, ends)
     critical = [c for c in cells if c not in partner]
@@ -333,9 +331,9 @@ def listed_matching(F, kind, matching="carrier"):
     out = {}
     for chains in chains_up_to(P, P.length):
         for c in chains:
-            s = M.partner(c.vertices)
+            s = M.partner(c)
             if s is not None:
-                out[c.vertices] = s
+                out[c] = s
     return out
 
 
@@ -373,6 +371,11 @@ def all_pairs_composites(poset, groups, maps):
 
 # ------------------------------------------------ diagram constructions
 # Cross-checks and constructions from the paper that only the tests use.
+
+def same_subgroup(S, T):
+    """S and T, subgroups of one group, contain each other."""
+    return S.contains_subgroup(T)[0] and T.contains_subgroup(S)[0]
+
 
 def im_at_all_arrows(F, i0):
     """Same subgroup computed from every non-identity arrow into i0;
@@ -714,7 +717,7 @@ def reference_lambda(X, n, s):
     if 0 <= n <= X.base.top:
         for j, (lv, G) in enumerate(zip(X._levels[n], X.base.sums[n].summands)):
             if lv <= s:
-                blocks.append((X.base.block_offset(n, j), at, 1, la.eye(G.ambient_rank)))
+                blocks.append((X.base.sums[n].offsets[j], at, 1, la.eye(G.ambient_rank)))
                 at += G.ambient_rank
     blocks.append((0, at, 1, group.relations))
     return la.from_blocks(group.ambient_rank, at + group.relations.shape[1], blocks)
@@ -785,13 +788,13 @@ def enumerate_elements(G, cap=4096):
         return None
     gens = [tuple(1 if i == j else 0 for i in range(G.ambient_rank))
             for j in range(G.ambient_rank)]
-    zero = G.reduce_element([0] * G.ambient_rank)
+    zero = tuple(G._rel_checker.residue([0] * G.ambient_rank))
     seen = {zero}
     frontier = [zero]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = G.reduce_element([a + b for a, b in zip(x, g)])
+            y = tuple(G._rel_checker.residue([a + b for a, b in zip(x, g)]))
             if y not in seen:
                 if len(seen) >= cap:
                     return None
@@ -1001,7 +1004,8 @@ def solve_lifting(pi, sigma):
         raise ValueError("the two transformations must share their target")
     P = F.poset
     for i in P.ids:
-        if not hom_is_epi(pi.component(i)):
+        h = pi.component(i)
+        if not quotient(h.target, Subgroup(h.target, h.matrix))[0].is_trivial:
             raise ValueError(f"pi is not an epimorphism at {i!r}")
     order = sorted(P.ids, key=lambda i: (P.degree[i], i))
     rho = {}

@@ -8,9 +8,11 @@ to this file.  The sweep is validate, colim, lim, classify and spectral
 --variant 1..8 on each bundled document, spectral --variant 1..8 on the
 seeded documents that generate writes (forest and layered,
 sums_of_standard, seeds 0-3, --max-objects 8), the refusals of spectral
---variant foo, ², 9 and --pages 3..1 on intro_pushout.json, then gallery
-and oracle --seeds 25, each in text and with --json, and then the
-stdout of each script in demos/, run in process.  Rerun it only when an
+--variant foo, ², 9, --pages 3..1 and --pages ١..٢ and of colim
+--max-degree ١ on intro_pushout.json, validate on a document that is not
+JSON and on one that is not UTF-8, then gallery and oracle --seeds 25,
+each in text and with --json, and then the stdout of each script in
+demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
 every output that changed.
 """
@@ -37,8 +39,20 @@ DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + SPECTRAL_
 GENERATED = [(family, seed) for family in ("forest", "layered") for seed in range(4)]
 REFUSED_ON = "intro_pushout.json"
 REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
-           + [["spectral", "--variant", "3", "--pages", "3..1"]])
+           + [["spectral", "--variant", "3", "--pages", "3..1"]]
+           + [["colim", "--max-degree", "١"], ["spectral", "--variant", "3", "--pages", "١..٢"]])
+MALFORMED = {"malformed.json": b"{nope", "not-utf8.json": b'{"a": "\xff"}'}
 PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
+
+
+def write_malformed(folder):
+    """Write each document of MALFORMED into folder; returns {name: path}."""
+    paths = {}
+    for name, raw in MALFORMED.items():
+        paths[name] = os.path.join(folder, name)
+        with open(paths[name], "wb") as fh:
+            fh.write(raw)
+    return paths
 
 
 def write_generated(folder):
@@ -57,10 +71,11 @@ def write_generated(folder):
     return paths
 
 
-def sweep_commands(generated):
-    """(key, argv) for every command of the sweep, generated being
-    write_generated's {name: path}; the key names a document by its file
-    name or by family and seed, so it is the same in every checkout."""
+def sweep_commands(generated, malformed):
+    """(key, argv) for every command of the sweep, generated and
+    malformed being write_generated's and write_malformed's {name: path};
+    the key names a document by its file name or by family and seed, so
+    it is the same in every checkout."""
     data = resources.files("posetlim") / "data"
     names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
@@ -69,6 +84,7 @@ def sweep_commands(generated):
              for name, path in generated.items() for cmd in SPECTRAL_COMMANDS]
     runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
              for cmd in REFUSED]
+    runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]
@@ -78,7 +94,11 @@ def digests(argv):
     """{"code", "stdout", "stderr"} of cli.main(argv), the streams as sha256."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            # argparse refuses a bad option value by exiting
+            code = e.code
     return {"code": code,
             "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
@@ -94,7 +114,8 @@ def demo_digest(path):
 
 def sweep():
     with tempfile.TemporaryDirectory() as folder:
-        got = {key: digests(argv) for key, argv in sweep_commands(write_generated(folder))}
+        commands = sweep_commands(write_generated(folder), write_malformed(folder))
+        got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):
             got["demo " + name] = demo_digest(os.path.join(DEMOS, name))

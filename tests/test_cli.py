@@ -13,7 +13,7 @@ import pytest
 from posetlim import cli
 from posetlim.abgroup import free_group
 from posetlim.diagram import constant_diagram
-from posetlim.errors import OracleViolation
+from posetlim.errors import OracleViolation, SchemaError
 from posetlim.jsonio import parse_diagram, serialize_diagram, validate_report
 
 from helpers import crown_tower, diagrams_equal, intro_pushout
@@ -184,6 +184,76 @@ def test_unreadable_input_is_exit_one(capsys, tmp_path):
         code, out, err = run(capsys, "--json", "colim", path)
         assert (code, out) == (1, "")
         assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("raw", [b"{nope", b'{"a": "\xff"}'], ids=["not_json", "not_utf8"])
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_malformed_document_is_a_schema_error(capsys, monkeypatch, tmp_path,
+                                              raw, as_json, from_stdin):
+    """The CLI reports a document that is not JSON, or not UTF-8, with
+    the SchemaError that parse_diagram raises on the same bytes."""
+    import io
+    with pytest.raises(SchemaError) as info:
+        parse_diagram(raw)
+    assert str(info.value).startswith("invalid JSON: ")
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    code, out, err = run(capsys, *(["--json"] if as_json else []),
+                         "validate", "-" if from_stdin else str(path))
+    assert (code, out) == (1, "")
+    if as_json:
+        assert json.loads(err)["error"] == f"SchemaError: {info.value}"
+    else:
+        assert err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, option, value", [
+    (["colim", "DOC", "--max-degree", "١"], "--max-degree", "١"),
+    (["colim", "DOC", "--max-degree", "1_0"], "--max-degree", "1_0"),
+    (["lim", "DOC", "--max-degree", " 1"], "--max-degree", " 1"),
+    (["--max-chains", "١٠٠", "colim", "DOC"], "--max-chains", "١٠٠"),
+    (["oracle", "--seeds", "٢"], "--seeds", "٢"),
+    (["generate", "--seed", "٣"], "--seed", "٣"),
+    (["generate", "--max-objects", "٥"], "--max-objects", "٥"),
+    (["generate", "--max-degree-span", "٢"], "--max-degree-span", "٢"),
+], ids=["arabic_degree", "underscore_degree", "spaced_degree", "arabic_chains",
+        "arabic_seeds", "arabic_seed", "arabic_objects", "arabic_span"])
+def test_integer_options_take_ascii_digits_only(capsys, intro_path, argv, option, value,
+                                                as_json):
+    """Every integer option reads an optional sign and ASCII digits, and
+    refuses anything else int() would take, with argparse's usual text."""
+    argv = [intro_path if a == "DOC" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        cli.main((["--json"] if as_json else []) + argv)
+    out = capsys.readouterr()
+    assert info.value.code == 1 and out.out == ""
+    assert out.err.startswith("usage: posetlim")
+    assert out.err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_pages_and_env_seed_take_ascii_digits_only(capsys, monkeypatch, intro_path, as_json):
+    prefix = ["--json"] if as_json else []
+    code, out, err = run(capsys, *prefix, "spectral", intro_path, "--variant", "3",
+                         "--pages", "١..٢")
+    message = "bad page range '١..٢'; use R or R0..R1"
+    assert (code, out) == (1, "")
+    if as_json:
+        assert json.loads(err)["error"] == "PosetlimError: " + message
+    else:
+        assert err == f"error: {message}\n"
+    monkeypatch.setenv("POSETLIM_SEED", "٣")
+    code, out, err = run(capsys, *prefix, "generate")
+    message = "POSETLIM_SEED must be an integer, got '٣'"
+    assert (code, out) == (1, "")
+    if as_json:
+        assert json.loads(err)["error"] == "PosetlimError: " + message
+    else:
+        assert err == f"error: {message}\n"
 
 
 def test_semantic_error_is_exit_one(capsys, intro_path):
@@ -377,7 +447,8 @@ def test_json_report_gallery_and_generate(capsys):
 
 def test_stdin_document(capsys, monkeypatch, intro_path):
     import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(open(intro_path).read()))
+    stdin = io.TextIOWrapper(io.BytesIO(open(intro_path, "rb").read()))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, out, _ = run(capsys, "validate", "-")
     assert code == 0
     assert "valid" in out

@@ -47,6 +47,7 @@ from helpers import (
     ker_at_all_arrows,
     pushout_poset,
     random_torsion_sum_diagram,
+    same_subgroup,
     shape,
     transformation_to_hom,
 )
@@ -81,7 +82,7 @@ def test_validate_trivial_groups():
     T = trivial_group()
     F = validate_functor(P, {i: T for i in P.ids},
                          {c: zero_hom(T, T) for c in P.covers})
-    assert F.group("d").is_trivial
+    assert F.groups["d"].is_trivial
 
 
 def test_diamond_error_with_witnesses():
@@ -197,12 +198,12 @@ def test_eval_hom_composes():
 def test_im_at():
     F = intro_pushout()
     got = im_at(F, "b")
-    assert got.same_subgroup(Subgroup(F.group("b"), [[2]]))
+    assert same_subgroup(got, Subgroup(F.groups["b"], [[2]]))
     assert im_at(F, "a").is_trivial
     G = chain_times([2, 3])
-    assert im_at(G, "c").same_subgroup(Subgroup(G.group("c"), [[3]]))
+    assert same_subgroup(im_at(G, "c"), Subgroup(G.groups["c"], [[3]]))
     # covers suffice: the all-arrows sum adds 6Z, already inside 3Z
-    assert im_at_all_arrows(G, "c").same_subgroup(im_at(G, "c"))
+    assert same_subgroup(im_at_all_arrows(G, "c"), im_at(G, "c"))
 
 
 def test_coker_at():
@@ -225,7 +226,7 @@ def test_ker_at_and_coim_at():
     two = AbHom(Z, Z, [[2]])
     F = validate_functor(P, {i: Z for i in P.ids},
                          {("b", "a"): two, ("c", "a"): two})
-    assert ker_at(F, "a").is_full()  # no outgoing arrows
+    assert ker_at(F, "a").contains_subgroup(Subgroup(Z, la.eye(1)))[0]  # no outgoing arrows
     assert ker_at(F, "b").is_trivial
     assert coim_at(F, "b").is_isomorphic_to(free_group(1))
 
@@ -238,35 +239,35 @@ def test_ker_at_and_coim_at():
 def test_coker_functor():
     F = intro_pushout()
     C, sigma = coker_functor(F)
-    assert C.group("a").is_isomorphic_to(free_group(1))
-    assert C.group("b").is_isomorphic_to(cyclic_group(2))
-    assert C.group("c").is_isomorphic_to(cyclic_group(2))
+    assert C.groups["a"].is_isomorphic_to(free_group(1))
+    assert C.groups["b"].is_isomorphic_to(cyclic_group(2))
+    assert C.groups["c"].is_isomorphic_to(cyclic_group(2))
     assert all(C.cover_maps[c].is_zero() for c in C.poset.covers)
     assert sigma.component("a").equal(identity_hom(free_group(1)))
 
     R = representable_diagram(pushout_poset(), "a")
     CR, _ = coker_functor(R)
-    assert CR.group("a").is_isomorphic_to(free_group(1))
-    assert CR.group("b").is_trivial and CR.group("c").is_trivial
+    assert CR.groups["a"].is_isomorphic_to(free_group(1))
+    assert CR.groups["b"].is_trivial and CR.groups["c"].is_trivial
 
 
 def test_coker_prime_functor():
     F = intro_pushout()
     Cp, pi = coker_prime_functor(F)
     # at b the arrows in come from a and from the identity
-    assert Cp.group("b").free_rank == 1
-    assert Cp.group("b").invariant_factors == (2,)
-    assert Cp.group("a").is_isomorphic_to(free_group(1))
+    assert Cp.groups["b"].free_rank == 1
+    assert Cp.groups["b"].invariant_factors == (2,)
+    assert Cp.groups["a"].is_isomorphic_to(free_group(1))
     # pi projects onto the identity summand; composing with that
     # summand's inclusion gives the identity of Coker at b
     C, _ = coker_functor(F)
     keys = sorted(F.poset.strictly_below["b"] + ["b"])
     pos = keys.index("b")
-    rank_before = sum(C.group(k).ambient_rank for k in keys[:pos])
-    rank = C.group("b").ambient_rank
-    sect = la.from_blocks(Cp.group("b").ambient_rank, rank, [(rank_before, 0, 1, la.eye(rank))])
-    section = AbHom(C.group("b"), Cp.group("b"), sect)
-    assert compose(pi.component("b"), section).equal(identity_hom(C.group("b")))
+    rank_before = sum(C.groups[k].ambient_rank for k in keys[:pos])
+    rank = C.groups["b"].ambient_rank
+    sect = la.from_blocks(Cp.groups["b"].ambient_rank, rank, [(rank_before, 0, 1, la.eye(rank))])
+    section = AbHom(C.groups["b"], Cp.groups["b"], sect)
+    assert compose(pi.component("b"), section).equal(identity_hom(C.groups["b"]))
     # the transition re-indexes the a-keyed summand to the a-keyed slot
     h = Cp.hom("a", "b")
     assert h.matrix.shape == (2, 1)
@@ -276,20 +277,20 @@ def test_coker_prime_functor():
 def test_standard_diagrams():
     P = pushout_poset()
     R = representable_diagram(P, "a")
-    assert all(R.group(i).is_isomorphic_to(free_group(1)) for i in P.ids)
+    assert all(R.groups[i].is_isomorphic_to(free_group(1)) for i in P.ids)
     assert R.hom("a", "b").matrix[0, 0] == 1
     Rb = representable_diagram(P, "b")
-    assert Rb.group("a").is_trivial and Rb.group("c").is_trivial
-    assert Rb.group("b").is_isomorphic_to(free_group(1))
+    assert Rb.groups["a"].is_trivial and Rb.groups["c"].is_trivial
+    assert Rb.groups["b"].is_isomorphic_to(free_group(1))
 
     S = skyscraper_diagram(P, "b", cyclic_group(3))
-    assert S.group("b").is_isomorphic_to(cyclic_group(3))
-    assert S.group("a").is_trivial and S.group("c").is_trivial
+    assert S.groups["b"].is_isomorphic_to(cyclic_group(3))
+    assert S.groups["a"].is_trivial and S.groups["c"].is_trivial
 
     chainP = validate_graded([("a", 0), ("b", 1), ("c", 2)],
                              [("a", "b"), ("b", "c")])
     K = constant_diagram(chainP, cyclic_group(5))
-    assert all(K.group(i).is_isomorphic_to(cyclic_group(5)) for i in chainP.ids)
+    assert all(K.groups[i].is_isomorphic_to(cyclic_group(5)) for i in chainP.ids)
     assert K.hom("a", "c").equal(identity_hom(cyclic_group(5)))
 
     with pytest.raises(UnknownIdError):
@@ -315,9 +316,9 @@ def test_adjunction_instance():
     # skyscraper: the square over (a, b) fails
     sky = skyscraper_diagram(F.poset, "b", free_group(1))
     cand = {
-        "a": zero_hom(F.group("a"), sky.group("a")),
-        "b": AbHom(F.group("b"), free_group(1), [[1]]),
-        "c": zero_hom(F.group("c"), sky.group("c")),
+        "a": zero_hom(F.groups["a"], sky.groups["a"]),
+        "b": AbHom(F.groups["b"], free_group(1), [[1]]),
+        "c": zero_hom(F.groups["c"], sky.groups["c"]),
     }
     with pytest.raises(NotNaturalError):
         NatTransformation(F, sky, cand)
@@ -326,7 +327,7 @@ def test_adjunction_instance():
 def test_nat_transformation_validation():
     F = intro_pushout()
     C, sigma = coker_functor(F)
-    assert sigma.component("b").source.same_presentation(F.group("b"))
+    assert sigma.component("b").source.same_presentation(F.groups["b"])
     with pytest.raises(MissingDataError):
         NatTransformation(F, C, {"a": sigma.component("a")})
     G = constant_diagram(F.poset, free_group(1))
@@ -342,8 +343,8 @@ def test_direct_sum_diagrams():
     Rb = representable_diagram(P, "b")
     Rc = representable_diagram(P, "c")
     total = direct_sum_diagrams([Rb, Rc])
-    assert total.group("a").is_trivial
-    assert total.group("b").is_isomorphic_to(free_group(1))
+    assert total.groups["a"].is_trivial
+    assert total.groups["b"].is_isomorphic_to(free_group(1))
     with pytest.raises(MismatchError):
         direct_sum_diagrams([Rb, representable_diagram(square_poset(), "a")])
 
@@ -358,8 +359,8 @@ def test_image_and_kernel_localization_properties():
     for _ in range(12):
         F = random_torsion_sum_diagram(rng, P)
         for i in P.ids:
-            assert im_at(F, i).same_subgroup(im_at_all_arrows(F, i))
-            assert ker_at(F, i).same_subgroup(ker_at_all_arrows(F, i))
+            assert same_subgroup(im_at(F, i), im_at_all_arrows(F, i))
+            assert same_subgroup(ker_at(F, i), ker_at_all_arrows(F, i))
 
 
 def test_sigma_and_pi_are_natural_on_random_diagrams():
@@ -370,5 +371,5 @@ def test_sigma_and_pi_are_natural_on_random_diagrams():
         C, sigma = coker_functor(F)        # construction re-verifies
         Cp, pi = coker_prime_functor(F)    # naturality in both calls
         for i in P.ids:
-            assert sigma.component(i).target.same_presentation(C.group(i))
-            assert pi.component(i).source.same_presentation(Cp.group(i))
+            assert sigma.component(i).target.same_presentation(C.groups[i])
+            assert pi.component(i).source.same_presentation(Cp.groups[i])

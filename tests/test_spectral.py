@@ -100,11 +100,17 @@ def test_variant_table_shape():
         variant_by_name("simplicial:sigma_n:increasing")
 
 
+def _block_levels(X):
+    """{(degree, chain): canonical level} over X's base blocks."""
+    return {(n, c): lv for n, lvs in X._levels.items()
+            for c, lv in zip(X.base.blocks[n], lvs)}
+
+
 def test_filtration_indices_by_last_vertex():
     F = intro_pushout()
     X = build_filtered(F.poset, F, CHAIN_LAST_INC)
-    got = {(n, c.vertices): p for (n, c), p in X.filtration_index.items()}
-    assert got == {
+    # "<=" on degrees 0..1: the level is the last vertex's degree
+    assert _block_levels(X) == {
         (0, ("a",)): 0, (0, ("b",)): 1, (0, ("c",)): 1,
         (1, ("a", "b")): 1, (1, ("a", "c")): 1,
     }
@@ -114,16 +120,16 @@ def test_filtration_indices_by_first_vertex():
     F = intro_pushout()
     v = Variant("chain", "first", "increasing")
     X = FilteredComplex(chain_complex(F), v, F.poset)
-    got = {(n, c.vertices): p for (n, c), p in X.filtration_index.items()}
-    assert got == {
-        (0, ("a",)): 0, (0, ("b",)): 1, (0, ("c",)): 1,
-        (1, ("a", "b")): 0, (1, ("a", "c")): 0,
+    # ">=" on degrees 0..1: the level is 1 less the first vertex's degree
+    assert _block_levels(X) == {
+        (0, ("a",)): 1, (0, ("b",)): 0, (0, ("c",)): 0,
+        (1, ("a", "b")): 1, (1, ("a", "c")): 1,
     }
     # the carrier matching pairs (a) with (a, b); the critical chains keep
-    # their indices
+    # their levels
     reduced = build_filtered(F.poset, F, v)
-    assert {(n, c.vertices): p for (n, c), p in reduced.filtration_index.items()} == {
-        (0, ("b",)): 1, (0, ("c",)): 1, (1, ("a", "c")): 0,
+    assert _block_levels(reduced) == {
+        (0, ("b",)): 0, (0, ("c",)): 0, (1, ("a", "c")): 1,
     }
 
 
@@ -131,7 +137,8 @@ def test_single_object_filtration():
     P = validate_graded([("x", 5)], [])
     F = constant_diagram(P, cyclic_group(4))
     X = build_filtered(P, F, CHAIN_LAST_INC)
-    assert list(X.filtration_index.values()) == [5]
+    assert _block_levels(X) == {(0, ("x",)): 0}
+    assert X.min_degree == X.max_degree == 5
 
 
 def test_variant_direction_mismatch():
@@ -190,8 +197,8 @@ def test_pages_refuse_d_squared_nonzero_inside_one_level():
     base = chain_complex(constant_diagram(P, free_group(1)))
     assert page(FilteredComplex(base, CHAIN_LAST_INC, P), 0).entries
     d = base._diffs[1]
-    row = base.block_offset(0, [c.vertices for c in base.blocks[0]].index(("c",)))
-    col = base.block_offset(1, [c.vertices for c in base.blocks[1]].index(("b", "c")))
+    row = base.sums[0].offsets[base.blocks[0].index(("c",))]
+    col = base.sums[1].offsets[base.blocks[1].index(("b", "c"))]
     diffs = dict(base._diffs)
     diffs[1] = AbHom(d.source, d.target,
                      d.matrix + la.from_blocks(*d.matrix.shape, [(row, col, 1, la.eye(1))]),
@@ -485,7 +492,7 @@ def test_build_filtered_checks_on_a_cache_hit():
 def _block_of(X, n, coord):
     """The block of C_n holding coordinate coord, by a linear scan."""
     for j, G in enumerate(X.base.sums[n].summands):
-        if X.base.block_offset(n, j) <= coord < X.base.block_offset(n, j) + G.ambient_rank:
+        if X.base.sums[n].offsets[j] <= coord < X.base.sums[n].offsets[j] + G.ambient_rank:
             return j
     raise AssertionError(f"coordinate {coord} of C_{n} is in no block")
 
@@ -701,7 +708,7 @@ def _chain_on_three():
     vertex's degree, and {vertices: coordinate} in each degree."""
     P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
     base = chain_complex(constant_diagram(P, free_group(1)))
-    at = {n: {c.vertices: base.block_offset(n, j) for j, c in enumerate(base.blocks[n])}
+    at = {n: {c: base.sums[n].offsets[j] for j, c in enumerate(base.blocks[n])}
           for n in range(base.top + 1)}
     return FilteredComplex(base, CHAIN_LAST_INC, P), at
 
