@@ -180,8 +180,6 @@ def is_injective(F: Diagram) -> ConditionVerdict:
 class ClassificationReport:
     cokernels: dict
     kernels: dict
-    pseudo_projective_at: dict
-    pseudo_injective_at: dict
     pseudo_projective: PseudoVerdict
     pseudo_injective: PseudoVerdict
     projective: ConditionVerdict
@@ -192,16 +190,13 @@ class ClassificationReport:
 
 
 def classify_diagram(F: Diagram) -> ClassificationReport:
-    """Everything at once: per-object structure, per-(object, d)
-    verdicts, the four global verdicts, acyclicity, and the theorem
-    implications as consistency flags."""
+    """Everything at once: per-object structure, the four global
+    verdicts, acyclicity, and the theorem implications as consistency
+    flags.  Each pseudo verdict stops at its first failing (object, d)."""
     cokernels = {i: coker_at(F, i)[0] for i in F.poset.ids}
     kernels = {i: ker_at(F, i).as_group[0] for i in F.poset.ids}
-    pairs = _pairs(F.poset)
-    pp_at = {(i0, d): is_pseudo_projective_at(F, i0, d) for i0, d in pairs}
-    pi_at = {(i0, d): is_pseudo_injective_at(F, i0, d) for i0, d in pairs}
-    pp = _first_failure(pp_at.values())
-    pi = _first_failure(pi_at.values())
+    pp = is_pseudo_projective(F)
+    pi = is_pseudo_injective(F)
     # is_projective/is_injective, from the groups and verdicts at hand
     proj = _condition_verdict("projective", cokernels.items(), lambda: pp)
     inj = _condition_verdict("injective", kernels.items(), lambda: pi)
@@ -217,8 +212,7 @@ def classify_diagram(F: Diagram) -> ClassificationReport:
         if not holds:
             raise OracleViolation(f"consistency check failed: {name}")
     return ClassificationReport(
-        cokernels, kernels, pp_at, pi_at, pp, pi, proj, inj, ca, lim_a,
-        consistency)
+        cokernels, kernels, pp, pi, proj, inj, ca, lim_a, consistency)
 
 
 def pushout_projectivity_criterion(F: Diagram) -> bool:

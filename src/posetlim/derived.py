@@ -20,11 +20,12 @@ spectral sequences take the reduced complex on whichever matching keeps
 their filtration's key vertex, the carrier one or the two-ended one.  A
 reduced complex records the ends its matching fixes, and every pair a
 flow expands is checked to keep them, so the matching is never listed.
-A reduced complex builds the unreduced one only when asked, for page 0
-and the spectral oracles; the unreduced complexes are also the tests'
-oracle for the reduced ones.  Direct (co)limits are independent
-degree-0 oracles, and the Euler characteristic, counted from the poset
-alone, checks every full table.
+Nothing at run time builds the whole unreduced nerve complex: spectral
+page 0 assembles each level from its own chains with _complex, and the
+unreduced complexes are the tests' oracle for the reduced ones and for
+those levels.  Direct (co)limits are independent degree-0 oracles, and
+the Euler characteristic, counted from the poset alone, checks every
+full table.
 
 Whatever lists chains counts them first (poset.chain_counts) and
 refuses with ChainBudgetError past the chain budget (chain_budget, the
@@ -43,10 +44,12 @@ from .diagram import Diagram
 from .errors import ChainBudgetError, OracleViolation
 from .poset import chain_counts, chains_up_to
 
-# The most chains one complex may list; the CLI's --max-chains.  The
-# largest list the tests, the bundled documents and the benchmark make
-# is grid5x5's nerve, 10,271 chains; 32,063 chains (grid6x5) take about
-# 1.3 s and 80 MB to build unreduced.
+# The most chains one complex may list; the CLI's --max-chains.  Spectral
+# page 0 lists the whole nerve once per filtered complex and builds it
+# level by level, never whole.  The largest list the tests, the bundled
+# documents and the benchmark make is grid5x5's nerve, 10,271 chains;
+# page 0 of grid6x5 (32,063 chains) with constant Z+Z/2 takes about 0.8 s
+# and a 66 MB peak RSS (Python 3.11, one Xeon core).
 DEFAULT_MAX_CHAINS = 100_000
 _max_chains = ContextVar("max_chains", default=DEFAULT_MAX_CHAINS)
 
@@ -80,24 +83,21 @@ class ChainComplex:
     orientation "homological": differentials lower the degree by one;
     "cohomological": they raise it.  Degrees outside 0..top are zero.
     A Morse complex also holds fixed = (h, f): every pair of its matching
-    shares its first h and its last f vertices (each 0 or 1).  It also
-    holds a zero-argument source that returns the complex it reduces; an
-    unreduced complex has neither.
+    shares its first h and its last f vertices (each 0 or 1); an
+    unreduced complex has none.  diagram is the detached diagram
+    (Diagram._detached) the complex was built from, None for a complex
+    that is not built from one.
     """
 
-    def __init__(self, orientation, blocks, sums, diffs, top, fixed=None, source=None):
+    def __init__(self, diagram, orientation, blocks, sums, diffs, top, fixed=None):
+        self.diagram = diagram
         self.orientation = orientation
         self.blocks = blocks
         self.sums = sums
         self._diffs = diffs
         self.top = top
         self.fixed = fixed
-        self._source = source
         self._homology = {}
-
-    def unreduced(self) -> "ChainComplex":
-        """The complex this one reduces, itself when it is not reduced."""
-        return self if self._source is None else self._source()
 
     def group_at(self, n: int) -> FgAbGroup:
         if 0 <= n <= self.top:
@@ -159,7 +159,7 @@ def _faces(F: Diagram, kind: str, cell):
             for i in range(n + 1)]
 
 
-def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None, source=None) -> ChainComplex:
+def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None) -> ChainComplex:
     """The complex with one block per chain of blocks[n], holding F at the
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
@@ -184,8 +184,8 @@ def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None, source=None) -> 
             diffs[m] = _assemble(sums, m, m - 1, entries)
         else:
             diffs[m - 1] = _assemble(sums, m - 1, m, entries)
-    X = ChainComplex("homological" if chain else "cohomological",
-                     blocks, sums, diffs, top, fixed, source)
+    X = ChainComplex(F._detached, "homological" if chain else "cohomological",
+                     blocks, sums, diffs, top, fixed)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
 
@@ -240,8 +240,7 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     vertex of every pair, the ends matching both, which is what a
     filtration by that vertex's degree needs (spectral.build_filtered).
     The complex records those ends as its fixed, every pair the flows
-    expand is checked to keep them, and nothing lists the matching.  Its
-    source builds the unreduced complex on first use, once per diagram.
+    expand is checked to keep them, and nothing lists the matching.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown complex kind {kind!r}")
@@ -252,9 +251,7 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     else:
         ends = (1, 0) if kind == "chain" else (0, 1)
     M = _ElementMatching(F.poset, kind, ends)
-    unreduced = F._detached
-    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner, ends,
-                          lambda: _cached_complex(unreduced, kind))
+    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner, ends)
 
 
 class _ElementMatching:
@@ -377,7 +374,7 @@ class _ElementMatching:
         return head + self._insert(t, x) + foot
 
 
-def _morse_complex(F, kind, critical, top, partner, fixed, source=None):
+def _morse_complex(F, kind, critical, top, partner, fixed):
     """The Morse complex of F's nerve complex for an acyclic matching,
     given by its critical cells, the nerve's top degree, partner, which
     sends a cell to the cell matched with it (None for a critical cell),
@@ -462,7 +459,7 @@ def _morse_complex(F, kind, critical, top, partner, fixed, source=None):
     crit = {n: [] for n in range(top + 1)}
     for c in sorted(critical):
         crit[len(c) - 1].append(c)
-    X = _complex(F, kind, crit, pieces, fixed, source)
+    X = _complex(F, kind, crit, pieces, fixed)
     # flow and through refer to each other; unlinking them lets reference
     # counting free F and everything cached on it once F is dropped
     flow = through = None
@@ -496,13 +493,13 @@ def _kind(direction: str) -> str:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _cached_complex(F: Diagram, which: str, matching: str = None) -> ChainComplex:
-    """The chain or cochain complex of F, or its Morse reduction by the
-    named matching, built once per diagram."""
+def _cached_complex(F: Diagram, which: str, matching: str) -> ChainComplex:
+    """The Morse reduction of F's chain or cochain complex by the named
+    matching, built once per diagram."""
     cache = F._complexes
     key = (which, matching)
     if key not in cache:
-        cache[key] = reduce_complex(F, which, matching) if matching else _nerve_complex(F, which)
+        cache[key] = reduce_complex(F, which, matching)
     return cache[key]
 
 

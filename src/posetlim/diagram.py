@@ -59,9 +59,9 @@ class Diagram:
     @cached_property
     def _detached(self) -> "Diagram":
         """The same functor under a Diagram of its own, with its own
-        caches.  A cached object that builds a complex later holds this,
-        not the diagram it is cached on, so the caches make no reference
-        cycle and a dropped diagram is freed at once."""
+        caches.  A complex holds this, not the diagram it is cached on,
+        and builds page 0's level pieces from it later, so the caches make
+        no reference cycle and a dropped diagram is freed at once."""
         return Diagram(self.poset, self.groups, self.cover_maps, self._composites)
 
     def hom(self, p: str, q: str) -> AbHom:

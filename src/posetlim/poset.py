@@ -70,22 +70,16 @@ class GradedPoset:
 
     @cached_property
     def above_set(self):
-        """id -> frozenset of the ids strictly above it (transitive closure)."""
-        memo = {}
-
-        def walk(i):
-            if i in memo:
-                return memo[i]
+        """id -> frozenset of the ids strictly above it (transitive closure),
+        from the top degree down, so a deep poset needs no deep recursion."""
+        above = {}
+        for i in sorted(self.ids, key=self.degree.get, reverse=True):
             acc = set()
             for j in self.covers_out[i]:
                 acc.add(j)
-                acc |= walk(j)
-            memo[i] = acc
-            return acc
-
-        for i in self.ids:
-            walk(i)
-        return {i: frozenset(memo[i]) for i in self.ids}
+                acc |= above[j]
+            above[i] = frozenset(acc)
+        return {i: above[i] for i in self.ids}
 
     @cached_property
     def below_set(self):
@@ -108,14 +102,10 @@ class GradedPoset:
     @cached_property
     def length(self) -> int:
         """Largest n with a strict chain of n+1 vertices."""
-        memo = {}
-
-        def depth(i):
-            if i not in memo:
-                memo[i] = 1 + max((depth(j) for j in self.covers_out[i]), default=0)
-            return memo[i]
-
-        return max(depth(i) for i in self.ids) - 1
+        depth = {}
+        for i in sorted(self.ids, key=self.degree.get, reverse=True):
+            depth[i] = 1 + max((depth[j] for j in self.covers_out[i]), default=0)
+        return max(depth.values()) - 1
 
     def leq(self, p: str, q: str) -> bool:
         self._check_id(p)
@@ -156,15 +146,16 @@ def validate_graded(objects, covers, direction: str = "increasing") -> GradedPos
         if o.id in seen:
             raise DuplicateIdError(f"duplicate object id {o.id!r}")
         seen.add(o.id)
-    pairs = []
+    # insertion-ordered, so duplicates go and the first-seen order stays
+    pairs = {}
     for a, b in covers:
         a, b = str(a), str(b)
         if a not in seen:
             raise UnknownIdError(f"cover references unknown id {a!r}")
         if b not in seen:
             raise UnknownIdError(f"cover references unknown id {b!r}")
-        if (a, b) not in pairs:
-            pairs.append((a, b))
+        pairs[(a, b)] = None
+    pairs = list(pairs)
 
     degrees_given = [o.degree is not None for o in objs]
     if any(degrees_given) and not all(degrees_given):

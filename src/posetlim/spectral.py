@@ -18,12 +18,14 @@ its base's matching fixes the key vertex, and the base checked every
 pair its flows expand against the ends it fixes, so each matched pair
 that shapes a differential is checked to keep the key vertex, and the
 matching is never listed.  Page 0 is the associated graded of the
-unreduced complex, read off its level blocks; the unreduced complex is
-built on first use, by page 0 or the page-1 oracle, and never by later
-pages, E-infinity or the convergence check.  The inner-column
-sequences, which refilter one graded piece of the unreduced complex by
-the other vertex, are a test oracle (tests/helpers.py), not part of the
-library.
+unreduced complex, built level by level: the level-s piece holds the
+chains whose key vertex is at level s, with the faces that keep that
+vertex, as dropping it always leaves the level.  The pieces are built
+on first use, by page 0 or the page-1 oracle, and never by later pages,
+E-infinity or the convergence check; nothing builds the whole unreduced
+nerve complex.  The inner-column sequences, which refilter one level
+piece by the other vertex, are a test oracle (tests/helpers.py), not
+part of the library.
 
 The cycle lattices of one degree and level, for every level their
 differential may reach, that level included, come from a single tracked
@@ -60,11 +62,20 @@ from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, direct_sum, homology, trivial_group, zero_hom
-from .derived import ChainComplex, _cached_complex, _check_dd_zero, derived_functor, homology_at
+from .abgroup import AbHom, FgAbGroup, homology, trivial_group, zero_hom
+from .derived import (
+    ChainComplex,
+    _cached_complex,
+    _check_budget,
+    _check_dd_zero,
+    _complex,
+    _faces,
+    derived_functor,
+    homology_at,
+)
 from .diagram import Diagram
 from .errors import ConvergenceViolation, MismatchError, OracleViolation, VariantMismatchError
-from .poset import GradedPoset
+from .poset import GradedPoset, chain_counts, chains_up_to
 
 # condition on the key vertex's degree that defines the first
 # filtration, per (complex, direction, key); the second filtration of
@@ -144,14 +155,14 @@ class FilteredComplex:
     """A nerve complex, unreduced or Morse-reduced, with a level attached
     to every chain block.
 
-    A block's preset p is the display degree of its chain's key vertex.
-    Canonical levels (_levels, per degree in block order) shift that to
-    0-based increasing form; the respect invariant (the differential
-    never raises the canonical level) is verified on construction, entry
-    by nonzero entry, and so is the base's matching: it must fix the key
-    vertex of every pair, or the reduction would not be filtered.  The
-    base checks each pair its flows expand against the ends it fixes
-    (derived._morse_complex).
+    A chain's preset p is the display degree of its key vertex.
+    Canonical levels (_level, and _levels per degree in block order)
+    shift that to 0-based increasing form; the respect invariant (the
+    differential never raises the canonical level) is verified on
+    construction, entry by nonzero entry, and so is the base's matching:
+    it must fix the key vertex of every pair, or the reduction would not
+    be filtered.  The base checks each pair its flows expand against the
+    ends it fixes (derived._morse_complex).
     """
 
     def __init__(self, base: ChainComplex, variant: Variant, poset: GradedPoset):
@@ -162,23 +173,23 @@ class FilteredComplex:
         self.min_degree = min(degs.values())
         self.max_degree = max(degs.values())
         self.span = self.max_degree - self.min_degree
-        ge = variant.condition == ">="
         self._levels = {}
         self._coord_levels = {}
         for n in range(base.top + 1):
-            lv = []
-            for c in base.blocks[n]:
-                p = degs[c[-1] if variant.key == "last" else c[0]]
-                lv.append((self.max_degree - p) if ge else (p - self.min_degree))
+            lv = [self._level(c) for c in base.blocks[n]]
             self._levels[n] = lv
             self._coord_levels[n] = [level for level, G in zip(lv, base.sums[n].summands)
                                      for _ in range(G.ambient_rank)]
         self._z_cache = {}
         self._checkers = {}
         self._pages = {}
-        self._pieces = {}
         self._check_respected()
         self._check_matching()
+
+    def _level(self, c) -> int:
+        """The canonical level of the chain c."""
+        p = self.poset.display_degrees[c[-1] if self.variant.key == "last" else c[0]]
+        return (self.max_degree - p) if self.variant.condition == ">=" else (p - self.min_degree)
 
     @property
     def step(self) -> int:
@@ -204,12 +215,24 @@ class FilteredComplex:
                 f"{self.variant.key} vertex, which carries the filtration level")
 
     @cached_property
-    def unreduced(self) -> "FilteredComplex":
-        """The same filtration on the complex the base reduces, built on
-        first use; self when the base is not reduced.  Page 0 and the
-        page-1 oracle read its level blocks."""
-        source = self.base.unreduced()
-        return self if source is self.base else FilteredComplex(source, self.variant, self.poset)
+    def _pieces(self) -> dict:
+        """{level s: the associated-graded complex at s}, built on first
+        use from the base's diagram: the nerve's chains whose key vertex is
+        at level s, with the faces that keep that vertex.  The whole nerve
+        is counted against the chain budget before a chain is listed."""
+        P = self.poset
+        _check_budget(sum(chain_counts(P)), "the nerve")
+        blocks = {s: {n: [] for n in range(P.length + 1)} for s in range(self.span + 1)}
+        for n, chains in enumerate(chains_up_to(P, P.length)):
+            for c in chains:
+                blocks[self._level(c)][n].append(c)
+        D, kind = self.base.diagram, self.variant.complex
+        key = -1 if self.variant.key == "last" else 0
+
+        def in_level(c):
+            return [face for face in _faces(D, kind, c) if face[0][key] == c[key]]
+
+        return {s: _complex(D, kind, b, in_level) for s, b in blocks.items()}
 
     def _Z(self, n, s, star):
         """Level-<= s elements whose differential lies at level <= star
@@ -339,7 +362,8 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     must not be mutated.
 
     Page 0 is the associated graded of the unreduced complex: at level s
-    and degree n, the level-s chains' values, with the in-level part of d.
+    and degree n, the level-s chains' values, with the in-level part of d,
+    from X's level pieces.
     From r = 1 on, the explicit subquotient on X's base: at each level s
     and degree n, cycles reaching r levels down, modulo the same from one
     level deeper plus boundaries from r-1 levels shallower.  A matching
@@ -376,11 +400,10 @@ def page(X: FilteredComplex, r: int) -> SSPage:
 
 def _graded_page(X: FilteredComplex):
     """Page 0's entries and differentials, keyed (level, degree): the
-    groups and differentials of the unreduced complex's graded pieces."""
+    groups and differentials of X's level pieces."""
     sn_entries = {}
     sn_diffs = {}
-    for s in range(X.span + 1):
-        graded = _restrict_to_level(X.unreduced, s)
+    for s, graded in X._pieces.items():
         for n in range(graded.top + 1):
             sn_entries[(s, n)] = graded.group_at(n)
             sn_diffs[(s, n)] = graded.d_from(n)
@@ -457,39 +480,12 @@ def e_infinity(X: FilteredComplex) -> SSPage:
     return page(X, X.span + 2)
 
 
-def _restrict_to_level(X: FilteredComplex, s: int) -> ChainComplex:
-    """The associated-graded complex at level s: the blocks at that
-    exact level with the induced differential, built once per (X, s)."""
-    hit = X._pieces.get(s)
-    if hit is not None:
-        return hit
-    base = X.base
-    keep = {n: [j for j, lv in enumerate(X._levels[n]) if lv == s]
-            for n in range(base.top + 1)}
-    blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
-    sums = {n: direct_sum([base.sums[n].summands[j] for j in keep[n]]) for n in keep}
-    # the kept blocks keep their order, so the level's coordinates of C_n,
-    # renumbered from 0, are the piece's coordinates
-    coords = {n: [i for i, lv in enumerate(X._coord_levels[n]) if lv == s] for n in keep}
-    diffs = {}
-    for n, d in base._diffs.items():
-        m = n + X.step
-        row = {i: k for k, i in enumerate(coords[m])}
-        cols = [{row[i]: x for i, x in d.matrix.cols[j].items() if i in row} for j in coords[n]]
-        M = la.IntMatrix((len(row), len(cols)), cols)
-        diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
-    _check_dd_zero(diffs, lambda n: n + X.step)
-    X._pieces[s] = ChainComplex(base.orientation, blocks, sums, diffs, base.top)
-    return X._pieces[s]
-
-
 def oracle_page_one(X: FilteredComplex):
-    """Cross-check: page-1 entries equal the homology of the graded
-    pieces of the unreduced complex, so on a reduced base this checks
-    the reduction as well."""
+    """Cross-check: page-1 entries equal the homology of the level
+    pieces, so on a reduced base this checks the reduction as well, and
+    the pieces against the base."""
     first = page(X, 1)
-    for s in range(X.span + 1):
-        graded = _restrict_to_level(X.unreduced, s)
+    for s, graded in X._pieces.items():
         for n in range(X.base.top + 1):
             expected = homology_at(graded, n)
             got = first.sn_entries[(s, n)]
@@ -503,7 +499,7 @@ def oracle_page_one(X: FilteredComplex):
 def oracle_page_recurrence(X: FilteredComplex):
     """Cross-check: page r+1 is the homology of page r under d_r, for
     r <= span, and returns pages 0..span + 2.  Page 0 and d_0 are the
-    graded pieces of the unreduced complex, so the r = 0 step is
+    level pieces, so the r = 0 step is
     oracle_page_one.  From r = 1 on, the homology at a zero entry is
     zero, and page r + 1 is still compared at every key.  Pages past
     span + 1 are page span + 1 under another r (see page), with no

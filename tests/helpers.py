@@ -24,7 +24,7 @@ from posetlim.abgroup import (
     zero_hom,
 )
 from posetlim.classify import is_pseudo_injective, is_pseudo_projective
-from posetlim.derived import is_acyclic
+from posetlim.derived import ChainComplex, is_acyclic
 from posetlim.diagram import (
     coker_at,
     constant_diagram,
@@ -45,13 +45,7 @@ from posetlim.errors import (
 )
 from posetlim.jsonio import parse_diagram
 from posetlim.poset import chains_up_to, validate_graded
-from posetlim.spectral import (
-    FilteredComplex,
-    _compare_totals,
-    _restrict_to_level,
-    build_filtered,
-    page,
-)
+from posetlim.spectral import FilteredComplex, _compare_totals, build_filtered, page
 
 
 def boolean_lattice(n):
@@ -755,6 +749,38 @@ def reference_page_entries(X, r):
     return out
 
 
+def restrict_to_level(X, s):
+    """The associated-graded complex at level s, sliced from X's base: the
+    blocks at that exact level with the induced differential.  It is not
+    built from a diagram, so its diagram is None."""
+    base = X.base
+    keep = {n: [j for j, lv in enumerate(X._levels[n]) if lv == s]
+            for n in range(base.top + 1)}
+    blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
+    sums = {n: direct_sum([base.sums[n].summands[j] for j in keep[n]]) for n in keep}
+    # the kept blocks keep their order, so the level's coordinates of C_n,
+    # renumbered from 0, are the piece's coordinates
+    coords = {n: [i for i, lv in enumerate(X._coord_levels[n]) if lv == s] for n in keep}
+    diffs = {}
+    for n, d in base._diffs.items():
+        m = n + X.step
+        row = {i: k for k, i in enumerate(coords[m])}
+        cols = [{row[i]: x for i, x in d.matrix.cols[j].items() if i in row} for j in coords[n]]
+        M = la.IntMatrix((len(row), len(cols)), cols)
+        diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
+    derived._check_dd_zero(diffs, lambda n: n + X.step)
+    return ChainComplex(None, base.orientation, blocks, sums, diffs, base.top)
+
+
+def refiltered(piece, variant, P):
+    """The level piece refiltered by the key vertex of variant.second.  A
+    piece is not the nerve complex of a diagram, so the refiltration's
+    own level pieces, which page 0 reads, are sliced from it."""
+    inner = FilteredComplex(piece, variant.second, P)
+    inner._pieces = {t: restrict_to_level(inner, t) for t in range(inner.span + 1)}
+    return inner
+
+
 # ------------------------------------------------ test-only library surface
 # Definitions that nothing in the package, the benchmark or the demos
 # calls, kept here because the tests run them as oracles or use them to
@@ -1081,7 +1107,7 @@ def projective_by_lifting(F):
 
 def inner_column_ss(P, F, p, variant):
     """Pages of the second-level sequence feeding the outer page-1
-    column at p: the level-p graded piece of the unreduced complex
+    column at p: the level-p piece of page 0, which is unreduced,
     refiltered by the other vertex (the matching keeps only the first
     filtration's key vertex, so a reduced piece would change the inner
     pages).  The stable inner page is checked for rank/order consistency
@@ -1092,8 +1118,7 @@ def inner_column_ss(P, F, p, variant):
                          f"[{X.min_degree}, {X.max_degree}]")
     ge = X.variant.condition == ">="
     s_fixed = (X.max_degree - p) if ge else (p - X.min_degree)
-    graded = _restrict_to_level(X.unreduced, s_fixed)
-    inner = FilteredComplex(graded, variant.second, P)
+    inner = refiltered(X._pieces[s_fixed], variant, P)
     r_star = inner.span + 2
     pages = [page(inner, r) for r in range(r_star + 1)]
     outer_one = page(X, 1)

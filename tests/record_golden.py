@@ -10,7 +10,8 @@ seeded documents that generate writes (forest and layered,
 sums_of_standard, seeds 0-3, --max-objects 8), the refusals of spectral
 --variant foo, ², 9, --pages 3..1 and --pages ١..٢ and of colim
 --max-degree ١ on intro_pushout.json, validate on a document that is not
-JSON and on one that is not UTF-8, then gallery and oracle --seeds 25,
+JSON, on one that is not UTF-8 and on a chain of 1,500 objects (which
+the poset must walk without deep recursion), then gallery and oracle --seeds 25,
 each in text and with --json, and then the stdout of each script in
 demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
@@ -43,6 +44,28 @@ REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
            + [["colim", "--max-degree", "١"], ["spectral", "--variant", "3", "--pages", "١..٢"]])
 MALFORMED = {"malformed.json": b"{nope", "not-utf8.json": b'{"a": "\xff"}'}
 PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
+DEEP_CHAIN = "deep_chain.json"
+
+
+def deep_chain_document(n=1500):
+    """A valid document: constant Z on the chain x0 < x1 < ... of n objects."""
+    ids = [f"x{k}" for k in range(n)]
+    free = {"rank": 1, "relations": {"cols": 0, "data": [], "rows": 1}}
+    return {"format_version": "1.0", "name": "deep_chain",
+            "groups": {i: free for i in ids},
+            "maps": {f"{a}->{b}": {"cols": 1, "data": [1], "rows": 1}
+                     for a, b in zip(ids, ids[1:])},
+            "poset": {"covers": [[a, b] for a, b in zip(ids, ids[1:])],
+                      "direction": "increasing",
+                      "objects": [{"degree": k, "id": i} for k, i in enumerate(ids)]}}
+
+
+def write_deep_chain(folder):
+    """Write deep_chain_document() into folder as DEEP_CHAIN; returns its path."""
+    path = os.path.join(folder, DEEP_CHAIN)
+    with open(path, "w") as fh:
+        json.dump(deep_chain_document(), fh)
+    return path
 
 
 def write_malformed(folder):
@@ -71,11 +94,12 @@ def write_generated(folder):
     return paths
 
 
-def sweep_commands(generated, malformed):
+def sweep_commands(generated, malformed, deep_chain):
     """(key, argv) for every command of the sweep, generated and
-    malformed being write_generated's and write_malformed's {name: path};
-    the key names a document by its file name or by family and seed, so
-    it is the same in every checkout."""
+    malformed being write_generated's and write_malformed's {name: path}
+    and deep_chain write_deep_chain's path; the key names a document by
+    its file name or by family and seed, so it is the same in every
+    checkout."""
     data = resources.files("posetlim") / "data"
     names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
@@ -85,6 +109,7 @@ def sweep_commands(generated, malformed):
     runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
              for cmd in REFUSED]
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
+    runs += [(f"validate {DEEP_CHAIN}", ["validate", deep_chain])]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]
@@ -114,7 +139,8 @@ def demo_digest(path):
 
 def sweep():
     with tempfile.TemporaryDirectory() as folder:
-        commands = sweep_commands(write_generated(folder), write_malformed(folder))
+        commands = sweep_commands(write_generated(folder), write_malformed(folder),
+                                  write_deep_chain(folder))
         got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from posetlim import classify
 from posetlim import intlinalg as la
 from posetlim.abgroup import (
     AbHom,
@@ -171,7 +172,7 @@ def test_constant_mod_p_chain():
     assert not inj.ok and "'c'" in inj.reason
     report = classify_diagram(F)
     assert report.colim_acyclic and report.lim_acyclic
-    assert all(v.ok for v in report.pseudo_injective_at.values())
+    assert report.pseudo_injective.ok
     assert report.kernels["c"].invariant_factors == (5,)
     assert report.kernels["a"].is_trivial
 
@@ -371,10 +372,9 @@ def test_subset_sufficiency_brute_force():
 def test_report_covers_every_pair():
     F = intro_pushout()
     report = classify_diagram(F)
-    pairs = {(i, 1) for i in ("a", "b", "c")}
-    assert set(report.pseudo_projective_at) == pairs
-    assert set(report.pseudo_injective_at) == pairs
-    assert set(report.cokernels) == {"a", "b", "c"}
+    assert report.pseudo_projective == is_pseudo_projective(F)
+    assert report.pseudo_injective == is_pseudo_injective(F)
+    assert set(report.cokernels) == set(report.kernels) == {"a", "b", "c"}
 
 
 def test_classify_diagram_verdicts_match_the_public_checks():
@@ -404,6 +404,39 @@ def test_classify_diagram_verdicts_match_the_public_checks():
     # the injective side fails its group check before the pseudo check
     assert kinds == {("projective", "ok"), ("projective", "cokernel"),
                      ("projective", "not"), ("injective", "ok"), ("injective", "kernel")}
+
+
+def test_classify_stops_each_pseudo_side_at_its_first_failure(monkeypatch):
+    """classify_diagram computes the (object, d) verdicts of each side in
+    order, d outermost, up to the first failing one and no further."""
+    cases = []
+    for k in range(12):
+        cfg = GenConfig(seed=700 + k, family="forest" if k % 2 == 0 else "layered",
+                        max_objects=8)
+        P = gen_poset(cfg)
+        F = gen_diagram(cfg, P, "sums_of_standard")
+        pairs = [(i0, d) for d in range(1, P.dimension + 1) for i0 in P.ids]
+        want = []
+        for at in (is_pseudo_projective_at, is_pseudo_injective_at):
+            fails = [j for j, (i0, d) in enumerate(pairs) if not at(F, i0, d)]
+            want.append(fails[0] + 1 if fails else len(pairs))
+        cases.append((F, want, len(pairs)))
+    counts = {}
+
+    def counting(name, real):
+        def counted(*a):
+            counts[name] += 1
+            return real(*a)
+        return counted
+    for name in ("is_pseudo_projective_at", "is_pseudo_injective_at"):
+        monkeypatch.setattr(classify, name, counting(name, getattr(classify, name)))
+    stopped = 0
+    for F, want, n_pairs in cases:
+        counts.update(is_pseudo_projective_at=0, is_pseudo_injective_at=0)
+        classify_diagram(F)
+        assert [counts["is_pseudo_projective_at"], counts["is_pseudo_injective_at"]] == want
+        stopped += sum(n_pairs - w for w in want)
+    assert stopped > 0
 
 
 def test_classify_builds_each_joint_kernel_once(monkeypatch):

@@ -17,6 +17,7 @@ from posetlim.errors import OracleViolation, SchemaError
 from posetlim.jsonio import parse_diagram, serialize_diagram, validate_report
 
 from helpers import crown_tower, diagrams_equal, intro_pushout
+from record_golden import write_deep_chain
 
 
 @pytest.fixture
@@ -317,6 +318,21 @@ def test_over_the_chain_budget_exits_one_within_a_second(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.endswith(
             "chains, more than the budget of 100000 (--max-chains)\n"), err
+
+
+def test_a_chain_of_1500_objects_is_walked_without_deep_recursion(capsys, tmp_path):
+    """The poset's closures and length walk the ids by degree, so a chain
+    deeper than the interpreter's recursion limit validates, and its
+    colim is Z in degree 0 and 0 in every other degree."""
+    path = write_deep_chain(str(tmp_path))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out, err) == (0, "valid: 1500 objects, 1499 covers, direction increasing\n", "")
+    code, out, err = run(capsys, "--json", "colim", path)
+    assert code == 0 and err == ""
+    colim = json.loads(out)["derived"]["colim"]
+    assert len(colim) == 1500
+    assert colim[0] == {"free_rank": 1, "invariant_factors": []}
+    assert all(g == {"free_rank": 0, "invariant_factors": []} for g in colim[1:])
 
 
 def test_max_chains_counts_what_is_listed(capsys, intro_path):

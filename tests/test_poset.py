@@ -47,6 +47,13 @@ def test_validation_rejects_bad_input():
         validate_graded([("a", 0), ("b", None)], [("a", "b")])
 
 
+def test_duplicate_covers_are_dropped_in_first_seen_order():
+    P = validate_graded([("a", 0), ("b", 1), ("c", 1), ("d", 2)],
+                        [("a", "c"), ("c", "d"), ("a", "c"), ("a", "b"), ("c", "d"),
+                         ("b", "d"), ("a", "b")])
+    assert P.covers == [("a", "c"), ("c", "d"), ("a", "b"), ("b", "d")]
+
+
 def test_direction_conventions():
     P = validate_graded([("a", 1), ("b", 0)], [("a", "b")], direction="decreasing")
     assert P.degree == {"a": -1, "b": 0}

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from posetlim import derived, poset
+from posetlim import derived, poset, spectral
 from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
 from posetlim.derived import ChainComplex, derived_functor
@@ -25,7 +25,6 @@ from posetlim.spectral import (
     Variant,
     _compare_totals,
     _public_key,
-    _restrict_to_level,
     build_filtered,
     convergence_check,
     e_infinity,
@@ -48,6 +47,8 @@ from helpers import (
     random_torsion_sum_diagram,
     reference_cycles,
     reference_page_entries,
+    refiltered,
+    restrict_to_level,
     same_lattice,
     shape,
     times_two_pullback,
@@ -190,12 +191,25 @@ def test_page_rejects_negative_r():
         page(X, -1)
 
 
-def test_pages_refuse_d_squared_nonzero_inside_one_level():
-    # on a < b < c with constant Z, d(bc) = c - b gets an extra c; every
-    # level (the last vertex's) is kept, but d(d(abc)) = c inside level 2
+def test_pages_refuse_d_squared_nonzero_inside_one_level(monkeypatch):
+    # on a < b < c with constant Z, level 2 (the last vertex's) holds
+    # (c), (b,c), (a,c) and (a,b,c), whose faces (b,c) and (a,c) both keep
+    # c; flipping the sign of (a,c) keeps every face in its level, but
+    # d(d(abc)) = 2c inside level 2
     P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    assert page(build_filtered(P, constant_diagram(P, free_group(1)), CHAIN_LAST_INC), 0).entries
+
+    def flipped(F, kind, cell, _real=derived._faces):
+        return [(face, -sign if (cell, face) == (("a", "b", "c"), ("a", "c")) else sign, blk)
+                for face, sign, blk in _real(F, kind, cell)]
+
+    monkeypatch.setattr(spectral, "_faces", flipped)
+    X = build_filtered(P, constant_diagram(P, free_group(1)), CHAIN_LAST_INC)
+    with pytest.raises(OracleViolation, match="d o d is nonzero"):
+        page(X, 0)
+    # the sliced piece, the tests' oracle for the level pieces, keeps the
+    # same check: d(bc) = c - b with an extra c gives d(d(abc)) = c there
     base = chain_complex(constant_diagram(P, free_group(1)))
-    assert page(FilteredComplex(base, CHAIN_LAST_INC, P), 0).entries
     d = base._diffs[1]
     row = base.sums[0].offsets[base.blocks[0].index(("c",))]
     col = base.sums[1].offsets[base.blocks[1].index(("b", "c"))]
@@ -203,13 +217,9 @@ def test_pages_refuse_d_squared_nonzero_inside_one_level():
     diffs[1] = AbHom(d.source, d.target,
                      d.matrix + la.from_blocks(*d.matrix.shape, [(row, col, 1, la.eye(1))]),
                      check=False)
-    bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs, base.top)
-    X = FilteredComplex(bad, CHAIN_LAST_INC, P)
+    bad = ChainComplex(base.diagram, base.orientation, base.blocks, base.sums, diffs, base.top)
     with pytest.raises(OracleViolation, match="d o d is nonzero"):
-        page(X, 0)
-    # the same check guards the associated-graded piece at that level
-    with pytest.raises(OracleViolation, match="d o d is nonzero"):
-        _restrict_to_level(X, 2)
+        restrict_to_level(FilteredComplex(bad, CHAIN_LAST_INC, P), 2)
 
 
 def test_e_infinity_pushout():
@@ -431,38 +441,38 @@ def test_pages_and_filtered_complexes_are_shared():
 
 def test_convergence_after_build_filtered_reuses_the_nerve(monkeypatch):
     """Pages r >= 1, E-infinity and the convergence check run on the
-    Morse-reduced nerve alone; page 0 builds the unreduced complex once,
-    and the oracles and inner sequences after it build nothing more."""
-    builds = []
+    Morse-reduced nerve alone and list no chain of the whole poset; page
+    0 lists them once per filtered complex, and the oracles and inner
+    sequences after it list nothing more."""
+    listings = []
 
-    def counted(*a, _real=derived._nerve_complex, **k):
-        builds.append(1)
-        return _real(*a, **k)
-    monkeypatch.setattr(derived, "_nerve_complex", counted)
+    def counted(P, top, inside=None, _real=poset.chains_up_to):
+        if inside is None:
+            listings.append(1)
+        return _real(P, top, inside)
+    for module in (poset, derived, spectral):
+        monkeypatch.setattr(module, "chains_up_to", counted)
     for P, F in _seeded_diagrams():
-        built = set()
         for v in TABLE_VARIANTS:
             if v.direction != P.direction:
                 continue
             X = build_filtered(P, F, v)
-            new = v.complex not in built
-            built.add(v.complex)
-            before = len(builds)
+            before = len(listings)
             for r in range(1, X.span + 4):
                 page(X, r)
             stable = e_infinity(X)
             assert convergence_check(P, F, v).ok
-            assert len(builds) == before
+            assert len(listings) == before
             page(X, 0)
-            assert len(builds) == before + new
+            assert len(listings) == before + 1
             oracle_page_one(X)
             oracle_page_recurrence(X)
             inner_column_ss(P, F, X.min_degree, v)
-            assert len(builds) == before + new
+            assert len(listings) == before + 1
             assert build_filtered(P, F, v) is X
             assert e_infinity(X) is stable
-    # one chain and one cochain complex per diagram
-    assert len(builds) == 8
+    # one listing per diagram and variant whose direction matches
+    assert len(listings) == 16
 
 
 def test_shifted_grading_gets_its_own_filtered_complex():
@@ -532,7 +542,8 @@ def test_level_check_agrees_with_a_blockwise_scan():
                                               rng.choice([1, -1, 2]), la.eye(1))])
                 diffs = dict(base._diffs)
                 diffs[n] = AbHom(d.source, d.target, d.matrix + bump, check=False)
-                bad = ChainComplex(base.orientation, base.blocks, base.sums, diffs, base.top)
+                bad = ChainComplex(base.diagram, base.orientation, base.blocks, base.sums, diffs,
+                                   base.top)
                 want = _raises_level(X, diffs)
                 try:
                     FilteredComplex(bad, X.variant, X.poset)
@@ -545,9 +556,11 @@ def test_level_check_agrees_with_a_blockwise_scan():
 
 
 def test_graded_pieces_are_the_diagonal_blocks():
+    """The slicing oracle keeps exactly the entries of the base's
+    differentials whose row and column blocks both lie at the level."""
     for X in _filtered_cases(4):
         for s in range(X.span + 1):
-            graded = _restrict_to_level(X, s)
+            graded = restrict_to_level(X, s)
             for n, d in X.base._diffs.items():
                 m = n + X.step
                 rows = d.matrix.tolist()
@@ -559,6 +572,30 @@ def test_graded_pieces_are_the_diagonal_blocks():
                 got = graded._diffs[n].matrix
                 assert got.shape == (len(keep_rows), len(keep_cols))
                 assert got.tolist() == want
+
+
+def test_level_pieces_are_the_sliced_diagonal_blocks():
+    """Each level piece that page 0 builds from the faces keeping the key
+    vertex holds the blocks, groups and differentials sliced from the
+    unreduced nerve complex at that level."""
+    seen = set()
+    for P, F in list(_seeded_diagrams(8)) + bundled_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            seen.add(v.name)
+            X, U = build_filtered(P, F, v), _unreduced(F, v, P)
+            assert set(X._pieces) == set(range(X.span + 1))
+            for s, got in X._pieces.items():
+                want = restrict_to_level(U, s)
+                assert (got.top, got.orientation) == (want.top, want.orientation)
+                assert got.blocks == want.blocks, (v.name, s)
+                for n in range(want.top + 1):
+                    assert got.sums[n].summands == want.sums[n].summands
+                assert got._diffs.keys() == want._diffs.keys()
+                for n, d in want._diffs.items():
+                    assert got._diffs[n].matrix == d.matrix, (v.name, s, n)
+    assert seen == {v.name for v in TABLE_VARIANTS}
 
 
 # ------------------------------------------ cycle lattices and shared pages
@@ -594,8 +631,9 @@ def _oracle_complexes():
                 continue
             X = build_filtered(P, F, v)
             yield X
+            U = _unreduced(F, v, P)
             for s in range(X.span + 1):
-                yield FilteredComplex(_restrict_to_level(X.unreduced, s), v.second, P)
+                yield FilteredComplex(restrict_to_level(U, s), v.second, P)
 
 
 def test_cycle_lattices_match_reference():
@@ -766,7 +804,8 @@ def test_a_zero_source_is_checked_to_be_well_defined():
     fix = la.from_blocks(*d.matrix.shape, [(at[0][("a",)], at[1][("a", "b")], 1, la.eye(1))])
     diffs = dict(X.base._diffs)
     diffs[1] = AbHom(d.source, d.target, d.matrix + fix, check=False)
-    bad = ChainComplex(X.base.orientation, X.base.blocks, X.base.sums, diffs, X.base.top)
+    bad = ChainComplex(X.base.diagram, X.base.orientation, X.base.blocks, X.base.sums, diffs,
+                       X.base.top)
     with pytest.raises(ValueError, match="not well defined"):
         page(FilteredComplex(bad, CHAIN_LAST_INC, X.poset), 2)
 
@@ -880,7 +919,7 @@ def test_inner_sequences_refilter_the_unreduced_piece():
             U = _unreduced(F, v, P)
             for p in range(U.min_degree, U.max_degree + 1):
                 s = (U.max_degree - p) if v.condition == ">=" else (p - U.min_degree)
-                inner = FilteredComplex(_restrict_to_level(U, s), v.second, P)
+                inner = refiltered(restrict_to_level(U, s), v, P)
                 pages = inner_column_ss(P, F, p, v)
                 assert len(pages) == inner.span + 3
                 for r, pg in enumerate(pages):
