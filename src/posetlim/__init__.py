@@ -86,7 +86,6 @@ from .poset import (
     Chain,
     GradedPoset,
     PosetObject,
-    chain_counts,
     longest_chain_length,
     opposite,
     validate_graded,

@@ -83,8 +83,14 @@ class FgAbGroup:
         return f"FgAbGroup({self.ambient_rank}, rels={self.relations.shape[1]}: {self.describe()})"
 
 
+# the one zero group: the empty direct sum's group, every zero entry of
+# a page and the homology at every degree of ambient rank 0
+_ZERO = FgAbGroup(0)
+
+
 def trivial_group() -> FgAbGroup:
-    return FgAbGroup(0)
+    """The shared zero group (ambient rank 0); it is never mutated."""
+    return _ZERO
 
 
 def free_group(n: int) -> FgAbGroup:
@@ -254,10 +260,17 @@ class DirectSum:
     offsets: list
 
 
+# the empty direct sum, shared like the zero group it holds
+_EMPTY_SUM = DirectSum(_ZERO, [], [])
+
+
 def direct_sum(groups) -> DirectSum:
     """Direct sum as a block layout: summand k occupies the ambient rows
-    offsets[k] onward of group, and its relations sit block-diagonally."""
+    offsets[k] onward of group, and its relations sit block-diagonally.
+    The empty sum is one shared instance, whose lists must not be mutated."""
     summands = list(groups)
+    if not summands:
+        return _EMPTY_SUM
     offsets = []
     rel_blocks = []
     rank = cat = 0

@@ -14,8 +14,13 @@ derived_functor takes them from the Morse-reduced nerve complex
 (reduce_complex) on the carrier matching, which keeps only the critical
 chains of an acyclic matching; on a poset with a greatest (least)
 element that is a single chain.  The matching is decided group by
-group, and a group whose interval has a cone point is paired off
-without listing a chain, so such a poset's nerve is never listed.  The
+group, and a group whose interval has a cone point, read from the
+interval's extremal elements, is paired off without listing a chain,
+so such a poset's nerve is never listed.  A chain whose carrier's value
+has ambient rank 0 holds no coordinate, so it is not a cell of the
+Morse complex: its group is never decided and the flows treat it as
+zero.  A degree of ambient rank 0 holds no differential, and its
+homology is the shared zero group, with no lattice computed.  The
 spectral sequences take the reduced complex on whichever matching keeps
 their filtration's key vertex, the carrier one or the two-ended one.  A
 reduced complex records the ends its matching fixes, and every pair a
@@ -27,7 +32,7 @@ those levels.  Direct (co)limits are independent degree-0 oracles, and
 the Euler characteristic, counted from the poset alone, checks every
 full table.
 
-Whatever lists chains counts them first (poset.chain_counts) and
+Whatever lists chains counts them first (poset.chain_total) and
 refuses with ChainBudgetError past the chain budget (chain_budget, the
 CLI's --max-chains), so an input too wide to list fails at once.
 """
@@ -42,7 +47,7 @@ from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, compose, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
 from .errors import ChainBudgetError, OracleViolation
-from .poset import chain_counts, chains_up_to
+from .poset import chain_total, chains_up_to
 
 # The most chains one complex may list; the CLI's --max-chains.  Spectral
 # page 0 lists the whole nerve once per filtered complex and builds it
@@ -81,7 +86,9 @@ class ChainComplex:
     chains as tuples of ids, in block order.
 
     orientation "homological": differentials lower the degree by one;
-    "cohomological": they raise it.  Degrees outside 0..top are zero.
+    "cohomological": they raise it.  Degrees outside 0..top are zero, and
+    a degree whose group has ambient rank 0 (no block, or only zero
+    values) holds no differential; d_from gives the zero map there.
     A Morse complex also holds fixed = (h, f): every pair of its matching
     shares its first h and its last f vertices (each 0 or 1); an
     unreduced complex has none.  diagram is the detached diagram
@@ -164,7 +171,9 @@ def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None) -> ChainComplex:
     chain's first vertex (chain) or last (cochain).  The differential
     between a chain h of degree m >= 1 and a chain c one degree lower sums
     the (c, sign, block) entries of pieces(h), a None block being the
-    identity; it runs h -> c for chains and c -> h for cochains."""
+    identity; it runs h -> c for chains and c -> h for cochains.  No
+    differential is built into or out of a degree of ambient rank 0, and
+    no d o d check runs through one."""
     chain = kind == "chain"
     top = len(blocks) - 1
     index = {c: j for n in blocks for j, c in enumerate(blocks[n])}
@@ -172,6 +181,8 @@ def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None) -> ChainComplex:
             for n in blocks}
     diffs = {}
     for m in range(1, top + 1):
+        if not (sums[m].group.ambient_rank and sums[m - 1].group.ambient_rank):
+            continue
         entries = []
         for h in blocks[m]:
             hj = index[h]
@@ -204,7 +215,7 @@ def _nerve_complex(F: Diagram, kind: str) -> ChainComplex:
     F(tau_n -> tau_{n+1}).
     """
     P = F.poset
-    _check_budget(sum(chain_counts(P)), "the nerve")
+    _check_budget(chain_total(P, P.ids), "the nerve")
     blocks = dict(enumerate(chains_up_to(P, P.length)))
     return _complex(F, kind, blocks, lambda c: _faces(F, kind, c))
 
@@ -234,7 +245,9 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     a group it left.  The unpaired (critical) chains span the Morse
     complex, whose differentials sum the zig-zag paths between them
     (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is checked on the
-    result.
+    result.  A chain whose carrier's value has ambient rank 0 is not a
+    cell of it: it would hold no coordinate, so no matrix changes, its
+    group is not decided, and no flow expands a pair through it.
 
     The carrier matching keeps the first (chain) or last (cochain)
     vertex of every pair, the ends matching both, which is what a
@@ -250,59 +263,87 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
         ends = (1, 1)
     else:
         ends = (1, 0) if kind == "chain" else (0, 1)
-    M = _ElementMatching(F.poset, kind, ends)
+    zero = {v for v, G in F.groups.items() if not G.ambient_rank}
+    M = _ElementMatching(F.poset, kind, ends, zero)
     return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner, ends)
 
 
 class _ElementMatching:
     """The sequential element matching inside each group, decided one
     group at a time.  ends = (h, f) fixes the first h and the last f
-    vertices of every cell (each 0 or 1, not both 0): a cell is head +
-    tail + foot, the group is (head, foot), and the elements tried are
-    those of the open interval the head and foot bound.  They are tried
-    in order of internal degree, descending for chains and ascending for
-    cochains (ties by id), one step each: a step pairs every free tail t
-    without the element x with t plus x when that is free too.
+    vertices of every cell (each 0 or 1), always including the carrier:
+    h for chains, f for cochains.  A cell is head + tail + foot, the
+    group is (head, foot), and the elements tried are those of the open
+    interval the head and foot bound.  They are tried in order of
+    internal degree, descending for chains and ascending for cochains
+    (ties by id), one step each: a step pairs every free tail t without
+    the element x with t plus x when that is free too.
+
+    zero is the set of objects whose value has ambient rank 0.  A group
+    whose carrier is in it is neither decided nor listed: its cells hold
+    no coordinate, so they are not cells of the Morse complex, and the
+    flows treat them as zero (_morse_complex).
 
     When the first element x is comparable to the whole interval (a cone
-    point), step 1 pairs every tail with the tail that differs from it by
-    x, so the group has no critical cell: its cells are never listed, and
-    partner works a cell's partner out from the cell.  Every other group
-    lists its tails, walking inside the interval, and runs the steps on
-    them; a greatest (least) element of the interval is such a cone
-    point."""
+    point: its greatest element for chains, its least for cochains), step
+    1 pairs every tail with the tail that differs from it by x, so the
+    group has no critical cell: its cells are never listed, and partner
+    works a cell's partner out from the cell.  Every other group lists
+    its tails, walking inside the interval, and runs the steps on them."""
 
-    def __init__(self, P, kind, ends):
+    def __init__(self, P, kind, ends, zero):
         self.P = P
         self.chain = kind == "chain"
         self.h, self.f = ends
+        self.zero = zero
+        # P's maximal elements for chains, its minimal ones for cochains
+        self._extremal = [v for v in P.ids
+                          if not (P.covers_out if self.chain else P.covers_into)[v]]
         deg = P.degree
         self._order = ((lambda y: (-deg[y], y)) if self.chain
                        else (lambda y: (deg[y], y)))
         # (head, foot) -> (cone point, None) or (None, {cell: partner})
         self._groups = {}
 
-    def _intervals(self):
-        """Each group (head, foot) with its open interval."""
+    def _keys(self):
+        """Each group (head, foot) whose carrier is not in zero."""
         P = self.P
         for v in P.ids:
             if not self.f:
-                yield ((v,), ()), P.above_set[v]
+                keys = [((v,), ())]
             elif not self.h:
-                yield ((), (v,)), P.below_set[v]
+                keys = [((), (v,))]
             else:
-                for b in (v, *P.strictly_above[v]):
-                    yield ((v,), (b,)), P.above_set[v] & P.below_set[b]
+                keys = [((v,), (b,)) for b in (v, *P.strictly_above[v])]
+            for head, foot in keys:
+                if (head if self.chain else foot)[0] not in self.zero:
+                    yield head, foot
 
-    def _cone_point(self, inside):
-        """The first element of inside when it is comparable to all of
-        inside, else None.  It has the extreme degree there, so the rest
-        must lie below it (chains) or above it (cochains)."""
-        if not inside:
-            return None
-        x = min(inside, key=self._order)
-        rest = (self.P.below_set if self.chain else self.P.above_set)[x]
-        return x if len(inside & rest) == len(inside) - 1 else None
+    def _cone_point(self, head, foot):
+        """The cone point of the open interval head and foot bound, read
+        from its extremal elements without building it: the interval is a
+        cone exactly when it has one maximal element (chains: the lower
+        covers of the foot above the head, or P's maximal elements above
+        it) or one minimal element (cochains: the upper covers of the head
+        below the foot, or P's minimal elements below it); else None."""
+        P = self.P
+        if self.chain:
+            extremal = P.covers_into[foot[0]] if foot else self._extremal
+            inside = P.above_set[head[0]]
+        else:
+            extremal = P.covers_out[head[0]] if head else self._extremal
+            inside = P.below_set[foot[0]]
+        found = [x for x in extremal if x in inside]
+        return found[0] if len(found) == 1 else None
+
+    def _inside(self, head, foot):
+        """The open interval head and foot bound."""
+        P = self.P
+        if not foot:
+            return P.above_set[head[0]]
+        if not head:
+            return P.below_set[foot[0]]
+        return P.above_set[head[0]] & P.below_set[foot[0]]
 
     def _tails(self, inside):
         """The chains of the subposet inside, the empty one first."""
@@ -316,15 +357,15 @@ class _ElementMatching:
         the groups without a cone point are counted against the chain
         budget before any of them is listed."""
         listed = []
-        for key, inside in self._intervals():
-            x = self._cone_point(inside)
+        for key in self._keys():
+            x = self._cone_point(*key)
             if x is None:
-                listed.append((key, inside))
+                listed.append((key, self._inside(*key)))
             else:
                 self._groups[key] = (x, None)
         total = 0
         for _, inside in listed:
-            total += 1 + sum(chain_counts(self.P, inside))
+            total += 1 + chain_total(self.P, inside)
             _check_budget(total, "the Morse matching")
         out = []
         for (head, foot), inside in listed:
@@ -383,11 +424,13 @@ def _morse_complex(F, kind, critical, top, partner, fixed):
 
     flow(b) holds the zig-zag sum from the cell b one degree below a
     critical cell h to the critical cells of b's degree, as
-    {critical cell: block}.  It is the identity for critical b, zero when
-    b is paired with a face, and otherwise runs through b's partner s:
-    -[s:b] times the sum over the other faces b' of s of [s:b'] composed
-    with flow(b').  Chain blocks act after the flow (values move down
-    the path), cochain blocks before it.  Each flow is computed once; a
+    {critical cell: block}.  It is zero when the value at b's carrier has
+    ambient rank 0, as every path through b passes that value, so such a
+    cell's partner is never asked for.  Otherwise it is the identity for
+    critical b, zero when b is paired with a face, and else runs through
+    b's partner s: -[s:b] times the sum over the other faces b' of s of
+    [s:b'] composed with flow(b').  Chain blocks act after the flow
+    (values move down the path), cochain blocks before it.  Each flow is computed once; a
     path that comes back to a cell still being expanded means the
     matching is not acyclic, and a pair it expands that moves a fixed
     end means the matching is not the one fixed names: both raise
@@ -395,6 +438,10 @@ def _morse_complex(F, kind, critical, top, partner, fixed):
     """
     chain = kind == "chain"
     h, f = fixed
+
+    def rank(c):
+        """The ambient rank of the value at c's carrier."""
+        return F.groups[c[0] if chain else c[-1]].ambient_rank
 
     def along(B, M):
         if B is None or M is None:
@@ -408,11 +455,13 @@ def _morse_complex(F, kind, critical, top, partner, fixed):
             for c, M in flow(b).items():
                 M = along(B, M)
                 if M is None:
-                    M = la.eye(F.groups[c[0] if chain else c[-1]].ambient_rank)
+                    M = la.eye(rank(c))
                 acc[c] = acc[c] + sign * M if c in acc else sign * M
         return acc
 
     def partner_above(b):
+        if not rank(b):
+            return None
         s = partner(b)
         return s if s is not None and len(s) > len(b) else None
 
@@ -421,6 +470,8 @@ def _morse_complex(F, kind, critical, top, partner, fixed):
     def flow(b):
         if b in memo:
             return memo[b]
+        if not rank(b):
+            return {}
         s = partner(b)
         if s is None:
             return {b: None}
@@ -467,9 +518,10 @@ def _morse_complex(F, kind, critical, top, partner, fixed):
 
 
 def homology_at(X: ChainComplex, n: int) -> FgAbGroup:
-    """H_n (or H^n) of X, trivial outside degrees 0..top; computed once
-    per degree and kept on X."""
-    if not 0 <= n <= X.top:
+    """H_n (or H^n) of X, the shared zero group outside degrees 0..top
+    and at a degree whose group has ambient rank 0; computed once per
+    other degree and kept on X."""
+    if not 0 <= n <= X.top or not X.group_at(n).ambient_rank:
         return trivial_group()
     H = X._homology.get(n)
     if H is None:

@@ -260,28 +260,15 @@ def chains_up_to(P: GradedPoset, top: int, inside=None):
     return out
 
 
-def chain_counts(P: GradedPoset, inside=None):
-    """[the number of n-chains for n = 0..], without listing a chain; with
-    inside (a set of ids), of the chains of that subposet.  The n-chains
-    that start at v are v followed by an (n-1)-chain that starts above
-    it, so one pass from the top degree down counts them all."""
-    ids = P.ids if inside is None else inside
+def chain_total(P: GradedPoset, ids) -> int:
+    """The number of chains of the subposet on ids (a collection of P's
+    ids), without listing a chain: the chains that start at v are v
+    followed by a chain that starts above it, so they number
+    T(v) = 1 + the sum of T(w) over the w > v in ids."""
     starting = {}
     for v in sorted(ids, key=P.degree.get, reverse=True):
-        acc = [1]
-        for w in P.above_set[v]:
-            if w in starting:
-                ws = starting[w]
-                acc.extend([0] * (len(ws) + 1 - len(acc)))
-                for n, c in enumerate(ws, 1):
-                    acc[n] += c
-        starting[v] = acc
-    total = []
-    for acc in starting.values():
-        total.extend([0] * (len(acc) - len(total)))
-        for n, c in enumerate(acc):
-            total[n] += c
-    return total
+        starting[v] = 1 + sum(starting[w] for w in P.above_set[v] if w in starting)
+    return sum(starting.values())
 
 
 def enumerate_chains(P: GradedPoset, n: int):

@@ -36,12 +36,14 @@ lattices and no differential, so those pages share page span + 1's
 entries.  Each cycle lattice gets one SpanChecker, which every solve
 against it reuses.
 
-From r = 1 on, most entries are zero.  Every trivial entry is one shared
-zero group of ambient rank 0, and every map into or out of it is an
-empty zero map; an empty cycle lattice skips the subquotient, and the
-page recurrence takes the homology at a zero entry to be zero.  The
-checks on the boundaries, the containment of each differential in its
-target's cycles and well-definedness still run there.
+From r = 1 on, most entries are zero.  Every trivial entry is the one
+shared zero group (abgroup.trivial_group(), the same instance as an
+empty degree of a complex and its homology), and every map into or out
+of it is an empty zero map; an empty cycle lattice skips the
+subquotient, and the page recurrence takes the homology at a zero entry
+to be zero.  The checks on the boundaries, the containment of each
+differential in its target's cycles and well-definedness still run
+there.
 
 Internal bookkeeping uses one canonical shape: levels are shifted so
 the filtration is increasing from 0 and the differential never raises
@@ -75,7 +77,7 @@ from .derived import (
 )
 from .diagram import Diagram
 from .errors import ConvergenceViolation, MismatchError, OracleViolation, VariantMismatchError
-from .poset import GradedPoset, chain_counts, chains_up_to
+from .poset import GradedPoset, chain_total, chains_up_to
 
 # condition on the key vertex's degree that defines the first
 # filtration, per (complex, direction, key); the second filtration of
@@ -91,7 +93,7 @@ _CONDITION = {
     ("cochain", "increasing", "first"): "<=",
 }
 
-# the one group every trivial entry of a page r >= 1 is stored as
+# the shared zero group, which every trivial entry of a page r >= 1 is
 _ZERO = trivial_group()
 
 
@@ -221,7 +223,7 @@ class FilteredComplex:
         at level s, with the faces that keep that vertex.  The whole nerve
         is counted against the chain budget before a chain is listed."""
         P = self.poset
-        _check_budget(sum(chain_counts(P)), "the nerve")
+        _check_budget(chain_total(P, P.ids), "the nerve")
         blocks = {s: {n: [] for n in range(P.length + 1)} for s in range(self.span + 1)}
         for n, chains in enumerate(chains_up_to(P, P.length)):
             for c in chains:

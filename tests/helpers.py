@@ -318,9 +318,11 @@ def eager_reduce_complex(F, kind, matching="carrier"):
 def listed_matching(F, kind, matching="carrier"):
     """Every matched chain of reduce_complex's matching to its partner,
     from the whole chain list and the library's _ElementMatching.partner:
-    the oracle for the checks that never list the matching."""
+    the oracle for the checks that never list the matching.  It passes
+    no zero-valued object, so it lists the whole combinatorial matching,
+    zero-carrier groups included."""
     P = F.poset
-    M = derived._ElementMatching(P, kind, matching_ends(kind, matching))
+    M = derived._ElementMatching(P, kind, matching_ends(kind, matching), set())
     M.critical()
     out = {}
     for chains in chains_up_to(P, P.length):
@@ -794,6 +796,31 @@ def chain_complex(F):
 def cochain_complex(F):
     """The unreduced nerve cochain complex, sum of F(sigma_n) over chains."""
     return derived._nerve_complex(F, "cochain")
+
+
+def chain_counts(P, inside=None):
+    """[the number of n-chains for n = 0..], without listing a chain; with
+    inside (a set of ids), of the chains of that subposet; the per-degree
+    oracle for poset.chain_total.  The n-chains that start at v are v
+    followed by an (n-1)-chain that starts above it, so one pass from the
+    top degree down counts them all."""
+    ids = P.ids if inside is None else inside
+    starting = {}
+    for v in sorted(ids, key=P.degree.get, reverse=True):
+        acc = [1]
+        for w in P.above_set[v]:
+            if w in starting:
+                ws = starting[w]
+                acc.extend([0] * (len(ws) + 1 - len(acc)))
+                for n, c in enumerate(ws, 1):
+                    acc[n] += c
+        starting[v] = acc
+    total = []
+    for acc in starting.values():
+        total.extend([0] * (len(acc) - len(total)))
+        for n, c in enumerate(acc):
+            total[n] += c
+    return total
 
 
 def bounds(P):

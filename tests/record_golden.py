@@ -5,9 +5,10 @@
 Runs every command of the sweep in process and writes the sha256 of its
 stdout and of its stderr, and its exit code, to golden_outputs.json next
 to this file.  The sweep is validate, colim, lim, classify and spectral
---variant 1..8 on each bundled document, spectral --variant 1..8 on the
-seeded documents that generate writes (forest and layered,
-sums_of_standard, seeds 0-3, --max-objects 8), the refusals of spectral
+--variant 1..8 on each bundled document and on the seeded documents
+that generate writes (forest and layered, sums_of_standard, seeds 0-3,
+--max-objects 8), whose zero-valued objects give the reduced complexes
+cells that hold no coordinate, the refusals of spectral
 --variant foo, ², 9, --pages 3..1 and --pages ١..٢ and of colim
 --max-degree ١ on intro_pushout.json, validate on a document that is not
 JSON, on one that is not UTF-8 and on a chain of 1,500 objects (which
@@ -105,7 +106,7 @@ def sweep_commands(generated, malformed, deep_chain):
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
             for name in names for cmd in DOCUMENT_COMMANDS]
     runs += [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], path] + cmd[1:])
-             for name, path in generated.items() for cmd in SPECTRAL_COMMANDS]
+             for name, path in generated.items() for cmd in DOCUMENT_COMMANDS]
     runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
              for cmd in REFUSED]
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]

@@ -47,6 +47,16 @@ def test_classify_edge_cases():
     assert G.invariant_factors == (6,) and G.free_rank == 0
 
 
+def test_zero_is_one_shared_group():
+    """The zero group and the empty direct sum are each one shared
+    instance; a group of ambient rank 0 with relations is another one."""
+    assert trivial_group() is trivial_group()
+    assert direct_sum([]) is direct_sum([])
+    assert direct_sum([]).group is trivial_group()
+    assert direct_sum([]).summands == [] and direct_sum([]).offsets == []
+    assert FgAbGroup(0) is not trivial_group()
+
+
 def order_histogram(G):
     """Map m -> number of elements whose order divides m, by enumeration."""
     elems = enumerate_elements(G)

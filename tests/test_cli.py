@@ -335,6 +335,23 @@ def test_a_chain_of_1500_objects_is_walked_without_deep_recursion(capsys, tmp_pa
     assert all(g == {"free_rank": 0, "invariant_factors": []} for g in colim[1:])
 
 
+def test_the_nerve_of_a_chain_of_1500_objects_is_refused_within_seconds(capsys, tmp_path):
+    """On a chain every interval has a greatest element, so each group of
+    the two-ended matching is settled from the lower covers of its foot,
+    and page 0's nerve count of 2^1500 - 1 keeps one total per object:
+    spectral --variant 3 refuses the nerve, in text and with --json."""
+    path = write_deep_chain(str(tmp_path))
+    want = (f"the nerve would list at least {2 ** 1500 - 1} chains, more than the budget "
+            "of 100000 (--max-chains)")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectral", path, "--variant", "3")
+    assert (code, out, err) == (1, "", f"error: {want}\n")
+    code, out, err = run(capsys, "--json", "spectral", path, "--variant", "3")
+    assert time.perf_counter() - start < 30
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == f"ChainBudgetError: {want}"
+
+
 def test_max_chains_counts_what_is_listed(capsys, intro_path):
     """On the pushout the colim matching lists the 3 tails above a and
     the lone chains b and c; lim's groups below b and c are cones."""

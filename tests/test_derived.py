@@ -14,6 +14,7 @@ from posetlim.abgroup import (
     direct_sum,
     free_group,
     group_from_invariants,
+    homology,
     trivial_group,
 )
 from posetlim.derived import (
@@ -36,7 +37,6 @@ from posetlim.diagram import (
 from posetlim import poset
 from posetlim.errors import ChainBudgetError, FamilyMismatchError, OracleViolation
 from posetlim.poset import (
-    chain_counts,
     enumerate_chains,
     longest_chain_length,
     opposite,
@@ -49,6 +49,7 @@ from helpers import (
     boolean_lattice,
     bundled_diagrams,
     chain_complex,
+    chain_counts,
     cochain_complex,
     crown_tower,
     eager_reduce_complex,
@@ -576,17 +577,21 @@ def test_a_pair_that_moves_a_fixed_end_is_refused():
 def assert_matches_eager(F):
     """reduce_complex has the critical chains, the pairs and, entry for
     entry, the differentials of the matching run over the whole chain
-    list, for both kinds and both matchings."""
+    list, for both kinds and both matchings.  Its blocks leave out the
+    eager critical chains whose carrier's value has ambient rank 0: they
+    hold no coordinate, so every differential matrix is the same."""
     for kind in ("chain", "cochain"):
+        carrier = 0 if kind == "chain" else -1
         for matching in derived.MATCHINGS:
             R = reduce_complex(F, kind, matching)
             E, pairs = eager_reduce_complex(F, kind, matching)
-            assert R.top == E.top and R.blocks == E.blocks, (kind, matching)
+            nonzero = {n: [c for c in b if F.groups[c[carrier]].ambient_rank]
+                       for n, b in E.blocks.items()}
+            assert R.top == E.top and R.blocks == nonzero, (kind, matching)
             assert R.fixed == E.fixed, (kind, matching)
             assert listed_matching(F, kind, matching) == pairs, (kind, matching)
-            assert R._diffs.keys() == E._diffs.keys()
-            for n, d in E._diffs.items():
-                assert R._diffs[n].matrix == d.matrix, (kind, matching, n)
+            for n in range(E.top + 1):
+                assert R.d_from(n).matrix == E.d_from(n).matrix, (kind, matching, n)
 
 
 def test_lazy_matching_matches_eager_on_seeded_diagrams():
@@ -636,6 +641,53 @@ def test_cones_list_no_chain(monkeypatch):
     # the count sees the walks of groups without a cone point
     reduce_complex(constant_diagram(crown_tower(3), G), "chain")
     assert walks
+
+
+@pytest.mark.parametrize("name", ["grid4x4", "bool4"])
+def test_a_cone_holds_no_differential_and_one_homology(monkeypatch, name):
+    """Constant Z on a cone reduces to one critical chain in degree 0, so
+    every other degree is empty: the complex stores no differential,
+    abgroup.homology runs only at degree 0, and every other degree is
+    the shared zero group itself."""
+    calls = []
+
+    def counted(d_in, d_out, where):
+        calls.append(where)
+        return homology(d_in, d_out, where)
+    monkeypatch.setattr(derived, "homology", counted)
+    F = constant_diagram(shape(name), free_group(1))
+    for direction in ("colim", "lim"):
+        table = [derived_functor(F, direction, i) for i in range(F.poset.length + 2)]
+        assert table[0].is_isomorphic_to(free_group(1))
+        assert all(H is trivial_group() for H in table[1:])
+        assert derived._cached_complex(F, derived._kind(direction), "carrier")._diffs == {}
+    assert calls == ["degree 0", "degree 0"]
+
+
+def test_zero_valued_carriers_are_not_cells(monkeypatch):
+    """On bool3, for every representable and skyscraper diagram, both
+    kinds and both matchings, no chain whose carrier's value is zero
+    reaches _faces or is a block of the reduced complex, while the flows
+    still expand the other pairs."""
+    faces = derived._faces
+    seen = []
+
+    def recorded(F, kind, cell):
+        seen.append((F, kind, cell))
+        return faces(F, kind, cell)
+    monkeypatch.setattr(derived, "_faces", recorded)
+    P = shape("bool3")
+    for F in ([representable_diagram(P, c) for c in P.ids]
+              + [skyscraper_diagram(P, c, cyclic_group(2)) for c in P.ids]):
+        for kind in ("chain", "cochain"):
+            carrier = 0 if kind == "chain" else -1
+            for matching in derived.MATCHINGS:
+                R = reduce_complex(F, kind, matching)
+                assert all(F.groups[c[carrier]].ambient_rank
+                           for n in range(R.top + 1) for c in R.blocks[n]), (kind, matching)
+    assert seen
+    for F, kind, cell in seen:
+        assert F.groups[cell[0 if kind == "chain" else -1]].ambient_rank, (kind, cell)
 
 
 def test_chain_budget_refuses_before_listing():

@@ -12,7 +12,7 @@ from posetlim.errors import (
 from posetlim.poset import (
     GradedPoset,
     PosetObject,
-    chain_counts,
+    chain_total,
     chains_up_to,
     enumerate_chains,
     infer_degrees,
@@ -22,7 +22,7 @@ from posetlim.poset import (
 )
 from posetlim.randgen import GenConfig, gen_poset
 
-from helpers import SHAPES, bounds, per_degree_walk, shape
+from helpers import SHAPES, bounds, chain_counts, per_degree_walk, shape
 
 
 def pushout_poset():
@@ -138,6 +138,27 @@ def test_chain_counts_and_sets_agree_with_the_walk():
                 want = chain_counts(P, inside)
                 assert got[:len(want)] == want and not any(got[len(want):])
     assert sum(chain_counts(shape("grid5x5"))) == 10271
+
+
+def test_chain_total_is_the_summed_counts():
+    """chain_total, which keeps one count per vertex, equals the summed
+    per-degree counts on the test shapes and generated posets, on the
+    whole poset, every up- and down-set and every open interval, and on a
+    chain of 60 objects, whose 2^60 - 1 chains need big integers."""
+    posets = [shape(name) for name in SHAPES]
+    for seed in range(4):
+        cfg = GenConfig(seed=960 + seed, family=("forest", "layered")[seed % 2],
+                        max_objects=10)
+        posets += [gen_poset(cfg), opposite(gen_poset(cfg))]
+    for P in posets:
+        assert chain_total(P, P.ids) == sum(chain_counts(P))
+        for a in P.ids:
+            for inside in (P.above_set[a], P.below_set[a],
+                           *(P.above_set[a] & P.below_set[b] for b in P.strictly_above[a])):
+                assert chain_total(P, inside) == sum(chain_counts(P, inside))
+    ids = [f"x{k:02d}" for k in range(60)]
+    P = validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))
+    assert chain_total(P, P.ids) == sum(chain_counts(P)) == 2 ** 60 - 1
 
 
 def test_chain_properties():
