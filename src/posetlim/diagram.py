@@ -3,14 +3,22 @@
 A diagram assigns a group to each object and a hom to each cover; the
 composite along any cover path between two comparable objects is the
 value on the unique arrow, so all diamonds must commute.  Validation
-compares composites only at objects with two or more upper covers, and
-only where no shorter pair already forces them equal: one comparison
-per connected component of the first covers, grid4x4's 9 squares rather
-than all 36 pairs of first covers.  It composes only the homs those
-comparisons need, and reports the first failing diamond with both
-witness paths, the same ones an all-pairs comparison reports.  Every
-other composite is composed the first time it is asked for, along the
-first cover of its source below its target, and kept.
+compares p -> x -> q with p -> y -> q for every object p, every two
+upper covers x, y of p and every minimal element q of the common
+up-set of x and y, and nothing else: grid4x4's 9 squares rather than
+all 36 pairs of first covers below some object.
+
+That is enough, by induction on the degree gap from p to q.  Take two
+first covers x, y of p below q and suppose every pair with a smaller
+gap is path independent.  Either q is a minimal common upper bound of
+x and y, and the two composites are compared; or x and y lie below some
+m < q, and then both composites factor through m, where the shorter
+pair (p, m) is already path independent.  So the checks pass exactly
+when the functor commutes, and by increasing gap the first failing one
+is the pair, the two witness paths and the matrices that an all-pairs
+comparison reports.  Validation composes only the homs those checks
+need; every other composite is composed the first time it is asked for,
+along the first cover of its source below its target, and kept.
 """
 
 from __future__ import annotations
@@ -118,6 +126,11 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
     cover_maps: (p, p') -> AbHom for every cover, endpoints matching.
     Raises MissingDataError for absent data, MismatchError for wrong
     endpoints, DiamondError when two cover paths compose differently.
+    The functor commutes exactly when, for every p, every two upper
+    covers x, y of p and every minimal common upper bound q of x and y,
+    p -> x -> q and p -> y -> q agree (module docstring); these checks
+    run by increasing degree gap, so the first that fails is the first
+    failing pair of an all-pairs comparison.
     """
     for i in poset.ids:
         if i not in groups:
@@ -137,60 +150,35 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
             raise MissingDataError(f"map given for {c!r}, which is not a cover")
     F = Diagram(poset, dict(groups), maps, {})
 
-    # pairs by increasing degree gap.  Two first covers x, x' of p below
-    # q, both below some z < q, give equal composites once the shorter
-    # pairs (p, z), (x, q) and (x', q) are path independent, since both
-    # paths then run through z.  So only the first member of each
-    # connected component of that relation is compared, and the first
-    # one that differs is the first cover that an all-pairs comparison
-    # would have reported.  At a gap of 2 nothing lies strictly between
-    # a first cover and q, so every first cover is a head.
-    above, below = poset.above_set, poset.below_set
+    # one check per two upper covers x, y of p and per minimal element q
+    # of above[x] & above[y], by increasing degree gap; see the module
+    # docstring for why these suffice.  That set is an up-set, so q is
+    # minimal in it when none of q's lower covers lies in it.
+    above, degree = poset.above_set, poset.degree
     checks = []
     for p in poset.ids:
         ups = poset.covers_out[p]
-        if len(ups) > 1:
-            for q in above[p]:
-                firsts = [x for x in ups if q in above[x]]
-                if len(firsts) > 1:
-                    checks.append((poset.degree[q] - poset.degree[p], p, q, firsts))
+        for k, x in enumerate(ups):
+            for y in ups[k + 1:]:
+                common = above[x] & above[y]
+                for q in common:
+                    if common.isdisjoint(poset.covers_into[q]):
+                        checks.append((degree[q] - degree[p], p, q, x, y))
     checks.sort()
-    for gap, p, q, firsts in checks:
-        if gap > 2:
-            firsts = _component_heads(firsts, lambda x: above[x] & below[q])
-            if len(firsts) < 2:
-                continue
-        x = firsts[0]
-        chosen = compose(F.hom(x, q), maps[(p, x)])
-        path = (p,) + F.path(x, q)
-        for y in firsts[1:]:
-            comp = compose(F.hom(y, q), maps[(p, y)])
-            if not chosen.equal(comp):
-                other = (p,) + F.path(y, q)
-                raise DiamondError(
-                    f"paths {path} and {other} compose to different homs",
-                    path_a=path, path_b=other,
-                    matrix_a=chosen.matrix, matrix_b=comp.matrix)
-        F._composites[(p, q)] = (chosen, path)
+    through = {}  # (p, z, q) -> (p -> z -> q, its path) for a cover z of p
+    for _, p, q, x, y in checks:
+        for z in (x, y):
+            if (p, z, q) not in through:
+                h, path = F._composite(z, q)
+                through[(p, z, q)] = (compose(h, maps[(p, z)]), (p,) + path)
+        (a, path_a), (b, path_b) = through[(p, x, q)], through[(p, y, q)]
+        if not a.equal(b):
+            raise DiamondError(
+                f"paths {path_a} and {path_b} compose to different homs",
+                path_a=path_a, path_b=path_b, matrix_a=a.matrix, matrix_b=b.matrix)
+        if x == _first_cover(poset, p, q):
+            F._composites[(p, q)] = (a, path_a)
     return F
-
-
-def _component_heads(items, reach):
-    """The first item of each connected component, in order, where two
-    items are joined when their reach sets meet."""
-    heads, reaches = [], []
-    for x in items:
-        r = reach(x)
-        hit = [k for k, s in enumerate(reaches) if not s.isdisjoint(r)]
-        if not hit:
-            heads.append(x)
-            reaches.append(r)
-            continue
-        for k in reversed(hit[1:]):
-            r = r | reaches.pop(k)
-            heads.pop(k)
-        reaches[hit[0]] = reaches[hit[0]] | r
-    return heads
 
 
 def im_at(F: Diagram, i0: str) -> Subgroup:

@@ -147,15 +147,15 @@ def intmat(rows, shape=None) -> IntMatrix:
     >>> intmat([[1, 2], [3, 4]])[1, 0]
     3
     """
-    rows = [[int(x) for x in row] for row in rows]
     if not rows:
         return zeros(*(shape or (0, 0)))
     width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows")
     cols = [{} for _ in range(width)]
     for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError("ragged rows")
         for j, x in enumerate(row):
+            x = int(x)
             if x:
                 cols[j][i] = x
     return IntMatrix((len(rows), width), cols)

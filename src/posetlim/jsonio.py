@@ -253,8 +253,10 @@ def matrix_from_json(doc: dict, pointer: str):
     if len(doc["data"]) != rows * cols:
         _invalid(pointer, f"matrix declares {rows}x{cols} "
                           f"but carries {len(doc['data'])} entries")
+    # column j is every cols-th entry from j; the checked data are ints
     data = doc["data"]
-    return la.intmat([data[i * cols:(i + 1) * cols] for i in range(rows)], (rows, cols))
+    return la.IntMatrix((rows, cols), [{i: x for i, x in enumerate(data[j::cols]) if x}
+                                       for j in range(cols)])
 
 
 def group_to_json(G: FgAbGroup) -> dict:

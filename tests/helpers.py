@@ -84,6 +84,14 @@ def crown_tower(levels):
                            [(x, y) for lo, hi in zip(ids, ids[1:]) for x in lo for y in hi])
 
 
+def hexagon():
+    """p < x < a < q and p < y < b < q: the one minimal common upper
+    bound of x and y is q, three degrees above p."""
+    return validate_graded(
+        [("p", 0), ("x", 1), ("y", 1), ("a", 2), ("b", 2), ("q", 3)],
+        [("p", "x"), ("p", "y"), ("x", "a"), ("y", "b"), ("a", "q"), ("b", "q")])
+
+
 def pushout_poset():
     return validate_graded(
         [("a", 0), ("b", 1), ("c", 1)], [("a", "b"), ("a", "c")])

@@ -12,7 +12,10 @@ cells that hold no coordinate, the refusals of spectral
 --variant foo, ², 9, --pages 3..1 and --pages ١..٢ and of colim
 --max-degree ١ on intro_pushout.json, validate on a document that is not
 JSON, on one that is not UTF-8 and on a chain of 1,500 objects (which
-the poset must walk without deep recursion), then gallery and oracle --seeds 25,
+the poset must walk without deep recursion), validate and colim on four
+documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
+a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
+whose failing pair is three degrees apart), then gallery and oracle --seeds 25,
 each in text and with --json, and then the stdout of each script in
 demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
@@ -31,6 +34,8 @@ import tempfile
 from importlib import resources
 
 from posetlim import cli
+
+from helpers import crown_tower, hexagon, shape
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_outputs.json")
@@ -59,6 +64,40 @@ def deep_chain_document(n=1500):
             "poset": {"covers": [[a, b] for a, b in zip(ids, ids[1:])],
                       "direction": "increasing",
                       "objects": [{"degree": k, "id": i} for k, i in enumerate(ids)]}}
+
+
+def constant_z_document(name, P, broken, factor):
+    """A document of constant Z on the poset P, except that the cover
+    broken multiplies by factor."""
+    free = {"rank": 1, "relations": {"cols": 0, "data": [], "rows": 1}}
+    return {"format_version": "1.0", "name": name,
+            "groups": {i: free for i in P.ids},
+            "maps": {f"{a}->{b}": {"cols": 1, "data": [factor if (a, b) == broken else 1],
+                                   "rows": 1}
+                     for a, b in P.covers},
+            "poset": {"covers": [[a, b] for a, b in P.covers],
+                      "direction": "increasing",
+                      "objects": [{"degree": o.degree, "id": o.id} for o in P.objects]}}
+
+
+def diamond_documents():
+    """{file name: document} of four functors whose diamonds fail."""
+    broken = {"diamond_grid3x3": (shape("grid3x3"), ("g1_1", "g2_1"), 2),
+              "diamond_bool3": (shape("bool3"), ("s0", "s01"), -1),
+              "diamond_crown3": (crown_tower(3), ("c1a", "c2b"), 5),
+              "diamond_hexagon": (hexagon(), ("b", "q"), 2)}
+    return {f"{name}.json": constant_z_document(name, *args) for name, args in broken.items()}
+
+
+def write_diamonds(folder):
+    """Write each document of diamond_documents() into folder; returns
+    {name: path}."""
+    paths = {}
+    for name, doc in diamond_documents().items():
+        paths[name] = os.path.join(folder, name)
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
 
 
 def write_deep_chain(folder):
@@ -95,10 +134,11 @@ def write_generated(folder):
     return paths
 
 
-def sweep_commands(generated, malformed, deep_chain):
-    """(key, argv) for every command of the sweep, generated and
-    malformed being write_generated's and write_malformed's {name: path}
-    and deep_chain write_deep_chain's path; the key names a document by
+def sweep_commands(generated, malformed, deep_chain, diamonds):
+    """(key, argv) for every command of the sweep, generated, malformed
+    and diamonds being write_generated's, write_malformed's and
+    write_diamonds' {name: path} and deep_chain write_deep_chain's path;
+    the key names a document by
     its file name or by family and seed, so it is the same in every
     checkout."""
     data = resources.files("posetlim") / "data"
@@ -111,6 +151,8 @@ def sweep_commands(generated, malformed, deep_chain):
              for cmd in REFUSED]
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
     runs += [(f"validate {DEEP_CHAIN}", ["validate", deep_chain])]
+    runs += [(f"{cmd} {name}", [cmd, path]) for name, path in diamonds.items()
+             for cmd in ("validate", "colim")]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]
@@ -141,7 +183,7 @@ def demo_digest(path):
 def sweep():
     with tempfile.TemporaryDirectory() as folder:
         commands = sweep_commands(write_generated(folder), write_malformed(folder),
-                                  write_deep_chain(folder))
+                                  write_deep_chain(folder), write_diamonds(folder))
         got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):

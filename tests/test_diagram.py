@@ -33,6 +33,7 @@ from posetlim.errors import (
     UnknownIdError,
 )
 from posetlim.poset import validate_graded
+from posetlim.randgen import GenConfig, gen_poset
 
 from helpers import (
     NatTransformation,
@@ -42,6 +43,8 @@ from helpers import (
     coim_at,
     coker_functor,
     coker_prime_functor,
+    crown_tower,
+    hexagon,
     im_at_all_arrows,
     intro_pushout,
     ker_at_all_arrows,
@@ -102,42 +105,84 @@ def test_diamond_error_with_witnesses():
     assert vals == {2, 3}
 
 
+def oracle_posets():
+    """The posets validate_functor is checked against the all-pairs
+    comparison on: four cones, crown_tower(3), the hexagon and the
+    layered randgen posets of seeds 0-40 with up to 14 objects."""
+    posets = [shape(name) for name in ("bool3", "grid3x3", "bool4", "grid4x4")]
+    posets += [crown_tower(3), hexagon()]
+    posets += [gen_poset(GenConfig(seed=seed, max_objects=14, family="layered"))
+               for seed in range(41)]
+    return posets
+
+
+def agrees_with_all_pairs(P, groups, maps):
+    """validate_functor and all_pairs_composites agree on this data: both
+    raise a DiamondError with the same message, paths and matrices, or
+    both accept it with the same composite and path for every comparable
+    pair.  Returns whether they raised."""
+    try:
+        composites, paths = all_pairs_composites(P, groups, maps)
+    except DiamondError as want:
+        with pytest.raises(DiamondError) as got:
+            validate_functor(P, groups, maps)
+        a, b = got.value, want
+        assert str(a) == str(b)
+        assert (a.path_a, a.path_b) == (b.path_a, b.path_b)
+        assert a.matrix_a == b.matrix_a and a.matrix_b == b.matrix_b
+        return True
+    F = validate_functor(P, groups, maps)
+    for (p, q), h in composites.items():
+        assert F.hom(p, q).matrix == h.matrix, (p, q)
+        assert F.path(p, q) == paths[(p, q)], (p, q)
+    return False
+
+
 def test_one_broken_cover_gives_the_all_pairs_witnesses():
-    """Doubling one cover map of constant Z breaks the squares through it;
-    validate_functor reports the pair, the paths and the matrices that
-    the all-pairs comparison reports, whichever cover is broken."""
+    """Doubling one cover map of constant Z breaks the diamonds through
+    it; validate_functor reports the pair, the paths and the matrices
+    that the all-pairs comparison reports, whichever cover is broken, and
+    accepts what it accepts.  Every cover of the hexagon breaks it, each
+    at the pair (p, q) three degrees apart."""
     Z = free_group(1)
-    for name in ("bool3", "grid3x3"):
-        P = shape(name)
+    failed = 0
+    for P in oracle_posets():
         groups = {i: Z for i in P.ids}
         for broken in P.covers:
             maps = {c: AbHom(Z, Z, [[2 if c == broken else 1]]) for c in P.covers}
-            with pytest.raises(DiamondError) as want:
-                all_pairs_composites(P, groups, maps)
-            with pytest.raises(DiamondError) as got:
-                validate_functor(P, groups, maps)
-            a, b = got.value, want.value
-            assert str(a) == str(b)
-            assert (a.path_a, a.path_b) == (b.path_a, b.path_b), (name, broken)
-            assert a.matrix_a == b.matrix_a and a.matrix_b == b.matrix_b
+            failed += agrees_with_all_pairs(P, groups, maps)
+    assert failed > 100
+    P = hexagon()
+    for broken in P.covers:
+        maps = {c: AbHom(Z, Z, [[2 if c == broken else 1]]) for c in P.covers}
+        with pytest.raises(DiamondError) as got:
+            validate_functor(P, {i: Z for i in P.ids}, maps)
+        assert {got.value.path_a, got.value.path_b} == {("p", "x", "a", "q"), ("p", "y", "b", "q")}
 
 
 def test_composites_match_all_pairs():
+    """Functorial sums of standard diagrams give the all-pairs composites
+    and paths; seeded cover maps of 1, -1 or 5 on constant Z and Z/4,
+    dozens of which fail (over Z/4, 5 is 1), give its verdict and its
+    witnesses."""
     rng = random.Random(83)
-    for name in ("bool3", "grid3x3", "bool4", "grid4x4"):
-        P = shape(name)
+    failed = 0
+    for P in oracle_posets():
         for _ in range(2):
             F = random_torsion_sum_diagram(rng, P)
-            composites, paths = all_pairs_composites(P, F.groups, F.cover_maps)
-            for (p, q), h in composites.items():
-                assert F.hom(p, q).matrix == h.matrix, (name, p, q)
-                assert F.path(p, q) == paths[(p, q)], (name, p, q)
+            assert not agrees_with_all_pairs(P, F.groups, F.cover_maps)
+        for G in (free_group(1), free_group(1), cyclic_group(4), cyclic_group(4)):
+            maps = {c: AbHom(G, G, [[rng.choice((1, 1, 1, -1, 5))]]) for c in P.covers}
+            failed += agrees_with_all_pairs(P, {i: G for i in P.ids}, maps)
+    assert failed >= 24
 
 
 def test_validation_composes_only_what_it_compares(monkeypatch):
-    """Constant Z on grid4x4 composes two homs per square at validation,
-    18 rather than one per comparable pair; every other composite is
-    composed when asked for, equal to the all-pairs one."""
+    """Constant Z on grid4x4 composes two homs per check at validation:
+    each square's bottom object, its two upper covers and their one
+    minimal common upper bound, 18 composites rather than one per
+    comparable pair; every other composite is composed when asked for,
+    equal to the all-pairs one."""
     calls = []
 
     def counted(second, first):
@@ -158,8 +203,11 @@ def test_validation_composes_only_what_it_compares(monkeypatch):
 
 @pytest.mark.parametrize("name, compared", [("grid4x4", 9), ("bool5", 80)])
 def test_one_comparison_per_component_of_first_covers(monkeypatch, name, compared):
-    """grid4x4 compares its 9 squares, not the 36 pairs of first covers;
-    bool5 80, not 194."""
+    """One comparison per two upper covers of an object and per minimal
+    common upper bound of the two: grid4x4 compares its 9 squares, not
+    the 36 pairs of first covers below some object; bool5 80, one per
+    two-element extension of each subset (the join is the only minimal
+    common upper bound), not 194."""
     calls = []
     real = AbHom.equal
 
@@ -169,6 +217,14 @@ def test_one_comparison_per_component_of_first_covers(monkeypatch, name, compare
     monkeypatch.setattr(AbHom, "equal", counted)
     constant_diagram(shape(name), free_group(1))
     assert len(calls) == compared
+
+
+def test_validation_never_builds_below_set():
+    """Validation reads the up-sets only, so a poset that nothing else
+    asks for its down-sets never builds them."""
+    P = shape("grid4x4")
+    constant_diagram(P, free_group(1))
+    assert "below_set" not in P.__dict__
 
 
 def test_validate_missing_and_mismatched_data():

@@ -45,6 +45,10 @@ def test_validation_rejects_bad_input():
         validate_graded([("a", 0), ("b", 0)], [("a", "b")])
     with pytest.raises(DegreeError):
         validate_graded([("a", 0), ("b", None)], [("a", "b")])
+    with pytest.raises(DegreeError):
+        # with degrees given, a cycle has a cover that does not raise the
+        # degree by 1, so the degree check refuses it before any cycle check
+        validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c"), ("c", "a")])
 
 
 def test_duplicate_covers_are_dropped_in_first_seen_order():
