@@ -8,7 +8,7 @@ combination.  Everything reduces to exact integer lattice computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import prod
 
@@ -253,11 +253,7 @@ def quotient(G: FgAbGroup, S: Subgroup):
     return Q, proj
 
 
-@dataclass
-class DirectSum:
-    group: FgAbGroup
-    summands: list
-    offsets: list
+DirectSum = namedtuple("DirectSum", "group summands offsets")
 
 
 # the empty direct sum, shared like the zero group it holds

@@ -12,7 +12,8 @@ is a test oracle (tests/helpers.py), not part of the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from types import MappingProxyType
 
 from . import intlinalg as la
 from .abgroup import Subgroup, compose, direct_sum, hom_is_mono, kernel
@@ -21,46 +22,38 @@ from .diagram import Diagram, coker_at, im_at, ker_at
 from .errors import OracleViolation
 
 
-@dataclass(frozen=True)
-class PseudoWitness:
+class PseudoWitness(namedtuple("PseudoWitness", "i0 d components outside", defaults=((),))):
     """A failing family element: ambient components labelled by object.
 
     For the projective side, outside lists the summands whose component
     escapes its image subgroup; the injective side reports the whole
     tuple as unliftable and leaves outside empty.
     """
-    i0: str
-    d: int
-    components: tuple
-    outside: tuple = ()
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PseudoVerdict:
-    ok: bool
-    witness: PseudoWitness = None
+class PseudoVerdict(namedtuple("PseudoVerdict", "ok witness", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
-    ok: bool
-    reason: str = None
+class ConditionVerdict(namedtuple("ConditionVerdict", "ok reason", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
 def _degree_d_sources(P, i0, d):
-    return sorted(i for i in P.strictly_below[i0]
-                  if P.degree[i0] - P.degree[i] == d)
+    """The ids d degrees below i0 and under it, from one degree layer."""
+    return [i for i in P.layers.get(P.degree[i0] - d, ()) if i0 in P.above_set[i]]
 
 
 def _degree_d_targets(P, i0, d):
-    return sorted(i for i in P.strictly_above[i0]
-                  if P.degree[i] - P.degree[i0] == d)
+    """The ids d degrees above i0 and over it, from one degree layer."""
+    return [i for i in P.layers.get(P.degree[i0] + d, ()) if i in P.above_set[i0]]
 
 
 def _split_by_offsets(vec, ids, ds):
@@ -176,17 +169,11 @@ def is_injective(F: Diagram) -> ConditionVerdict:
                               lambda: is_pseudo_injective(F))
 
 
-@dataclass
-class ClassificationReport:
-    cokernels: dict
-    kernels: dict
-    pseudo_projective: PseudoVerdict
-    pseudo_injective: PseudoVerdict
-    projective: ConditionVerdict
-    injective: ConditionVerdict
-    colim_acyclic: AcyclicityResult
-    lim_acyclic: AcyclicityResult
-    consistency: dict = field(default_factory=dict)
+# consistency defaults to one shared read-only empty mapping
+ClassificationReport = namedtuple(
+    "ClassificationReport",
+    "cokernels kernels pseudo_projective pseudo_injective projective injective "
+    "colim_acyclic lim_acyclic consistency", defaults=(MappingProxyType({}),))
 
 
 def classify_diagram(F: Diagram) -> ClassificationReport:

@@ -39,9 +39,9 @@ CLI's --max-chains), so an input too wide to list fails at once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, compose, direct_sum, homology, trivial_group, zero_hom
@@ -329,21 +329,19 @@ class _ElementMatching:
         P = self.P
         if self.chain:
             extremal = P.covers_into[foot[0]] if foot else self._extremal
-            inside = P.above_set[head[0]]
+            found = [x for x in extremal if x in P.above_set[head[0]]]
         else:
             extremal = P.covers_out[head[0]] if head else self._extremal
-            inside = P.below_set[foot[0]]
-        found = [x for x in extremal if x in inside]
+            found = [x for x in extremal if foot[0] in P.above_set[x]]
         return found[0] if len(found) == 1 else None
 
     def _inside(self, head, foot):
-        """The open interval head and foot bound."""
+        """The open interval head and foot bound, read from up-sets only."""
         P = self.P
         if not foot:
             return P.above_set[head[0]]
-        if not head:
-            return P.below_set[foot[0]]
-        return P.above_set[head[0]] & P.below_set[foot[0]]
+        start = P.above_set[head[0]] if head else P.ids
+        return {x for x in start if foot[0] in P.above_set[x]}
 
     def _tails(self, inside):
         """The chains of the subposet inside, the empty one first."""
@@ -561,14 +559,20 @@ def euler_characteristic(F: Diagram, direction: str) -> int:
 
     It is sum_v free_rank F(v) e(v), where e(v) sums (-1)^n over the
     n-chains carried by v: for colim e(v) = 1 - sum of e(w) over w > v,
-    for lim the same over w < v.  Tensored with Q, homology keeps it.
+    for lim the same over w < v, summed as each w below v is reached,
+    so only up-sets are read.  Tensored with Q, homology keeps it.
     """
     P = F.poset
-    colim = _kind(direction) == "chain"
-    others = P.strictly_above if colim else P.strictly_below
     e = {}
-    for v in sorted(P.ids, key=P.degree.get, reverse=colim):
-        e[v] = 1 - sum(e[w] for w in others[v])
+    if _kind(direction) == "chain":
+        for v in sorted(P.ids, key=P.degree.get, reverse=True):
+            e[v] = 1 - sum(e[w] for w in P.above_set[v])
+    else:
+        below = dict.fromkeys(P.ids, 0)
+        for v in sorted(P.ids, key=P.degree.get):
+            e[v] = 1 - below[v]
+            for w in P.above_set[v]:
+                below[w] += e[v]
     return sum(F.groups[v].free_rank * e[v] for v in P.ids)
 
 
@@ -583,11 +587,9 @@ def check_euler_characteristic(F: Diagram, direction: str, table) -> None:
             f"the nerve's Euler characteristic is {want}")
 
 
-@dataclass(frozen=True)
-class AcyclicityResult:
-    acyclic: bool
-    degree: int = None
-    group: FgAbGroup = None
+class AcyclicityResult(namedtuple("AcyclicityResult", "acyclic degree group",
+                                  defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.acyclic

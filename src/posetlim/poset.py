@@ -9,7 +9,7 @@ enumerate_chains wraps each in a Chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -21,17 +21,13 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PosetObject:
-    id: str
-    degree: int
+PosetObject = namedtuple("PosetObject", "id degree")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(namedtuple("Chain", "vertices")):
     """Strictly ascending chain of object ids, as enumerate_chains lists
     it; everything else holds a chain as its tuple of ids."""
-    vertices: tuple
+    __slots__ = ()
 
     @property
     def first(self) -> str:
@@ -98,6 +94,14 @@ class GradedPoset:
     @cached_property
     def strictly_below(self):
         return {i: sorted(v) for i, v in self.below_set.items()}
+
+    @cached_property
+    def layers(self):
+        """Internal degree -> the sorted ids of that degree."""
+        out = {}
+        for i in self.ids:
+            out.setdefault(self.degree[i], []).append(i)
+        return out
 
     @cached_property
     def length(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, free_group, group_from_invariants, zero_hom
@@ -38,20 +38,19 @@ MAX_TORSION_FACTOR = 6
 MAX_MATRIX_ENTRY = 3
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    seed: int = 0
-    max_objects: int = 6
-    max_degree_span: int = 3
-    family: str = "forest"
+class GenConfig(namedtuple("GenConfig", "seed max_objects max_degree_span family",
+                           defaults=(0, 6, 3, "forest"))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_objects < 1:
             raise ValueError("max_objects must be at least 1")
         if self.max_degree_span < 0:
             raise ValueError("max_degree_span must be at least 0")
         if self.family not in POSET_FAMILIES:
             raise ValueError(f"unknown poset family {self.family!r}")
+        return self
 
     def stream(self, tag: str) -> random.Random:
         """Independent deterministic stream per (seed, operation)."""

@@ -59,9 +59,10 @@ the convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from functools import cached_property
 from math import prod
+from types import MappingProxyType
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, homology, trivial_group, zero_hom
@@ -97,17 +98,16 @@ _CONDITION = {
 _ZERO = trivial_group()
 
 
-@dataclass(frozen=True)
-class Variant:
-    """One row of the eight filtration presets."""
-    complex: str     # chain | cochain
-    key: str         # last | first (which chain vertex carries the level)
-    direction: str   # increasing | decreasing (must match the poset)
+class Variant(namedtuple("Variant", "complex key direction")):
+    """One row of the eight filtration presets: complex is chain or
+    cochain, key last or first (which chain vertex carries the level),
+    direction increasing or decreasing (must match the poset)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.complex, self.direction, self.key) not in _CONDITION:
-            raise ValueError(
-                f"no preset for ({self.complex!r}, {self.key!r}, {self.direction!r})")
+    def __new__(cls, complex, key, direction):
+        if (complex, direction, key) not in _CONDITION:
+            raise ValueError(f"no preset for ({complex!r}, {key!r}, {direction!r})")
+        return super().__new__(cls, complex, key, direction)
 
     @property
     def condition(self) -> str:
@@ -333,22 +333,21 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
     return X
 
 
-@dataclass(frozen=True)
-class SSPage:
-    """One page: entries keyed by the variant's public (p, q), plus the
-    same data in canonical (level, degree) keys for cross-checks.  Only
-    nonzero entries are published; from r = 1 on every trivial entry of
-    sn_entries is one shared group of ambient rank 0, and each sn_diffs
-    map into or out of it has an empty matrix.  Pages are cached on their
-    filtered complex and shared by every caller, so the dicts they hold
-    must not be mutated."""
-    r: int
-    type: str
-    bidegree: tuple
-    entries: dict
-    differentials: dict
-    sn_entries: dict = field(repr=False, default_factory=dict)
-    sn_diffs: dict = field(repr=False, default_factory=dict)
+class SSPage(namedtuple("SSPage", "r type bidegree entries differentials sn_entries sn_diffs",
+                        defaults=(MappingProxyType({}),) * 2)):
+    """One page, an immutable named tuple: entries keyed by the variant's
+    public (p, q), plus the same data in canonical (level, degree) keys
+    for cross-checks, which the repr leaves out (they default to one
+    shared read-only empty mapping).  Only nonzero entries are published;
+    from r = 1 on every trivial entry of sn_entries is one shared group
+    of ambient rank 0, and each sn_diffs map into or out of it has an
+    empty matrix.  Pages are cached on their filtered complex and shared
+    by every caller, so the dicts they hold must not be mutated."""
+    __slots__ = ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:5], self))
+        return f"SSPage({shown})"
 
 
 def _public_key(X: FilteredComplex, s, n):
@@ -360,8 +359,8 @@ def _public_key(X: FilteredComplex, s, n):
 
 
 def page(X: FilteredComplex, r: int) -> SSPage:
-    """Page r, computed once per (X, r); the returned page is shared and
-    must not be mutated.
+    """Page r, computed once per (X, r); the returned page is an
+    immutable named tuple, shared, whose dicts must not be mutated.
 
     Page 0 is the associated graded of the unreduced complex: at level s
     and degree n, the level-s chains' values, with the in-level part of d,
@@ -375,7 +374,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     From r = span + 1 on, every lattice below clamps to the same keys
     (cycles reaching level -1, boundaries from the top level) and no
     d_r lands on a level, so a later page is page span + 1 under its
-    own r and bidegree."""
+    own r and bidegree, holding the same dicts."""
     if r < 0:
         raise ValueError("pages are indexed by r >= 0")
     hit = X._pages.get(r)
@@ -383,7 +382,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
         return hit
     bidegree = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
     if r > X.span + 1:
-        X._pages[r] = replace(page(X, X.span + 1), r=r, bidegree=bidegree)
+        X._pages[r] = page(X, X.span + 1)._replace(r=r, bidegree=bidegree)
         return X._pages[r]
     step = X.step
     sn_entries, sn_diffs = _graded_page(X) if r == 0 else _subquotient_page(X, r)
@@ -526,20 +525,10 @@ def oracle_page_recurrence(X: FilteredComplex):
     return pages
 
 
-@dataclass(frozen=True)
-class DegreeComparison:
-    rank_ss: int
-    rank_target: int
-    orders_compared: bool
-    order_ss: int = None
-    order_target: int = None
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    ok: bool
-    variant: Variant
-    by_degree: dict
+DegreeComparison = namedtuple(
+    "DegreeComparison", "rank_ss rank_target orders_compared order_ss order_target",
+    defaults=(None, None))
+ConvergenceReport = namedtuple("ConvergenceReport", "ok variant by_degree")
 
 
 def _compare_totals(stable, n, target, where, what) -> DegreeComparison:

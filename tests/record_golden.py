@@ -11,8 +11,9 @@ that generate writes (forest and layered, sums_of_standard, seeds 0-3,
 cells that hold no coordinate, the refusals of spectral
 --variant foo, ², 9, --pages 3..1 and --pages ١..٢ and of colim
 --max-degree ١ on intro_pushout.json, validate on a document that is not
-JSON, on one that is not UTF-8 and on a chain of 1,500 objects (which
-the poset must walk without deep recursion), validate and colim on four
+JSON and on one that is not UTF-8, validate, colim and lim on a chain
+of 1,500 objects (which the poset must walk without deep recursion),
+classify on a chain of 60 objects, validate and colim on four
 documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
 a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
 whose failing pair is three degrees apart), then gallery and oracle --seeds 25,
@@ -51,6 +52,9 @@ REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
 MALFORMED = {"malformed.json": b"{nope", "not-utf8.json": b'{"a": "\xff"}'}
 PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
 DEEP_CHAIN = "deep_chain.json"
+# {file name: (objects, commands)} of the constant-Z chains of the sweep
+CHAINS = {DEEP_CHAIN: (1500, ["validate", "colim", "lim"]),
+          "chain60.json": (60, ["classify"])}
 
 
 def deep_chain_document(n=1500):
@@ -100,11 +104,11 @@ def write_diamonds(folder):
     return paths
 
 
-def write_deep_chain(folder):
-    """Write deep_chain_document() into folder as DEEP_CHAIN; returns its path."""
-    path = os.path.join(folder, DEEP_CHAIN)
+def write_deep_chain(folder, name=DEEP_CHAIN):
+    """Write the chain CHAINS[name] into folder as name; returns its path."""
+    path = os.path.join(folder, name)
     with open(path, "w") as fh:
-        json.dump(deep_chain_document(), fh)
+        json.dump(deep_chain_document(CHAINS[name][0]), fh)
     return path
 
 
@@ -134,11 +138,11 @@ def write_generated(folder):
     return paths
 
 
-def sweep_commands(generated, malformed, deep_chain, diamonds):
+def sweep_commands(generated, malformed, chains, diamonds):
     """(key, argv) for every command of the sweep, generated, malformed
     and diamonds being write_generated's, write_malformed's and
-    write_diamonds' {name: path} and deep_chain write_deep_chain's path;
-    the key names a document by
+    write_diamonds' {name: path} and chains {name: write_deep_chain's
+    path} for each name of CHAINS; the key names a document by
     its file name or by family and seed, so it is the same in every
     checkout."""
     data = resources.files("posetlim") / "data"
@@ -150,7 +154,8 @@ def sweep_commands(generated, malformed, deep_chain, diamonds):
     runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
              for cmd in REFUSED]
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
-    runs += [(f"validate {DEEP_CHAIN}", ["validate", deep_chain])]
+    runs += [(f"{cmd} {name}", [cmd, path]) for name, path in chains.items()
+             for cmd in CHAINS[name][1]]
     runs += [(f"{cmd} {name}", [cmd, path]) for name, path in diamonds.items()
              for cmd in ("validate", "colim")]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
@@ -182,8 +187,9 @@ def demo_digest(path):
 
 def sweep():
     with tempfile.TemporaryDirectory() as folder:
+        chains = {name: write_deep_chain(folder, name) for name in CHAINS}
         commands = sweep_commands(write_generated(folder), write_malformed(folder),
-                                  write_deep_chain(folder), write_diamonds(folder))
+                                  chains, write_diamonds(folder))
         got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):

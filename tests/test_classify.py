@@ -38,9 +38,12 @@ from posetlim.poset import opposite, validate_graded
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    SHAPES,
     NatTransformation,
+    crown_tower,
     enumerate_elements,
     free_cover,
+    hexagon,
     identity_transformation,
     intro_pushout,
     oracle_theorem_b,
@@ -50,6 +53,7 @@ from helpers import (
     random_free_forest_diagram,
     random_mixed_diagram,
     random_torsion_sum_diagram,
+    shape,
     solve_lifting,
     times_two_pullback,
 )
@@ -375,6 +379,24 @@ def test_report_covers_every_pair():
     assert report.pseudo_projective == is_pseudo_projective(F)
     assert report.pseudo_injective == is_pseudo_injective(F)
     assert set(report.cokernels) == set(report.kernels) == {"a", "b", "c"}
+
+
+def test_degree_d_arrows_are_read_from_one_layer():
+    """The sources and targets of the degree-d arrows at i0, each read from
+    the one degree layer d away, are those of a scan of all of i0's down-
+    and up-set, in the same order."""
+    posets = [shape(name) for name in SHAPES] + [crown_tower(3), hexagon(), pushout_poset()]
+    posets += [gen_poset(GenConfig(seed=seed, family=family))
+               for seed in range(41) for family in ("forest", "layered")]
+    for P in posets:
+        assert sorted(i for ids in P.layers.values() for i in ids) == P.ids
+        assert all(ids == sorted(ids) for ids in P.layers.values())
+        for i0 in P.ids:
+            for d in range(1, P.dimension + 1):
+                assert classify._degree_d_sources(P, i0, d) == sorted(
+                    i for i in P.strictly_below[i0] if P.degree[i0] - P.degree[i] == d)
+                assert classify._degree_d_targets(P, i0, d) == sorted(
+                    i for i in P.strictly_above[i0] if P.degree[i] - P.degree[i0] == d)
 
 
 def test_classify_diagram_verdicts_match_the_public_checks():

@@ -564,6 +564,32 @@ def test_cli_never_imports_numpy():
     assert r.returncode == 0, r.stderr[-2000:]
 
 
+def test_cli_never_imports_dataclasses_or_inspect():
+    """The records are named tuples, so neither the library nor any --json
+    command loads dataclasses or inspect; run in a fresh interpreter."""
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from importlib import resources",
+        "import posetlim",
+        "from posetlim import cli",
+        "def loaded():",
+        "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]",
+        "assert not loaded(), ('import posetlim', loaded())",
+        "doc = str(resources.files('posetlim').joinpath('data/intro_pushout.json'))",
+        "for argv in (['validate', doc], ['colim', doc], ['lim', doc], ['classify', doc],",
+        "             ['spectral', '--variant', '3', doc], ['gallery'],",
+        "             ['generate', '--seed', '1'], ['oracle', '--seeds', '2']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(['--json', *argv]) == 0, argv",
+        "    assert not loaded(), (argv, loaded())",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert r.returncode == 0, r.stderr[-2000:]
+
+
 def test_jsonschema_loads_only_to_explain_a_refusal(tmp_path):
     """Valid documents and reports are checked without jsonschema; the first
     refused document loads it and prints jsonschema's best_match text."""

@@ -18,6 +18,7 @@ from posetlim.abgroup import (
     trivial_group,
 )
 from posetlim.derived import (
+    check_euler_characteristic,
     colimit_direct,
     derived_functor,
     euler_characteristic,
@@ -36,6 +37,7 @@ from posetlim.diagram import (
 )
 from posetlim import poset
 from posetlim.errors import ChainBudgetError, FamilyMismatchError, OracleViolation
+from posetlim.jsonio import parse_diagram
 from posetlim.poset import (
     enumerate_chains,
     longest_chain_length,
@@ -67,6 +69,7 @@ from helpers import (
     unnormalized_complex,
     z2_square,
 )
+from record_golden import deep_chain_document
 
 
 def zero_one_pushout():
@@ -758,6 +761,19 @@ def test_euler_characteristic_counts_the_chains():
                 assert euler_characteristic(F, direction) == want
     with pytest.raises(ValueError):
         euler_characteristic(intro_pushout(), "sideways")
+
+
+def test_lim_reads_only_up_sets():
+    """The cochain matching and the Euler characteristic read up-sets
+    only, so lim on a grid and on a deep chain never builds a down-set."""
+    grid_F = constant_diagram(shape("grid4x4"), group_from_invariants(1, [2]))
+    _, chain_F = parse_diagram(deep_chain_document())
+    for F in (grid_F, chain_F):
+        P = F.poset
+        table = [derived_functor(F, "lim", i) for i in range(longest_chain_length(P) + 1)]
+        check_euler_characteristic(F, "lim", table)
+        assert "below_set" not in P.__dict__
+        assert "strictly_below" not in P.__dict__
 
 
 def test_euler_mismatch_is_an_oracle_violation(monkeypatch, tmp_path, capsys):
