@@ -287,9 +287,9 @@ class _ElementMatching:
     When the first element x is comparable to the whole interval (a cone
     point: its greatest element for chains, its least for cochains), step
     1 pairs every tail with the tail that differs from it by x, so the
-    group has no critical cell: its cells are never listed, and partner
-    works a cell's partner out from the cell.  Every other group lists
-    its tails, walking inside the interval, and runs the steps on them."""
+    group has no critical cell: nothing of it is listed or kept, and
+    partner reads the partner from the cell.  Every other group lists its
+    tails, walking inside the interval, runs the steps and keeps its pairs."""
 
     def __init__(self, P, kind, ends, zero):
         self.P = P
@@ -302,8 +302,8 @@ class _ElementMatching:
         deg = P.degree
         self._order = ((lambda y: (-deg[y], y)) if self.chain
                        else (lambda y: (deg[y], y)))
-        # (head, foot) -> (cone point, None) or (None, {cell: partner})
-        self._groups = {}
+        # (head, foot) -> {cell: partner} for each group critical lists
+        self._pairs = {}
 
     def _keys(self):
         """Each group (head, foot) whose carrier is not in zero."""
@@ -314,7 +314,7 @@ class _ElementMatching:
             elif not self.h:
                 keys = [((), (v,))]
             else:
-                keys = [((v,), (b,)) for b in (v, *P.strictly_above[v])]
+                keys = [((v,), (b,)) for b in (v, *sorted(P.above_set[v]))]
             for head, foot in keys:
                 if (head if self.chain else foot)[0] not in self.zero:
                     yield head, foot
@@ -354,13 +354,8 @@ class _ElementMatching:
         """The unpaired cells.  Every group is decided here: the tails of
         the groups without a cone point are counted against the chain
         budget before any of them is listed."""
-        listed = []
-        for key in self._keys():
-            x = self._cone_point(*key)
-            if x is None:
-                listed.append((key, self._inside(*key)))
-            else:
-                self._groups[key] = (x, None)
+        listed = [(key, self._inside(*key)) for key in self._keys()
+                  if self._cone_point(*key) is None]
         total = 0
         for _, inside in listed:
             total += 1 + chain_total(self.P, inside)
@@ -369,7 +364,7 @@ class _ElementMatching:
         for (head, foot), inside in listed:
             if head and head == foot:
                 # the one cell (a,) of the ends matching's group (a, a)
-                self._groups[(head, foot)] = (None, {})
+                self._pairs[(head, foot)] = {}
                 out.append(head)
                 continue
             free = set(self._tails(inside))
@@ -389,7 +384,7 @@ class _ElementMatching:
                     lo, hi = head + t + foot, head + up + foot
                     pairs[lo] = hi
                     pairs[hi] = lo
-            self._groups[(head, foot)] = (None, pairs)
+            self._pairs[(head, foot)] = pairs
             out.extend(head + t + foot for t in free)
         return out
 
@@ -400,12 +395,17 @@ class _ElementMatching:
         return t[:k] + (x,) + t[k:]
 
     def partner(self, c):
-        """The cell matched with c, None when c is critical."""
+        """The cell matched with c, None when c is critical; KeyError when
+        the matching decides no group of c, as when its carrier is in zero."""
         cut = len(c) - self.f
         head, foot = c[:self.h], c[cut:]
-        x, pairs = self._groups[(head, foot)]
-        if x is None:
+        pairs = self._pairs.get((head, foot))
+        if pairs is not None:
             return pairs.get(c)
+        carrier = (head if self.chain else foot)[0]
+        x = None if carrier in self.zero else self._cone_point(head, foot)
+        if x is None:
+            raise KeyError((head, foot))
         t = c[self.h:cut]
         if x in t:
             k = t.index(x)

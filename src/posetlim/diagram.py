@@ -18,7 +18,9 @@ when the functor commutes, and by increasing gap the first failing one
 is the pair, the two witness paths and the matrices that an all-pairs
 comparison reports.  Validation composes only the homs those checks
 need; every other composite is composed the first time it is asked for,
-along the first cover of its source below its target, and kept.
+along the first cover of its source below its target, and kept.  Only
+the homs are kept: a cover path is walked when something asks for one,
+as a failing check does for its two witness paths.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class Diagram:
         self.poset = poset
         self.groups = groups
         self.cover_maps = cover_maps
-        # (hom, cover path) by comparable pair, filled as they are asked for
+        # the hom by comparable pair, filled as they are asked for
         self._composites = composites
         # nerve complexes by (kind, matching) and filtered complexes by
         # (variant, display degrees); filled by derived and spectral
@@ -73,41 +75,37 @@ class Diagram:
         return Diagram(self.poset, self.groups, self.cover_maps, self._composites)
 
     def hom(self, p: str, q: str) -> AbHom:
-        """The value on the arrow p -> q: the composite along path(p, q)."""
-        return self._composite(p, q)[0]
-
-    def path(self, p, q):
-        """The cover path whose composite is hom(p, q)."""
-        return self._composite(p, q)[1]
-
-    def _composite(self, p, q):
-        """(hom, path) for p <= q, kept once composed.  The path runs
-        through the first cover of p below q, then along path(x, q) for
-        that cover x."""
+        """The value on the arrow p -> q, the composite along path(p, q),
+        kept once composed with every composite on the way."""
         cache = self._composites
-        hit = cache.get((p, q))
-        if hit is not None:
-            return hit
+        h = cache.get((p, q))
+        if h is not None:
+            return h
         P = self.poset
-        P._check_id(p)
-        P._check_id(q)
-        if p == q:
-            hit = cache[(p, p)] = (identity_hom(self.groups[p]), (p,))
-            return hit
-        if q not in P.above_set[p]:
+        if not P.leq(p, q):
             raise NoArrowError(f"no arrow {p!r} -> {q!r}")
+        if p == q:
+            return cache.setdefault((p, p), identity_hom(self.groups[p]))
         # first covers up from p to a pair already composed or a cover of q
         walk = [p]
         while (walk[-1], q) not in cache and q not in P.covers_out[walk[-1]]:
             walk.append(_first_cover(P, walk[-1], q))
         x = walk.pop()
-        h, path = cache.get((x, q)) or (self.cover_maps[(x, q)], (x, q))
-        cache[(x, q)] = (h, path)
+        h = cache[(x, q)] = cache.get((x, q)) or self.cover_maps[(x, q)]
         for y in reversed(walk):
-            h, path = compose(h, self.cover_maps[(y, x)]), (y,) + path
-            cache[(y, q)] = (h, path)
+            h = cache[(y, q)] = compose(h, self.cover_maps[(y, x)])
             x = y
-        return h, path
+        return h
+
+    def path(self, p, q):
+        """The cover path whose composite is hom(p, q): from p through the
+        first upper cover below q, or q itself, up to q."""
+        if not self.poset.leq(p, q):
+            raise NoArrowError(f"no arrow {p!r} -> {q!r}")
+        walk = [p]
+        while walk[-1] != q:
+            walk.append(_first_cover(self.poset, walk[-1], q))
+        return tuple(walk)
 
     def __repr__(self):
         vals = ", ".join(f"{i}: {self.groups[i].describe()}" for i in self.poset.ids)
@@ -115,8 +113,8 @@ class Diagram:
 
 
 def _first_cover(P: GradedPoset, p, q):
-    """The first of p's upper covers strictly below q."""
-    return next(x for x in P.covers_out[p] if q in P.above_set[x])
+    """The first of p's upper covers at or below q, for p < q."""
+    return next(x for x in P.covers_out[p] if x == q or q in P.above_set[x])
 
 
 def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
@@ -165,19 +163,19 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
                     if common.isdisjoint(poset.covers_into[q]):
                         checks.append((degree[q] - degree[p], p, q, x, y))
     checks.sort()
-    through = {}  # (p, z, q) -> (p -> z -> q, its path) for a cover z of p
+    through = {}  # (p, z, q) -> p -> z -> q for a cover z of p
     for _, p, q, x, y in checks:
         for z in (x, y):
             if (p, z, q) not in through:
-                h, path = F._composite(z, q)
-                through[(p, z, q)] = (compose(h, maps[(p, z)]), (p,) + path)
-        (a, path_a), (b, path_b) = through[(p, x, q)], through[(p, y, q)]
+                through[(p, z, q)] = compose(F.hom(z, q), maps[(p, z)])
+        a, b = through[(p, x, q)], through[(p, y, q)]
         if not a.equal(b):
+            path_a, path_b = (p,) + F.path(x, q), (p,) + F.path(y, q)
             raise DiamondError(
                 f"paths {path_a} and {path_b} compose to different homs",
                 path_a=path_a, path_b=path_b, matrix_a=a.matrix, matrix_b=b.matrix)
         if x == _first_cover(poset, p, q):
-            F._composites[(p, q)] = (a, path_a)
+            F._composites[(p, q)] = a
     return F
 
 

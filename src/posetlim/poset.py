@@ -39,7 +39,8 @@ class Chain(namedtuple("Chain", "vertices")):
 
 
 class GradedPoset:
-    """Validated graded poset.  Use validate_graded to construct."""
+    """Validated graded poset.  Use validate_graded to construct.  It
+    keeps the order once, as the covers both ways and the up-sets."""
 
     def __init__(self, objects, covers, direction):
         self.objects = list(objects)
@@ -76,24 +77,6 @@ class GradedPoset:
                 acc |= above[j]
             above[i] = frozenset(acc)
         return {i: above[i] for i in self.ids}
-
-    @cached_property
-    def below_set(self):
-        """id -> frozenset of the ids strictly below it."""
-        below = {i: set() for i in self.ids}
-        for i, ups in self.above_set.items():
-            for j in ups:
-                below[j].add(i)
-        return {i: frozenset(v) for i, v in below.items()}
-
-    @cached_property
-    def strictly_above(self):
-        """id -> sorted ids strictly above it."""
-        return {i: sorted(v) for i, v in self.above_set.items()}
-
-    @cached_property
-    def strictly_below(self):
-        return {i: sorted(v) for i, v in self.below_set.items()}
 
     @cached_property
     def layers(self):
@@ -246,10 +229,11 @@ def chains_up_to(P: GradedPoset, top: int, inside=None):
     that subposet."""
     out = [[] for _ in range(top + 1)]
     if inside is None:
-        starts, above = P.ids, P.strictly_above
+        starts = P.ids
+        above = {i: sorted(P.above_set[i]) for i in starts}
     else:
         starts = sorted(inside)
-        above = {i: [j for j in P.strictly_above[i] if j in inside] for i in starts}
+        above = {i: sorted(P.above_set[i] & inside) for i in starts}
 
     def extend(prefix):
         out[len(prefix) - 1].append(prefix)

@@ -232,13 +232,14 @@ def per_degree_walk(P, n, weak=False):
     again: the reference for poset.chains_up_to's one walk, and the
     cells of the unnormalized nerve."""
     out = []
+    above = {i: sorted(P.above_set[i]) for i in P.ids}
 
     def extend(prefix):
         if len(prefix) == n + 1:
             out.append(tuple(prefix))
             return
         last = prefix[-1]
-        for nxt in [last] + P.strictly_above[last] if weak else P.strictly_above[last]:
+        for nxt in [last] + above[last] if weak else above[last]:
             extend(prefix + [nxt])
 
     for start in P.ids:
@@ -278,14 +279,14 @@ def element_matching(P, kind, cells, ends):
         cut = len(c) - f
         tails.setdefault((c[:h], c[cut:]), set()).add(c[h:cut])
     partner = {}
+    below = below_set(P)
     for (head, foot), free in tails.items():
         if not head:
-            inside = P.strictly_below[foot[0]]
+            inside = below[foot[0]]
         elif not foot:
-            inside = P.strictly_above[head[0]]
+            inside = P.above_set[head[0]]
         else:
-            below = set(P.strictly_below[foot[0]])
-            inside = [x for x in P.strictly_above[head[0]] if x in below]
+            inside = P.above_set[head[0]] & below[foot[0]]
         for x in sorted(inside, key=lambda y: (-deg[y] if chain else deg[y], y)):
             if not free:
                 break
@@ -352,7 +353,7 @@ def all_pairs_composites(poset, groups, maps):
     composites = {(i, i): identity_hom(groups[i]) for i in poset.ids}
     paths = {(i, i): (i,) for i in poset.ids}
     pairs = sorted(
-        ((p, q) for p in poset.ids for q in poset.strictly_above[p]),
+        ((p, q) for p in poset.ids for q in poset.above_set[p]),
         key=lambda pq: (poset.degree[pq[1]] - poset.degree[pq[0]], pq))
     for p, q in pairs:
         chosen = None
@@ -384,7 +385,7 @@ def same_subgroup(S, T):
 def im_at_all_arrows(F, i0):
     """Same subgroup computed from every non-identity arrow into i0;
     kept as an independent cross-check of the cover reduction."""
-    blocks = [F.hom(j, i0).matrix for j in F.poset.strictly_below[i0]]
+    blocks = [F.hom(j, i0).matrix for j in strictly_below(F.poset)[i0]]
     rank = F.groups[i0].ambient_rank
     gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
     return Subgroup(F.groups[i0], gens)
@@ -394,7 +395,7 @@ def ker_at_all_arrows(F, i0):
     """Same subgroup as ker_at, intersected over every non-identity arrow
     out of i0; kept as an independent cross-check of the cover reduction."""
     lattice = la.eye(F.groups[i0].ambient_rank)
-    for q in F.poset.strictly_above[i0]:
+    for q in sorted(F.poset.above_set[i0]):
         h = F.hom(i0, q)
         lattice = la.intersect_lattices(lattice, la.preimage_lattice(h.matrix, h.target.relations))
     return Subgroup(F.groups[i0], lattice)
@@ -431,7 +432,8 @@ def coker_prime_functor(F):
     projects onto the identity-arrow summand.
     """
     C, _ = coker_functor(F)
-    keys = {i: sorted(F.poset.strictly_below[i] + [i]) for i in F.poset.ids}
+    below = below_set(F.poset)
+    keys = {i: sorted(below[i] | {i}) for i in F.poset.ids}
     sums = {i: direct_sum([C.groups[k] for k in keys[i]]) for i in F.poset.ids}
     groups = {i: sums[i].group for i in F.poset.ids}
     maps = {}
@@ -804,6 +806,35 @@ def chain_complex(F):
 def cochain_complex(F):
     """The unreduced nerve cochain complex, sum of F(sigma_n) over chains."""
     return derived._nerve_complex(F, "cochain")
+
+
+def below_set(P):
+    """id -> frozenset of the ids strictly below it, from the bottom
+    degree up through covers_into: the down-set oracle, which shares
+    nothing with P.above_set but the covers."""
+    below = {}
+    for i in sorted(P.ids, key=P.degree.get):
+        acc = set()
+        for j in P.covers_into[i]:
+            acc.add(j)
+            acc |= below[j]
+        below[i] = frozenset(acc)
+    return {i: below[i] for i in P.ids}
+
+
+def strictly_below(P):
+    """id -> the sorted ids strictly below it."""
+    return {i: sorted(v) for i, v in below_set(P).items()}
+
+
+# what a GradedPoset may keep besides the fields its constructor sets
+POSET_STATE = {"covers_out", "covers_into", "above_set", "layers", "length"}
+
+
+def kept_poset_state(P):
+    """The names P holds beyond the fields its constructor sets: the
+    cached properties that something has asked for."""
+    return set(vars(P)) - {"objects", "covers", "direction", "display_degrees", "degree", "ids"}
 
 
 def chain_counts(P, inside=None):

@@ -16,7 +16,8 @@ of 1,500 objects (which the poset must walk without deep recursion),
 classify on a chain of 60 objects, validate and colim on four
 documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
 a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
-whose failing pair is three degrees apart), then gallery and oracle --seeds 25,
+whose failing pair is three degrees apart), then gallery, oracle --seeds 25
+and the refusal of generate --family layered --max-objects 20000,
 each in text and with --json, and then the stdout of each script in
 demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
@@ -50,7 +51,8 @@ REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
            + [["spectral", "--variant", "3", "--pages", "3..1"]]
            + [["colim", "--max-degree", "١"], ["spectral", "--variant", "3", "--pages", "١..٢"]])
 MALFORMED = {"malformed.json": b"{nope", "not-utf8.json": b'{"a": "\xff"}'}
-PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"]]
+PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"],
+                  ["generate", "--family", "layered", "--max-objects", "20000"]]
 DEEP_CHAIN = "deep_chain.json"
 # {file name: (objects, commands)} of the constant-Z chains of the sweep
 CHAINS = {DEEP_CHAIN: (1500, ["validate", "colim", "lim"]),

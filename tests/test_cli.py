@@ -15,6 +15,7 @@ from posetlim.abgroup import free_group
 from posetlim.diagram import constant_diagram
 from posetlim.errors import OracleViolation, SchemaError
 from posetlim.jsonio import parse_diagram, serialize_diagram, validate_report
+from posetlim.randgen import MAX_OBJECTS
 
 from helpers import crown_tower, diagrams_equal, intro_pushout
 from record_golden import write_deep_chain
@@ -301,6 +302,23 @@ def test_numbers_out_of_range_exit_one(capsys, intro_path, argv, as_json):
         assert json.loads(err)["error"].startswith("PosetlimError: ")
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_generate_refuses_sizes_it_cannot_build(capsys):
+    """generate refuses more than randgen.MAX_OBJECTS objects at once, in
+    text and with --json, where the draw would run for minutes (20,000
+    objects) or run out of memory (100,000); MAX_OBJECTS itself builds."""
+    want = f"max_objects must be at most {MAX_OBJECTS}"
+    for m in (MAX_OBJECTS + 1, 20000, 100000):
+        argv = ["generate", "--family", "layered", "--max-objects", str(m)]
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", f"error: {want}\n")
+        code, out, err = run(capsys, "--json", *argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == f"PosetlimError: {want}"
+        assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "generate", "--max-objects", str(MAX_OBJECTS))
+    assert code == 0 and parse_diagram(out)
 
 
 def test_over_the_chain_budget_exits_one_within_a_second(capsys, tmp_path):

@@ -47,6 +47,7 @@ from posetlim.poset import (
 from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
+    POSET_STATE,
     SHAPES,
     boolean_lattice,
     bundled_diagrams,
@@ -58,6 +59,7 @@ from helpers import (
     element_matching,
     grid,
     intro_pushout,
+    kept_poset_state,
     listed_matching,
     pullback_poset,
     pushout_poset,
@@ -693,6 +695,42 @@ def test_zero_valued_carriers_are_not_cells(monkeypatch):
         assert F.groups[cell[0 if kind == "chain" else -1]].ambient_rank, (kind, cell)
 
 
+def test_ends_matching_keeps_only_the_groups_it_lists():
+    """On a chain of 300 objects every ends group (v, w) with w two or
+    more above v has a cone point, so the matching keeps a record only
+    for the groups it lists, (v, v) and (v, v+1), each one critical cell
+    and no pair, for both kinds; a cone group's partner is read from the
+    cell."""
+    ids = [f"x{k:03d}" for k in range(300)]
+    P = validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))
+    steps = list(zip(ids, ids[1:]))
+    for kind, cone in (("chain", "x004"), ("cochain", "x001")):
+        M = derived._ElementMatching(P, kind, (1, 1), set())
+        critical = M.critical()
+        assert sorted(critical) == sorted([(v,) for v in ids] + steps)
+        assert sorted(M._pairs) == sorted([((v,), (v,)) for v in ids]
+                                          + [((v,), (w,)) for v, w in steps])
+        assert not any(M._pairs.values())
+        c = ("x000", "x002", "x005")
+        s = tuple(sorted(c + (cone,)))
+        assert M.partner(c) == s and M.partner(s) == c
+
+
+def test_a_zero_carrier_cell_has_no_partner():
+    """A group whose carrier's value is zero is not decided, so asking for
+    the partner of one of its cells raises, even where the group has a
+    cone point that would give one."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    for kind, ends, cell in (("chain", (1, 0), ("a",)), ("cochain", (0, 1), ("c",)),
+                             ("chain", (1, 1), ("a", "c")), ("cochain", (1, 1), ("a", "c"))):
+        carrier = cell[0] if kind == "chain" else cell[-1]
+        M = derived._ElementMatching(P, kind, ends, {carrier})
+        M.critical()
+        with pytest.raises(KeyError):
+            M.partner(cell)
+        assert derived._ElementMatching(P, kind, ends, set()).partner(cell) is not None
+
+
 def test_chain_budget_refuses_before_listing():
     """Each builder that lists chains counts them first: the nerve and
     the groups of the matching without a cone point.  Nothing lists the
@@ -765,15 +803,16 @@ def test_euler_characteristic_counts_the_chains():
 
 def test_lim_reads_only_up_sets():
     """The cochain matching and the Euler characteristic read up-sets
-    only, so lim on a grid and on a deep chain never builds a down-set."""
+    only, so lim on a grid and on a deep chain leaves nothing on the
+    poset but what it keeps for every query: no down-set and no sorted
+    copy of an up-set."""
     grid_F = constant_diagram(shape("grid4x4"), group_from_invariants(1, [2]))
     _, chain_F = parse_diagram(deep_chain_document())
     for F in (grid_F, chain_F):
         P = F.poset
         table = [derived_functor(F, "lim", i) for i in range(longest_chain_length(P) + 1)]
         check_euler_characteristic(F, "lim", table)
-        assert "below_set" not in P.__dict__
-        assert "strictly_below" not in P.__dict__
+        assert kept_poset_state(P) <= POSET_STATE
 
 
 def test_euler_mismatch_is_an_oracle_violation(monkeypatch, tmp_path, capsys):

@@ -47,11 +47,13 @@ from helpers import (
     hexagon,
     im_at_all_arrows,
     intro_pushout,
+    kept_poset_state,
     ker_at_all_arrows,
     pushout_poset,
     random_torsion_sum_diagram,
     same_subgroup,
     shape,
+    strictly_below,
     transformation_to_hom,
 )
 
@@ -220,11 +222,11 @@ def test_one_comparison_per_component_of_first_covers(monkeypatch, name, compare
 
 
 def test_validation_never_builds_below_set():
-    """Validation reads the up-sets only, so a poset that nothing else
-    asks for its down-sets never builds them."""
+    """Validation reads the covers and the up-sets only, and the poset
+    keeps nothing else: no down-set and no sorted copy of an up-set."""
     P = shape("grid4x4")
     constant_diagram(P, free_group(1))
-    assert "below_set" not in P.__dict__
+    assert kept_poset_state(P) <= {"covers_out", "covers_into", "above_set"}
 
 
 def test_validate_missing_and_mismatched_data():
@@ -317,7 +319,7 @@ def test_coker_prime_functor():
     # pi projects onto the identity summand; composing with that
     # summand's inclusion gives the identity of Coker at b
     C, _ = coker_functor(F)
-    keys = sorted(F.poset.strictly_below["b"] + ["b"])
+    keys = sorted(strictly_below(F.poset)["b"] + ["b"])
     pos = keys.index("b")
     rank_before = sum(C.groups[k].ambient_rank for k in keys[:pos])
     rank = C.groups["b"].ambient_rank

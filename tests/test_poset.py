@@ -22,7 +22,15 @@ from posetlim.poset import (
 )
 from posetlim.randgen import GenConfig, gen_poset
 
-from helpers import SHAPES, bounds, chain_counts, per_degree_walk, shape
+from helpers import (
+    SHAPES,
+    below_set,
+    bounds,
+    chain_counts,
+    per_degree_walk,
+    shape,
+    strictly_below,
+)
 
 
 def pushout_poset():
@@ -74,8 +82,8 @@ def test_closure_and_precedes():
     assert P.leq("a", "c")
     assert P.leq("a", "a")
     assert not P.leq("c", "a")
-    assert P.strictly_above["a"] == ["b", "c"]
-    assert P.strictly_below["c"] == ["a", "b"]
+    assert sorted(P.above_set["a"]) == ["b", "c"]
+    assert strictly_below(P)["c"] == ["a", "b"]
     with pytest.raises(UnknownIdError):
         P.leq("a", "zz")
 
@@ -122,8 +130,9 @@ def test_one_walk_lists_every_degree_as_the_per_degree_walks_do():
 
 def test_chain_counts_and_sets_agree_with_the_walk():
     """chain_counts matches the listed chains per degree, on the whole
-    poset and inside the open intervals; the up- and down-sets and the
-    length match the sorted lists and the longest walked chain."""
+    poset and inside the open intervals; the length matches the longest
+    walked chain; and the down-sets, built bottom-up from covers_into,
+    have x below y exactly when y is in the up-set of x."""
     posets = [shape(name) for name in SHAPES if name != "grid5x5"]
     for seed in range(8):
         cfg = GenConfig(seed=950 + seed, family=("forest", "layered")[seed % 2],
@@ -133,11 +142,12 @@ def test_chain_counts_and_sets_agree_with_the_walk():
         walked = chains_up_to(P, P.length)
         assert chain_counts(P) == [len(c) for c in walked]
         assert P.length == longest_chain_length(P) == len(walked) - 1
+        below = below_set(P)
+        assert list(below) == P.ids
         for a in P.ids:
-            assert sorted(P.above_set[a]) == P.strictly_above[a]
-            assert sorted(P.below_set[a]) == P.strictly_below[a]
-            for b in P.strictly_above[a]:
-                inside = P.above_set[a] & P.below_set[b]
+            assert {x for x in P.ids if a in below[x]} == P.above_set[a]
+            for b in P.above_set[a]:
+                inside = P.above_set[a] & below[b]
                 got = [len(c) for c in chains_up_to(P, P.length, inside)]
                 want = chain_counts(P, inside)
                 assert got[:len(want)] == want and not any(got[len(want):])
@@ -156,9 +166,10 @@ def test_chain_total_is_the_summed_counts():
         posets += [gen_poset(cfg), opposite(gen_poset(cfg))]
     for P in posets:
         assert chain_total(P, P.ids) == sum(chain_counts(P))
+        below = below_set(P)
         for a in P.ids:
-            for inside in (P.above_set[a], P.below_set[a],
-                           *(P.above_set[a] & P.below_set[b] for b in P.strictly_above[a])):
+            for inside in (P.above_set[a], below[a],
+                           *(P.above_set[a] & below[b] for b in P.above_set[a])):
                 assert chain_total(P, inside) == sum(chain_counts(P, inside))
     ids = [f"x{k:02d}" for k in range(60)]
     P = validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))

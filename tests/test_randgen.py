@@ -8,6 +8,7 @@ from posetlim.poset import validate_graded
 from posetlim.randgen import (
     DIAGRAM_MODES,
     MAX_MATRIX_ENTRY,
+    MAX_OBJECTS,
     GenConfig,
     gen_diagram,
     gen_poset,
@@ -20,6 +21,9 @@ from helpers import bounds, diagrams_equal, pullback_poset, pushout_poset
 def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(max_objects=0)
+    with pytest.raises(ValueError, match=f"max_objects must be at most {MAX_OBJECTS}"):
+        GenConfig(max_objects=MAX_OBJECTS + 1)
+    assert GenConfig(max_objects=MAX_OBJECTS).max_objects == MAX_OBJECTS
     with pytest.raises(ValueError):
         GenConfig(family="grid")
     with pytest.raises(ValueError):
@@ -98,6 +102,9 @@ def test_sums_of_standard_on_any_poset():
 
 
 def test_pseudo_projective_mode_delivers():
+    """The mode's diagrams are pseudo-projective and colim-acyclic; it
+    draws each once and checks nothing, so every draw must be
+    pseudo-projective: both families, seeds 0-199, up to 14 objects."""
     posets = [pullback_poset()]
     for seed in range(6):
         posets.append(gen_poset(GenConfig(seed=seed)))
@@ -105,3 +112,10 @@ def test_pseudo_projective_mode_delivers():
         F = gen_diagram(GenConfig(seed=k), P, "pseudo_projective_by_construction")
         assert is_pseudo_projective(F).ok
         assert is_acyclic(F, "colim").acyclic
+    for family in ("forest", "layered"):
+        for seed in range(200):
+            for max_objects in (3, 6, 10, 14):
+                cfg = GenConfig(seed=seed, family=family, max_objects=max_objects)
+                F = gen_diagram(cfg, gen_poset(cfg), "pseudo_projective_by_construction")
+                assert is_pseudo_projective(F).ok, (family, seed, max_objects)
+

@@ -7,7 +7,8 @@ import pytest
 from posetlim import derived, poset, spectral
 from posetlim import intlinalg as la
 from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
-from posetlim.derived import ChainComplex, derived_functor
+from posetlim.classify import classify_diagram
+from posetlim.derived import ChainComplex, check_euler_characteristic, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
 from posetlim.errors import (
     ChainBudgetError,
@@ -35,12 +36,14 @@ from posetlim.spectral import (
 )
 
 from helpers import (
+    POSET_STATE,
     bundled_diagrams,
     chain_complex,
     cochain_complex,
     grid,
     inner_column_ss,
     intro_pushout,
+    kept_poset_state,
     pushout_poset,
     random_forest_poset,
     random_free_forest_diagram,
@@ -979,3 +982,25 @@ def test_a_dropped_diagram_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["grid4x4", "bool4"])
+def test_every_query_keeps_only_covers_and_up_sets(name):
+    """validate, the colim and lim tables with their Euler checks and
+    classify, then E_inf, the convergence check and the page recurrence
+    in the four increasing variants, leave on the poset only its covers
+    both ways, its up-sets, its layers and its length: no down-set and no
+    sorted copy of an up-set."""
+    P = shape(name)
+    F = constant_diagram(P, group_from_invariants(1, [2]))
+    for direction in ("colim", "lim"):
+        check_euler_characteristic(
+            F, direction, [derived_functor(F, direction, i) for i in range(P.length + 1)])
+    classify_diagram(F)
+    for v in TABLE_VARIANTS:
+        if v.direction == "increasing":
+            X = build_filtered(P, F, v)
+            e_infinity(X)
+            assert convergence_check(P, F, v).ok
+            oracle_page_recurrence(X)
+    assert kept_poset_state(P) <= POSET_STATE
