@@ -336,12 +336,16 @@ class _ElementMatching:
         return found[0] if len(found) == 1 else None
 
     def _inside(self, head, foot):
-        """The open interval head and foot bound, read from up-sets only."""
+        """The open interval head and foot bound, read from up-sets; with
+        both ends, from the layers strictly between their degrees only."""
         P = self.P
         if not foot:
             return P.above_set[head[0]]
-        start = P.above_set[head[0]] if head else P.ids
-        return {x for x in start if foot[0] in P.above_set[x]}
+        if not head:
+            return {x for x in P.ids if foot[0] in P.above_set[x]}
+        a, b = head[0], foot[0]
+        return {x for d in range(P.degree[a] + 1, P.degree[b]) for x in P.layers.get(d, ())
+                if x in P.above_set[a] and b in P.above_set[x]}
 
     def _tails(self, inside):
         """The chains of the subposet inside, the empty one first."""

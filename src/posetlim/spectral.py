@@ -36,20 +36,22 @@ lattices and no differential, so those pages share page span + 1's
 entries.  Each cycle lattice gets one SpanChecker, which every solve
 against it reuses.
 
-From r = 1 on, most entries are zero.  Every trivial entry is the one
-shared zero group (abgroup.trivial_group(), the same instance as an
-empty degree of a complex and its homology), and every map into or out
-of it is an empty zero map; an empty cycle lattice skips the
-subquotient, and the page recurrence takes the homology at a zero entry
-to be zero.  The checks on the boundaries, the containment of each
-differential in its target's cycles and well-definedness still run
-there.
+From r = 1 on, most entries are zero.  The builder gives every trivial
+entry as the one shared zero group (abgroup.trivial_group(), the same
+instance as an empty degree of a complex and its homology), and every
+map into or out of it as an empty zero map; an empty cycle lattice
+skips the subquotient, and the page recurrence takes the homology at a
+zero entry to be zero.  The checks on the boundaries, the containment
+of each differential in its target's cycles and well-definedness still
+run there.
 
 Internal bookkeeping uses one canonical shape: levels are shifted so
 the filtration is increasing from 0 and the differential never raises
-the level.  Published entries translate back to the preset's (p, q)
-indexing, with q chosen so that d_r has the textbook bidegree for the
-declared homological or cohomological type.
+the level.  The builders work at every (level, degree); a page keeps
+only its nonzero entries, and the differential out of each, keyed by the
+preset's (p, q), with q chosen so that d_r has the textbook bidegree
+for the declared homological or cohomological type.  The page checks
+read the page in those keys, an absent key being the zero group.
 
 Each page is computed once per filtered complex and kept on it, and
 each filtered complex once per (diagram, variant, grading) and kept on
@@ -62,7 +64,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import prod
-from types import MappingProxyType
 
 from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, homology, trivial_group, zero_hom
@@ -157,11 +158,12 @@ class FilteredComplex:
     """A nerve complex, unreduced or Morse-reduced, with a level attached
     to every chain block.
 
-    A chain's preset p is the display degree of its key vertex.
-    Canonical levels (_level, and _levels per degree in block order)
-    shift that to 0-based increasing form; the respect invariant (the
-    differential never raises the canonical level) is verified on
-    construction, entry by nonzero entry, and so is the base's matching:
+    A chain's preset p is the display degree of its key vertex.  Its
+    canonical level (_level) shifts that to 0-based increasing form, and
+    the levels are stored once, per coordinate of each degree
+    (_coord_levels); the respect invariant (the differential never raises
+    the canonical level) is verified on construction, entry by nonzero
+    entry, and so is the base's matching:
     it must fix the key vertex of every pair, or the reduction would not
     be filtered.  The base checks each pair its flows expand against the
     ends it fixes (derived._morse_complex).
@@ -175,13 +177,10 @@ class FilteredComplex:
         self.min_degree = min(degs.values())
         self.max_degree = max(degs.values())
         self.span = self.max_degree - self.min_degree
-        self._levels = {}
-        self._coord_levels = {}
-        for n in range(base.top + 1):
-            lv = [self._level(c) for c in base.blocks[n]]
-            self._levels[n] = lv
-            self._coord_levels[n] = [level for level, G in zip(lv, base.sums[n].summands)
-                                     for _ in range(G.ambient_rank)]
+        self._coord_levels = {
+            n: [lv for c, G in zip(base.blocks[n], base.sums[n].summands)
+                for lv in [self._level(c)] * G.ambient_rank]
+            for n in range(base.top + 1)}
         self._z_cache = {}
         self._checkers = {}
         self._pages = {}
@@ -333,29 +332,22 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
     return X
 
 
-class SSPage(namedtuple("SSPage", "r type bidegree entries differentials sn_entries sn_diffs",
-                        defaults=(MappingProxyType({}),) * 2)):
-    """One page, an immutable named tuple: entries keyed by the variant's
-    public (p, q), plus the same data in canonical (level, degree) keys
-    for cross-checks, which the repr leaves out (they default to one
-    shared read-only empty mapping).  Only nonzero entries are published;
-    from r = 1 on every trivial entry of sn_entries is one shared group
-    of ambient rank 0, and each sn_diffs map into or out of it has an
-    empty matrix.  Pages are cached on their filtered complex and shared
-    by every caller, so the dicts they hold must not be mutated."""
-    __slots__ = ()
+# One page: its nonzero entries, and the differential out of each, keyed
+# by the variant's public (p, q); a key it does not hold is the zero
+# group.  Pages are cached on their filtered complex and shared by every
+# caller, so the dicts they hold must not be mutated.
+SSPage = namedtuple("SSPage", "r type bidegree entries differentials")
 
-    def __repr__(self):
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[:5], self))
-        return f"SSPage({shown})"
+
+def _total(X: FilteredComplex, n):
+    """The total degree p + q of X's entries in complex degree n."""
+    aligned = (X.variant.complex == "chain") == (X.variant.type == "homological")
+    return n if aligned else -n
 
 
 def _public_key(X: FilteredComplex, s, n):
-    ge = X.variant.condition == ">="
-    p = (X.max_degree - s) if ge else (X.min_degree + s)
-    aligned = (X.variant.complex == "chain") == (X.variant.type == "homological")
-    t = n if aligned else -n
-    return p, t - p
+    p = (X.max_degree - s) if X.variant.condition == ">=" else (X.min_degree + s)
+    return p, _total(X, n) - p
 
 
 def page(X: FilteredComplex, r: int) -> SSPage:
@@ -385,30 +377,29 @@ def page(X: FilteredComplex, r: int) -> SSPage:
         X._pages[r] = page(X, X.span + 1)._replace(r=r, bidegree=bidegree)
         return X._pages[r]
     step = X.step
-    sn_entries, sn_diffs = _graded_page(X) if r == 0 else _subquotient_page(X, r)
-    _check_dd_zero(sn_diffs, lambda k: (k[0] - r, k[1] + step))
+    groups, maps = _graded_page(X) if r == 0 else _subquotient_page(X, r)
+    _check_dd_zero(maps, lambda k: (k[0] - r, k[1] + step))
     entries = {}
     diffs = {}
-    for (s, n), E in sn_entries.items():
-        if E.is_trivial:
-            continue
-        pq = _public_key(X, s, n)
-        entries[pq] = E
-        diffs[pq] = sn_diffs[(s, n)]
-    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs, sn_entries, sn_diffs)
+    for (s, n), E in groups.items():
+        if not E.is_trivial:
+            pq = _public_key(X, s, n)
+            entries[pq] = E
+            diffs[pq] = maps[(s, n)]
+    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs)
     return X._pages[r]
 
 
 def _graded_page(X: FilteredComplex):
     """Page 0's entries and differentials, keyed (level, degree): the
     groups and differentials of X's level pieces."""
-    sn_entries = {}
-    sn_diffs = {}
+    groups = {}
+    maps = {}
     for s, graded in X._pieces.items():
         for n in range(graded.top + 1):
-            sn_entries[(s, n)] = graded.group_at(n)
-            sn_diffs[(s, n)] = graded.d_from(n)
-    return sn_entries, sn_diffs
+            groups[(s, n)] = graded.group_at(n)
+            maps[(s, n)] = graded.d_from(n)
+    return groups, maps
 
 
 def _subquotient_page(X: FilteredComplex, r: int):
@@ -423,8 +414,8 @@ def _subquotient_page(X: FilteredComplex, r: int):
     presentation.  Into a trivial entry every map is well defined, as its
     relations span its whole ambient lattice."""
     step = X.step
-    sn_entries = {}
-    sn_lattice = {}
+    groups = {}
+    lattices = {}
     presented = {}
     for n in range(X.base.top + 1):
         d_in = X.base.d_into(n)
@@ -444,30 +435,30 @@ def _subquotient_page(X: FilteredComplex, r: int):
             if E is not _ZERO and E.is_trivial:
                 presented[(s, n)] = E
                 E = _ZERO
-            sn_entries[(s, n)] = E
-            sn_lattice[(s, n)] = Z
-    sn_diffs = {}
-    for (s, n), E in sn_entries.items():
+            groups[(s, n)] = E
+            lattices[(s, n)] = Z
+    maps = {}
+    for (s, n), E in groups.items():
         tgt = (s - r, n + step)
-        if tgt not in sn_entries:
-            sn_diffs[(s, n)] = zero_hom(E, _ZERO)
+        if tgt not in groups:
+            maps[(s, n)] = zero_hom(E, _ZERO)
             continue
-        T = sn_entries[tgt]
-        moved = X.base.d_from(n).matrix @ sn_lattice[(s, n)]
-        coeff = X._checker(sn_lattice[tgt]).solve(moved)
+        T = groups[tgt]
+        moved = X.base.d_from(n).matrix @ lattices[(s, n)]
+        coeff = X._checker(lattices[tgt]).solve(moved)
         if coeff is None:
             raise OracleViolation(
                 f"page-{r} differential leaves the target cycles at "
                 f"level {s}, degree {n}")
         if T is _ZERO:
-            sn_diffs[(s, n)] = zero_hom(E, T)
+            maps[(s, n)] = zero_hom(E, T)
         elif E is not _ZERO:
-            sn_diffs[(s, n)] = AbHom(E, T, coeff)
+            maps[(s, n)] = AbHom(E, T, coeff)
         else:
             if (s, n) in presented:
                 AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
-            sn_diffs[(s, n)] = zero_hom(E, T)
-    return sn_entries, sn_diffs
+            maps[(s, n)] = zero_hom(E, T)
+    return groups, maps
 
 
 def e_infinity(X: FilteredComplex) -> SSPage:
@@ -489,7 +480,7 @@ def oracle_page_one(X: FilteredComplex):
     for s, graded in X._pieces.items():
         for n in range(X.base.top + 1):
             expected = homology_at(graded, n)
-            got = first.sn_entries[(s, n)]
+            got = first.entries.get(_public_key(X, s, n), _ZERO)
             if not got.is_isomorphic_to(expected):
                 raise OracleViolation(
                     f"page 1 at level {s}, degree {n} is {got.describe()}, "
@@ -501,27 +492,29 @@ def oracle_page_recurrence(X: FilteredComplex):
     """Cross-check: page r+1 is the homology of page r under d_r, for
     r <= span, and returns pages 0..span + 2.  Page 0 and d_0 are the
     level pieces, so the r = 0 step is
-    oracle_page_one.  From r = 1 on, the homology at a zero entry is
-    zero, and page r + 1 is still compared at every key.  Pages past
+    oracle_page_one.  From r = 1 on, the keys compared are those where
+    page r or page r + 1 holds an entry, as both are zero elsewhere; the
+    homology at a key page r does not hold is zero.  Pages past
     span + 1 are page span + 1 under another r (see page), with no
     differential landing on a level, so they are not compared again."""
     oracle_page_one(X)
     pages = [page(X, r) for r in range(X.span + 3)]
-    step = X.step
     for r in range(1, X.span + 1):
         cur, nxt = pages[r], pages[r + 1]
-        for (s, n), E in cur.sn_entries.items():
-            if E.is_trivial:
-                H = E
+        dp, dq = cur.bidegree
+        for p, q in sorted(cur.entries.keys() | nxt.entries.keys()):
+            E = cur.entries.get((p, q))
+            if E is None:
+                H = _ZERO
             else:
-                d_in = cur.sn_diffs.get((s + r, n - step)) or zero_hom(trivial_group(), E)
-                H = homology(d_in, cur.sn_diffs[(s, n)],
-                             f"level {s}, degree {n} of page {r}'s homology")
-            if not H.is_isomorphic_to(nxt.sn_entries[(s, n)]):
+                d_in = cur.differentials.get((p - dp, q - dq)) or zero_hom(_ZERO, E)
+                H = homology(d_in, cur.differentials[(p, q)],
+                             f"({p}, {q}) of page {r}'s homology")
+            got = nxt.entries.get((p, q), _ZERO)
+            if not H.is_isomorphic_to(got):
                 raise OracleViolation(
-                    f"homology of page {r} at level {s}, degree {n} is "
-                    f"{H.describe()}, page {r + 1} holds "
-                    f"{nxt.sn_entries[(s, n)].describe()}")
+                    f"homology of page {r} at ({p}, {q}) is {H.describe()}, "
+                    f"page {r + 1} holds {got.describe()}")
     return pages
 
 
@@ -531,11 +524,11 @@ DegreeComparison = namedtuple(
 ConvergenceReport = namedtuple("ConvergenceReport", "ok variant by_degree")
 
 
-def _compare_totals(stable, n, target, where, what) -> DegreeComparison:
-    """Rank additivity of the stable entries in total degree n against
-    target, and order multiplicativity when both sides are finite;
-    ConvergenceViolation at where, calling target what, otherwise."""
-    parts = [g for (s, m), g in stable.sn_entries.items() if m == n and not g.is_trivial]
+def _compare_totals(stable, t, target, where, what) -> DegreeComparison:
+    """Rank additivity of the stable entries in total degree t (p + q = t)
+    against target, and order multiplicativity when both sides are
+    finite; ConvergenceViolation at where, calling target what, otherwise."""
+    parts = [g for (p, q), g in stable.entries.items() if p + q == t]
     rank = sum(g.free_rank for g in parts)
     if rank != target.free_rank:
         raise ConvergenceViolation(f"{where}: stable page ranks sum to {rank}, "
@@ -557,7 +550,7 @@ def convergence_check(P: GradedPoset, F: Diagram, variant: Variant) -> Convergen
     X = build_filtered(P, F, variant)
     stable = e_infinity(X)
     direction = "colim" if variant.complex == "chain" else "lim"
-    by_degree = {n: _compare_totals(stable, n, derived_functor(F, direction, n),
+    by_degree = {n: _compare_totals(stable, _total(X, n), derived_functor(F, direction, n),
                                     f"total degree {n}", f"{direction}_{n}")
                  for n in range(X.base.top + 1)}
     return ConvergenceReport(True, variant, by_degree)

@@ -45,7 +45,14 @@ from posetlim.errors import (
 )
 from posetlim.jsonio import parse_diagram
 from posetlim.poset import chains_up_to, validate_graded
-from posetlim.spectral import FilteredComplex, _compare_totals, build_filtered, page
+from posetlim.spectral import (
+    FilteredComplex,
+    _compare_totals,
+    _public_key,
+    _total,
+    build_filtered,
+    page,
+)
 
 
 def boolean_lattice(n):
@@ -715,14 +722,28 @@ def full_preimage_lattice(A, L):
 # page from its own subquotients.  They share no code with
 # FilteredComplex beyond its levels and its base complex.
 
+def block_levels(X):
+    """{degree n: the canonical level of each block of C_n, in block
+    order}, read from X._level over X's base blocks."""
+    return {n: [X._level(c) for c in X.base.blocks[n]] for n in range(X.base.top + 1)}
+
+
+def canonical_entries(X, pg):
+    """Page pg of X keyed (level, degree) at every level and degree of X,
+    with the shared zero group where pg holds no entry."""
+    zero = trivial_group()
+    return {(s, n): pg.entries.get(_public_key(X, s, n), zero)
+            for n in range(X.base.top + 1) for s in range(X.span + 1)}
+
+
 def reference_lambda(X, n, s):
     """Coordinate columns of the blocks of C_n at level <= s, joined with
     the relations of C_n; no clamping, so any integer s works."""
     group = X.base.group_at(n)
     blocks, at = [], 0
     if 0 <= n <= X.base.top:
-        for j, (lv, G) in enumerate(zip(X._levels[n], X.base.sums[n].summands)):
-            if lv <= s:
+        for j, (c, G) in enumerate(zip(X.base.blocks[n], X.base.sums[n].summands)):
+            if X._level(c) <= s:
                 blocks.append((X.base.sums[n].offsets[j], at, 1, la.eye(G.ambient_rank)))
                 at += G.ambient_rank
     blocks.append((0, at, 1, group.relations))
@@ -766,8 +787,7 @@ def restrict_to_level(X, s):
     blocks at that exact level with the induced differential.  It is not
     built from a diagram, so its diagram is None."""
     base = X.base
-    keep = {n: [j for j, lv in enumerate(X._levels[n]) if lv == s]
-            for n in range(base.top + 1)}
+    keep = {n: [j for j, lv in enumerate(lvs) if lv == s] for n, lvs in block_levels(X).items()}
     blocks = {n: [base.blocks[n][j] for j in keep[n]] for n in keep}
     sums = {n: direct_sum([base.sums[n].summands[j] for j in keep[n]]) for n in keep}
     # the kept blocks keep their order, so the level's coordinates of C_n,
@@ -1187,8 +1207,8 @@ def inner_column_ss(P, F, p, variant):
     inner = refiltered(X._pieces[s_fixed], variant, P)
     r_star = inner.span + 2
     pages = [page(inner, r) for r in range(r_star + 1)]
-    outer_one = page(X, 1)
+    outer_one = canonical_entries(X, page(X, 1))
     for n in range(X.base.top + 1):
-        _compare_totals(pages[-1], n, outer_one.sn_entries[(s_fixed, n)],
+        _compare_totals(pages[-1], _total(inner, n), outer_one[(s_fixed, n)],
                         f"inner sequence at p = {p}, degree {n}", "the outer column")
     return pages

@@ -13,8 +13,9 @@ cells that hold no coordinate, the refusals of spectral
 --max-degree ١ on intro_pushout.json, validate on a document that is not
 JSON and on one that is not UTF-8, validate, colim and lim on a chain
 of 1,500 objects (which the poset must walk without deep recursion),
-classify on a chain of 60 objects, validate and colim on four
-documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
+classify and spectral --variant 3, 4, 7 and 8 --pages 1..3 on a chain
+of 60 objects (whose pages are zero at nearly every key), validate and
+colim on four documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
 a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
 whose failing pair is three degrees apart), then gallery, oracle --seeds 25
 and the refusal of generate --family layered --max-objects 20000,
@@ -55,8 +56,9 @@ PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"],
                   ["generate", "--family", "layered", "--max-objects", "20000"]]
 DEEP_CHAIN = "deep_chain.json"
 # {file name: (objects, commands)} of the constant-Z chains of the sweep
-CHAINS = {DEEP_CHAIN: (1500, ["validate", "colim", "lim"]),
-          "chain60.json": (60, ["classify"])}
+CHAINS = {DEEP_CHAIN: (1500, [["validate"], ["colim"], ["lim"]]),
+          "chain60.json": (60, [["classify"]] + [["spectral", "--variant", v, "--pages", "1..3"]
+                                                 for v in "3478"])}
 
 
 def deep_chain_document(n=1500):
@@ -156,8 +158,8 @@ def sweep_commands(generated, malformed, chains, diamonds):
     runs += [(" ".join([cmd[0], REFUSED_ON] + cmd[1:]), [cmd[0], str(data / REFUSED_ON)] + cmd[1:])
              for cmd in REFUSED]
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
-    runs += [(f"{cmd} {name}", [cmd, path]) for name, path in chains.items()
-             for cmd in CHAINS[name][1]]
+    runs += [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], path] + cmd[1:])
+             for name, path in chains.items() for cmd in CHAINS[name][1]]
     runs += [(f"{cmd} {name}", [cmd, path]) for name, path in diamonds.items()
              for cmd in ("validate", "colim")]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]

@@ -44,7 +44,7 @@ from posetlim.poset import (
     opposite,
     validate_graded,
 )
-from posetlim.randgen import DIAGRAM_MODES, GenConfig, gen_diagram, gen_poset
+from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagram, gen_poset
 
 from helpers import (
     POSET_STATE,
@@ -714,6 +714,45 @@ def test_ends_matching_keeps_only_the_groups_it_lists():
         c = ("x000", "x002", "x005")
         s = tuple(sorted(c + (cone,)))
         assert M.partner(c) == s and M.partner(s) == c
+
+
+def _strictly_above(P, a):
+    """The ids strictly above a, by a walk along the covers."""
+    seen, todo = set(), list(P.covers_out[a])
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.extend(P.covers_out[x])
+    return seen
+
+
+def test_an_interval_is_read_from_its_ends():
+    """_inside(head, foot) is {x : head < x < foot}, a missing end bounding
+    nothing, for every group of every matching on the shapes, on randgen
+    posets and their opposites, and on a two-component poset whose
+    degrees skip 2."""
+    posets = [shape(name) for name in SHAPES]
+    for family in POSET_FAMILIES:
+        for seed in range(4):
+            P = gen_poset(GenConfig(seed=7300 + seed, family=family, max_objects=9))
+            posets += [P, opposite(P)]
+    posets.append(validate_graded(
+        [("a", 0), ("b", 1), ("c", 3), ("d", 4), ("e", 4), ("f", 5)],
+        [("a", "b"), ("c", "d"), ("c", "e"), ("d", "f"), ("e", "f")]))
+    groups = 0
+    for P in posets:
+        above = {v: _strictly_above(P, v) for v in P.ids}
+        for kind, ends in (("chain", (1, 0)), ("chain", (1, 1)),
+                           ("cochain", (0, 1)), ("cochain", (1, 1))):
+            M = derived._ElementMatching(P, kind, ends, set())
+            for head, foot in M._keys():
+                want = {x for x in P.ids
+                        if (not head or x in above[head[0]])
+                        and (not foot or foot[0] in above[x])}
+                assert M._inside(head, foot) == want, (kind, ends, head, foot)
+                groups += 1
+    assert groups > 1000
 
 
 def test_a_zero_carrier_cell_has_no_partner():

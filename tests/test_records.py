@@ -109,5 +109,5 @@ def test_late_pages_share_the_stable_page_dicts():
     X = spectral.build_filtered(F.poset, F, spectral.Variant("chain", "last", "increasing"))
     stable, late = spectral.page(X, X.span + 1), spectral.page(X, X.span + 3)
     assert late.entries is stable.entries
-    assert late.sn_entries is stable.sn_entries
+    assert late.differentials is stable.differentials
     assert (late.r, stable.r) == (X.span + 3, X.span + 1)

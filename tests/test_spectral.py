@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 
 import pytest
@@ -23,9 +24,12 @@ from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagr
 from posetlim.spectral import (
     TABLE_VARIANTS,
     FilteredComplex,
+    SSPage,
     Variant,
     _compare_totals,
     _public_key,
+    _subquotient_page,
+    _total,
     build_filtered,
     convergence_check,
     e_infinity,
@@ -37,7 +41,9 @@ from posetlim.spectral import (
 
 from helpers import (
     POSET_STATE,
+    block_levels,
     bundled_diagrams,
+    canonical_entries,
     chain_complex,
     cochain_complex,
     grid,
@@ -106,7 +112,7 @@ def test_variant_table_shape():
 
 def _block_levels(X):
     """{(degree, chain): canonical level} over X's base blocks."""
-    return {(n, c): lv for n, lvs in X._levels.items()
+    return {(n, c): lv for n, lvs in block_levels(X).items()
             for c, lv in zip(X.base.blocks[n], lvs)}
 
 
@@ -169,9 +175,10 @@ def test_page_zero_is_associated_graded():
         (1, 0): (2, ()),    # (a,b), (a,c)
     }
     # blockwise: each page-0 entry is the direct sum of its level's blocks
-    for (s, n), E in pg.sn_entries.items():
+    levels = block_levels(X)
+    for (s, n), E in canonical_entries(X, pg).items():
         groups = [X.base.sums[n].summands[j]
-                  for j, lv in enumerate(X._levels[n]) if lv == s]
+                  for j, lv in enumerate(levels[n]) if lv == s]
         assert E.is_isomorphic_to(direct_sum(groups).group)
 
 
@@ -396,17 +403,16 @@ def _seeded_diagrams(count=4):
 def _assert_same_groups(got, want):
     assert (got.r, got.type, got.bidegree) == (want.r, want.type, want.bidegree)
     assert set(got.entries) == set(want.entries)
-    assert set(got.sn_entries) == set(want.sn_entries)
-    for k, g in want.sn_entries.items():
-        h = got.sn_entries[k]
+    for k, g in want.entries.items():
+        h = got.entries[k]
         assert (h.free_rank, h.invariant_factors) == (g.free_rank, g.invariant_factors)
 
 
 def _assert_same_page(got, want):
     _assert_same_groups(got, want)
-    assert set(got.sn_diffs) == set(want.sn_diffs)
-    for k, d in want.sn_diffs.items():
-        assert got.sn_diffs[k].matrix == d.matrix
+    assert set(got.differentials) == set(want.differentials)
+    for k, d in want.differentials.items():
+        assert got.differentials[k].matrix == d.matrix
 
 
 def test_cached_pages_match_fresh_filtered_complexes():
@@ -512,11 +518,12 @@ def _block_of(X, n, coord):
 
 def _raises_level(X, diffs):
     """Some nonzero entry of diffs maps a block to a higher level."""
+    levels = block_levels(X)
     for n, d in diffs.items():
         m = n + X.step
         for i, row in enumerate(d.matrix.tolist()):
             for c, x in enumerate(row):
-                if x and X._levels[m][_block_of(X, m, i)] > X._levels[n][_block_of(X, n, c)]:
+                if x and levels[m][_block_of(X, m, i)] > levels[n][_block_of(X, n, c)]:
                     return True
     return False
 
@@ -562,15 +569,16 @@ def test_graded_pieces_are_the_diagonal_blocks():
     """The slicing oracle keeps exactly the entries of the base's
     differentials whose row and column blocks both lie at the level."""
     for X in _filtered_cases(4):
+        levels = block_levels(X)
         for s in range(X.span + 1):
             graded = restrict_to_level(X, s)
             for n, d in X.base._diffs.items():
                 m = n + X.step
                 rows = d.matrix.tolist()
                 keep_rows = [i for i in range(d.matrix.shape[0])
-                             if X._levels[m][_block_of(X, m, i)] == s]
+                             if levels[m][_block_of(X, m, i)] == s]
                 keep_cols = [c for c in range(d.matrix.shape[1])
-                             if X._levels[n][_block_of(X, n, c)] == s]
+                             if levels[n][_block_of(X, n, c)] == s]
                 want = [[rows[i][c] for c in keep_cols] for i in keep_rows]
                 got = graded._diffs[n].matrix
                 assert got.shape == (len(keep_rows), len(keep_cols))
@@ -664,9 +672,10 @@ def test_shared_pages_match_reference_pages():
             want = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
             assert (pg.r, pg.bidegree) == (r, want)
             ref = reference_page_entries(X, r)
-            assert set(pg.sn_entries) == set(ref)
+            got = canonical_entries(X, pg)
+            assert set(got) == set(ref)
             for k, g in ref.items():
-                assert pg.sn_entries[k].is_isomorphic_to(g), (X.variant.name, r, k)
+                assert got[k].is_isomorphic_to(g), (X.variant.name, r, k)
             assert set(pg.entries) == {_public_key(X, s, n)
                                        for (s, n), g in ref.items() if not g.is_trivial}
 
@@ -684,8 +693,9 @@ def test_pages_past_span_plus_one_share_its_entries():
             X = build_filtered(P, F, v)
             last = page(X, X.span + 1)
             for r in (X.span + 2, X.span + 3):
-                assert page(X, r).sn_entries is last.sn_entries
-            assert all(d.is_zero() for d in last.sn_diffs.values()), v.name
+                assert page(X, r).entries is last.entries
+                assert page(X, r).differentials is last.differentials
+            assert all(d.is_zero() for d in last.differentials.values()), v.name
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
@@ -722,24 +732,42 @@ def _zero_entry_complexes():
 
 
 def test_trivial_entries_are_one_zero_group_with_empty_maps():
-    """From r = 1 on, every trivial entry is the same group of ambient
-    rank 0, and every map into or out of it has an empty matrix."""
+    """From r = 1 on, the builder gives every trivial entry as the same
+    group of ambient rank 0, and every map into or out of it has an empty
+    matrix."""
     seen, zeros, nonzero = set(), set(), 0
     for X in _zero_entry_complexes():
         seen.add(X.variant.name)
         for r in range(1, X.span + 4):
-            pg = page(X, r)
-            for E in pg.sn_entries.values():
+            groups, maps = _subquotient_page(X, r)
+            for E in groups.values():
                 if E.is_trivial:
                     assert E.ambient_rank == 0
                     zeros.add(id(E))
                 else:
                     nonzero += 1
-            for d in pg.sn_diffs.values():
+            for d in maps.values():
                 if d.source.is_trivial or d.target.is_trivial:
                     assert d.matrix.size == 0 and not any(d.matrix.cols)
     assert seen == {v.name for v in TABLE_VARIANTS}
     assert len(zeros) == 1 and nonzero > 0
+
+
+def test_a_page_holds_its_nonzero_entries_and_their_differentials():
+    """A page is five fields; at every r it stores no trivial entry, and
+    one differential, out of that entry, under each entry's key."""
+    assert SSPage._fields == ("r", "type", "bidegree", "entries", "differentials")
+    seen, stored = set(), 0
+    for X in _zero_entry_complexes():
+        seen.add(X.variant.name)
+        for r in range(X.span + 4):
+            pg = page(X, r)
+            assert not any(E.is_trivial for E in pg.entries.values()), (X.variant.name, r)
+            assert set(pg.differentials) == set(pg.entries)
+            assert all(pg.differentials[k].source is E for k, E in pg.entries.items())
+            stored += len(pg.entries)
+    assert seen == {v.name for v in TABLE_VARIANTS}
+    assert stored > 0
 
 
 def _chain_on_three():
@@ -767,7 +795,7 @@ def test_an_empty_cycle_lattice_refuses_arriving_boundaries():
     """At level 2, degree 1 of page 2, d(abc) arrives; a cycle lattice
     emptied there cannot hold it."""
     X, at = _chain_on_three()
-    assert page(X, 2).sn_entries[(2, 1)].is_trivial
+    assert canonical_entries(X, page(X, 2))[(2, 1)].is_trivial
     assert X._z_cache[(1, 1, 0)].shape[1] == 0  # the deeper cycles are empty
     Y = _with_lattice(X, (1, 2, 0), la.zeros(len(at[1]), 0))
     with pytest.raises(OracleViolation, match="boundary lattice escapes the cycle lattice "
@@ -780,7 +808,7 @@ def test_containment_is_checked_into_a_zero_entry():
     degree 0.  A cycle lattice widened by bc, whose boundary c - b
     reaches level 2, leaves the target cycles."""
     X, at = _chain_on_three()
-    assert page(X, 1).sn_entries[(1, 0)].ambient_rank == 0
+    assert canonical_entries(X, page(X, 1))[(1, 0)].ambient_rank == 0
     Z = X._Z(1, 2, 1)
     bc = la.IntMatrix((Z.shape[0], 1), [{at[1][("b", "c")]: 1}])
     Y = _with_lattice(X, (1, 2, 1), la.hstack([Z, bc]))
@@ -799,8 +827,8 @@ def test_a_zero_source_is_checked_to_be_well_defined():
     target's arriving boundary plus d(d(...)), so only a base with
     d o d nonzero can."""
     X, at = _chain_on_three()
-    pg = page(X, 2)
-    assert pg.sn_entries[(2, 1)].ambient_rank == 0 and pg.sn_entries[(0, 0)].free_rank == 1
+    pg = canonical_entries(X, page(X, 2))
+    assert pg[(2, 1)].ambient_rank == 0 and pg[(0, 0)].free_rank == 1
     d = X.base._diffs[1]
     fix = la.from_blocks(*d.matrix.shape, [(at[0][("a",)], at[1][("a", "b")], 1, la.eye(1))])
     diffs = dict(X.base._diffs)
@@ -836,6 +864,49 @@ def test_each_cycle_lattice_gets_one_span_checker(monkeypatch):
             assert len(on_lattices) == len(set(on_lattices)) <= len(lattices)
 
 
+# ------------------------------------------------------------ page checks
+
+def _planted(r, key):
+    """The intro pushout and its chain:sigma_n filtered complex, fresh,
+    with the cached page r holding Z/3 at key."""
+    F = intro_pushout()
+    X = build_filtered(F.poset, F, CHAIN_LAST_INC)
+    pg = page(X, r)
+    X._pages[r] = pg._replace(entries={**pg.entries, key: cyclic_group(3)})
+    return F, X
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1, 0), "page 1 at level 1, degree 1 is Z/3, graded homology is 0"),
+    ((0, 0), "page 1 at level 0, degree 0 is Z/3, graded homology is Z"),
+])
+def test_the_page_one_oracle_refuses_a_planted_entry(key, message):
+    _, X = _planted(1, key)
+    with pytest.raises(OracleViolation, match=re.escape(message)):
+        oracle_page_one(X)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1, 0), "homology of page 1 at (1, 0) is 0, page 2 holds Z/3"),
+    ((1, -1), "homology of page 1 at (1, -1) is Z/2 + Z/2, page 2 holds Z/3"),
+])
+def test_the_page_recurrence_refuses_a_planted_entry(key, message):
+    _, X = _planted(2, key)
+    with pytest.raises(OracleViolation, match=re.escape(message)):
+        oracle_page_recurrence(X)
+
+
+@pytest.mark.parametrize("key, message", [
+    ((1, 0), "total degree 1: stable page orders multiply to 3, colim_1 has order 1"),
+    ((0, 0), "total degree 0: stable page ranks sum to 0, colim_0 has rank 1"),
+])
+def test_the_convergence_check_refuses_a_planted_entry(key, message):
+    # the pushout's degrees span 1, so E-infinity is page 3
+    F, _ = _planted(3, key)
+    with pytest.raises(ConvergenceViolation, match=re.escape(message)):
+        convergence_check(F.poset, F, CHAIN_LAST_INC)
+
+
 # ------------------------------------------------ the filtered Morse complex
 
 def _unreduced(F, v, P):
@@ -856,19 +927,19 @@ def test_reduced_pages_match_unreduced_pages():
             seen.add(v.matching)
             X, U = build_filtered(P, F, v), _unreduced(F, v, P)
             for r in range(1, X.span + 4):
-                got, want = page(X, r).sn_entries, page(U, r).sn_entries
+                got, want = page(X, r).entries, page(U, r).entries
                 assert set(got) == set(want)
                 for k, g in want.items():
                     assert got[k].is_isomorphic_to(g), (v.name, r, k)
-            got, want = e_infinity(X).sn_entries, e_infinity(U).sn_entries
+            got, want = e_infinity(X).entries, e_infinity(U).entries
             assert set(got) == set(want)
             assert all(got[k].is_isomorphic_to(g) for k, g in want.items())
             direction = "colim" if v.complex == "chain" else "lim"
             report = convergence_check(P, F, v)
             for n, c in report.by_degree.items():
-                assert c == _compare_totals(e_infinity(U), n, derived_functor(F, direction, n),
-                                            "", "")
-            zero = page(X, 0).sn_entries
+                assert c == _compare_totals(e_infinity(U), _total(U, n),
+                                            derived_functor(F, direction, n), "", "")
+            zero = canonical_entries(X, page(X, 0))
             ref = reference_page_entries(U, 0)
             assert set(zero) == set(ref)
             assert all(zero[k].is_isomorphic_to(g) for k, g in ref.items())
@@ -896,9 +967,10 @@ def test_a_matching_across_levels_is_refused():
         for P, F, v, carrier in cases:
             X, U = FilteredComplex(carrier, v, P), _unreduced(F, v, P)
             assert not _raises_level(X, X.base._diffs)
-            assert not all(page(X, r).sn_entries[k].is_isomorphic_to(g)
-                           for r in range(1, X.span + 4)
-                           for k, g in page(U, r).sn_entries.items())
+            pairs = [(canonical_entries(X, page(X, r)), canonical_entries(U, page(U, r)))
+                     for r in range(1, X.span + 4)]
+            assert not all(got[k].is_isomorphic_to(g) for got, want in pairs
+                           for k, g in want.items())
 
 
 def test_inner_sequences_refilter_the_unreduced_piece():
