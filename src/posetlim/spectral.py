@@ -31,24 +31,35 @@ The cycle lattices of one degree and level, for every level their
 differential may reach, that level included, come from a single tracked
 echelon with the target's rows in filtration order, highest level
 first: the integer form of the persistence reduction
-(Edelsbrunner-Letscher-Zomorodian, 2002; Basu-Parida, 2017).  Past r = span + 1 every page has the same
+(Edelsbrunner-Letscher-Zomorodian, 2002; Basu-Parida, 2017).  Only the
+levels that hold a coordinate of the base in that degree get one; every
+other level has the lattices of the occupied level below it, as it adds
+nothing to the filtration.  Past r = span + 1 every page has the same
 lattices and no differential, so those pages share page span + 1's
 entries.  Each cycle lattice gets one SpanChecker, which every solve
 against it reuses.
 
-From r = 1 on, most entries are zero.  The builder gives every trivial
-entry as the one shared zero group (abgroup.trivial_group(), the same
-instance as an empty degree of a complex and its homology), and every
-map into or out of it as an empty zero map; an empty cycle lattice
-skips the subquotient, and the page recurrence takes the homology at a
-zero entry to be zero.  The checks on the boundaries, the containment
-of each differential in its target's cycles and well-definedness still
-run there.
+From r = 1 on, an entry can be nonzero only at an occupied (level,
+degree), one where the base has a coordinate: elsewhere the cycles are
+those one level deeper.  So the builder visits the occupied keys only,
+and its cost follows the critical cells of the Morse base rather than
+span x degrees.  A trivial entry there is the one shared zero group
+(abgroup.trivial_group(), the same instance as an empty degree of a
+complex and its homology), and a map into it an empty zero map; no map
+leaves it, and an empty cycle lattice skips the subquotient.  The checks
+on the boundaries, the containment of each differential in its target's
+cycles (occupied or not) and well-definedness run at every occupied
+key.  At any other key none can fail.  Its cycles are those one level
+deeper, so their image under d is the lattice of boundaries arriving at
+the target, which the target's own boundary check tests.  And its
+boundaries lie in its cycles whenever d o d vanishes, which the base
+checked, and the lattices are right.  The page recurrence takes the
+homology at a zero entry to be zero.
 
 Internal bookkeeping uses one canonical shape: levels are shifted so
 the filtration is increasing from 0 and the differential never raises
-the level.  The builders work at every (level, degree); a page keeps
-only its nonzero entries, and the differential out of each, keyed by the
+the level.  The builders work in (level, degree); a page keeps only its
+nonzero entries, and the differential out of each, keyed by the
 preset's (p, q), with q chosen so that d_r has the textbook bidegree
 for the declared homological or cohomological type.  The page checks
 read the page in those keys, an absent key being the zero group.
@@ -61,6 +72,7 @@ the convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 from math import prod
@@ -161,7 +173,8 @@ class FilteredComplex:
     A chain's preset p is the display degree of its key vertex.  Its
     canonical level (_level) shifts that to 0-based increasing form, and
     the levels are stored once, per coordinate of each degree
-    (_coord_levels); the respect invariant (the differential never raises
+    (_coord_levels), with the sorted set of them each degree occupies
+    (_occupied); the respect invariant (the differential never raises
     the canonical level) is verified on construction, entry by nonzero
     entry, and so is the base's matching:
     it must fix the key vertex of every pair, or the reduction would not
@@ -177,10 +190,16 @@ class FilteredComplex:
         self.min_degree = min(degs.values())
         self.max_degree = max(degs.values())
         self.span = self.max_degree - self.min_degree
+        # the variant read once: _level runs per chain, _public_key per key
+        self._key = -1 if variant.key == "last" else 0
+        self._from_top = variant.condition == ">="
+        self._type = variant.type
+        self._sign = 1 if (variant.complex == "chain") == (self._type == "homological") else -1
         self._coord_levels = {
             n: [lv for c, G in zip(base.blocks[n], base.sums[n].summands)
                 for lv in [self._level(c)] * G.ambient_rank]
             for n in range(base.top + 1)}
+        self._occupied = {n: sorted(set(lvs)) for n, lvs in self._coord_levels.items()}
         self._z_cache = {}
         self._checkers = {}
         self._pages = {}
@@ -189,8 +208,8 @@ class FilteredComplex:
 
     def _level(self, c) -> int:
         """The canonical level of the chain c."""
-        p = self.poset.display_degrees[c[-1] if self.variant.key == "last" else c[0]]
-        return (self.max_degree - p) if self.variant.condition == ">=" else (p - self.min_degree)
+        p = self.poset.display_degrees[c[self._key]]
+        return (self.max_degree - p) if self._from_top else (p - self.min_degree)
 
     @property
     def step(self) -> int:
@@ -210,7 +229,7 @@ class FilteredComplex:
         """An unreduced base has no matching; a reduced one must fix the
         first vertex (key first) or the last (key last)."""
         fixed = self.base.fixed
-        if fixed is not None and not fixed[-1 if self.variant.key == "last" else 0]:
+        if fixed is not None and not fixed[self._key]:
             raise OracleViolation(
                 f"the base's matching fixes the ends {fixed}, so its pairs may move the "
                 f"{self.variant.key} vertex, which carries the filtration level")
@@ -227,8 +246,7 @@ class FilteredComplex:
         for n, chains in enumerate(chains_up_to(P, P.length)):
             for c in chains:
                 blocks[self._level(c)][n].append(c)
-        D, kind = self.base.diagram, self.variant.complex
-        key = -1 if self.variant.key == "last" else 0
+        D, kind, key = self.base.diagram, self.variant.complex, self._key
 
         def in_level(c):
             return [face for face in _faces(D, kind, c) if face[0][key] == c[key]]
@@ -237,14 +255,21 @@ class FilteredComplex:
 
     def _Z(self, n, s, star):
         """Level-<= s elements whose differential lies at level <= star
-        (both read modulo relations), as an echelon basis.  For star >= s
-        that is every level-<= s element; all stars of one (n, s) come
-        from one echelon, see _cycle_lattices."""
-        if not (0 <= n <= self.base.top):
+        (both read modulo relations), as an echelon basis.  A level that
+        holds no coordinate of C_n adds nothing to it, so s clamps down to
+        the highest such occupied level (found by bisection), below which
+        only the relations are left; and as d never raises the level, a
+        star >= s gives every level-<= s element, so star clamps to s.
+        All stars of one occupied (n, s) come from one echelon, see
+        _cycle_lattices, and every s up to the next occupied level shares
+        its lattice objects."""
+        occupied = self._occupied.get(n)
+        if occupied is None:
             return la.zeros(0, 0)
-        if s < 0:
+        i = bisect_right(occupied, s)
+        if not i:
             return self.base.group_at(n).relations
-        s = min(s, self.span)
+        s = occupied[i - 1]
         star = max(min(star, s), -1)
         key = (n, s, star)
         hit = self._z_cache.get(key)
@@ -263,7 +288,9 @@ class FilteredComplex:
 
     def _cycle_lattices(self, n, s):
         """Z(n, s, star) for every star in -1..s, keyed (n, s, star), for
-        0 <= n <= top and 0 <= s <= span.
+        0 <= n <= top and s a level that holds a coordinate of C_n (_Z
+        clamps every other level to one of those), so it runs once per
+        occupied (n, s).
 
         With L the ambient lattice of the level-<= s subgroup of C_n (the
         coordinate columns of its blocks joined with all relations) and R
@@ -341,13 +368,12 @@ SSPage = namedtuple("SSPage", "r type bidegree entries differentials")
 
 def _total(X: FilteredComplex, n):
     """The total degree p + q of X's entries in complex degree n."""
-    aligned = (X.variant.complex == "chain") == (X.variant.type == "homological")
-    return n if aligned else -n
+    return X._sign * n
 
 
 def _public_key(X: FilteredComplex, s, n):
-    p = (X.max_degree - s) if X.variant.condition == ">=" else (X.min_degree + s)
-    return p, _total(X, n) - p
+    p = (X.max_degree - s) if X._from_top else (X.min_degree + s)
+    return p, X._sign * n - p
 
 
 def page(X: FilteredComplex, r: int) -> SSPage:
@@ -358,8 +384,9 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     and degree n, the level-s chains' values, with the in-level part of d,
     from X's level pieces.
     From r = 1 on, the explicit subquotient on X's base: at each level s
-    and degree n, cycles reaching r levels down, modulo the same from one
-    level deeper plus boundaries from r-1 levels shallower.  A matching
+    that holds a coordinate of C_n (every other entry is zero), cycles
+    reaching r levels down, modulo the same from one level deeper plus
+    boundaries from r-1 levels shallower.  A matching
     inside the levels is a filtered homotopy equivalence, so the reduced
     base gives the same pages from r = 1 on (Mischaikow-Nanda, 2013).
 
@@ -372,7 +399,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     hit = X._pages.get(r)
     if hit is not None:
         return hit
-    bidegree = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
+    bidegree = (r, 1 - r) if X._type == "cohomological" else (-r, r - 1)
     if r > X.span + 1:
         X._pages[r] = page(X, X.span + 1)._replace(r=r, bidegree=bidegree)
         return X._pages[r]
@@ -386,7 +413,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
             pq = _public_key(X, s, n)
             entries[pq] = E
             diffs[pq] = maps[(s, n)]
-    X._pages[r] = SSPage(r, X.variant.type, bidegree, entries, diffs)
+    X._pages[r] = SSPage(r, X._type, bidegree, entries, diffs)
     return X._pages[r]
 
 
@@ -404,22 +431,23 @@ def _graded_page(X: FilteredComplex):
 
 def _subquotient_page(X: FilteredComplex, r: int):
     """Page r's entries and differentials for r >= 1, keyed (level,
-    degree), from the cycle lattices of X's base.
+    degree), from the cycle lattices of X's base: the entry at each
+    occupied (s, n), where level s holds a coordinate of C_n (every other
+    entry is zero), and the differential out of each nonzero one.
 
-    A trivial entry is _ZERO, so every map into or out of it is an empty
-    zero_hom, but the checks still run there: the boundaries lie in the
-    cycles (at an empty cycle lattice they are zero), every entry's
-    differential lands in its target's cycles, and out of a trivial
-    entry into a nonzero one it is well defined on the entry's own
-    presentation.  Into a trivial entry every map is well defined, as its
-    relations span its whole ambient lattice."""
+    A trivial entry is _ZERO, and a map into it an empty zero_hom.  The
+    checks run at every occupied key: the boundaries lie in the cycles
+    (at an empty cycle lattice they are zero), the differential lands in
+    its target's cycles, occupied or not, and out of a trivial entry into
+    a nonzero one it is well defined on the entry's own presentation.
+    Into a trivial entry every map is well defined, as its relations span
+    its whole ambient lattice."""
     step = X.step
     groups = {}
-    lattices = {}
     presented = {}
-    for n in range(X.base.top + 1):
+    for n, occupied in X._occupied.items():
         d_in = X.base.d_into(n)
-        for s in range(X.span + 1):
+        for s in occupied:
             Z = X._Z(n, s, s - r)
             deeper = X._Z(n, s - 1, s - r)
             arriving = d_in.matrix @ X._Z(n - step, s + r - 1, s)
@@ -436,28 +464,27 @@ def _subquotient_page(X: FilteredComplex, r: int):
                 presented[(s, n)] = E
                 E = _ZERO
             groups[(s, n)] = E
-            lattices[(s, n)] = Z
     maps = {}
     for (s, n), E in groups.items():
-        tgt = (s - r, n + step)
-        if tgt not in groups:
-            maps[(s, n)] = zero_hom(E, _ZERO)
+        m = n + step
+        if s < r or m not in X._occupied:
+            if E is not _ZERO:
+                maps[(s, n)] = zero_hom(E, _ZERO)
             continue
-        T = groups[tgt]
-        moved = X.base.d_from(n).matrix @ lattices[(s, n)]
-        coeff = X._checker(lattices[tgt]).solve(moved)
+        T = groups.get((s - r, m), _ZERO)
+        moved = X.base.d_from(n).matrix @ X._Z(n, s, s - r)
+        coeff = X._checker(X._Z(m, s - r, s - 2 * r)).solve(moved)
         if coeff is None:
             raise OracleViolation(
                 f"page-{r} differential leaves the target cycles at "
                 f"level {s}, degree {n}")
         if T is _ZERO:
-            maps[(s, n)] = zero_hom(E, T)
+            if E is not _ZERO:
+                maps[(s, n)] = zero_hom(E, T)
         elif E is not _ZERO:
             maps[(s, n)] = AbHom(E, T, coeff)
-        else:
-            if (s, n) in presented:
-                AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
-            maps[(s, n)] = zero_hom(E, T)
+        elif (s, n) in presented:
+            AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
     return groups, maps
 
 

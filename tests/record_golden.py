@@ -13,6 +13,8 @@ cells that hold no coordinate, the refusals of spectral
 --max-degree ١ on intro_pushout.json, validate on a document that is not
 JSON and on one that is not UTF-8, validate, colim and lim on a chain
 of 1,500 objects (which the poset must walk without deep recursion),
+and spectral --variant 4 and 7 --pages 1..3 on it (whose pages, one Z
+each, must cost what its critical cells do, not its 1,500 levels),
 classify and spectral --variant 3, 4, 7 and 8 --pages 1..3 on a chain
 of 60 objects (whose pages are zero at nearly every key), validate and
 colim on four documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
@@ -56,7 +58,8 @@ PLAIN_COMMANDS = [["gallery"], ["oracle", "--seeds", "25"],
                   ["generate", "--family", "layered", "--max-objects", "20000"]]
 DEEP_CHAIN = "deep_chain.json"
 # {file name: (objects, commands)} of the constant-Z chains of the sweep
-CHAINS = {DEEP_CHAIN: (1500, [["validate"], ["colim"], ["lim"]]),
+CHAINS = {DEEP_CHAIN: (1500, [["validate"], ["colim"], ["lim"]]
+                       + [["spectral", "--variant", v, "--pages", "1..3"] for v in "47"]),
           "chain60.json": (60, [["classify"]] + [["spectral", "--variant", v, "--pages", "1..3"]
                                                  for v in "3478"])}
 

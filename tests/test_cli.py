@@ -370,6 +370,31 @@ def test_the_nerve_of_a_chain_of_1500_objects_is_refused_within_seconds(capsys, 
     assert json.loads(err)["error"] == f"ChainBudgetError: {want}"
 
 
+@pytest.mark.parametrize("variant, key", [("4", (1499, -1499)), ("7", (0, 0))])
+def test_pages_of_a_chain_of_1500_objects_hold_one_z_within_seconds(capsys, tmp_path,
+                                                                    variant, key):
+    """Constant Z on a chain has colim Z and lim Z in degree 0, and the
+    carrier matching leaves one critical cell, at the top level for
+    chain:sigma_0 and at the bottom for cochain:sigma_n: pages 1..3 each
+    hold one Z there, in text and with --json, each in under 10 s."""
+    path = write_deep_chain(str(tmp_path))
+    argv = ["spectral", path, "--variant", variant, "--pages", "1..3"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--json", *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    pages = json.loads(out)["spectral"]["pages"]
+    assert [pg["r"] for pg in pages] == [1, 2, 3]
+    z = {"free_rank": 1, "invariant_factors": []}
+    assert all(pg["entries"] == [{"p": key[0], "q": key[1], "group": z}] for pg in pages)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 0 and err == ""
+    grids = out.split("\n\n")
+    assert len(grids) == 3 and all(g.count(" Z\n") == 1 for g in grids)
+
+
 def test_max_chains_counts_what_is_listed(capsys, intro_path):
     """On the pushout the colim matching lists the 3 tails above a and
     the lone chains b and c; lim's groups below b and c are cones."""

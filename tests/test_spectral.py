@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import time
 import weakref
 
 import pytest
@@ -19,6 +20,7 @@ from posetlim.errors import (
     OracleViolation,
     VariantMismatchError,
 )
+from posetlim.jsonio import parse_diagram
 from posetlim.poset import opposite, validate_graded
 from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagram, gen_poset
 from posetlim.spectral import (
@@ -63,6 +65,7 @@ from helpers import (
     times_two_pullback,
     z2_square,
 )
+from record_golden import deep_chain_document
 
 
 CHAIN_LAST_INC = Variant("chain", "last", "increasing")
@@ -663,11 +666,66 @@ def test_cycle_lattices_match_reference():
     assert keys > 5000
 
 
+def _occupied_pairs(X):
+    """{(degree n, level s): s holds a coordinate of C_n}, from the blocks."""
+    return {(n, lv) for n, lvs in block_levels(X).items()
+            for lv, c in zip(lvs, X.base.sums[n].summands) if c.ambient_rank}
+
+
+@pytest.mark.parametrize("case", ["intro_pushout", "chain300"])
+def test_cycle_lattices_run_once_per_occupied_level(monkeypatch, case):
+    """Pages 1..span + 2 run _cycle_lattices exactly once per occupied
+    (degree, level), and every other level reads the lattices of the
+    occupied level below it: on the pushout in every variant, and on
+    constant Z on a chain of 300 objects, whose carrier matching leaves
+    one cell, in both carrier variants."""
+    calls = []
+    real = FilteredComplex._cycle_lattices
+
+    def counted(self, n, s):
+        calls.append((n, s))
+        return real(self, n, s)
+
+    monkeypatch.setattr(FilteredComplex, "_cycle_lattices", counted)
+    if case == "intro_pushout":
+        F = intro_pushout()
+        P, variants = F.poset, [v for v in TABLE_VARIANTS if v.direction == F.poset.direction]
+    else:
+        P, F = parse_diagram(deep_chain_document(300))
+        variants = [variant_by_name("chain:sigma_0:increasing"),
+                    variant_by_name("cochain:sigma_n:increasing")]
+    for v in variants:
+        X = FilteredComplex(build_filtered(P, F, v).base, v, P)
+        calls.clear()
+        for r in range(1, X.span + 3):
+            page(X, r)
+        assert sorted(calls) == sorted(_occupied_pairs(X)), v.name
+        if case == "chain300":
+            assert len(calls) == 1 and X.span == 299
+
+
+def test_e_infinity_of_a_chain_of_200_objects_within_two_seconds():
+    """Constant Z on a chain of 200 objects: E-infinity and the
+    convergence check, in both carrier variants, cost what the one
+    critical cell does, not the 200 levels."""
+    P, F = parse_diagram(deep_chain_document(200))
+    for name, key in (("chain:sigma_0:increasing", (199, -199)),
+                      ("cochain:sigma_n:increasing", (0, 0))):
+        v = variant_by_name(name)
+        start = time.perf_counter()
+        stable = e_infinity(build_filtered(P, F, v))
+        assert convergence_check(P, F, v).ok
+        assert time.perf_counter() - start < 2, name
+        assert {k: g.describe() for k, g in stable.entries.items()} == {key: "Z"}
+
+
 def test_shared_pages_match_reference_pages():
-    """Pages past span + 1 are page span + 1 relabelled; built the long
-    way from reference cycle lattices they hold the same groups."""
+    """Pages 1..span + 1, computed only at the occupied keys on lattices
+    shared up to the next occupied level, and the pages past span + 1,
+    which are page span + 1 relabelled, hold at every (s, n) the groups
+    of pages built the long way from reference cycle lattices."""
     for X in _oracle_complexes():
-        for r in (X.span + 2, X.span + 3, 50):
+        for r in (*range(1, X.span + 2), X.span + 2, X.span + 3, 50):
             pg = page(X, r)
             want = (r, 1 - r) if X.variant.type == "cohomological" else (-r, r - 1)
             assert (pg.r, pg.bidegree) == (r, want)
@@ -732,25 +790,31 @@ def _zero_entry_complexes():
 
 
 def test_trivial_entries_are_one_zero_group_with_empty_maps():
-    """From r = 1 on, the builder gives every trivial entry as the same
-    group of ambient rank 0, and every map into or out of it has an empty
-    matrix."""
-    seen, zeros, nonzero = set(), set(), 0
+    """From r = 1 on, the builder gives an entry at exactly the occupied
+    (level, degree) keys, every trivial one as the same group of ambient
+    rank 0, and a differential out of exactly the nonzero entries; one
+    into a trivial entry has an empty matrix."""
+    seen, zeros, nonzero, skipped = set(), set(), 0, 0
     for X in _zero_entry_complexes():
         seen.add(X.variant.name)
+        occupied = {(s, n) for n, s in _occupied_pairs(X)}
         for r in range(1, X.span + 4):
             groups, maps = _subquotient_page(X, r)
+            assert set(groups) == occupied, (X.variant.name, r)
+            skipped += (X.span + 1) * (X.base.top + 1) - len(groups)
             for E in groups.values():
                 if E.is_trivial:
                     assert E.ambient_rank == 0
                     zeros.add(id(E))
                 else:
                     nonzero += 1
-            for d in maps.values():
-                if d.source.is_trivial or d.target.is_trivial:
+            assert set(maps) == {k for k, E in groups.items() if not E.is_trivial}
+            for k, d in maps.items():
+                assert d.source is groups[k]
+                if d.target.is_trivial:
                     assert d.matrix.size == 0 and not any(d.matrix.cols)
     assert seen == {v.name for v in TABLE_VARIANTS}
-    assert len(zeros) == 1 and nonzero > 0
+    assert len(zeros) == 1 and nonzero > 0 and skipped > 0
 
 
 def test_a_page_holds_its_nonzero_entries_and_their_differentials():
@@ -815,6 +879,20 @@ def test_containment_is_checked_into_a_zero_entry():
     with pytest.raises(OracleViolation, match="page-1 differential leaves the target "
                                               "cycles at level 2, degree 1"):
         page(Y, 1)
+
+
+def test_containment_is_checked_into_an_unoccupied_level():
+    """Page 2 maps level 2, degree 2 into level 0, degree 1, which holds
+    no coordinate (a 1-chain ends at b or c), so page 2 has no entry
+    there.  A cycle lattice widened by abc, whose boundary reaches level
+    2, leaves the target cycles, which are the relations alone."""
+    X, at = _chain_on_three()
+    assert not X._Z(2, 2, 0).shape[1]  # d(abc) does not lie at level 0
+    abc = la.IntMatrix((len(at[2]), 1), [{at[2][("a", "b", "c")]: 1}])
+    Y = _with_lattice(X, (2, 2, 0), abc)
+    with pytest.raises(OracleViolation, match="page-2 differential leaves the target "
+                                              "cycles at level 2, degree 2"):
+        page(Y, 2)
 
 
 def test_a_zero_source_is_checked_to_be_well_defined():
