@@ -8,13 +8,13 @@ the span of a matrix always means the span of its columns.  Matrices
 share columns freely, so a column is never changed once it is in a
 matrix; the routines below copy the columns they reduce in place.
 
-One column echelon routine serves lattice bases, kernels, span
-membership and solving (both in SpanChecker), the filtration-ordered
-cycle lattices of spectral pages, and invariant factors.  The Smith
-loop alternates its column and row steps without transforms, for the
-invariant factors every group needs (Cohen, *A Course in Computational
-Algebraic Number Theory*, 2.4); no routine here returns unimodular
-certificates.
+One column echelon routine serves lattice bases, kernels and
+preimages (the cycle lattices of spectral pages among them), span
+membership and solving (both in SpanChecker), and invariant factors.
+The Smith loop alternates its column and row steps without transforms,
+for the invariant factors every group needs (Cohen, *A Course in
+Computational Algebraic Number Theory*, 2.4); no routine here returns
+unimodular certificates.
 
 A matrix with no nonzero entry decides its answer at once: the basis,
 invariant factors and span checker of a zero matrix are empty, and the

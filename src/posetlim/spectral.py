@@ -27,17 +27,16 @@ nerve complex.  The inner-column sequences, which refilter one level
 piece by the other vertex, are a test oracle (tests/helpers.py), not
 part of the library.
 
-The cycle lattices of one degree and level, for every level their
-differential may reach, that level included, come from a single tracked
-echelon with the target's rows in filtration order, highest level
-first: the integer form of the persistence reduction
-(Edelsbrunner-Letscher-Zomorodian, 2002; Basu-Parida, 2017).  Only the
-levels that hold a coordinate of the base in that degree get one; every
-other level has the lattices of the occupied level below it, as it adds
-nothing to the filtration.  Past r = span + 1 every page has the same
-lattices and no differential, so those pages share page span + 1's
-entries.  Each cycle lattice gets one SpanChecker, which every solve
-against it reuses.
+Each cycle lattice Z(n, s, star), the level-<= s chains of C_n whose
+differential lies at level <= star, is read off one lattice preimage
+per (degree, reach) with C_n's coordinates in filtration order, highest
+level first, the integer form of the persistence reduction
+(Zomorodian-Carlsson, 2005; Basu-Parida, 2017).  Only the levels that
+hold a coordinate of the base in that degree get lattices of their own;
+every other level has those of the occupied level below it.  Past
+r = span + 1 every page has the same lattices and no differential, so
+those pages share page span + 1's entries.  Each cycle lattice gets one
+SpanChecker, which every solve against it reuses.
 
 From r = 1 on, an entry can be nonzero only at an occupied (level,
 degree), one where the base has a coordinate: elsewhere the cycles are
@@ -72,7 +71,7 @@ the convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from math import prod
@@ -201,6 +200,7 @@ class FilteredComplex:
             for n in range(base.top + 1)}
         self._occupied = {n: sorted(set(lvs)) for n, lvs in self._coord_levels.items()}
         self._z_cache = {}
+        self._preimages = {}
         self._checkers = {}
         self._pages = {}
         self._check_respected()
@@ -255,14 +255,21 @@ class FilteredComplex:
 
     def _Z(self, n, s, star):
         """Level-<= s elements whose differential lies at level <= star
-        (both read modulo relations), as an echelon basis.  A level that
+        (both read modulo relations), as a lattice basis.  A level that
         holds no coordinate of C_n adds nothing to it, so s clamps down to
         the highest such occupied level (found by bisection), below which
         only the relations are left; and as d never raises the level, a
         star >= s gives every level-<= s element, so star clamps to s.
-        All stars of one occupied (n, s) come from one echelon, see
-        _cycle_lattices, and every s up to the next occupied level shares
-        its lattice objects."""
+
+        The prefix argument: in level order, highest first, an element
+        lies at level <= s exactly when its leading coordinate does, so
+        the level-<= s part of a lattice is spanned by the suffix of its
+        echelon basis that leads at level <= s.  Z(n, s, star) is that
+        suffix of K(n, star) (_preimage), which holds every relation,
+        joined with the relations above level s, whose support is
+        disjoint from it.  Every star with the same reach, the highest
+        level <= star holding a coordinate of the target, shares one
+        lattice object."""
         occupied = self._occupied.get(n)
         if occupied is None:
             return la.zeros(0, 0)
@@ -271,11 +278,19 @@ class FilteredComplex:
             return self.base.group_at(n).relations
         s = occupied[i - 1]
         star = max(min(star, s), -1)
-        key = (n, s, star)
-        hit = self._z_cache.get(key)
+        hit = self._z_cache.get((n, s, star))
         if hit is None:
-            self._z_cache.update(self._cycle_lattices(n, s))
-            hit = self._z_cache[key]
+            target = self._occupied.get(n + self.step, ())
+            j = bisect_right(target, star)
+            reach = target[j - 1] if j else -1
+            hit = self._z_cache.get((n, s, reach))
+            if hit is None:
+                K, leads = self._preimage(n, reach)
+                levels = self._coord_levels[n]
+                cols = [col for col in self._relation_bases[n] if levels[min(col)] > s]
+                cols += K[bisect_left(leads, -s):]
+                hit = self._z_cache[(n, s, reach)] = la.IntMatrix((len(levels), len(cols)), cols)
+            self._z_cache[(n, s, star)] = hit
         return hit
 
     def _checker(self, Z):
@@ -286,59 +301,38 @@ class FilteredComplex:
             hit = self._checkers[id(Z)] = (Z, la.SpanChecker(Z))
         return hit[1]
 
-    def _cycle_lattices(self, n, s):
-        """Z(n, s, star) for every star in -1..s, keyed (n, s, star), for
-        0 <= n <= top and s a level that holds a coordinate of C_n (_Z
-        clamps every other level to one of those), so it runs once per
-        occupied (n, s).
+    @cached_property
+    def _relation_bases(self) -> dict:
+        """{n: the columns of one echelon basis of C_n's relations}.  A
+        relation lies in one block, so each column lies at one level."""
+        return {n: la.lattice_basis(self.base.group_at(n).relations).cols
+                for n in self._coord_levels}
 
-        With L the ambient lattice of the level-<= s subgroup of C_n (the
-        coordinate columns of its blocks joined with all relations) and R
-        the relations of the target degree m, Z(n, s, star) is L times the
-        y parts of {(y, z) : d L y - R z vanishes on the coordinates of
-        C_m above level star}.  One tracked echelon of [d L | -R], its rows
-        ordered by level from the highest down, gives them all: the
-        transforms of the kernel columns and of the pivot columns whose
-        lead row is at level <= star span that set, because the pivot
-        columns have distinct lead rows and the rows above level star come
-        first (the persistence reduction with rows in filtration order).
-        The differential never raises the level, so Z(n, s, s) is all of
-        L.  The generator sets grow with star, so one basis is extended
-        from star = -1 up, and a star that adds nothing shares the lattice
-        object of the star below.
-        """
-        group = self.base.group_at(n)
-        units = [{i: 1} for i, lv in enumerate(self._coord_levels[n]) if lv <= s]
-        lam = la.hstack([la.IntMatrix((group.ambient_rank, len(units)), units),
-                         group.relations])
-        g = lam.shape[1]
-        m = n + self.step
-        levels = self._coord_levels.get(m, [])
-        order = sorted(range(len(levels)), key=lambda i: -levels[i])
-        pos = {i: k for k, i in enumerate(order)}
-        row_level = [levels[i] for i in order]
-        moved = self.base.d_from(n).matrix @ lam
-        rels = self.base.group_at(m).relations
-        cols = ([{pos[i]: x for i, x in col.items()} for col in moved.cols]
-                + [{pos[i]: -x for i, x in col.items()} for col in rels.cols])
-        pivots, live, tcols = la._echelon_cols(cols, track=True)
-        # generators by the first star they serve: star + 1 indexes gens
-        gens = [[] for _ in range(s + 2)]
-        gens[0] = [tcols[j] for j in live]
-        for r, j in pivots:
-            if row_level[r] <= s:
-                gens[row_level[r] + 1].append(tcols[j])
-        out = {}
-        basis = []
-        Z = None
-        for star, ts in enumerate(gens, start=-1):
-            ys = la.IntMatrix((g, len(ts)), [{i: x for i, x in t.items() if i < g} for t in ts])
-            new = [col for col in (lam @ ys).cols if col]
-            if new or Z is None:
-                basis = la._basis_cols([dict(col) for col in basis] + new)
-                Z = la.IntMatrix((lam.shape[0], len(basis)), basis)
-            out[(n, s, star)] = Z
-        return out
+    def _preimage(self, n, reach):
+        """K(n, reach), the elements of C_n whose differential lies at
+        level <= reach modulo relations: the preimage of the target's
+        relations above level reach, which lie one level each, under the
+        rows of d above it, from one preimage_lattice per (n, reach) in
+        C_n's level order.  Returns its echelon basis in C_n's coordinates
+        and minus the level each column leads at (nondecreasing)."""
+        hit = self._preimages.get((n, reach))
+        if hit is None:
+            levels, m = self._coord_levels[n], n + self.step
+            order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
+            row = {i: k for k, i in enumerate(
+                i for i, lv in enumerate(self._coord_levels.get(m, ())) if lv > reach)}
+
+            def rows_above(cols):
+                return la.IntMatrix((len(row), len(cols)),
+                                    [{row[i]: x for i, x in c.items() if i in row} for c in cols])
+
+            d = self.base.d_from(n).matrix.cols
+            K = la.preimage_lattice(rows_above([d[j] for j in order]),
+                                    rows_above(self.base.group_at(m).relations.cols))
+            hit = self._preimages[(n, reach)] = (
+                [{order[k]: x for k, x in col.items()} for col in K.cols],
+                [-levels[order[min(col)]] for col in K.cols])
+        return hit
 
 
 def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComplex:

@@ -16,7 +16,9 @@ of 1,500 objects (which the poset must walk without deep recursion),
 and spectral --variant 4 and 7 --pages 1..3 on it (whose pages, one Z
 each, must cost what its critical cells do, not its 1,500 levels),
 classify and spectral --variant 3, 4, 7 and 8 --pages 1..3 on a chain
-of 60 objects (whose pages are zero at nearly every key), validate and
+of 60 objects (whose pages are zero at nearly every key), and spectral
+--variant 3 and 8 --pages 59..61 on it (whose cycle lattices reach
+every level down to -1 in both two-ended variants), validate and
 colim on four documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
 a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
 whose failing pair is three degrees apart), then gallery, oracle --seeds 25
@@ -61,7 +63,8 @@ DEEP_CHAIN = "deep_chain.json"
 CHAINS = {DEEP_CHAIN: (1500, [["validate"], ["colim"], ["lim"]]
                        + [["spectral", "--variant", v, "--pages", "1..3"] for v in "47"]),
           "chain60.json": (60, [["classify"]] + [["spectral", "--variant", v, "--pages", "1..3"]
-                                                 for v in "3478"])}
+                                                 for v in "3478"]
+                           + [["spectral", "--variant", v, "--pages", "59..61"] for v in "38"])}
 
 
 def deep_chain_document(n=1500):

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import sys
 import time
 import weakref
 
@@ -672,21 +673,35 @@ def _occupied_pairs(X):
             for lv, c in zip(lvs, X.base.sums[n].summands) if c.ambient_rank}
 
 
+def _counted_preimages(monkeypatch):
+    """(asked, ran): the (degree, reach) keys that FilteredComplex._preimage
+    is asked for, and one entry per la.preimage_lattice call, with the
+    name of the function that called it."""
+    asked, ran = [], []
+    real_pre, real_cached = la.preimage_lattice, FilteredComplex._preimage
+
+    def counted(A, L):
+        ran.append(sys._getframe(1).f_code.co_name)
+        return real_pre(A, L)
+
+    def asking(self, n, reach):
+        asked.append((n, reach))
+        return real_cached(self, n, reach)
+
+    monkeypatch.setattr(la, "preimage_lattice", counted)
+    monkeypatch.setattr(FilteredComplex, "_preimage", asking)
+    return asked, ran
+
+
 @pytest.mark.parametrize("case", ["intro_pushout", "chain300"])
-def test_cycle_lattices_run_once_per_occupied_level(monkeypatch, case):
-    """Pages 1..span + 2 run _cycle_lattices exactly once per occupied
-    (degree, level), and every other level reads the lattices of the
-    occupied level below it: on the pushout in every variant, and on
-    constant Z on a chain of 300 objects, whose carrier matching leaves
-    one cell, in both carrier variants."""
-    calls = []
-    real = FilteredComplex._cycle_lattices
-
-    def counted(self, n, s):
-        calls.append((n, s))
-        return real(self, n, s)
-
-    monkeypatch.setattr(FilteredComplex, "_cycle_lattices", counted)
+def test_one_preimage_per_degree_and_clamped_reach(monkeypatch, case):
+    """Pages 1..span + 2 run la.preimage_lattice once per (degree, reach)
+    they ask for, and each reach is clamped: -1 or a level that holds a
+    coordinate of the target degree.  On the pushout in every variant,
+    and on constant Z on a chain of 300 objects, whose carrier matching
+    leaves one cell, in both carrier variants, where that is one
+    preimage against 300 levels."""
+    asked, ran = _counted_preimages(monkeypatch)
     if case == "intro_pushout":
         F = intro_pushout()
         P, variants = F.poset, [v for v in TABLE_VARIANTS if v.direction == F.poset.direction]
@@ -696,12 +711,16 @@ def test_cycle_lattices_run_once_per_occupied_level(monkeypatch, case):
                     variant_by_name("cochain:sigma_n:increasing")]
     for v in variants:
         X = FilteredComplex(build_filtered(P, F, v).base, v, P)
-        calls.clear()
+        asked.clear()
+        ran.clear()
         for r in range(1, X.span + 3):
             page(X, r)
-        assert sorted(calls) == sorted(_occupied_pairs(X)), v.name
+        occupied = _occupied_pairs(X)
+        assert len(ran) == len(set(asked)) > 0, v.name
+        for n, reach in asked:
+            assert reach == -1 or (n + X.step, reach) in occupied, (v.name, n, reach)
         if case == "chain300":
-            assert len(calls) == 1 and X.span == 299
+            assert len(ran) == 1 and X.span == 299
 
 
 def test_e_infinity_of_a_chain_of_200_objects_within_two_seconds():
@@ -717,6 +736,28 @@ def test_e_infinity_of_a_chain_of_200_objects_within_two_seconds():
         assert convergence_check(P, F, v).ok
         assert time.perf_counter() - start < 2, name
         assert {k: g.describe() for k, g in stable.entries.items()} == {key: "Z"}
+
+
+def test_e_infinity_of_a_chain_of_200_objects_in_the_ends_variants_within_a_second(
+        monkeypatch):
+    """Constant Z on a chain of 200 objects in the two variants whose
+    two-ended matching keeps a cell at nearly every level: E-infinity is
+    one Z, the convergence check passes, la.preimage_lattice runs at most
+    once per (degree, reach) asked, and each variant takes under 1 s."""
+    asked, ran = _counted_preimages(monkeypatch)
+    P, F = parse_diagram(deep_chain_document(200))
+    for name, key in (("chain:sigma_n:increasing", (0, 0)),
+                      ("cochain:sigma_0:increasing", (199, -199))):
+        v = variant_by_name(name)
+        asked.clear()
+        ran.clear()
+        start = time.perf_counter()
+        stable = e_infinity(build_filtered(P, F, v))
+        assert convergence_check(P, F, v).ok
+        assert time.perf_counter() - start < 1, name
+        assert {k: g.describe() for k, g in stable.entries.items()} == {key: "Z"}
+        # the convergence check's derived functors take preimages of their own
+        assert 0 < ran.count("_preimage") <= len(set(asked)), name
 
 
 def test_shared_pages_match_reference_pages():
@@ -757,22 +798,29 @@ def test_pages_past_span_plus_one_share_its_entries():
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
-def test_pages_use_neither_lattice_preimage_nor_intersection(monkeypatch):
+def test_pages_take_preimages_only_through_the_reach_cache(monkeypatch):
+    """Pages and E-infinity intersect no lattices, and take each lattice
+    preimage through FilteredComplex._preimage, at most once per
+    (degree, reach) asked."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a page asked for a lattice preimage or intersection")
+        raise AssertionError("a page asked for a lattice intersection")
 
-    monkeypatch.setattr(la, "preimage_lattice", refuse)
     monkeypatch.setattr(la, "intersect_lattices", refuse)
+    asked, ran = _counted_preimages(monkeypatch)
     seen = set()
     for P, F in bundled_diagrams():
         for v in TABLE_VARIANTS:
             if v.direction != P.direction:
                 continue
             seen.add(v.name)
-            X = build_filtered(P, F, v)
+            X = FilteredComplex(build_filtered(P, F, v).base, v, P)
+            asked.clear()
+            ran.clear()
             for r in range(X.span + 4):
                 page(X, r)
             e_infinity(X)
+            assert set(ran) <= {"_preimage"}, v.name
+            assert len(ran) <= len(set(asked)), v.name
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
@@ -845,12 +893,10 @@ def _chain_on_three():
 
 
 def _with_lattice(X, key, Z):
-    """A fresh filtered complex on X's base whose cycle lattice at key
-    is Z, every other lattice of key's degree computed as usual."""
+    """A fresh filtered complex on X's base whose cycle lattice at key,
+    a clamped (degree, level, star), is Z; _Z reads that key before it
+    computes anything, and every other lattice is computed as usual."""
     Y = FilteredComplex(X.base, X.variant, X.poset)
-    n = key[0]
-    for s in range(Y.span + 1):
-        Y._Z(n, s, -1)  # computes every star below s, so none is recomputed later
     Y._z_cache[key] = Z
     return Y
 
