@@ -4,6 +4,8 @@ A group is Z^g modulo the column span of a g x k relations matrix.  Homs
 are matrices on ambient generators, equal when they differ by target
 relations, and zero when every nonzero column is a target relation
 combination.  Everything reduces to exact integer lattice computations.
+Membership tests and solves use the SpanChecker each matrix keeps
+(IntMatrix.span); this module builds and caches no checker of its own.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ class FgAbGroup:
         if relations.shape[0] != self.ambient_rank:
             raise ValueError("relations must have one row per ambient generator")
         self.relations = relations
-
-    @cached_property
-    def _rel_checker(self) -> la.SpanChecker:
-        return la.SpanChecker(self.relations)
 
     @cached_property
     def _structure(self):
@@ -73,7 +71,7 @@ class FgAbGroup:
                                  and self.relations == other.relations)
 
     def element_is_zero(self, x) -> bool:
-        return self._rel_checker.contains(x)
+        return self.relations.span.contains(x)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
@@ -130,10 +128,8 @@ class AbHom:
         self.target = target
         self.matrix = matrix
         if check and source.relations.shape[1]:
-            moved = matrix @ source.relations
-            chk = target._rel_checker
-            for j, col in enumerate(moved.cols):
-                if not chk.contains(col):
+            for j, col in enumerate((matrix @ source.relations).cols):
+                if not target.relations.span.contains(col):
                     raise ValueError(
                         f"not well defined: image of relation {j} "
                         f"is outside the target relation span")
@@ -148,7 +144,7 @@ class AbHom:
         if self.matrix.shape != other.matrix.shape:
             return False
         return (self.matrix == other.matrix
-                or self.target._rel_checker.contains_all(self.matrix - other.matrix))
+                or self.target.relations.span.contains_all(self.matrix - other.matrix))
 
     def is_zero(self) -> bool:
         """Every column lies in the target relation span; a zero column
@@ -195,12 +191,8 @@ class Subgroup:
         """Echelon basis of span(generators | ambient relations)."""
         return la.lattice_basis(la.hstack([self.generators, self.ambient.relations]))
 
-    @cached_property
-    def _checker(self) -> la.SpanChecker:
-        return la.SpanChecker(self._lattice)
-
     def contains_element(self, x) -> bool:
-        return self._checker.contains(x)
+        return self._lattice.span.contains(x)
 
     def contains_subgroup(self, other: "Subgroup"):
         """(verdict, witness): witness is a generator column of `other`
@@ -208,7 +200,7 @@ class Subgroup:
         if not self.ambient.same_presentation(other.ambient):
             raise AmbientMismatchError("subgroups live in different ambient groups")
         for j, col in enumerate(other.generators.cols):
-            if not self._checker.contains(col):
+            if not self._lattice.span.contains(col):
                 return False, other.generators[:, j]
         return True, None
 

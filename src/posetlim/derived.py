@@ -27,10 +27,10 @@ reduced complex records the ends its matching fixes, and every pair a
 flow expands is checked to keep them, so the matching is never listed.
 Nothing at run time builds the whole unreduced nerve complex: spectral
 page 0 assembles each level from its own chains with _complex, and the
-unreduced complexes are the tests' oracle for the reduced ones and for
-those levels.  Direct (co)limits are independent degree-0 oracles, and
-the Euler characteristic, counted from the poset alone, checks every
-full table.
+unreduced complexes (tests/helpers.py) are the tests' oracle for the
+reduced ones and for those levels.  Direct (co)limits are independent
+degree-0 oracles, and the Euler characteristic, counted from the poset
+alone, checks every full table.
 
 Whatever lists chains counts them first (poset.chain_total) and
 refuses with ChainBudgetError past the chain budget (chain_budget, the
@@ -199,25 +199,6 @@ def _complex(F: Diagram, kind: str, blocks, pieces, fixed=None) -> ChainComplex:
                      blocks, sums, diffs, top, fixed)
     _check_dd_zero(diffs, lambda n: n + X.step)
     return X
-
-
-def _nerve_complex(F: Diagram, kind: str) -> ChainComplex:
-    """The unreduced nerve complex of F of this kind.
-
-    "chain": the homological complex with C_n the sum of F(sigma_0) over
-    n-chains.  d = sum of (-1)^i d_i; d_0 applies F(sigma_0 -> sigma_1),
-    the other faces keep the coefficient and drop a vertex.
-
-    "cochain": the cohomological complex with C^n the product of
-    F(sigma_n) over n-chains (finite, so a direct sum).  The component
-    of d(x) at an (n+1)-chain tau sums (-1)^i x at the i-th face; the
-    last coface is the only one that moves coefficients, through
-    F(tau_n -> tau_{n+1}).
-    """
-    P = F.poset
-    _check_budget(chain_total(P, P.ids), "the nerve")
-    blocks = dict(enumerate(chains_up_to(P, P.length)))
-    return _complex(F, kind, blocks, lambda c: _faces(F, kind, c))
 
 
 MATCHINGS = ("carrier", "ends")

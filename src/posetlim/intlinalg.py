@@ -11,6 +11,8 @@ matrix; the routines below copy the columns they reduce in place.
 One column echelon routine serves lattice bases, kernels and
 preimages (the cycle lattices of spectral pages among them), span
 membership and solving (both in SpanChecker), and invariant factors.
+Each matrix builds its SpanChecker on first use and keeps it (its span),
+so all membership tests and solves against one matrix share one echelon.
 The Smith loop alternates its column and row steps without transforms,
 for the invariant factors every group needs (Cohen, *A Course in
 Computational Algebraic Number Theory*, 2.4); no routine here returns
@@ -38,11 +40,24 @@ class IntMatrix:
     [[1, 3], [2, 4]]
     """
 
-    __slots__ = ("shape", "cols")
+    __slots__ = ("shape", "cols", "_span")
 
     def __init__(self, shape, cols):
         self.shape = shape
         self.cols = tuple(cols)
+        self._span = None
+
+    @property
+    def span(self) -> "SpanChecker":
+        """The SpanChecker of the columns, built on first use and kept.
+
+        >>> M = intmat([[2], [4]])
+        >>> M.span is M.span, M.span.contains([6, 12]), M.span.contains([1, 2])
+        (True, True, False)
+        """
+        if self._span is None:
+            self._span = SpanChecker(self)
+        return self._span
 
     @property
     def size(self) -> int:
@@ -319,7 +334,7 @@ def lattice_basis(M: IntMatrix) -> IntMatrix:
 
 def solve(M: IntMatrix, X: IntMatrix):
     """Integer solution Y of M Y = X, or None when some column has none."""
-    return SpanChecker(M).solve(X)
+    return M.span.solve(X)
 
 
 class SpanChecker:

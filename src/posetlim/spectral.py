@@ -35,8 +35,9 @@ level first, the integer form of the persistence reduction
 hold a coordinate of the base in that degree get lattices of their own;
 every other level has those of the occupied level below it.  Past
 r = span + 1 every page has the same lattices and no differential, so
-those pages share page span + 1's entries.  Each cycle lattice gets one
-SpanChecker, which every solve against it reuses.
+those pages share page span + 1's entries.  Every solve against a cycle
+lattice, for its entry (abgroup.subquotient) or for the containment
+check, reuses the SpanChecker the lattice keeps (IntMatrix.span).
 
 From r = 1 on, an entry can be nonzero only at an occupied (level,
 degree), one where the base has a coordinate: elsewhere the cycles are
@@ -45,10 +46,10 @@ and its cost follows the critical cells of the Morse base rather than
 span x degrees.  A trivial entry there is the one shared zero group
 (abgroup.trivial_group(), the same instance as an empty degree of a
 complex and its homology), and a map into it an empty zero map; no map
-leaves it, and an empty cycle lattice skips the subquotient.  The checks
-on the boundaries, the containment of each differential in its target's
-cycles (occupied or not) and well-definedness run at every occupied
-key.  At any other key none can fail.  Its cycles are those one level
+leaves it.  The checks on the boundaries, the containment of each
+differential in its target's cycles (occupied or not) and
+well-definedness run at every occupied key.  At any other key none can
+fail.  Its cycles are those one level
 deeper, so their image under d is the lattice of boundaries arriving at
 the target, which the target's own boundary check tests.  And its
 boundaries lie in its cycles whenever d o d vanishes, which the base
@@ -77,7 +78,7 @@ from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
-from .abgroup import AbHom, FgAbGroup, homology, trivial_group, zero_hom
+from .abgroup import AbHom, homology, subquotient, trivial_group, zero_hom
 from .derived import (
     ChainComplex,
     _cached_complex,
@@ -201,7 +202,6 @@ class FilteredComplex:
         self._occupied = {n: sorted(set(lvs)) for n, lvs in self._coord_levels.items()}
         self._z_cache = {}
         self._preimages = {}
-        self._checkers = {}
         self._pages = {}
         self._check_respected()
         self._check_matching()
@@ -292,14 +292,6 @@ class FilteredComplex:
                 hit = self._z_cache[(n, s, reach)] = la.IntMatrix((len(levels), len(cols)), cols)
             self._z_cache[(n, s, star)] = hit
         return hit
-
-    def _checker(self, Z):
-        """The SpanChecker of a lattice from _Z, built once per lattice
-        object; the entry keeps Z alive, so its id is not reused."""
-        hit = self._checkers.get(id(Z))
-        if hit is None:
-            hit = self._checkers[id(Z)] = (Z, la.SpanChecker(Z))
-        return hit[1]
 
     @cached_property
     def _relation_bases(self) -> dict:
@@ -431,54 +423,40 @@ def _subquotient_page(X: FilteredComplex, r: int):
 
     A trivial entry is _ZERO, and a map into it an empty zero_hom.  The
     checks run at every occupied key: the boundaries lie in the cycles
-    (at an empty cycle lattice they are zero), the differential lands in
-    its target's cycles, occupied or not, and out of a trivial entry into
-    a nonzero one it is well defined on the entry's own presentation.
-    Into a trivial entry every map is well defined, as its relations span
-    its whole ambient lattice."""
+    (abgroup.subquotient refuses them otherwise, at an empty cycle
+    lattice too), the differential lands in its target's cycles,
+    occupied or not, and out of a trivial entry into a nonzero one it is
+    well defined on the entry's own presentation.  Into a trivial entry
+    every map is well defined, as its relations span its whole ambient
+    lattice."""
     step = X.step
-    groups = {}
     presented = {}
     for n, occupied in X._occupied.items():
         d_in = X.base.d_into(n)
         for s in occupied:
-            Z = X._Z(n, s, s - r)
             deeper = X._Z(n, s - 1, s - r)
             arriving = d_in.matrix @ X._Z(n - step, s + r - 1, s)
-            if Z.shape[1]:
-                rels = X._checker(Z).solve(la.hstack([deeper, arriving]))
-                E = None if rels is None else FgAbGroup(Z.shape[1], rels)
-            else:
-                # an empty cycle lattice presents 0 and holds no boundary but 0
-                E = None if any(deeper.cols) or any(arriving.cols) else _ZERO
-            if E is None:
-                raise OracleViolation("boundary lattice escapes the cycle lattice at "
-                                      f"level {s}, degree {n}, page {r}")
-            if E is not _ZERO and E.is_trivial:
-                presented[(s, n)] = E
-                E = _ZERO
-            groups[(s, n)] = E
+            presented[(s, n)] = subquotient(X._Z(n, s, s - r), la.hstack([deeper, arriving]),
+                                            f"level {s}, degree {n}, page {r}")
+    groups = {k: _ZERO if E.is_trivial else E for k, E in presented.items()}
     maps = {}
     for (s, n), E in groups.items():
         m = n + step
-        if s < r or m not in X._occupied:
-            if E is not _ZERO:
-                maps[(s, n)] = zero_hom(E, _ZERO)
-            continue
         T = groups.get((s - r, m), _ZERO)
-        moved = X.base.d_from(n).matrix @ X._Z(n, s, s - r)
-        coeff = X._checker(X._Z(m, s - r, s - 2 * r)).solve(moved)
-        if coeff is None:
-            raise OracleViolation(
-                f"page-{r} differential leaves the target cycles at "
-                f"level {s}, degree {n}")
-        if T is _ZERO:
-            if E is not _ZERO:
-                maps[(s, n)] = zero_hom(E, T)
-        elif E is not _ZERO:
-            maps[(s, n)] = AbHom(E, T, coeff)
-        elif (s, n) in presented:
-            AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
+        if s >= r and m in X._occupied:
+            moved = X.base.d_from(n).matrix @ X._Z(n, s, s - r)
+            coeff = la.solve(X._Z(m, s - r, s - 2 * r), moved)
+            if coeff is None:
+                raise OracleViolation(
+                    f"page-{r} differential leaves the target cycles at "
+                    f"level {s}, degree {n}")
+            if T is not _ZERO:
+                d = AbHom(presented[(s, n)], T, coeff)  # ValueError unless well defined
+                if E is not _ZERO:
+                    maps[(s, n)] = d
+                continue
+        if E is not _ZERO:
+            maps[(s, n)] = zero_hom(E, T)
     return groups, maps
 
 

@@ -44,7 +44,7 @@ from posetlim.errors import (
     PosetlimError,
 )
 from posetlim.jsonio import parse_diagram
-from posetlim.poset import chains_up_to, validate_graded
+from posetlim.poset import chain_total, chains_up_to, validate_graded
 from posetlim.spectral import (
     FilteredComplex,
     _compare_totals,
@@ -260,6 +260,26 @@ def unnormalized_complex(F, kind, top):
     Weak chains exist in every degree, so homology_at is right on it in
     degrees below top only."""
     blocks = {n: per_degree_walk(F.poset, n, weak=True) for n in range(top + 1)}
+    return derived._complex(F, kind, blocks, lambda c: derived._faces(F, kind, c))
+
+
+def nerve_complex(F, kind):
+    """The unreduced nerve complex of F of this kind, counted against the
+    chain budget before a chain is listed.
+
+    "chain": the homological complex with C_n the sum of F(sigma_0) over
+    n-chains.  d = sum of (-1)^i d_i; d_0 applies F(sigma_0 -> sigma_1),
+    the other faces keep the coefficient and drop a vertex.
+
+    "cochain": the cohomological complex with C^n the product of
+    F(sigma_n) over n-chains (finite, so a direct sum).  The component
+    of d(x) at an (n+1)-chain tau sums (-1)^i x at the i-th face; the
+    last coface is the only one that moves coefficients, through
+    F(tau_n -> tau_{n+1}).
+    """
+    P = F.poset
+    derived._check_budget(chain_total(P, P.ids), "the nerve")
+    blocks = dict(enumerate(chains_up_to(P, P.length)))
     return derived._complex(F, kind, blocks, lambda c: derived._faces(F, kind, c))
 
 
@@ -820,12 +840,12 @@ def refiltered(piece, variant, P):
 
 def chain_complex(F):
     """The unreduced nerve chain complex, sum of F(sigma_0) over chains."""
-    return derived._nerve_complex(F, "chain")
+    return nerve_complex(F, "chain")
 
 
 def cochain_complex(F):
     """The unreduced nerve cochain complex, sum of F(sigma_n) over chains."""
-    return derived._nerve_complex(F, "cochain")
+    return nerve_complex(F, "cochain")
 
 
 def below_set(P):
@@ -900,13 +920,13 @@ def enumerate_elements(G, cap=4096):
         return None
     gens = [tuple(1 if i == j else 0 for i in range(G.ambient_rank))
             for j in range(G.ambient_rank)]
-    zero = tuple(G._rel_checker.residue([0] * G.ambient_rank))
+    zero = tuple(G.relations.span.residue([0] * G.ambient_rank))
     seen = {zero}
     frontier = [zero]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = tuple(G._rel_checker.residue([a + b for a, b in zip(x, g)]))
+            y = tuple(G.relations.span.residue([a + b for a, b in zip(x, g)]))
             if y not in seen:
                 if len(seen) >= cap:
                     return None

@@ -18,11 +18,14 @@ each, must cost what its critical cells do, not its 1,500 levels),
 classify and spectral --variant 3, 4, 7 and 8 --pages 1..3 on a chain
 of 60 objects (whose pages are zero at nearly every key), and spectral
 --variant 3 and 8 --pages 59..61 on it (whose cycle lattices reach
-every level down to -1 in both two-ended variants), validate and
-colim on four documents whose diamonds fail (grid3x3 with a doubled cover, bool3 with
-a sign flip, crown_tower(3) with one cover times 5, and the hexagon,
-whose failing pair is three degrees apart), then gallery, oracle --seeds 25
-and the refusal of generate --family layered --max-objects 20000,
+every level down to -1 in both two-ended variants), spectral --variant
+3, 4, 7 and 8 --pages 0..6 on a document whose degrees skip level 2
+(whose page 0 has an empty piece there, and whose cycle lattices clamp
+across it), validate and colim on four documents whose diamonds fail
+(grid3x3 with a doubled cover, bool3 with a sign flip, crown_tower(3)
+with one cover times 5, and the hexagon, whose failing pair is three
+degrees apart), then gallery, oracle --seeds 25 and the refusal of
+generate --family layered --max-objects 20000,
 each in text and with --json, and then the stdout of each script in
 demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
@@ -65,6 +68,8 @@ CHAINS = {DEEP_CHAIN: (1500, [["validate"], ["colim"], ["lim"]]
           "chain60.json": (60, [["classify"]] + [["spectral", "--variant", v, "--pages", "1..3"]
                                                  for v in "3478"]
                            + [["spectral", "--variant", v, "--pages", "59..61"] for v in "38"])}
+GAPPED = "gapped_degrees.json"
+GAPPED_COMMANDS = [["spectral", "--variant", v, "--pages", "0..6"] for v in "3478"]
 
 
 def deep_chain_document(n=1500):
@@ -78,6 +83,20 @@ def deep_chain_document(n=1500):
             "poset": {"covers": [[a, b] for a, b in zip(ids, ids[1:])],
                       "direction": "increasing",
                       "objects": [{"degree": k, "id": i} for k, i in enumerate(ids)]}}
+
+
+def gapped_document():
+    """A valid document whose degrees skip level 2, in two components: Z -> Z
+    by the identity at degrees 0 and 1, and Z/2 -> Z by zero at degrees 3
+    and 4."""
+    free = {"rank": 1, "relations": {"cols": 0, "data": [], "rows": 1}}
+    two = {"rank": 1, "relations": {"cols": 1, "data": [2], "rows": 1}}
+    return {"format_version": "1.0", "name": "gapped_degrees",
+            "groups": {"a": free, "b": free, "c": two, "d": free},
+            "maps": {"a->b": {"cols": 1, "data": [1], "rows": 1},
+                     "c->d": {"cols": 1, "data": [0], "rows": 1}},
+            "poset": {"covers": [["a", "b"], ["c", "d"]], "direction": "increasing",
+                      "objects": [{"degree": k, "id": i} for i, k in zip("abcd", (0, 1, 3, 4))]}}
 
 
 def constant_z_document(name, P, broken, factor):
@@ -122,6 +141,14 @@ def write_deep_chain(folder, name=DEEP_CHAIN):
     return path
 
 
+def write_gapped(folder):
+    """Write gapped_document() into folder as GAPPED; returns its path."""
+    path = os.path.join(folder, GAPPED)
+    with open(path, "w") as fh:
+        json.dump(gapped_document(), fh)
+    return path
+
+
 def write_malformed(folder):
     """Write each document of MALFORMED into folder; returns {name: path}."""
     paths = {}
@@ -148,13 +175,13 @@ def write_generated(folder):
     return paths
 
 
-def sweep_commands(generated, malformed, chains, diamonds):
+def sweep_commands(generated, malformed, chains, diamonds, gapped):
     """(key, argv) for every command of the sweep, generated, malformed
     and diamonds being write_generated's, write_malformed's and
-    write_diamonds' {name: path} and chains {name: write_deep_chain's
-    path} for each name of CHAINS; the key names a document by
-    its file name or by family and seed, so it is the same in every
-    checkout."""
+    write_diamonds' {name: path}, chains {name: write_deep_chain's
+    path} for each name of CHAINS and gapped write_gapped's path; the
+    key names a document by its file name or by family and seed, so it
+    is the same in every checkout."""
     data = resources.files("posetlim") / "data"
     names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
@@ -166,6 +193,8 @@ def sweep_commands(generated, malformed, chains, diamonds):
     runs += [(f"validate {name}", ["validate", path]) for name, path in malformed.items()]
     runs += [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], path] + cmd[1:])
              for name, path in chains.items() for cmd in CHAINS[name][1]]
+    runs += [(" ".join([cmd[0], GAPPED] + cmd[1:]), [cmd[0], gapped] + cmd[1:])
+             for cmd in GAPPED_COMMANDS]
     runs += [(f"{cmd} {name}", [cmd, path]) for name, path in diamonds.items()
              for cmd in ("validate", "colim")]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
@@ -199,7 +228,7 @@ def sweep():
     with tempfile.TemporaryDirectory() as folder:
         chains = {name: write_deep_chain(folder, name) for name in CHAINS}
         commands = sweep_commands(write_generated(folder), write_malformed(folder),
-                                  chains, write_diamonds(folder))
+                                  chains, write_diamonds(folder), write_gapped(folder))
         got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):

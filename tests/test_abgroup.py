@@ -271,6 +271,31 @@ def test_is_zero_builds_no_checker_for_a_zero_matrix(monkeypatch):
     assert built == [(3, 2)]
 
 
+def test_each_matrix_builds_one_span_checker(monkeypatch):
+    """A matrix keeps the SpanChecker it builds: a subgroup's membership
+    test and its presentation share one on its lattice, and solves and a
+    subquotient against one matrix share one on it."""
+    built = []
+
+    class Counted(la.SpanChecker):
+        def __init__(self, M):
+            built.append(M)
+            super().__init__(M)
+
+    monkeypatch.setattr(la, "SpanChecker", Counted)
+    S = Subgroup(group_from_invariants(1, [4]), [[2], [2]])
+    assert S.contains_element([4, 0])
+    assert S.as_group[0].describe() == "Z"
+    assert sum(M is S._lattice for M in built) == 1
+
+    built.clear()
+    M = la.intmat([[2, 0], [0, 3], [1, 1]])
+    X = la.intmat([[4], [3], [3]])
+    assert la.solve(M, X) == la.solve(M, X) == la.intmat([[2], [1]])
+    assert subquotient(M, X, "a test").describe() == "Z"
+    assert sum(N is M for N in built) == 1
+
+
 def test_subgroup_as_group_structure():
     # subgroup generated by (2,0) and (0,2) inside (Z/4)^2 is (Z/2)^2
     G = group_from_invariants(0, [4, 4])

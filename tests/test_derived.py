@@ -61,6 +61,7 @@ from helpers import (
     intro_pushout,
     kept_poset_state,
     listed_matching,
+    nerve_complex,
     pullback_poset,
     pushout_poset,
     random_forest_poset,
@@ -123,7 +124,7 @@ def test_blocks_hold_plain_id_tuples():
     chain is its tuple of ids, of length degree + 1."""
     F = constant_diagram(grid(3, 3), group_from_invariants(1, [2]))
     for kind in ("chain", "cochain"):
-        for X in (derived._nerve_complex(F, kind), reduce_complex(F, kind),
+        for X in (nerve_complex(F, kind), reduce_complex(F, kind),
                   reduce_complex(F, kind, "ends")):
             cells = [(n, c) for n in range(X.top + 1) for c in X.blocks[n]]
             assert cells
