@@ -214,26 +214,17 @@ class Subgroup:
 
     @property
     def is_trivial(self) -> bool:
-        grp, _ = self.as_group
-        return grp.is_trivial
+        """Every generator lies in the ambient relation span."""
+        return self.ambient.relations.span.contains_all(self.generators)
 
     def __repr__(self):
         grp, _ = self.as_group
         return f"Subgroup({grp.describe()} in {self.ambient.describe()})"
 
 
-def kernel(h: AbHom):
-    """Kernel of h.
-
-    Returns (K, K_group, embedding): K is a Subgroup of the source whose
-    lattice is the projection of ker [A | -R_target] onto source
-    coordinates; K_group presents it abstractly with an embedding into
-    the source.
-    """
-    K_lattice = la.preimage_lattice(h.matrix, h.target.relations)
-    K = Subgroup(h.source, K_lattice)
-    grp, emb = K.as_group
-    return K, grp, emb
+def kernel(h: AbHom) -> Subgroup:
+    """The kernel of h, a Subgroup of the source (as_group presents it)."""
+    return Subgroup(h.source, la.preimage_lattice(h.matrix, h.target.relations))
 
 
 def quotient(G: FgAbGroup, S: Subgroup):
@@ -289,5 +280,5 @@ def homology(d_in: AbHom, d_out: AbHom, where) -> FgAbGroup:
 
 
 def hom_is_mono(h: AbHom) -> bool:
-    _, ker_grp, _ = kernel(h)
-    return ker_grp.is_trivial
+    """The kernel is trivial, by span membership of its generators."""
+    return kernel(h).is_trivial

@@ -228,16 +228,13 @@ def telescope_projectivity_criterion(P, F: Diagram) -> bool:
         if not coker_at(F, order[i])[0].is_free:
             return False
         comp = steps[i - 1]
-        for start in range(i - 1, -1, -1):
+        for start in range(i - 1, 0, -1):
             # comp: F(order[start]) -> F(order[i])
-            K = kernel(comp)[0]
-            if start == 0:
-                if not K.is_trivial:
-                    return False
-            else:
-                below = steps[start - 1]
-                ok, _ = Subgroup(below.target, below.matrix).contains_subgroup(K)
-                if not ok:
-                    return False
-                comp = compose(comp, below)
+            below = steps[start - 1]
+            ok, _ = Subgroup(below.target, below.matrix).contains_subgroup(kernel(comp))
+            if not ok:
+                return False
+            comp = compose(comp, below)
+        if not hom_is_mono(comp):
+            return False
     return True

@@ -531,11 +531,7 @@ def _kind(direction: str) -> str:
 def _cached_complex(F: Diagram, which: str, matching: str) -> ChainComplex:
     """The Morse reduction of F's chain or cochain complex by the named
     matching, built once per diagram."""
-    cache = F._complexes
-    key = (which, matching)
-    if key not in cache:
-        cache[key] = reduce_complex(F, which, matching)
-    return cache[key]
+    return F.kept(("complex", which, matching), reduce_complex, F, which, matching)
 
 
 def euler_characteristic(F: Diagram, direction: str) -> int:

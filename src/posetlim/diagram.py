@@ -58,20 +58,28 @@ class Diagram:
         self.cover_maps = cover_maps
         # the hom by comparable pair, filled as they are asked for
         self._composites = composites
-        # nerve complexes by (kind, matching) and filtered complexes by
-        # (variant, display degrees); filled by derived and spectral
-        self._complexes = {}
-        self._filtered = {}
-        # im_at and ker_at by object
-        self._images = {}
-        self._kernels = {}
+        # the one store (kept), by tagged key: ("complex", kind, matching),
+        # ("filtered", variant, display degrees), ("image" | "kernel", i0)
+        self._kept = {}
+
+    def kept(self, key, build, *args):
+        """build(*args), run once per key and kept on the diagram.
+
+        >>> F = Diagram(None, {}, {}, {})
+        >>> F.kept(("image", "a"), list, "ab"), F.kept(("image", "a"), list, "xy")
+        (['a', 'b'], ['a', 'b'])
+        """
+        hit = self._kept.get(key)
+        if hit is None:
+            hit = self._kept[key] = build(*args)
+        return hit
 
     @cached_property
     def _detached(self) -> "Diagram":
         """The same functor under a Diagram of its own, with its own
-        caches.  A complex holds this, not the diagram it is cached on,
-        and builds page 0's level pieces from it later, so the caches make
-        no reference cycle and a dropped diagram is freed at once."""
+        store.  A complex holds this, not the diagram it is kept on, and
+        builds page 0's level pieces from it later, so the store makes no
+        reference cycle and a dropped diagram is freed at once."""
         return Diagram(self.poset, self.groups, self.cover_maps, self._composites)
 
     def hom(self, p: str, q: str) -> AbHom:
@@ -181,19 +189,18 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
 
 def im_at(F: Diagram, i0: str) -> Subgroup:
     """Subgroup of F(i0) generated by the images of all
-
     non-identity incoming arrows; covers into i0 suffice because every
     arrow of degree > 1 factors through a final cover.  Built once per
     object and kept on F.
     """
-    hit = F._images.get(i0)
-    if hit is None:
-        F.poset._check_id(i0)
-        blocks = [F.cover_maps[(j, i0)].matrix for j in F.poset.covers_into[i0]]
-        rank = F.groups[i0].ambient_rank
-        gens = la.hstack(blocks) if blocks else la.zeros(rank, 0)
-        hit = F._images[i0] = Subgroup(F.groups[i0], gens)
-    return hit
+    return F.kept(("image", i0), _image, F, i0)
+
+
+def _image(F: Diagram, i0: str) -> Subgroup:
+    F.poset._check_id(i0)
+    blocks = [F.cover_maps[(j, i0)].matrix for j in F.poset.covers_into[i0]]
+    rank = F.groups[i0].ambient_rank
+    return Subgroup(F.groups[i0], la.hstack(blocks) if blocks else la.zeros(rank, 0))
 
 
 def coker_at(F: Diagram, i0: str):
@@ -207,17 +214,18 @@ def ker_at(F: Diagram, i0: str) -> Subgroup:
     every such arrow factors through a first cover, so what every cover
     kills every arrow kills.  Built once per object and kept on F.
     """
-    hit = F._kernels.get(i0)
-    if hit is None:
-        F.poset._check_id(i0)
-        G = F.groups[i0]
-        lattice = la.eye(G.ambient_rank)
-        for q in F.poset.covers_out[i0]:
-            h = F.cover_maps[(i0, q)]
-            ker_q = la.preimage_lattice(h.matrix, h.target.relations)
-            lattice = la.intersect_lattices(lattice, ker_q)
-        hit = F._kernels[i0] = Subgroup(G, lattice)
-    return hit
+    return F.kept(("kernel", i0), _joint_kernel, F, i0)
+
+
+def _joint_kernel(F: Diagram, i0: str) -> Subgroup:
+    F.poset._check_id(i0)
+    G = F.groups[i0]
+    lattice = la.eye(G.ambient_rank)
+    for q in F.poset.covers_out[i0]:
+        h = F.cover_maps[(i0, q)]
+        ker_q = la.preimage_lattice(h.matrix, h.target.relations)
+        lattice = la.intersect_lattices(lattice, ker_q)
+    return Subgroup(G, lattice)
 
 
 def representable_diagram(P: GradedPoset, c: str) -> Diagram:

@@ -337,12 +337,8 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
             f"the poset is {P.direction}")
     if F.poset.ids != P.ids or sorted(F.poset.covers) != sorted(P.covers):
         raise MismatchError("diagram is not over the given poset")
-    key = (variant, tuple(P.display_degrees[i] for i in P.ids))
-    X = F._filtered.get(key)
-    if X is None:
-        X = FilteredComplex(_cached_complex(F, variant.complex, variant.matching), variant, P)
-        F._filtered[key] = X
-    return X
+    return F.kept(("filtered", variant, tuple(P.display_degrees[i] for i in P.ids)), lambda: (
+        FilteredComplex(_cached_complex(F, variant.complex, variant.matching), variant, P)))
 
 
 # One page: its nonzero entries, and the differential out of each, keyed

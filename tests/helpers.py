@@ -871,6 +871,12 @@ def strictly_below(P):
 POSET_STATE = {"covers_out", "covers_into", "above_set", "layers", "length"}
 
 
+# what a Diagram may hold: its fields, its composites, its one store and
+# the detached copy its complexes hold; and the tags of the store's keys
+DIAGRAM_STATE = {"poset", "groups", "cover_maps", "_composites", "_kept", "_detached"}
+KEPT_TAGS = {"complex", "filtered", "image", "kernel"}
+
+
 def kept_poset_state(P):
     """The names P holds beyond the fields its constructor sets: the
     cached properties that something has asked for."""

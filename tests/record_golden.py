@@ -24,8 +24,11 @@ every level down to -1 in both two-ended variants), spectral --variant
 across it), validate and colim on four documents whose diamonds fail
 (grid3x3 with a doubled cover, bool3 with a sign flip, crown_tower(3)
 with one cover times 5, and the hexagon, whose failing pair is three
-degrees apart), then gallery, oracle --seeds 25 and the refusal of
-generate --family layered --max-objects 20000,
+degrees apart), classify on the forests of free maps that generate
+writes for the seeds of WITNESSED (--max-objects 10), whose --json
+witnesses are read off the bases of the joint kernels, then gallery,
+oracle --seeds 25 and the refusal of generate --family layered
+--max-objects 20000,
 each in text and with --json, and then the stdout of each script in
 demos/, run in process.  Rerun it only when an
 output is meant to change: the diff of golden_outputs.json then names
@@ -54,6 +57,10 @@ DEMOS = os.path.join(os.path.dirname(HERE), "demos")
 SPECTRAL_COMMANDS = [["spectral", "--variant", str(v)] for v in range(1, 9)]
 DOCUMENT_COMMANDS = [["validate"], ["colim"], ["lim"], ["classify"]] + SPECTRAL_COMMANDS
 GENERATED = [(family, seed) for family in ("forest", "layered") for seed in range(4)]
+# seeds of generate --family forest --mode free_maps_on_forest --max-objects 10
+# whose classify --json prints pseudo-injective witnesses read off the
+# bases of the joint kernels (diagram.ker_at)
+WITNESSED = (13, 117, 200, 201, 270)
 REFUSED_ON = "intro_pushout.json"
 REFUSED = ([["spectral", "--variant", v] for v in ("foo", "²", "9")]
            + [["spectral", "--variant", "3", "--pages", "3..1"]]
@@ -159,29 +166,47 @@ def write_malformed(folder):
     return paths
 
 
+def _generate(path, argv):
+    """Write what generate prints for argv to path; returns path."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["generate"] + argv)
+    with open(path, "w") as fh:
+        fh.write(out.getvalue())
+    return path
+
+
 def write_generated(folder):
     """Write each seeded document of GENERATED into folder, as generate
     prints it; returns {name: path}, the name giving family and seed."""
     paths = {}
     for family, seed in GENERATED:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli.main(["generate", "--family", family, "--mode", "sums_of_standard",
-                      "--seed", str(seed), "--max-objects", "8"])
-        name = f"generated {family} seed={seed}"
-        paths[name] = os.path.join(folder, f"{family}-{seed}.json")
-        with open(paths[name], "w") as fh:
-            fh.write(out.getvalue())
+        paths[f"generated {family} seed={seed}"] = _generate(
+            os.path.join(folder, f"{family}-{seed}.json"),
+            ["--family", family, "--mode", "sums_of_standard", "--seed", str(seed),
+             "--max-objects", "8"])
     return paths
 
 
-def sweep_commands(generated, malformed, chains, diamonds, gapped):
-    """(key, argv) for every command of the sweep, generated, malformed
-    and diamonds being write_generated's, write_malformed's and
-    write_diamonds' {name: path}, chains {name: write_deep_chain's
-    path} for each name of CHAINS and gapped write_gapped's path; the
-    key names a document by its file name or by family and seed, so it
-    is the same in every checkout."""
+def write_witnessed(folder):
+    """Write the forest of free maps of each seed of WITNESSED into
+    folder, as generate prints it; returns {name: path}."""
+    paths = {}
+    for seed in WITNESSED:
+        paths[f"generated forest free_maps_on_forest seed={seed}"] = _generate(
+            os.path.join(folder, f"free-forest-{seed}.json"),
+            ["--family", "forest", "--mode", "free_maps_on_forest", "--seed", str(seed),
+             "--max-objects", "10"])
+    return paths
+
+
+def sweep_commands(generated, malformed, chains, diamonds, gapped, witnessed):
+    """(key, argv) for every command of the sweep, generated, malformed,
+    diamonds and witnessed being write_generated's, write_malformed's,
+    write_diamonds' and write_witnessed's {name: path}, chains
+    {name: write_deep_chain's path} for each name of CHAINS and gapped
+    write_gapped's path; the key names a document by its file name or
+    by family and seed, so it is the same in every checkout."""
     data = resources.files("posetlim") / "data"
     names = sorted(p.name for p in data.iterdir() if p.name.endswith(".json"))
     runs = [(" ".join([cmd[0], name] + cmd[1:]), [cmd[0], str(data / name)] + cmd[1:])
@@ -197,6 +222,7 @@ def sweep_commands(generated, malformed, chains, diamonds, gapped):
              for cmd in GAPPED_COMMANDS]
     runs += [(f"{cmd} {name}", [cmd, path]) for name, path in diamonds.items()
              for cmd in ("validate", "colim")]
+    runs += [(f"classify {name}", ["classify", path]) for name, path in witnessed.items()]
     runs += [(" ".join(cmd), cmd) for cmd in PLAIN_COMMANDS]
     return [(prefix + key, prefix.split() + argv)
             for prefix in ("", "--json ") for key, argv in runs]
@@ -228,7 +254,8 @@ def sweep():
     with tempfile.TemporaryDirectory() as folder:
         chains = {name: write_deep_chain(folder, name) for name in CHAINS}
         commands = sweep_commands(write_generated(folder), write_malformed(folder),
-                                  chains, write_diamonds(folder), write_gapped(folder))
+                                  chains, write_diamonds(folder), write_gapped(folder),
+                                  write_witnessed(folder))
         got = {key: digests(argv) for key, argv in commands}
     for name in sorted(os.listdir(DEMOS)):
         if name.endswith(".py"):

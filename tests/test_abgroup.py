@@ -5,6 +5,7 @@ from math import gcd, prod
 
 import pytest
 
+from posetlim import abgroup
 from posetlim import intlinalg as la
 from posetlim.abgroup import (
     AbHom,
@@ -149,7 +150,8 @@ def test_kernel_certificates():
         src, src_orders = random_group(rng)
         tgt, _ = random_group(rng)
         h = random_well_defined_hom(rng, src, src_orders, tgt)
-        K, K_grp, emb = kernel(h)
+        K = kernel(h)
+        K_grp, emb = K.as_group
         assert compose(h, emb).is_zero()
         # membership in K must agree with being killed by h
         for _ in range(8):
@@ -177,7 +179,7 @@ def test_image_and_quotient_orders_multiply():
     two = Subgroup(Z, [[2]])
     Q, proj = quotient(Z, two)
     assert Q.invariant_factors == (2,) and Q.free_rank == 0
-    K, _, _ = kernel(proj)
+    K = kernel(proj)
     assert same_subgroup(K, two)
 
 
@@ -248,6 +250,33 @@ def test_mono_epi_helpers():
     assert hom_is_mono(AbHom(Z, Z, [[2]]))
     assert not hom_is_mono(AbHom(Z, cyclic_group(2), [[1]]))
     assert hom_is_mono(identity_hom(trivial_group()))
+
+
+def test_triviality_and_monos_are_span_membership(monkeypatch):
+    """hom_is_mono and Subgroup.is_trivial present no group: with
+    subquotient and the Smith diagonal made to raise they still answer,
+    and agree with the presented subgroup on seeded random homs and
+    subgroups into free, torsion and zero targets."""
+    rng = random.Random(41)
+    cases = []
+    for tgt in [random_group(rng)[0] for _ in range(30)] + [free_group(2), cyclic_group(6),
+                                                          trivial_group()]:
+        src, src_orders = random_group(rng)
+        h = random_well_defined_hom(rng, src, src_orders, tgt)
+        gens = la.intmat([[rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(2)]
+                          for _ in range(tgt.ambient_rank)], (tgt.ambient_rank, 2))
+        cases.append((h, Subgroup(tgt, gens)))
+
+    def refuse(*args):
+        raise AssertionError("presented a group to answer a yes/no question")
+
+    with monkeypatch.context() as m:
+        m.setattr(abgroup, "subquotient", refuse)
+        m.setattr(la, "diagonal_of_snf", refuse)
+        got = [(hom_is_mono(h), S.is_trivial) for h, S in cases]
+    want = [(kernel(h).as_group[0].is_trivial, S.as_group[0].is_trivial) for h, S in cases]
+    assert got == want
+    assert {mono for mono, _ in want} == {trivial for _, trivial in want} == {True, False}
 
 
 def test_is_zero_builds_no_checker_for_a_zero_matrix(monkeypatch):

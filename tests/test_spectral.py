@@ -43,6 +43,8 @@ from posetlim.spectral import (
 )
 
 from helpers import (
+    DIAGRAM_STATE,
+    KEPT_TAGS,
     POSET_STATE,
     block_levels,
     bundled_diagrams,
@@ -1200,3 +1202,25 @@ def test_every_query_keeps_only_covers_and_up_sets(name):
             assert convergence_check(P, F, v).ok
             oracle_page_recurrence(X)
     assert kept_poset_state(P) <= POSET_STATE
+
+
+def test_every_query_keeps_one_store_on_the_diagram():
+    """colim and lim in every degree, classify, then E_inf and the
+    convergence check in every variant of the document's direction, on
+    each bundled document, leave on the diagram only its fields, its
+    composites, its one store and its detached copy; every key of the
+    store carries one of the four tags, and each tag is used."""
+    tags = set()
+    for P, F in bundled_diagrams():
+        for direction in ("colim", "lim"):
+            for i in range(P.length + 1):
+                derived_functor(F, direction, i)
+        classify_diagram(F)
+        for v in TABLE_VARIANTS:
+            if v.direction == P.direction:
+                e_infinity(build_filtered(P, F, v))
+                assert convergence_check(P, F, v).ok
+        assert set(vars(F)) <= DIAGRAM_STATE
+        assert {key[0] for key in F._kept} <= KEPT_TAGS
+        tags |= {key[0] for key in F._kept}
+    assert tags == KEPT_TAGS
