@@ -22,7 +22,8 @@ Morse complex: its group is never decided and the flows treat it as
 zero.  A degree of ambient rank 0 holds no differential, and its
 homology is the shared zero group, with no lattice computed.  The
 spectral sequences take the reduced complex on whichever matching keeps
-their filtration's key vertex, the carrier one or the two-ended one.  A
+their filtration's key vertex, the carrier one or the two-ended one, and
+cancel its same-level +-identity pairs (spectral.build_filtered).  A
 reduced complex records the ends its matching fixes, and every pair a
 flow expands is checked to keep them, so the matching is never listed.
 Nothing at run time builds the whole unreduced nerve complex: spectral
@@ -93,8 +94,12 @@ class ChainComplex:
     shares its first h and its last f vertices (each 0 or 1); an
     unreduced complex has none.  diagram is the detached diagram
     (Diagram._detached) the complex was built from, None for a complex
-    that is not built from one.
+    that is not built from one.  A complex that spectral's elimination
+    cut down lists the pairs of cells it cancelled (cancelled); every
+    other complex has none.
     """
+
+    cancelled = ()
 
     def __init__(self, diagram, orientation, blocks, sums, diffs, top, fixed=None):
         self.diagram = diagram

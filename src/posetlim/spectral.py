@@ -27,6 +27,23 @@ nerve complex.  The inner-column sequences, which refilter one level
 piece by the other vertex, are a test oracle (tests/helpers.py), not
 part of the library.
 
+The Morse base then goes through one block elimination
+(_cancel_level_pairs) before any lattice is built: a cell a and a cell
+b one degree along d, at one level, whose block of d is +I or -I
+between identical presentations, are cancelled, and every other
+component of d becomes d - d_{.a} (+-I) d_{b.}.  Cancelling a pair whose
+block is an isomorphism is a chain homotopy equivalence
+(Kaczynski-Mrozek-Slusarek, Computers Math. Applic. 35, 1998), and the
+inverse of +-I adds no denominators.  With both cells at one level it
+is filtered: d never raises the level, so neither does the update term,
+which passes through that level, and again no page from E1 on changes
+(Mischaikow-Nanda, 2013).  The two-ended matching keeps a cell at nearly
+every level of a chain, and the elimination leaves about what
+E-infinity holds.  The filtered complex checks that each cancelled pair
+lies at one level, as it checks the matching's fixed ends, and the
+eliminated complex is checked for d o d = 0.  A filtered complex built
+directly on a complex keeps that complex as its base.
+
 Each cycle lattice Z(n, s, star), the level-<= s chains of C_n whose
 differential lies at level <= star, is read off one lattice preimage
 per (degree, reach) with C_n's coordinates in filtration order, highest
@@ -42,7 +59,7 @@ check, reuses the SpanChecker the lattice keeps (IntMatrix.span).
 From r = 1 on, an entry can be nonzero only at an occupied (level,
 degree), one where the base has a coordinate: elsewhere the cycles are
 those one level deeper.  So the builder visits the occupied keys only,
-and its cost follows the critical cells of the Morse base rather than
+and its cost follows the cells that the elimination leaves rather than
 span x degrees.  A trivial entry there is the one shared zero group
 (abgroup.trivial_group(), the same instance as an empty degree of a
 complex and its homology), and a map into it an empty zero map; no map
@@ -53,7 +70,8 @@ fail.  Its cycles are those one level
 deeper, so their image under d is the lattice of boundaries arriving at
 the target, which the target's own boundary check tests.  And its
 boundaries lie in its cycles whenever d o d vanishes, which the base
-checked, and the lattices are right.  The page recurrence takes the
+checked (the Morse base, and again after elimination), and the lattices
+are right.  The page recurrence takes the
 homology at a zero entry to be zero.
 
 Internal bookkeeping uses one canonical shape: levels are shifted so
@@ -78,7 +96,7 @@ from functools import cached_property
 from math import prod
 
 from . import intlinalg as la
-from .abgroup import AbHom, homology, subquotient, trivial_group, zero_hom
+from .abgroup import AbHom, direct_sum, homology, subquotient, trivial_group, zero_hom
 from .derived import (
     ChainComplex,
     _cached_complex,
@@ -166,9 +184,22 @@ def variant_by_name(name: str) -> Variant:
                      + ", ".join(v.name for v in TABLE_VARIANTS))
 
 
+def _level_of(P: GradedPoset, variant: Variant):
+    """The canonical level of a chain under this preset on P's degrees, as
+    a function of the chain: its key vertex's display degree, shifted so
+    that the filtration increases from 0."""
+    degs = P.display_degrees
+    key = -1 if variant.key == "last" else 0
+    if variant.condition == ">=":
+        top = max(degs.values())
+        return lambda c: top - degs[c[key]]
+    low = min(degs.values())
+    return lambda c: degs[c[key]] - low
+
+
 class FilteredComplex:
-    """A nerve complex, unreduced or Morse-reduced, with a level attached
-    to every chain block.
+    """A nerve complex, unreduced, Morse-reduced or Morse-reduced and
+    eliminated, with a level attached to every chain block.
 
     A chain's preset p is the display degree of its key vertex.  Its
     canonical level (_level) shifts that to 0-based increasing form, and
@@ -178,8 +209,9 @@ class FilteredComplex:
     the canonical level) is verified on construction, entry by nonzero
     entry, and so is the base's matching:
     it must fix the key vertex of every pair, or the reduction would not
-    be filtered.  The base checks each pair its flows expand against the
-    ends it fixes (derived._morse_complex).
+    be filtered, and each pair its elimination cancelled must lie at one
+    level.  The base checks each pair its flows expand against the ends
+    it fixes (derived._morse_complex).
     """
 
     def __init__(self, base: ChainComplex, variant: Variant, poset: GradedPoset):
@@ -191,6 +223,7 @@ class FilteredComplex:
         self.max_degree = max(degs.values())
         self.span = self.max_degree - self.min_degree
         # the variant read once: _level runs per chain, _public_key per key
+        self._level = _level_of(poset, variant)
         self._key = -1 if variant.key == "last" else 0
         self._from_top = variant.condition == ">="
         self._type = variant.type
@@ -205,11 +238,6 @@ class FilteredComplex:
         self._pages = {}
         self._check_respected()
         self._check_matching()
-
-    def _level(self, c) -> int:
-        """The canonical level of the chain c."""
-        p = self.poset.display_degrees[c[self._key]]
-        return (self.max_degree - p) if self._from_top else (p - self.min_degree)
 
     @property
     def step(self) -> int:
@@ -227,12 +255,18 @@ class FilteredComplex:
 
     def _check_matching(self):
         """An unreduced base has no matching; a reduced one must fix the
-        first vertex (key first) or the last (key last)."""
+        first vertex (key first) or the last (key last).  Each pair of
+        cells the base's elimination cancelled must lie at one level."""
         fixed = self.base.fixed
         if fixed is not None and not fixed[self._key]:
             raise OracleViolation(
                 f"the base's matching fixes the ends {fixed}, so its pairs may move the "
                 f"{self.variant.key} vertex, which carries the filtration level")
+        for a, b in self.base.cancelled:
+            if self._level(a) != self._level(b):
+                raise OracleViolation(
+                    f"the cancelled cells {a} and {b} lie at levels {self._level(a)} "
+                    f"and {self._level(b)}, so their elimination is not filtered")
 
     @cached_property
     def _pieces(self) -> dict:
@@ -327,10 +361,104 @@ class FilteredComplex:
         return hit
 
 
+def _cancel_level_pairs(base: ChainComplex, level) -> ChainComplex:
+    """base with its same-level +-identity pairs cancelled (see the
+    module docstring), level(c) being the level of the cell c.
+
+    Each differential's columns are read once and indexed by row, then
+    its source cells a are walked in block order, each cancelled with
+    the first cell b its current columns meet in a block eps * I.  That
+    takes eps * x times a's k-th column from each column with an entry x
+    in b's k-th row, clearing b's rows, and drops a's columns, b's rows,
+    a's rows from the differential into C_n and b's columns from the one
+    out of C_{n+step}.  The base itself comes back when nothing cancels;
+    otherwise the result keeps its diagram and fixed ends, lists its
+    pairs as cancelled, and is checked for d o d = 0."""
+    step = base.step
+    degrees = range(base.top + 1)
+    levels = {n: [level(c) for c in base.blocks[n]] for n in degrees}
+    owner = {n: [j for j, G in enumerate(base.sums[n].summands) for _ in range(G.ambient_rank)]
+             for n in degrees}
+    dead = {n: set() for n in degrees}
+    work = {}
+    pairs = []
+    for n, d in sorted(base._diffs.items()):
+        m = n + step
+        src, tgt = base.sums[n], base.sums[m]
+        cols = {i: {r: x for r, x in col.items() if owner[m][r] not in dead[m]}
+                for i, col in enumerate(d.matrix.cols) if owner[n][i] not in dead[n]}
+        # rows[r] holds every column with an entry in row r (and maybe
+        # some that lost it)
+        rows = {}
+        for i, col in cols.items():
+            for r in col:
+                rows.setdefault(r, set()).add(i)
+        for a, G in enumerate(src.summands):
+            if a in dead[n] or not G.ambient_rank:
+                continue
+            A = range(src.offsets[a], src.offsets[a] + G.ambient_rank)
+            # per target cell at a's level: (row offset - k, x) for each
+            # entry x of a's k-th column in its rows; eps * I is r times (0, eps)
+            hits = {}
+            for k, i in enumerate(A):
+                for r, x in cols[i].items():
+                    b = owner[m][r]
+                    if levels[m][b] == levels[n][a]:
+                        hits.setdefault(b, []).append((r - tgt.offsets[b] - k, x))
+            for b, entries in hits.items():
+                eps = entries[0][1]
+                if (eps in (1, -1) and len(entries) == len(A)
+                        and all(e == (0, eps) for e in entries)
+                        and tgt.summands[b].same_presentation(G)):
+                    break
+            else:
+                continue
+            for k, i in enumerate(A):
+                r, col = tgt.offsets[b] + k, cols.pop(i)
+                for j in rows.pop(r):
+                    cj = cols.get(j)
+                    if cj is None or r not in cj:
+                        continue
+                    c = -eps * cj[r]
+                    for rr, y in col.items():
+                        v = cj.get(rr, 0) + c * y
+                        if v:
+                            cj[rr] = v
+                            rows.setdefault(rr, set()).add(j)
+                        else:
+                            del cj[rr]
+            dead[n].add(a)
+            dead[m].add(b)
+            pairs.append((base.blocks[n][a], base.blocks[m][b]))
+        work[n] = cols
+    if not pairs:
+        return base
+    live = {n: [j for j in range(len(base.blocks[n])) if j not in dead[n]] for n in degrees}
+    sums = {n: direct_sum([base.sums[n].summands[j] for j in live[n]]) for n in degrees}
+    index = {n: {i: k for k, i in enumerate(i for i, j in enumerate(owner[n]) if j not in dead[n])}
+             for n in degrees}
+    diffs = {}
+    for n, cols in work.items():
+        m = n + step
+        if sums[n].group.ambient_rank and sums[m].group.ambient_rank:
+            row = index[m]
+            M = la.IntMatrix((len(row), len(index[n])),
+                             [{row[r]: x for r, x in cols[i].items() if r in row} for i in index[n]])
+            diffs[n] = AbHom(sums[n].group, sums[m].group, M, check=False)
+    X = ChainComplex(base.diagram, base.orientation,
+                     {n: [base.blocks[n][j] for j in live[n]] for n in degrees},
+                     sums, diffs, base.top, base.fixed)
+    X.cancelled = pairs
+    _check_dd_zero(diffs, lambda n: n + step)
+    return X
+
+
 def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComplex:
     """The filtered Morse-reduced nerve complex of F for this preset and
-    P's degrees, on the variant's matching, built once per (variant,
-    display degrees) and kept on F; the checks run on every call."""
+    P's degrees, on the variant's matching, with its same-level
+    +-identity pairs then cancelled (_cancel_level_pairs), built once per
+    (variant, display degrees) and kept on F over F's kept Morse base;
+    the checks run on every call."""
     if variant.direction != P.direction:
         raise VariantMismatchError(
             f"variant expects a {variant.direction} degree function, "
@@ -338,7 +466,8 @@ def build_filtered(P: GradedPoset, F: Diagram, variant: Variant) -> FilteredComp
     if F.poset.ids != P.ids or sorted(F.poset.covers) != sorted(P.covers):
         raise MismatchError("diagram is not over the given poset")
     return F.kept(("filtered", variant, tuple(P.display_degrees[i] for i in P.ids)), lambda: (
-        FilteredComplex(_cached_complex(F, variant.complex, variant.matching), variant, P)))
+        FilteredComplex(_cancel_level_pairs(_cached_complex(F, variant.complex, variant.matching),
+                                            _level_of(P, variant)), variant, P)))
 
 
 # One page: its nonzero entries, and the differential out of each, keyed
@@ -369,8 +498,9 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     that holds a coordinate of C_n (every other entry is zero), cycles
     reaching r levels down, modulo the same from one level deeper plus
     boundaries from r-1 levels shallower.  A matching
-    inside the levels is a filtered homotopy equivalence, so the reduced
-    base gives the same pages from r = 1 on (Mischaikow-Nanda, 2013).
+    inside the levels is a filtered homotopy equivalence, and so is the
+    cancelling of same-level pairs, so the reduced and eliminated base
+    gives the same pages from r = 1 on (Mischaikow-Nanda, 2013).
 
     From r = span + 1 on, every lattice below clamps to the same keys
     (cycles reaching level -1, boundaries from the top level) and no

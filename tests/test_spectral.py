@@ -541,12 +541,26 @@ def _filtered_cases(count=8):
                 yield build_filtered(P, F, v)
 
 
+def _morse_filtered(P, F, v):
+    """The filtered complex on F's Morse base before elimination."""
+    return FilteredComplex(derived._cached_complex(F, v.complex, v.matching), v, P)
+
+
+def _morse_cases(count=8):
+    """Filtered complexes on the Morse bases before elimination, whose
+    many cells let a random entry raise a level."""
+    for P, F in _seeded_diagrams(count):
+        for v in TABLE_VARIANTS:
+            if v.direction == P.direction:
+                yield _morse_filtered(P, F, v)
+
+
 def test_level_check_agrees_with_a_blockwise_scan():
     # an entry added at a random place in a differential raises the level
     # or not; the check must refuse exactly the complexes that do
     rng = random.Random(4321)
     seen = {True: 0, False: 0}
-    for X in _filtered_cases():
+    for X in _morse_cases():
         base = X.base
         assert not _raises_level(X, base._diffs)
         for n, d in base._diffs.items():
@@ -1124,6 +1138,129 @@ def test_inner_sequences_refilter_the_unreduced_piece():
                 for r, pg in enumerate(pages):
                     _assert_same_groups(pg, page(inner, r))
     assert seen == {v.name for v in TABLE_VARIANTS}
+
+
+# ------------------------------------------------ block elimination
+
+def _coordinates(X):
+    return sum(X.base.group_at(n).ambient_rank for n in range(X.base.top + 1))
+
+
+def _elimination_diagrams():
+    """The oracle diagrams, randgen documents on up to 7 objects, and
+    torsion sums on bool4 and grid4x4."""
+    diagrams = _oracle_diagrams()
+    for k in range(12):
+        cfg = GenConfig(seed=7300 + k, family="forest" if k % 2 == 0 else "layered",
+                        max_objects=7)
+        P = gen_poset(cfg)
+        diagrams.append((P, gen_diagram(cfg, P, "sums_of_standard")))
+    rng = random.Random(31)
+    for name in ("bool4", "grid4x4"):
+        P = shape(name)
+        diagrams += [(P, random_torsion_sum_diagram(rng, P)) for _ in range(2)]
+    return diagrams
+
+
+def test_eliminated_pages_match_the_morse_base():
+    """Pages 1..span + 2, the last being E-infinity, of the filtered
+    complex that build_filtered keeps hold at every key the groups of
+    those on the Morse base before its same-level +-identity pairs were
+    cancelled.  The survivors are Morse cells in the base's block order,
+    each cancelled pair lies at one level one degree apart, and the ends
+    variants lose coordinates."""
+    removed = {"carrier": 0, "ends": 0}
+    for P, F in _elimination_diagrams():
+        for v in TABLE_VARIANTS:
+            if v.direction != P.direction:
+                continue
+            X, M = build_filtered(P, F, v), _morse_filtered(P, F, v)
+            for n in range(M.base.top + 1):
+                kept = set(X.base.blocks[n])
+                assert [c for c in M.base.blocks[n] if c in kept] == X.base.blocks[n]
+            for a, b in X.base.cancelled:
+                assert len(b) - len(a) == X.step and X._level(a) == X._level(b)
+            removed[v.matching] += _coordinates(M) - _coordinates(X)
+            assert e_infinity(X) is page(X, X.span + 2)
+            for r in range(1, X.span + 3):
+                got, want = page(X, r).entries, page(M, r).entries
+                assert set(got) == set(want), (v.name, r)
+                for k, g in want.items():
+                    assert got[k].is_isomorphic_to(g), (v.name, r, k)
+    assert removed["ends"] > 0
+
+
+def test_e_infinity_of_a_chain_of_400_objects_in_the_ends_variants_within_a_second():
+    """Constant Z on a chain of 400 objects in the two variants whose
+    Morse base keeps a cell at nearly every level (799 coordinates): the
+    elimination leaves one, E-infinity is one Z, the convergence check
+    passes, and each variant, base included, takes under 1 s."""
+    P, F = parse_diagram(deep_chain_document(400))
+    for name, key in (("chain:sigma_n:increasing", (0, 0)),
+                      ("cochain:sigma_0:increasing", (399, -399))):
+        v = variant_by_name(name)
+        start = time.perf_counter()
+        X = build_filtered(P, F, v)
+        stable = e_infinity(X)
+        assert convergence_check(P, F, v).ok
+        assert time.perf_counter() - start < 1, name
+        assert _coordinates(X) == 1, name
+        assert {k: g.describe() for k, g in stable.entries.items()} == {key: "Z"}
+
+
+def test_a_cancelled_pair_across_levels_is_refused(monkeypatch):
+    """Pair selection cancels cells at one level only, and the filtered
+    complex checks each pair its base cancelled.  On the pushout, the
+    one +-identity block of the Morse base joins two levels, so nothing
+    is cancelled; when selection reads every cell at level 0, it cancels
+    that pair, which the check refuses, naming it."""
+    F = intro_pushout()
+    X = build_filtered(F.poset, F, CHAIN_LAST_INC)
+    assert X.base is derived._cached_complex(F, "chain", "ends") and not X.base.cancelled
+    real = spectral._cancel_level_pairs
+    monkeypatch.setattr(spectral, "_cancel_level_pairs", lambda base, level: real(base, lambda c: 0))
+    F = intro_pushout()
+    with pytest.raises(OracleViolation, match=re.escape(
+            "the cancelled cells ('a', 'b') and ('a',) lie at levels 1 and 0, so")):
+        build_filtered(F.poset, F, CHAIN_LAST_INC)
+
+
+def _fill_in(M, X):
+    """(n, i, j) for each nonzero entry of X's d_n whose cells have a
+    zero block in M's d_n: the entries that elimination filled in."""
+    def cells(C, n):
+        return [c for c, G in zip(C.blocks[n], C.sums[n].summands) for _ in range(G.ambient_rank)]
+    out = []
+    for n, d in X._diffs.items():
+        m = n + X.step
+        rows, cols, base_rows, base_cols = cells(X, m), cells(X, n), cells(M, m), cells(M, n)
+        linked = {(base_rows[i], base_cols[j])
+                  for j, col in enumerate(M._diffs[n].matrix.cols) for i in col}
+        out += [(n, i, j) for j, col in enumerate(d.matrix.cols) for i in col
+                if (rows[i], cols[j]) not in linked]
+    return out
+
+
+def test_a_wrong_fill_in_entry_is_refused(monkeypatch):
+    """The eliminated complex is checked for d o d = 0: a fill-in entry
+    planted one off is refused."""
+    P = shape("bool3")
+    v = Variant("chain", "last", "increasing")
+    F = random_torsion_sum_diagram(random.Random(0), P)
+    X = build_filtered(P, F, v)
+    n, i, j = _fill_in(derived._cached_complex(F, v.complex, v.matching), X.base)[0]
+    real, planted = spectral.AbHom, []
+
+    def planting(source, target, matrix, check=True):
+        if matrix == X.base.d_from(n).matrix:
+            planted.append(n)
+            matrix = matrix + la.from_blocks(*matrix.shape, [(i, j, 1, la.eye(1))])
+        return real(source, target, matrix, check)
+
+    monkeypatch.setattr(spectral, "AbHom", planting)
+    with pytest.raises(OracleViolation, match="d o d is nonzero"):
+        build_filtered(P, random_torsion_sum_diagram(random.Random(0), P), v)
+    assert planted == [n]
 
 
 def test_e_infinity_of_a_grid_cone():
