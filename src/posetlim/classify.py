@@ -46,16 +46,6 @@ class ConditionVerdict(namedtuple("ConditionVerdict", "ok reason", defaults=(Non
         return self.ok
 
 
-def _degree_d_sources(P, i0, d):
-    """The ids d degrees below i0 and under it, from one degree layer."""
-    return [i for i in P.layers.get(P.degree[i0] - d, ()) if i0 in P.above_set[i]]
-
-
-def _degree_d_targets(P, i0, d):
-    """The ids d degrees above i0 and over it, from one degree layer."""
-    return [i for i in P.layers.get(P.degree[i0] + d, ()) if i in P.above_set[i0]]
-
-
 def _split_by_offsets(vec, ids, ds):
     """vec cut into its components, one (id, element) per summand of ds."""
     return tuple((i, vec[off:off + G.ambient_rank])
@@ -78,8 +68,9 @@ def is_pseudo_projective_at(F: Diagram, i0: str, d: int):
     """
     if d < 1:
         raise ValueError("d-pseudo conditions start at d = 1")
-    F.poset._check_id(i0)
-    sources = _degree_d_sources(F.poset, i0, d)
+    P = F.poset
+    P._check_id(i0)
+    sources = P.below_among(i0, P.layers.get(P.degree[i0] - d, ()))
     if not sources:
         return PseudoVerdict(True)
     ds = direct_sum([F.groups[i] for i in sources])
@@ -118,8 +109,9 @@ def is_pseudo_injective_at(F: Diagram, i0: str, d: int):
     every tuple of joint-kernel elements must lift through F(i0)."""
     if d < 1:
         raise ValueError("d-pseudo conditions start at d = 1")
-    F.poset._check_id(i0)
-    targets = _degree_d_targets(F.poset, i0, d)
+    P = F.poset
+    P._check_id(i0)
+    targets = P.above_among(i0, P.layers.get(P.degree[i0] + d, ()))
     if not targets:
         return PseudoVerdict(True)
     sums = direct_sum([F.groups[t] for t in targets])

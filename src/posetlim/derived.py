@@ -13,19 +13,16 @@ Morse-reduced ones sum them along zig-zag flows.
 derived_functor takes them from the Morse-reduced nerve complex
 (reduce_complex) on the carrier matching, which keeps only the critical
 chains of an acyclic matching; on a poset with a greatest (least)
-element that is a single chain.  The matching is decided group by
-group, and a group whose interval has a cone point, read from the
-interval's extremal elements, is paired off without listing a chain,
-so such a poset's nerve is never listed.  A chain whose carrier's value
-has ambient rank 0 holds no coordinate, so it is not a cell of the
-Morse complex: its group is never decided and the flows treat it as
-zero.  A degree of ambient rank 0 holds no differential, and its
-homology is the shared zero group, with no lattice computed.  The
-spectral sequences take the reduced complex on whichever matching keeps
-their filtration's key vertex, the carrier one or the two-ended one, and
-cancel its same-level +-identity pairs (spectral.build_filtered).  A
-reduced complex records the ends its matching fixes, and every pair a
-flow expands is checked to keep them, so the matching is never listed.
+element that is a single chain.  One rule, the chain one, decides the
+matching group by group, for cochains on the opposite poset, and a
+group whose interval has a cone point, read from its maximal elements,
+is paired off without listing a chain, so such a poset's nerve is
+never listed.  A chain whose carrier's value is zero is not a cell of
+the Morse complex, and a zero degree has the shared zero group as its
+homology.  The spectral sequences take the reduced complex on whichever
+matching keeps their filtration's key vertex, the carrier one or the
+two-ended one, and cancel its same-level +-identity pairs
+(spectral.build_filtered).
 Nothing at run time builds the whole unreduced nerve complex: spectral
 page 0 assembles each level from its own chains with _complex, and the
 unreduced complexes (tests/helpers.py) are the tests' oracle for the
@@ -48,7 +45,7 @@ from . import intlinalg as la
 from .abgroup import AbHom, FgAbGroup, compose, direct_sum, homology, trivial_group, zero_hom
 from .diagram import Diagram
 from .errors import ChainBudgetError, OracleViolation
-from .poset import chain_total, chains_up_to
+from .poset import chain_total, chains_starting, chains_up_to, opposite
 
 # The most chains one complex may list; the CLI's --max-chains.  Spectral
 # page 0 lists the whole nerve once per filtered complex and builds it
@@ -215,25 +212,25 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
     maps; the unreduced differentials are never assembled, and a chain
     that no group of the matching needs is never listed.
 
-    A chain's carrier is the vertex whose value it holds: the first
-    vertex for chains, the last for cochains.  The "carrier" matching
-    groups the chains by carrier, the "ends" matching by their first and
-    last vertex together; inside a group the other vertices, the tails
-    (chains of the open interval the fixed ends bound, the empty one
-    included), are paired by Jonsson's sequential element matching, which
-    is acyclic (*Simplicial Complexes of Graphs*, 2008); _ElementMatching
-    decides it one group at a time.  A pair differs by a vertex that is
-    neither fixed end, so its block is +-identity on the carrier's value
-    whatever F is.  The only faces that leave a group drop a fixed end:
-    for the carrier matching that moves the carrier strictly, always the
-    same way, and for the ends matching it strictly shrinks the interval
-    from the first vertex to the last, so no gradient path comes back to
-    a group it left.  The unpaired (critical) chains span the Morse
-    complex, whose differentials sum the zig-zag paths between them
+    A chain's carrier is the vertex whose value it holds: the first vertex
+    for chains, the last for cochains.  The "carrier" matching groups the
+    chains by carrier, the "ends" matching by their first and last vertex
+    together; inside a group the other vertices, the tails (chains of the
+    open interval the fixed ends bound, the empty one included), are
+    paired by Jonsson's sequential element matching, which is acyclic
+    (*Simplicial Complexes of Graphs*, 2008); _ElementMatching decides it
+    one group at a time by the chain rule, for cochains on opposite(P),
+    each cell reversed going in and coming out.  A pair differs by a
+    vertex that is neither fixed end, so its block is +-identity on the
+    carrier's value whatever F is.  The only faces that leave a group drop
+    a fixed end: for the carrier matching that moves the carrier strictly,
+    always the same way, and for the ends matching it strictly shrinks the
+    interval from the first vertex to the last, so no gradient path comes
+    back to a group it left.  The unpaired (critical) chains span the
+    Morse complex, whose differentials sum the zig-zag paths between them
     (Skoldberg, Trans. AMS 358, 2006); d o d = 0 is checked on the
-    result.  A chain whose carrier's value has ambient rank 0 is not a
-    cell of it: it would hold no coordinate, so no matrix changes, its
-    group is not decided, and no flow expands a pair through it.
+    result.  A chain whose carrier's value has ambient rank 0 holds no
+    coordinate, so it is not a cell of it (_ElementMatching).
 
     The carrier matching keeps the first (chain) or last (cochain)
     vertex of every pair, the ends matching both, which is what a
@@ -245,121 +242,84 @@ def reduce_complex(F: Diagram, kind: str, matching: str = "carrier") -> ChainCom
         raise ValueError(f"unknown complex kind {kind!r}")
     if matching not in MATCHINGS:
         raise ValueError(f"unknown matching {matching!r}")
-    if matching == "ends":
-        ends = (1, 1)
-    else:
-        ends = (1, 0) if kind == "chain" else (0, 1)
+    foot = int(matching == "ends")
     zero = {v for v, G in F.groups.items() if not G.ambient_rank}
-    M = _ElementMatching(F.poset, kind, ends, zero)
-    return _morse_complex(F, kind, M.critical(), F.poset.length, M.partner, ends)
+    P = F.poset
+    if kind == "chain":
+        M = _ElementMatching(P, foot, zero)
+        return _morse_complex(F, kind, M.critical(), P.length, M.partner, (1, foot))
+    M = _ElementMatching(opposite(P), foot, zero)
+
+    def partner(c):
+        s = M.partner(c[::-1])
+        return None if s is None else s[::-1]
+    return _morse_complex(F, kind, [c[::-1] for c in M.critical()], P.length, partner, (foot, 1))
 
 
 class _ElementMatching:
-    """The sequential element matching inside each group, decided one
-    group at a time.  ends = (h, f) fixes the first h and the last f
-    vertices of every cell (each 0 or 1), always including the carrier:
-    h for chains, f for cochains.  A cell is head + tail + foot, the
-    group is (head, foot), and the elements tried are those of the open
-    interval the head and foot bound.  They are tried in order of
-    internal degree, descending for chains and ascending for cochains
-    (ties by id), one step each: a step pairs every free tail t without
-    the element x with t plus x when that is free too.
+    """The sequential element matching of P's chains, decided one group
+    at a time.  A cell is head + tail + foot: the head is its first
+    vertex, the carrier, and the foot its last vertex when foot is 1,
+    empty when it is 0.  The group is (head, foot), and the elements of
+    the open interval they bound (the head's up-set without a foot) are
+    tried by descending internal degree, ties by id, one step each: a
+    step pairs every free tail t without the element x with t plus x
+    when that is free too.  A group whose head is in zero (the objects
+    whose value has ambient rank 0) holds no coordinate: it is neither
+    decided nor listed, and the flows treat it as zero (_morse_complex).
+    When the first element is the interval's greatest (a cone point),
+    step 1 pairs every tail, so nothing of the group is listed or kept,
+    and partner reads the partner from the cell.  Every other group
+    lists its tails, runs the steps and keeps its pairs."""
 
-    zero is the set of objects whose value has ambient rank 0.  A group
-    whose carrier is in it is neither decided nor listed: its cells hold
-    no coordinate, so they are not cells of the Morse complex, and the
-    flows treat them as zero (_morse_complex).
-
-    When the first element x is comparable to the whole interval (a cone
-    point: its greatest element for chains, its least for cochains), step
-    1 pairs every tail with the tail that differs from it by x, so the
-    group has no critical cell: nothing of it is listed or kept, and
-    partner reads the partner from the cell.  Every other group lists its
-    tails, walking inside the interval, runs the steps and keeps its pairs."""
-
-    def __init__(self, P, kind, ends, zero):
-        self.P = P
-        self.chain = kind == "chain"
-        self.h, self.f = ends
-        self.zero = zero
-        # P's maximal elements for chains, its minimal ones for cochains
-        self._extremal = [v for v in P.ids
-                          if not (P.covers_out if self.chain else P.covers_into)[v]]
-        deg = P.degree
-        self._order = ((lambda y: (-deg[y], y)) if self.chain
-                       else (lambda y: (deg[y], y)))
+    def __init__(self, P, foot, zero):
+        self.P, self.f, self.zero = P, foot, zero
         # (head, foot) -> {cell: partner} for each group critical lists
         self._pairs = {}
 
     def _keys(self):
-        """Each group (head, foot) whose carrier is not in zero."""
-        P = self.P
-        for v in P.ids:
-            if not self.f:
-                keys = [((v,), ())]
-            elif not self.h:
-                keys = [((), (v,))]
-            else:
-                keys = [((v,), (b,)) for b in (v, *sorted(P.above_set[v]))]
-            for head, foot in keys:
-                if (head if self.chain else foot)[0] not in self.zero:
-                    yield head, foot
+        """Each group (head, foot) whose head is not in zero."""
+        for v in self.P.ids:
+            if v not in self.zero:
+                for foot in [(b,) for b in (v, *self.P.above(v))] if self.f else [()]:
+                    yield (v,), foot
 
     def _cone_point(self, head, foot):
-        """The cone point of the open interval head and foot bound, read
-        from its extremal elements without building it: the interval is a
-        cone exactly when it has one maximal element (chains: the lower
-        covers of the foot above the head, or P's maximal elements above
-        it) or one minimal element (cochains: the upper covers of the head
-        below the foot, or P's minimal elements below it); else None."""
+        """The cone point of the open interval head and foot bound, else
+        None: its one maximal element, when it has exactly one (the foot's
+        lower covers above the head, or P's maximal elements above it)."""
         P = self.P
-        if self.chain:
-            extremal = P.covers_into[foot[0]] if foot else self._extremal
-            found = [x for x in extremal if x in P.above_set[head[0]]]
-        else:
-            extremal = P.covers_out[head[0]] if head else self._extremal
-            found = [x for x in extremal if foot[0] in P.above_set[x]]
+        found = P.above_among(head[0], P.covers_into[foot[0]] if foot else P.maximal)
         return found[0] if len(found) == 1 else None
 
     def _inside(self, head, foot):
-        """The open interval head and foot bound, read from up-sets; with
-        both ends, from the layers strictly between their degrees only."""
-        P = self.P
-        if not foot:
-            return P.above_set[head[0]]
-        if not head:
-            return {x for x in P.ids if foot[0] in P.above_set[x]}
-        a, b = head[0], foot[0]
-        return {x for d in range(P.degree[a] + 1, P.degree[b]) for x in P.layers.get(d, ())
-                if x in P.above_set[a] and b in P.above_set[x]}
-
-    def _tails(self, inside):
-        """The chains of the subposet inside, the empty one first."""
-        if not inside:
-            return [()]
-        return [()] + [c for chains in chains_up_to(self.P, self.P.length, inside)
-                       for c in chains]
+        """The open interval head and foot bound, in id order."""
+        return self.P.between(head[0], foot[0]) if foot else self.P.above(head[0])
 
     def critical(self):
         """The unpaired cells.  Every group is decided here: the tails of
         the groups without a cone point are counted against the chain
         budget before any of them is listed."""
-        listed = [(key, self._inside(*key)) for key in self._keys()
-                  if self._cone_point(*key) is None]
+        # the group (a, a) of the ends matching holds only its cell (a,)
+        listed = [(key, [] if key[0] == key[1] else self._inside(*key))
+                  for key in self._keys() if self._cone_point(*key) is None]
         total = 0
         for _, inside in listed:
-            total += 1 + chain_total(self.P, inside)
+            total += 1 + (chain_total(self.P, inside) if inside else 0)
             _check_budget(total, "the Morse matching")
-        out = []
+        out, deg = [], self.P.degree
         for (head, foot), inside in listed:
-            if head and head == foot:
-                # the one cell (a,) of the ends matching's group (a, a)
+            if head == foot:
                 self._pairs[(head, foot)] = {}
                 out.append(head)
                 continue
-            free = set(self._tails(inside))
+            free = {()}
+            if inside:
+                # the other tails: the chains of the subposet inside
+                free.update(c for chains in chains_up_to(self.P, self.P.length, inside)
+                            for c in chains)
             pairs = {}
-            for x in sorted(inside, key=self._order):
+            for x in sorted(inside, key=lambda y: (-deg[y], y)):
                 if not free:
                     break
                 ups = []
@@ -386,17 +346,16 @@ class _ElementMatching:
 
     def partner(self, c):
         """The cell matched with c, None when c is critical; KeyError when
-        the matching decides no group of c, as when its carrier is in zero."""
+        the matching decides no group of c, as when its head is in zero."""
         cut = len(c) - self.f
-        head, foot = c[:self.h], c[cut:]
+        head, foot = c[:1], c[cut:]
         pairs = self._pairs.get((head, foot))
         if pairs is not None:
             return pairs.get(c)
-        carrier = (head if self.chain else foot)[0]
-        x = None if carrier in self.zero else self._cone_point(head, foot)
+        x = None if head[0] in self.zero else self._cone_point(head, foot)
         if x is None:
             raise KeyError((head, foot))
-        t = c[self.h:cut]
+        t = c[1:cut]
         if x in t:
             k = t.index(x)
             return head + t[:k] + t[k + 1:] + foot
@@ -544,22 +503,13 @@ def euler_characteristic(F: Diagram, direction: str) -> int:
     (chains) or lim (cochains), without enumerating chains.
 
     It is sum_v free_rank F(v) e(v), where e(v) sums (-1)^n over the
-    n-chains carried by v: for colim e(v) = 1 - sum of e(w) over w > v,
-    for lim the same over w < v, summed as each w below v is reached,
-    so only up-sets are read.  Tensored with Q, homology keeps it.
+    n-chains carried by v: e(v) = 1 - sum of e(w) over w > v
+    (poset.chains_starting), on opposite(P) for lim, whose chains end at
+    v.  Tensored with Q, homology keeps it.
     """
-    P = F.poset
-    e = {}
-    if _kind(direction) == "chain":
-        for v in sorted(P.ids, key=P.degree.get, reverse=True):
-            e[v] = 1 - sum(e[w] for w in P.above_set[v])
-    else:
-        below = dict.fromkeys(P.ids, 0)
-        for v in sorted(P.ids, key=P.degree.get):
-            e[v] = 1 - below[v]
-            for w in P.above_set[v]:
-                below[w] += e[v]
-    return sum(F.groups[v].free_rank * e[v] for v in P.ids)
+    P = F.poset if _kind(direction) == "chain" else opposite(F.poset)
+    e = chains_starting(P, P.ids, -1)
+    return sum(F.groups[v].free_rank * ev for v, ev in zip(P.ids, e))
 
 
 def check_euler_characteristic(F: Diagram, direction: str, table) -> None:

@@ -46,7 +46,7 @@ from .errors import (
     MissingDataError,
     NoArrowError,
 )
-from .poset import GradedPoset
+from .poset import GradedPoset, opposite
 
 
 class Diagram:
@@ -97,7 +97,7 @@ class Diagram:
         # first covers up from p to a pair already composed or a cover of q
         walk = [p]
         while (walk[-1], q) not in cache and q not in P.covers_out[walk[-1]]:
-            walk.append(_first_cover(P, walk[-1], q))
+            walk.append(P.first_cover(walk[-1], q))
         x = walk.pop()
         h = cache[(x, q)] = cache.get((x, q)) or self.cover_maps[(x, q)]
         for y in reversed(walk):
@@ -112,17 +112,12 @@ class Diagram:
             raise NoArrowError(f"no arrow {p!r} -> {q!r}")
         walk = [p]
         while walk[-1] != q:
-            walk.append(_first_cover(self.poset, walk[-1], q))
+            walk.append(self.poset.first_cover(walk[-1], q))
         return tuple(walk)
 
     def __repr__(self):
         vals = ", ".join(f"{i}: {self.groups[i].describe()}" for i in self.poset.ids)
         return f"Diagram({vals})"
-
-
-def _first_cover(P: GradedPoset, p, q):
-    """The first of p's upper covers at or below q, for p < q."""
-    return next(x for x in P.covers_out[p] if x == q or q in P.above_set[x])
 
 
 def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
@@ -156,20 +151,16 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
             raise MissingDataError(f"map given for {c!r}, which is not a cover")
     F = Diagram(poset, dict(groups), maps, {})
 
-    # one check per two upper covers x, y of p and per minimal element q
-    # of above[x] & above[y], by increasing degree gap; see the module
-    # docstring for why these suffice.  That set is an up-set, so q is
-    # minimal in it when none of q's lower covers lies in it.
-    above, degree = poset.above_set, poset.degree
+    # one check per two upper covers x, y of p and per minimal q above both,
+    # by increasing degree gap; the module docstring says why these suffice
+    degree = poset.degree
     checks = []
     for p in poset.ids:
         ups = poset.covers_out[p]
         for k, x in enumerate(ups):
             for y in ups[k + 1:]:
-                common = above[x] & above[y]
-                for q in common:
-                    if common.isdisjoint(poset.covers_into[q]):
-                        checks.append((degree[q] - degree[p], p, q, x, y))
+                for q in poset.minimal_above(x, y):
+                    checks.append((degree[q] - degree[p], p, q, x, y))
     checks.sort()
     through = {}  # (p, z, q) -> p -> z -> q for a cover z of p
     for _, p, q, x, y in checks:
@@ -182,7 +173,7 @@ def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
             raise DiamondError(
                 f"paths {path_a} and {path_b} compose to different homs",
                 path_a=path_a, path_b=path_b, matrix_a=a.matrix, matrix_b=b.matrix)
-        if x == _first_cover(poset, p, q):
+        if x == poset.first_cover(p, q):
             F._composites[(p, q)] = a
     return F
 
@@ -266,8 +257,6 @@ def transpose_diagram(F: Diagram) -> Diagram:
     reverses products and equality of free-target homs is equality of
     matrices.
     """
-    from .poset import opposite
-
     for i in F.poset.ids:
         if F.groups[i].relations.shape[1]:
             raise MismatchError(

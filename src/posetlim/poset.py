@@ -5,12 +5,19 @@ direction="decreasing" (degrees fall along covers) are normalized to an
 internal increasing degree; the user's degrees are kept for display.
 A chain is the tuple of its object ids in ascending order; only
 enumerate_chains wraps each in a Chain.
+
+The order is kept once: the covers both ways and, per element, one int
+mask of the ids strictly above it, bit k standing for ids[k].  Only this
+module reads a mask; the others ask GradedPoset's methods, which take
+and give ids.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 
 from .errors import (
     CycleError,
@@ -22,6 +29,13 @@ from .errors import (
 
 
 PosetObject = namedtuple("PosetObject", "id degree")
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _selector(mask):
+    """Bytes 0 and 1, the k-th being bit k of mask, to compress ids by."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
 
 
 class Chain(namedtuple("Chain", "vertices")):
@@ -40,16 +54,16 @@ class Chain(namedtuple("Chain", "vertices")):
 
 class GradedPoset:
     """Validated graded poset.  Use validate_graded to construct.  It
-    keeps the order once, as the covers both ways and the up-sets."""
+    keeps the order once, as the covers both ways and the up-set masks."""
 
     def __init__(self, objects, covers, direction):
         self.objects = list(objects)
-        self.covers = [tuple(c) for c in covers]
+        self.covers = list(covers)
         self.direction = direction
-        self.display_degrees = {o.id: o.degree for o in self.objects}
+        self.display_degrees = dict(self.objects)
         sign = 1 if direction == "increasing" else -1
-        self.degree = {o.id: sign * o.degree for o in self.objects}
-        self.ids = sorted(o.id for o in self.objects)
+        self.degree = {i: sign * d for i, d in self.display_degrees.items()}
+        self.ids = sorted(self.degree)
 
     @cached_property
     def covers_out(self):
@@ -66,17 +80,61 @@ class GradedPoset:
         return {i: sorted(v) for i, v in into.items()}
 
     @cached_property
-    def above_set(self):
-        """id -> frozenset of the ids strictly above it (transitive closure),
+    def _pos(self):
+        """id -> its position in ids, the bit that stands for it in a mask."""
+        return {i: k for k, i in enumerate(self.ids)}
+
+    @cached_property
+    def _up(self):
+        """id -> the mask of the ids strictly above it (transitive closure),
         from the top degree down, so a deep poset needs no deep recursion."""
-        above = {}
+        pos, up = self._pos, {}
         for i in sorted(self.ids, key=self.degree.get, reverse=True):
-            acc = set()
+            mask = 0
             for j in self.covers_out[i]:
-                acc.add(j)
-                acc |= above[j]
-            above[i] = frozenset(acc)
-        return {i: above[i] for i in self.ids}
+                mask |= up[j] | 1 << pos[j]
+            up[i] = mask
+        return up
+
+    @cached_property
+    def maximal(self):
+        """The maximal ids, in id order."""
+        return [i for i in self.ids if not self.covers_out[i]]
+
+    def _members(self, mask):
+        """The ids whose bits mask sets, in id order."""
+        return list(compress(self.ids, _selector(mask)))
+
+    def above(self, p: str) -> list:
+        """The ids strictly above p, in id order."""
+        return self._members(self._up[p])
+
+    def above_among(self, p: str, ids) -> list:
+        """The ids of the list ids strictly above p, in its order."""
+        low, pos = self._up[p], self._pos
+        return [x for x in ids if low >> pos[x] & 1]
+
+    def below_among(self, q: str, ids) -> list:
+        """The ids of the list ids strictly below q, in its order."""
+        up, k = self._up, self._pos[q]
+        return [x for x in ids if up[x] >> k & 1]
+
+    def between(self, p: str, q: str) -> list:
+        """The ids strictly between p and q, in id order, from the layers between."""
+        return sorted(self.below_among(q, self.above_among(p, [
+            x for d in range(self.degree[p] + 1, self.degree[q]) for x in self.layers.get(d, ())])))
+
+    def minimal_above(self, x: str, y: str) -> list:
+        """The minimal ids among those strictly above both x and y, in id order."""
+        up, pos = self._up, self._pos
+        common = self._members(up[x] & up[y])
+        higher = reduce(or_, map(up.__getitem__, common), 0)
+        return [q for q in common if not higher >> pos[q] & 1]
+
+    def first_cover(self, p: str, q: str) -> str:
+        """The first of p's upper covers at or below q, for p < q."""
+        up, k = self._up, self._pos[q]
+        return next(x for x in self.covers_out[p] if x == q or up[x] >> k & 1)
 
     @cached_property
     def layers(self):
@@ -97,7 +155,7 @@ class GradedPoset:
     def leq(self, p: str, q: str) -> bool:
         self._check_id(p)
         self._check_id(q)
-        return p == q or q in self.above_set[p]
+        return p == q or bool(self._up[p] >> self._pos[q] & 1)
 
     def _check_id(self, p: str):
         if p not in self.degree:
@@ -225,15 +283,12 @@ def infer_degrees(ids, covers) -> dict:
 def chains_up_to(P: GradedPoset, top: int, inside=None):
     """[the n-chains for n = 0..top], each a tuple of ids, each degree in
     lexicographic order, from one depth-first walk that emits every
-    prefix it visits; with inside (a set of ids), only the chains of
-    that subposet."""
+    prefix it visits; with inside (a collection of ids), only the chains
+    of that subposet."""
     out = [[] for _ in range(top + 1)]
-    if inside is None:
-        starts = P.ids
-        above = {i: sorted(P.above_set[i]) for i in starts}
-    else:
-        starts = sorted(inside)
-        above = {i: sorted(P.above_set[i] & inside) for i in starts}
+    starts = P.ids if inside is None else sorted(inside)
+    within = -1 if inside is None else sum(1 << P._pos[i] for i in inside)  # -1: every bit
+    above = {i: P._members(P._up[i] & within) for i in starts}
 
     def extend(prefix):
         out[len(prefix) - 1].append(prefix)
@@ -247,15 +302,22 @@ def chains_up_to(P: GradedPoset, top: int, inside=None):
     return out
 
 
-def chain_total(P: GradedPoset, ids) -> int:
-    """The number of chains of the subposet on ids (a collection of P's
-    ids), without listing a chain: the chains that start at v are v
-    followed by a chain that starts above it, so they number
-    T(v) = 1 + the sum of T(w) over the w > v in ids."""
-    starting = {}
+def chains_starting(P: GradedPoset, ids, sign) -> list:
+    """For each of P.ids in order, the sum of sign**n over the n-chains of
+    the subposet on ids (a collection of P's ids) that start there, 0 off
+    ids, without listing a chain: S(v) = 1 + sign * the sum of S(w) over
+    the w > v in ids.  Sign 1 counts chains; -1 gives Euler terms."""
+    pos, up = P._pos, P._up
+    out = [0] * len(P.ids)
     for v in sorted(ids, key=P.degree.get, reverse=True):
-        starting[v] = 1 + sum(starting[w] for w in P.above_set[v] if w in starting)
-    return sum(starting.values())
+        # every w > v off ids still holds 0, so v's whole up-set is summed
+        out[pos[v]] = 1 + sign * sum(compress(out, _selector(up[v])))
+    return out
+
+
+def chain_total(P: GradedPoset, ids) -> int:
+    """The number of chains of the subposet on ids, none listed."""
+    return sum(chains_starting(P, ids, 1))
 
 
 def enumerate_chains(P: GradedPoset, n: int):
@@ -272,6 +334,12 @@ def longest_chain_length(P: GradedPoset) -> int:
 
 def opposite(P: GradedPoset) -> GradedPoset:
     """Order-reversal: covers flipped, display degrees kept, direction
-    flag flipped (so internal degrees negate).  Exact involution."""
-    flipped = "decreasing" if P.direction == "increasing" else "increasing"
-    return GradedPoset(P.objects, [(b, a) for a, b in P.covers], flipped)
+    flag flipped (so internal degrees negate).  Built once and kept on P,
+    it shares P's cover lists (roles swapped), bit positions and length;
+    its own masks, P's down-sets, are built when read."""
+    Q = vars(P).get("_opposite")
+    if Q is None:
+        flipped = "decreasing" if P.direction == "increasing" else "increasing"
+        Q = P._opposite = GradedPoset(P.objects, [(b, a) for a, b in P.covers], flipped)
+        Q.covers_out, Q.covers_into, Q._pos, Q.length = P.covers_into, P.covers_out, P._pos, P.length
+    return Q

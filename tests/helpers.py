@@ -44,7 +44,7 @@ from posetlim.errors import (
     PosetlimError,
 )
 from posetlim.jsonio import parse_diagram
-from posetlim.poset import chain_total, chains_up_to, validate_graded
+from posetlim.poset import chain_total, chains_up_to, opposite, validate_graded
 from posetlim.spectral import (
     FilteredComplex,
     _compare_totals,
@@ -239,7 +239,7 @@ def per_degree_walk(P, n, weak=False):
     again: the reference for poset.chains_up_to's one walk, and the
     cells of the unnormalized nerve."""
     out = []
-    above = {i: sorted(P.above_set[i]) for i in P.ids}
+    above = {i: P.above(i) for i in P.ids}
 
     def extend(prefix):
         if len(prefix) == n + 1:
@@ -311,9 +311,9 @@ def element_matching(P, kind, cells, ends):
         if not head:
             inside = below[foot[0]]
         elif not foot:
-            inside = P.above_set[head[0]]
+            inside = up_set(P, head[0])
         else:
-            inside = P.above_set[head[0]] & below[foot[0]]
+            inside = up_set(P, head[0]) & below[foot[0]]
         for x in sorted(inside, key=lambda y: (-deg[y] if chain else deg[y], y)):
             if not free:
                 break
@@ -351,6 +351,45 @@ def eager_reduce_complex(F, kind, matching="carrier"):
     return derived._morse_complex(F, kind, critical, P.length, partner.get, ends), partner
 
 
+class OrientedMatching:
+    """The library's matching behind reduce_complex(F, kind, m) on P, with
+    ends = (h, f) those it fixes (matching_ends), read in P's
+    orientation.  _ElementMatching knows the chain rule only, so for
+    cochains it runs on opposite(P): every cell going in or coming out is
+    reversed, and each group (head, foot) is read as (foot, head)."""
+
+    def __init__(self, P, kind, ends, zero):
+        h, f = ends
+        self.chain = kind == "chain"
+        assert (h if self.chain else f) == 1, "every cell keeps its carrier"
+        self.M = derived._ElementMatching(P if self.chain else opposite(P),
+                                          f if self.chain else h, zero)
+
+    def _cell(self, c):
+        return c if self.chain or c is None else c[::-1]
+
+    def _group(self, key):
+        return key if self.chain else key[::-1]
+
+    def critical(self):
+        return [self._cell(c) for c in self.M.critical()]
+
+    def partner(self, c):
+        return self._cell(self.M.partner(self._cell(c)))
+
+    def keys(self):
+        """Each group (head, foot) the matching decides."""
+        return [self._group(key) for key in self.M._keys()]
+
+    def inside(self, head, foot):
+        return self.M._inside(*self._group((head, foot)))
+
+    def listed(self):
+        """{group: {cell: partner}} for each group that critical listed."""
+        return {self._group(key): {self._cell(a): self._cell(b) for a, b in pairs.items()}
+                for key, pairs in self.M._pairs.items()}
+
+
 def listed_matching(F, kind, matching="carrier"):
     """Every matched chain of reduce_complex's matching to its partner,
     from the whole chain list and the library's _ElementMatching.partner:
@@ -358,7 +397,7 @@ def listed_matching(F, kind, matching="carrier"):
     no zero-valued object, so it lists the whole combinatorial matching,
     zero-carrier groups included."""
     P = F.poset
-    M = derived._ElementMatching(P, kind, matching_ends(kind, matching), set())
+    M = OrientedMatching(P, kind, matching_ends(kind, matching), set())
     M.critical()
     out = {}
     for chains in chains_up_to(P, P.length):
@@ -380,7 +419,7 @@ def all_pairs_composites(poset, groups, maps):
     composites = {(i, i): identity_hom(groups[i]) for i in poset.ids}
     paths = {(i, i): (i,) for i in poset.ids}
     pairs = sorted(
-        ((p, q) for p in poset.ids for q in poset.above_set[p]),
+        ((p, q) for p in poset.ids for q in poset.above(p)),
         key=lambda pq: (poset.degree[pq[1]] - poset.degree[pq[0]], pq))
     for p, q in pairs:
         chosen = None
@@ -422,7 +461,7 @@ def ker_at_all_arrows(F, i0):
     """Same subgroup as ker_at, intersected over every non-identity arrow
     out of i0; kept as an independent cross-check of the cover reduction."""
     lattice = la.eye(F.groups[i0].ambient_rank)
-    for q in sorted(F.poset.above_set[i0]):
+    for q in F.poset.above(i0):
         h = F.hom(i0, q)
         lattice = la.intersect_lattices(lattice, la.preimage_lattice(h.matrix, h.target.relations))
     return Subgroup(F.groups[i0], lattice)
@@ -851,7 +890,7 @@ def cochain_complex(F):
 def below_set(P):
     """id -> frozenset of the ids strictly below it, from the bottom
     degree up through covers_into: the down-set oracle, which shares
-    nothing with P.above_set but the covers."""
+    nothing with P's up-sets but the covers."""
     below = {}
     for i in sorted(P.ids, key=P.degree.get):
         acc = set()
@@ -867,8 +906,17 @@ def strictly_below(P):
     return {i: sorted(v) for i, v in below_set(P).items()}
 
 
+# the names under which a GradedPoset keeps its order beyond the covers:
+# each id's position (its bit), the up-set masks, which only posetlim.poset
+# reads, and the opposite poset once something has asked for it
+ORDER_STATE = {"_pos", "_up", "_opposite"}
 # what a GradedPoset may keep besides the fields its constructor sets
-POSET_STATE = {"covers_out", "covers_into", "above_set", "layers", "length"}
+POSET_STATE = {"covers_out", "covers_into", "layers", "length", "maximal"} | ORDER_STATE
+
+
+def up_set(P, a):
+    """The ids strictly above a, as a set to intersect, from P.above."""
+    return frozenset(P.above(a))
 
 
 # what a Diagram may hold: its fields, its composites, its one store and
@@ -893,7 +941,7 @@ def chain_counts(P, inside=None):
     starting = {}
     for v in sorted(ids, key=P.degree.get, reverse=True):
         acc = [1]
-        for w in P.above_set[v]:
+        for w in P.above(v):
             if w in starting:
                 ws = starting[w]
                 acc.extend([0] * (len(ws) + 1 - len(acc)))

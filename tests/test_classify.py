@@ -57,6 +57,7 @@ from helpers import (
     shape,
     solve_lifting,
     times_two_pullback,
+    up_set,
 )
 
 
@@ -395,10 +396,10 @@ def test_degree_d_arrows_are_read_from_one_layer():
         below = below_set(P)
         for i0 in P.ids:
             for d in range(1, P.dimension + 1):
-                assert classify._degree_d_sources(P, i0, d) == sorted(
+                assert P.below_among(i0, P.layers.get(P.degree[i0] - d, ())) == sorted(
                     i for i in below[i0] if P.degree[i0] - P.degree[i] == d)
-                assert classify._degree_d_targets(P, i0, d) == sorted(
-                    i for i in P.above_set[i0] if P.degree[i] - P.degree[i0] == d)
+                assert P.above_among(i0, P.layers.get(P.degree[i0] + d, ())) == sorted(
+                    i for i in up_set(P, i0) if P.degree[i] - P.degree[i0] == d)
 
 
 def test_classify_diagram_verdicts_match_the_public_checks():
@@ -470,7 +471,7 @@ def test_classify_builds_each_joint_kernel_once(monkeypatch):
     cfg = GenConfig(seed=17, family="forest", max_objects=14, max_degree_span=4)
     P0 = gen_poset(cfg)
     P, F = parse_diagram(serialize_diagram(gen_diagram(cfg, P0, "sums_of_standard")))
-    pairs = sum(len(P.above_set[i]) for i in P.ids)
+    pairs = sum(len(up_set(P, i)) for i in P.ids)
     assert P.dimension == 4 and pairs == 22 and len(P.covers) == 10
     calls = []
     real = la.intersect_lattices

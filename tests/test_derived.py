@@ -49,6 +49,7 @@ from posetlim.randgen import DIAGRAM_MODES, POSET_FAMILIES, GenConfig, gen_diagr
 from helpers import (
     POSET_STATE,
     SHAPES,
+    OrientedMatching,
     boolean_lattice,
     bundled_diagrams,
     chain_complex,
@@ -617,6 +618,21 @@ def test_lazy_matching_matches_eager_on_forests_and_towers():
             assert_matches_eager(random_torsion_sum_diagram(rng, opposite(P)))
 
 
+def test_lazy_matching_matches_eager_on_randgen_posets():
+    """Constant Z on the randgen posets of seeds 0-39 in both families,
+    up to 10 objects, and on grid3x4 (the shapes, crown towers and their
+    opposites are the other tests' inputs).  The cochain matching is the
+    chain rule run on opposite(P), and the eager matching, which has a
+    rule of its own for each orientation, must list the same critical
+    chains and pairs."""
+    posets = [grid(3, 4)]
+    for seed in range(40):
+        posets += [gen_poset(GenConfig(seed=seed, family=family, max_objects=10))
+                   for family in POSET_FAMILIES]
+    for P in posets:
+        assert_matches_eager(constant_diagram(P, free_group(1)))
+
+
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_lazy_matching_matches_eager_on_shapes(name):
     P = shape(name)
@@ -706,12 +722,13 @@ def test_ends_matching_keeps_only_the_groups_it_lists():
     P = validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))
     steps = list(zip(ids, ids[1:]))
     for kind, cone in (("chain", "x004"), ("cochain", "x001")):
-        M = derived._ElementMatching(P, kind, (1, 1), set())
+        M = OrientedMatching(P, kind, (1, 1), set())
         critical = M.critical()
         assert sorted(critical) == sorted([(v,) for v in ids] + steps)
-        assert sorted(M._pairs) == sorted([((v,), (v,)) for v in ids]
-                                          + [((v,), (w,)) for v, w in steps])
-        assert not any(M._pairs.values())
+        listed = M.listed()
+        assert sorted(listed) == sorted([((v,), (v,)) for v in ids]
+                                        + [((v,), (w,)) for v, w in steps])
+        assert not any(listed.values())
         c = ("x000", "x002", "x005")
         s = tuple(sorted(c + (cone,)))
         assert M.partner(c) == s and M.partner(s) == c
@@ -746,12 +763,12 @@ def test_an_interval_is_read_from_its_ends():
         above = {v: _strictly_above(P, v) for v in P.ids}
         for kind, ends in (("chain", (1, 0)), ("chain", (1, 1)),
                            ("cochain", (0, 1)), ("cochain", (1, 1))):
-            M = derived._ElementMatching(P, kind, ends, set())
-            for head, foot in M._keys():
+            M = OrientedMatching(P, kind, ends, set())
+            for head, foot in M.keys():
                 want = {x for x in P.ids
                         if (not head or x in above[head[0]])
                         and (not foot or foot[0] in above[x])}
-                assert M._inside(head, foot) == want, (kind, ends, head, foot)
+                assert M.inside(head, foot) == sorted(want), (kind, ends, head, foot)
                 groups += 1
     assert groups > 1000
 
@@ -764,11 +781,11 @@ def test_a_zero_carrier_cell_has_no_partner():
     for kind, ends, cell in (("chain", (1, 0), ("a",)), ("cochain", (0, 1), ("c",)),
                              ("chain", (1, 1), ("a", "c")), ("cochain", (1, 1), ("a", "c"))):
         carrier = cell[0] if kind == "chain" else cell[-1]
-        M = derived._ElementMatching(P, kind, ends, {carrier})
+        M = OrientedMatching(P, kind, ends, {carrier})
         M.critical()
         with pytest.raises(KeyError):
             M.partner(cell)
-        assert derived._ElementMatching(P, kind, ends, set()).partner(cell) is not None
+        assert OrientedMatching(P, kind, ends, set()).partner(cell) is not None
 
 
 def test_chain_budget_refuses_before_listing():
@@ -842,10 +859,10 @@ def test_euler_characteristic_counts_the_chains():
 
 
 def test_lim_reads_only_up_sets():
-    """The cochain matching and the Euler characteristic read up-sets
-    only, so lim on a grid and on a deep chain leaves nothing on the
-    poset but what it keeps for every query: no down-set and no sorted
-    copy of an up-set."""
+    """The cochain matching and the Euler characteristic run on the
+    opposite poset, kept on the poset with its masks (the down-sets), so
+    lim on a grid and on a deep chain leaves nothing on the poset but
+    what any query may keep: no set of ids and no sorted copy of one."""
     grid_F = constant_diagram(shape("grid4x4"), group_from_invariants(1, [2]))
     _, chain_F = parse_diagram(deep_chain_document())
     for F in (grid_F, chain_F):

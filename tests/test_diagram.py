@@ -226,7 +226,7 @@ def test_validation_never_builds_below_set():
     keeps nothing else: no down-set and no sorted copy of an up-set."""
     P = shape("grid4x4")
     constant_diagram(P, free_group(1))
-    assert kept_poset_state(P) <= {"covers_out", "covers_into", "above_set"}
+    assert kept_poset_state(P) <= {"covers_out", "covers_into", "_pos", "_up"}
 
 
 def test_validate_missing_and_mismatched_data():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from posetlim.poset import (
 from posetlim.randgen import GenConfig, gen_poset
 
 from helpers import (
+    POSET_STATE,
     SHAPES,
     below_set,
     bounds,
@@ -30,7 +32,9 @@ from helpers import (
     per_degree_walk,
     shape,
     strictly_below,
+    up_set,
 )
+from record_golden import deep_chain_document
 
 
 def pushout_poset():
@@ -82,7 +86,7 @@ def test_closure_and_precedes():
     assert P.leq("a", "c")
     assert P.leq("a", "a")
     assert not P.leq("c", "a")
-    assert sorted(P.above_set["a"]) == ["b", "c"]
+    assert sorted(up_set(P, "a")) == ["b", "c"]
     assert strictly_below(P)["c"] == ["a", "b"]
     with pytest.raises(UnknownIdError):
         P.leq("a", "zz")
@@ -132,7 +136,10 @@ def test_chain_counts_and_sets_agree_with_the_walk():
     """chain_counts matches the listed chains per degree, on the whole
     poset and inside the open intervals; the length matches the longest
     walked chain; and the down-sets, built bottom-up from covers_into,
-    have x below y exactly when y is in the up-set of x."""
+    have x below y exactly when y is in the up-set of x, when x <= y by
+    leq and x < y by above_among and below_among, and they give the
+    maximal elements, every open interval (between) and the minimal
+    common upper bounds of every two elements."""
     posets = [shape(name) for name in SHAPES if name != "grid5x5"]
     for seed in range(8):
         cfg = GenConfig(seed=950 + seed, family=("forest", "layered")[seed % 2],
@@ -144,14 +151,46 @@ def test_chain_counts_and_sets_agree_with_the_walk():
         assert P.length == longest_chain_length(P) == len(walked) - 1
         below = below_set(P)
         assert list(below) == P.ids
+        assert P.maximal == [x for x in P.ids if not up_set(P, x)]
         for a in P.ids:
-            assert {x for x in P.ids if a in below[x]} == P.above_set[a]
-            for b in P.above_set[a]:
-                inside = P.above_set[a] & below[b]
+            assert {x for x in P.ids if a in below[x]} == up_set(P, a)
+            assert P.above_among(a, P.ids[::-1]) == [x for x in P.ids[::-1] if a in below[x]]
+            assert P.below_among(a, P.ids[::-1]) == [x for x in P.ids[::-1] if x in below[a]]
+            for b in P.ids:
+                assert P.leq(a, b) == (a == b or a in below[b])
+                assert P.between(a, b) == sorted(up_set(P, a) & below[b])
+                common = {q for q in P.ids if a in below[q] and b in below[q]}
+                assert P.minimal_above(a, b) == sorted(q for q in common if not common & below[q])
+            for b in up_set(P, a):
+                inside = up_set(P, a) & below[b]
                 got = [len(c) for c in chains_up_to(P, P.length, inside)]
                 want = chain_counts(P, inside)
                 assert got[:len(want)] == want and not any(got[len(want):])
     assert sum(chain_counts(shape("grid5x5"))) == 10271
+
+
+def test_the_order_of_a_deep_chain_takes_a_few_megabytes():
+    """Everything the chain of 1,500 objects and its opposite may keep
+    (POSET_STATE, the opposite of each included), built from the
+    document's objects and covers, peaks
+    under 4 MB traced: one mask of at most 1,500 bits per element, where
+    a set of ids per element would hold about 1.1 million entries."""
+    doc = deep_chain_document()
+    objects = [(o["id"], o["degree"]) for o in doc["poset"]["objects"]]
+    tracemalloc.start()
+    try:
+        P = validate_graded(objects, doc["poset"]["covers"])
+        Q = opposite(P)
+        for R in (P, Q):
+            opposite(R)
+            for name in POSET_STATE:
+                getattr(R, name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert P.leq("x0", "x1499") and Q.leq("x1499", "x0") and not Q.leq("x0", "x1")
+    assert P.above("x1497") == ["x1498", "x1499"] and Q.above("x2") == ["x0", "x1"]
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_chain_total_is_the_summed_counts():
@@ -168,8 +207,8 @@ def test_chain_total_is_the_summed_counts():
         assert chain_total(P, P.ids) == sum(chain_counts(P))
         below = below_set(P)
         for a in P.ids:
-            for inside in (P.above_set[a], below[a],
-                           *(P.above_set[a] & below[b] for b in P.above_set[a])):
+            for inside in (up_set(P, a), below[a],
+                           *(up_set(P, a) & below[b] for b in up_set(P, a))):
                 assert chain_total(P, inside) == sum(chain_counts(P, inside))
     ids = [f"x{k:02d}" for k in range(60)]
     P = validate_graded([(i, k) for k, i in enumerate(ids)], list(zip(ids, ids[1:])))

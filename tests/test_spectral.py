@@ -1298,6 +1298,28 @@ def test_carrier_variants_of_grid6x6_list_no_chain(monkeypatch):
     assert walks == []
 
 
+def test_budget_refusal_texts_on_grid6x6():
+    """The refusals on grid6x6 with constant Z+Z/2, word for word: the
+    two ends variants under the default budget, and the ends matching of
+    either kind under a budget of 3 chains.  Each count is the running
+    total at the group that passes the budget, so it pins the order in
+    which the one chain rule visits the groups: by head, then foot, on
+    P for chains and on opposite(P) for cochains."""
+    G = group_from_invariants(1, [2])
+    P = grid(6, 6)
+    refused = "the Morse matching would list at least {} chains, more than the budget of {} " \
+              "(--max-chains)"
+    for name, count in (("chain:sigma_n:increasing", 100684),
+                        ("cochain:sigma_0:increasing", 101684)):
+        with pytest.raises(ChainBudgetError) as caught:
+            build_filtered(P, constant_diagram(P, G), variant_by_name(name))
+        assert str(caught.value) == refused.format(count, 100000), name
+    for kind, count in (("chain", 6), ("cochain", 4)):
+        with derived.chain_budget(3), pytest.raises(ChainBudgetError) as caught:
+            derived.reduce_complex(constant_diagram(P, G), kind, "ends")
+        assert str(caught.value) == refused.format(count, 3), kind
+
+
 def test_a_dropped_diagram_is_freed_without_the_cycle_collector():
     """No cache makes a reference cycle through the diagram, so dropping
     it frees it and every complex and page cached on it at once."""
