@@ -272,9 +272,11 @@ def subquotient(L: la.IntMatrix, B: la.IntMatrix, where) -> FgAbGroup:
 
 
 def homology(d_in: AbHom, d_out: AbHom, where) -> FgAbGroup:
-    """ker d_out / im d_in at the group between them.  The cycles are the
-    preimage of d_out's target relations, the boundaries d_in's image
-    joined with the middle group's relations."""
+    """ker d_out / im d_in at the group between them: itself when both are
+    zero, else the preimage of d_out's target relations modulo d_in's
+    image joined with the middle group's relations."""
+    if not (any(d_in.matrix.cols) or any(d_out.matrix.cols)):
+        return d_out.source
     K = la.preimage_lattice(d_out.matrix, d_out.target.relations)
     return subquotient(K, la.hstack([d_in.matrix, d_out.source.relations]), where)
 

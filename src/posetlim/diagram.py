@@ -21,6 +21,10 @@ need; every other composite is composed the first time it is asked for,
 along the first cover of its source below its target, and kept.  Only
 the homs are kept: a cover path is walked when something asks for one,
 as a failing check does for its two witness paths.
+
+validate_functor gates data from outside the library.  The five
+constructors below commute by construction (identities, zeros, sums and
+transposes of commuting diagrams) and skip it; the tests re-validate them.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .poset import GradedPoset, opposite
 
 
 class Diagram:
-    """Validated functor.  Construct through validate_functor."""
+    """Commuting functor, from validate_functor or a constructor below."""
 
     def __init__(self, poset, groups, cover_maps, composites):
         self.poset = poset
@@ -121,7 +125,8 @@ class Diagram:
 
 
 def validate_functor(poset: GradedPoset, groups, cover_maps) -> Diagram:
-    """Check the data of a functor; composites are composed when asked for.
+    """Check functor data from outside the library; composites are
+    composed when asked for.
 
     groups: id -> FgAbGroup for every object.
     cover_maps: (p, p') -> AbHom for every cover, endpoints matching.
@@ -223,15 +228,12 @@ def representable_diagram(P: GradedPoset, c: str) -> Diagram:
     """Z at every object above c, trivial elsewhere, identities between
     the Z's."""
     P._check_id(c)
-    groups = {i: free_group(1) if P.leq(c, i) else trivial_group()
-              for i in P.ids}
-    maps = {}
-    for a, b in P.covers:
-        if P.leq(c, a):
-            maps[(a, b)] = identity_hom(groups[a])
-        else:
-            maps[(a, b)] = zero_hom(groups[a], groups[b])
-    return validate_functor(P, groups, maps)
+    Z = free_group(1)
+    one = identity_hom(Z)
+    groups = {i: Z if P.leq(c, i) else trivial_group() for i in P.ids}
+    maps = {(a, b): one if P.leq(c, a) else zero_hom(groups[a], groups[b])
+            for a, b in P.covers}
+    return Diagram(P, groups, maps, {})
 
 
 def skyscraper_diagram(P: GradedPoset, i0: str, A: FgAbGroup) -> Diagram:
@@ -239,14 +241,13 @@ def skyscraper_diagram(P: GradedPoset, i0: str, A: FgAbGroup) -> Diagram:
     P._check_id(i0)
     groups = {i: A if i == i0 else trivial_group() for i in P.ids}
     maps = {c: zero_hom(groups[c[0]], groups[c[1]]) for c in P.covers}
-    return validate_functor(P, groups, maps)
+    return Diagram(P, groups, maps, {})
 
 
 def constant_diagram(P: GradedPoset, A: FgAbGroup) -> Diagram:
     """A everywhere with identity transition maps."""
-    groups = {i: A for i in P.ids}
-    maps = {c: identity_hom(A) for c in P.covers}
-    return validate_functor(P, groups, maps)
+    one = identity_hom(A)
+    return Diagram(P, {i: A for i in P.ids}, {c: one for c in P.covers}, {})
 
 
 def transpose_diagram(F: Diagram) -> Diagram:
@@ -261,12 +262,9 @@ def transpose_diagram(F: Diagram) -> Diagram:
         if F.groups[i].relations.shape[1]:
             raise MismatchError(
                 f"transpose needs free values, {i!r} has relations")
-    Q = opposite(F.poset)
-    maps = {}
-    for a, b in F.poset.covers:
-        M = F.cover_maps[(a, b)].matrix
-        maps[(b, a)] = AbHom(F.groups[b], F.groups[a], M.T, check=False)
-    return validate_functor(Q, dict(F.groups), maps)
+    maps = {(b, a): AbHom(F.groups[b], F.groups[a], h.matrix.T, check=False)
+            for (a, b), h in F.cover_maps.items()}
+    return Diagram(opposite(F.poset), dict(F.groups), maps, {})
 
 
 def direct_sum_diagrams(diagrams):
@@ -291,4 +289,4 @@ def direct_sum_diagrams(diagrams):
             [(sums[b].offsets[k], sums[a].offsets[k], 1, D.cover_maps[(a, b)].matrix)
              for k, D in enumerate(diagrams)])
         maps[(a, b)] = AbHom(groups[a], groups[b], M, check=False)
-    return validate_functor(P, groups, maps)
+    return Diagram(P, groups, maps, {})

@@ -515,9 +515,7 @@ def page(X: FilteredComplex, r: int) -> SSPage:
     if r > X.span + 1:
         X._pages[r] = page(X, X.span + 1)._replace(r=r, bidegree=bidegree)
         return X._pages[r]
-    step = X.step
     groups, maps = _graded_page(X) if r == 0 else _subquotient_page(X, r)
-    _check_dd_zero(maps, lambda k: (k[0] - r, k[1] + step))
     entries = {}
     diffs = {}
     for (s, n), E in groups.items():
@@ -531,7 +529,8 @@ def page(X: FilteredComplex, r: int) -> SSPage:
 
 def _graded_page(X: FilteredComplex):
     """Page 0's entries and differentials, keyed (level, degree): the
-    groups and differentials of X's level pieces."""
+    groups and differentials of X's level pieces, whose d o d
+    derived._complex checked as it built them."""
     groups = {}
     maps = {}
     for s, graded in X._pieces.items():
@@ -554,7 +553,7 @@ def _subquotient_page(X: FilteredComplex, r: int):
     occupied or not, and out of a trivial entry into a nonzero one it is
     well defined on the entry's own presentation.  Into a trivial entry
     every map is well defined, as its relations span its whole ambient
-    lattice."""
+    lattice.  Then d_r o d_r must vanish."""
     step = X.step
     presented = {}
     for n, occupied in X._occupied.items():
@@ -583,6 +582,7 @@ def _subquotient_page(X: FilteredComplex, r: int):
                 continue
         if E is not _ZERO:
             maps[(s, n)] = zero_hom(E, T)
+    _check_dd_zero(maps, lambda k: (k[0] - r, k[1] + step))
     return groups, maps
 
 

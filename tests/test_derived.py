@@ -15,6 +15,7 @@ from posetlim.abgroup import (
     free_group,
     group_from_invariants,
     homology,
+    subquotient,
     trivial_group,
 )
 from posetlim.derived import (
@@ -460,6 +461,33 @@ def test_reduced_matches_unreduced_on_constant_diagrams(build, args):
     P = build(*args)
     for G in (free_group(1), cyclic_group(2), group_from_invariants(1, [2])):
         assert_reduction_agrees(constant_diagram(P, G))
+
+
+def test_zero_differentials_give_the_middle_group():
+    """Where neither differential has a nonzero entry, abgroup.homology
+    returns the middle group itself, with the invariant factors of the
+    lattice route (cycles as a preimage, modulo the boundaries and the
+    relations): every such degree of the unreduced and both reduced
+    complexes of the constant and the seeded randgen diagrams above."""
+    constant = [constant_diagram(P, G)
+                for P in (boolean_lattice(3), boolean_lattice(4), grid(3, 3))
+                for G in (free_group(1), cyclic_group(2), group_from_invariants(1, [2]))]
+    compared = 0
+    for F in constant + [F for _, F in seeded_randgen_diagrams()]:
+        for kind, build in KINDS:
+            for X in [build(F)] + [reduce_complex(F, kind, m) for m in derived.MATCHINGS]:
+                for n in range(X.top + 1):
+                    d_in, d_out = X.d_into(n), X.d_from(n)
+                    if any(d_in.matrix.cols) or any(d_out.matrix.cols):
+                        continue
+                    cycles = la.preimage_lattice(d_out.matrix, d_out.target.relations)
+                    want = subquotient(cycles, la.hstack([d_in.matrix, d_out.source.relations]), n)
+                    got = homology(d_in, d_out, n)
+                    assert got is d_out.source
+                    assert (got.free_rank, got.invariant_factors) == (
+                        want.free_rank, want.invariant_factors), (kind, n)
+                    compared += 1
+    assert compared > 2000
 
 
 def test_reduced_matches_unreduced_modulo_relations():

@@ -11,6 +11,7 @@ from posetlim.abgroup import (
     compose,
     cyclic_group,
     free_group,
+    group_from_invariants,
     identity_hom,
     trivial_group,
     zero_hom,
@@ -23,6 +24,7 @@ from posetlim.diagram import (
     ker_at,
     representable_diagram,
     skyscraper_diagram,
+    transpose_diagram,
     validate_functor,
 )
 from posetlim.errors import (
@@ -179,6 +181,65 @@ def test_composites_match_all_pairs():
     assert failed >= 24
 
 
+def constructed_diagrams(P):
+    """The library's own diagrams on P, none of which passes through
+    validate_functor: constant Z, Z/2 and Z+Z/2, a skyscraper (Z, Z/2 or
+    Z+Z/2 in turn) and a representable at every object, the direct sum
+    of the first object's representable and the last one's skyscraper,
+    and, over the opposite poset, the transpose of every free one."""
+    values = (free_group(1), cyclic_group(2), group_from_invariants(1, [2]))
+    built = [constant_diagram(P, A) for A in values]
+    for k, i in enumerate(P.ids):
+        built.append(skyscraper_diagram(P, i, values[k % 3]))
+        built.append(representable_diagram(P, i))
+    built.append(direct_sum_diagrams([built[4], built[-2]]))
+    free = [D for D in built if all(not G.relations.shape[1] for G in D.groups.values())]
+    return built + [transpose_diagram(D) for D in free]
+
+
+def test_constructed_diagrams_commute():
+    """Every diagram the constructors build commutes, by the all-pairs
+    comparison and by validate_functor; its hom and path for every
+    comparable pair, composed on demand without validation, are the
+    all-pairs ones."""
+    transposed = 0
+    for P in oracle_posets():
+        for D in constructed_diagrams(P):
+            transposed += D.poset is not P
+            assert not agrees_with_all_pairs(D.poset, D.groups, D.cover_maps)
+            composites, paths = all_pairs_composites(D.poset, D.groups, D.cover_maps)
+            for (p, q), h in composites.items():
+                assert D.hom(p, q).matrix == h.matrix, (p, q)
+                assert D.path(p, q) == paths[(p, q)], (p, q)
+    assert transposed > 400
+
+
+def test_constant_diagram_composes_and_compares_nothing(monkeypatch):
+    """constant_diagram commutes by construction, so on bool5 it calls
+    neither compose nor AbHom.equal (validation compares 80 pairs)."""
+    calls = []
+    real_compose, real_equal = diagram_module.compose, AbHom.equal
+
+    def counted_compose(second, first):
+        calls.append("compose")
+        return real_compose(second, first)
+
+    def counted_equal(self, other):
+        calls.append("equal")
+        return real_equal(self, other)
+    monkeypatch.setattr(diagram_module, "compose", counted_compose)
+    monkeypatch.setattr(AbHom, "equal", counted_equal)
+    constant_diagram(shape("bool5"), free_group(1))
+    assert calls == []
+
+
+def validate_constant_z(P):
+    """Constant Z on P through validate_functor, which constant_diagram
+    does not call."""
+    Z = free_group(1)
+    return validate_functor(P, {i: Z for i in P.ids}, {c: identity_hom(Z) for c in P.covers})
+
+
 def test_validation_composes_only_what_it_compares(monkeypatch):
     """Constant Z on grid4x4 composes two homs per check at validation:
     each square's bottom object, its two upper covers and their one
@@ -192,7 +253,7 @@ def test_validation_composes_only_what_it_compares(monkeypatch):
         return compose(second, first)
     monkeypatch.setattr(diagram_module, "compose", counted)
     P = shape("grid4x4")
-    F = constant_diagram(P, free_group(1))
+    F = validate_constant_z(P)
     assert len(calls) == 18
     composites, paths = all_pairs_composites(P, F.groups, F.cover_maps)
     for (p, q), h in composites.items():
@@ -217,7 +278,7 @@ def test_one_comparison_per_component_of_first_covers(monkeypatch, name, compare
         calls.append(1)
         return real(self, other)
     monkeypatch.setattr(AbHom, "equal", counted)
-    constant_diagram(shape(name), free_group(1))
+    validate_constant_z(shape(name))
     assert len(calls) == compared
 
 
@@ -225,7 +286,7 @@ def test_validation_never_builds_below_set():
     """Validation reads the covers and the up-sets only, and the poset
     keeps nothing else: no down-set and no sorted copy of an up-set."""
     P = shape("grid4x4")
-    constant_diagram(P, free_group(1))
+    validate_constant_z(P)
     assert kept_poset_state(P) <= {"covers_out", "covers_into", "_pos", "_up"}
 
 

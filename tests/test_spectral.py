@@ -238,6 +238,31 @@ def test_pages_refuse_d_squared_nonzero_inside_one_level(monkeypatch):
         restrict_to_level(FilteredComplex(bad, CHAIN_LAST_INC, P), 2)
 
 
+def test_page_zero_refuses_a_flipped_entry_of_a_level_piece(monkeypatch):
+    """Page 0 runs no d o d check of its own, as derived._complex checks
+    each level piece while building it: on a < b < c with constant Z, one
+    flipped entry of level 2's differential out of (a, b, c), made
+    through _assemble after the base is built, still makes page(X, 0)
+    raise."""
+    P = validate_graded([("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    X = build_filtered(P, constant_diagram(P, free_group(1)), CHAIN_LAST_INC)
+    assemble = derived._assemble
+
+    def flipped(sums, n_src, n_tgt, entries):
+        h = assemble(sums, n_src, n_tgt, entries)
+        if n_src != 2:
+            return h
+        rows = h.matrix.tolist()
+        i, j = next((i, j) for j in range(h.matrix.shape[1])
+                    for i in range(h.matrix.shape[0]) if rows[i][j])
+        rows[i][j] = -rows[i][j]
+        return AbHom(h.source, h.target, la.intmat(rows), check=False)
+
+    monkeypatch.setattr(derived, "_assemble", flipped)
+    with pytest.raises(OracleViolation, match="d o d is nonzero"):
+        page(X, 0)
+
+
 def test_e_infinity_pushout():
     F = intro_pushout()
     X = build_filtered(F.poset, F, CHAIN_LAST_INC)
