@@ -29,7 +29,7 @@ transposes of commuting diagrams) and skip it; the tests re-validate them.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import intlinalg as la
 from .abgroup import (
@@ -216,12 +216,9 @@ def ker_at(F: Diagram, i0: str) -> Subgroup:
 def _joint_kernel(F: Diagram, i0: str) -> Subgroup:
     F.poset._check_id(i0)
     G = F.groups[i0]
-    lattice = la.eye(G.ambient_rank)
-    for q in F.poset.covers_out[i0]:
-        h = F.cover_maps[(i0, q)]
-        ker_q = la.preimage_lattice(h.matrix, h.target.relations)
-        lattice = la.intersect_lattices(lattice, ker_q)
-    return Subgroup(G, lattice)
+    homs = [F.cover_maps[(i0, q)] for q in F.poset.covers_out[i0]]
+    kernels = [la.preimage_lattice(h.matrix, h.target.relations) for h in homs]
+    return Subgroup(G, reduce(la.intersect_lattices, kernels) if kernels else la.eye(G.ambient_rank))
 
 
 def representable_diagram(P: GradedPoset, c: str) -> Diagram:

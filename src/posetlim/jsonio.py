@@ -15,14 +15,15 @@ The two schema files under schemas/ are the only copy of the structural
 rules.  Each is compiled once per process into a plain-Python checker
 (compile_schema) that covers exactly the keywords the schemas use:
 type, properties, required, additionalProperties, items, minItems,
-maxItems, minLength, minimum, enum (of strings), pattern, propertyNames
-and $ref into $defs, plus the annotations $schema, $id and title; any
-other keyword makes the compiler raise.  The checker's "integer" is a
-Python int that is not a bool, so 1.0 is refused, where draft 2020-12
-would accept it.  jsonschema is imported only when the checker refuses
-a document, to explain the refusal with the message and pointer of its
-best_match; a refusal jsonschema does not share is a float-valued
-integer and is reported as "<value> is not of type 'integer'".
+maxItems, minLength, minimum (of an integer), enum (of strings), pattern,
+propertyNames and $ref into $defs, plus the annotations $schema, $id and
+title; any other keyword makes the compiler raise.  The checker words
+each refusal as jsonschema's draft 2020-12 validator does, and names the
+fault its best_match would: the shallowest, and of siblings the one at
+the greatest key or index.  Its "integer" is a Python int that is not a
+bool, so 1.0 is refused, where draft 2020-12 accepts it; an integral
+float below a minimum is refused for the minimum, as draft 2020-12 does,
+and any other float for its type.
 """
 
 from __future__ import annotations
@@ -53,27 +54,20 @@ _KEYWORDS = frozenset({
     "maxItems", "minLength", "minimum", "enum", "pattern", "propertyNames",
     "$ref", "$defs", "$schema", "$id", "title"})
 
-# one check per type name: None when the value has the type, else ()
-_TYPES = {
-    "object": lambda v: None if isinstance(v, dict) else (),
-    "array": lambda v: None if isinstance(v, list) else (),
-    "string": lambda v: None if isinstance(v, str) else (),
-    "integer": lambda v: (None if type(v) is int
-                          or isinstance(v, int) and not isinstance(v, bool) else ()),
-    "boolean": lambda v: None if isinstance(v, bool) else (),
-    "null": lambda v: None if v is None else (),
-}
+# the Python class of each type name; an "integer" is also not a bool
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "boolean": bool, "null": type(None)}
 
 
 def compile_schema(schema: dict):
     """check(value) for a schema in the keyword subset of the module
-    docstring: None when value is valid, else the path (a tuple of keys
-    and indices) of the first value refused.  Raises ValueError on any
-    other keyword, type name or reference form.
+    docstring: None when value is valid, else (path, message), path being
+    the keys and indices down to the value refused.  Raises ValueError on
+    any other keyword, type name or reference form.
 
     >>> check = compile_schema({"type": "array", "items": {"type": "integer"}})
     >>> check([1, 2]) is None, check([1, 2.0])
-    (True, (1,))
+    (True, ((1,), "2.0 is not of type 'integer'"))
     """
     defs = {}
 
@@ -88,27 +82,23 @@ def compile_schema(schema: dict):
 
     def build(s):
         if isinstance(s, bool):
-            return (lambda v: None) if s else (lambda v: ())
+            return (lambda v: None) if s else (lambda v: ((), f"False schema does not allow {v!r}"))
         unknown = set(s) - _KEYWORDS
         if unknown:
             raise ValueError(f"schema keywords outside the compiled subset: {sorted(unknown)}")
         names = s.get("type", [])
         names = [names] if isinstance(names, str) else names
-        if not set(names) <= set(_TYPES):
-            raise ValueError(f"unsupported type in {names}")
-        checks = []
-        if len(names) == 1:
-            checks.append(_TYPES[names[0]])
-        elif names:
-            tests = [_TYPES[n] for n in names]
-            checks.append(lambda v: () if all(t(v) is not None for t in tests) else None)
+        if not set(names) <= set(_TYPES) or "minimum" in s and names != ["integer"]:
+            raise ValueError(f"unsupported type in {names}, or minimum without 'integer'")
+        checks = [_at_least(s["minimum"]) if "minimum" in s else _type_check(names)] if names else []
         if "$ref" in s:
             checks.append(ref(s["$ref"]))
         if "enum" in s:
             allowed = frozenset(s["enum"])
             if not all(isinstance(e, str) for e in allowed):
                 raise ValueError(f"enum {s['enum']} is not all strings")
-            checks.append(lambda v: None if isinstance(v, str) and v in allowed else ())
+            checks.append(lambda v: None if isinstance(v, str) and v in allowed
+                          else ((), f"{v!r} is not one of {s['enum']!r}"))
         checks += [c for c in (_object_check(s, build), _array_check(s, build),
                                _scalar_check(s)) if c is not None]
         if len(checks) == 1:
@@ -116,8 +106,7 @@ def compile_schema(schema: dict):
 
         def check(v):
             for c in checks:
-                bad = c(v)
-                if bad is not None:
+                if (bad := c(v)) is not None:
                     return bad
             return None
         return check
@@ -125,14 +114,44 @@ def compile_schema(schema: dict):
     return build(schema)
 
 
+def _type_check(names):
+    classes = _TYPES[names[0]] if len(names) == 1 else tuple(_TYPES[n] for n in names)
+    refused = f" is not of type {', '.join(map(repr, names))}"
+    if "integer" in names and "boolean" not in names:
+        return lambda v: (None if type(v) is int or isinstance(v, classes)
+                          and not isinstance(v, bool) else ((), f"{v!r}{refused}"))
+    return lambda v: None if isinstance(v, classes) else ((), f"{v!r}{refused}")
+
+
+def _at_least(minimum):
+    """type integer and minimum in one check.  An integral float is an
+    integer to draft 2020-12, so one below minimum is refused for the
+    minimum, any other float for its type."""
+    def check(v):
+        if type(v) is int or isinstance(v, int) and not isinstance(v, bool):
+            if v >= minimum:
+                return None
+        elif not (isinstance(v, float) and v.is_integer() and v < minimum):
+            return (), f"{v!r} is not of type 'integer'"
+        return (), f"{v!r} is less than the minimum of {minimum!r}"
+    return check
+
+
+def _named(found, key, bad):
+    """Whichever of found and bad (from the value at key) best_match names."""
+    bad = (key, *bad[0]), bad[1]
+    return bad if found is None or (-len(bad[0]), bad[0]) > (-len(found[0]), found[0]) else found
+
+
 def _object_check(s, build):
     """properties, required, additionalProperties, propertyNames; a
     value that is not an object passes them, as in JSON Schema."""
     props = {k: build(sub) for k, sub in s.get("properties", {}).items()}
     required = s.get("required", ())
-    extra = build(s["additionalProperties"]) if "additionalProperties" in s else None
+    extra = s.get("additionalProperties", True)
+    closed, extra = extra is False, None if isinstance(extra, bool) else build(extra)
     names = build(s["propertyNames"]) if "propertyNames" in s else None
-    if not (props or required or extra or names):
+    if not (props or required or closed or extra or names):
         return None
 
     def check(v):
@@ -140,16 +159,20 @@ def _object_check(s, build):
             return None
         for k in required:
             if k not in v:
-                return ()
+                return (), f"{k!r} is a required property"
+        found = None
         for k, x in v.items():
+            if names is not None and (bad := names(k)) is not None:
+                return (), bad[1]
             c = props.get(k, extra)
             if c is not None:
-                bad = c(x)
-                if bad is not None:
-                    return (k, *bad)
-            if names is not None and names(k) is not None:
-                return ()
-        return None
+                if (bad := c(x)) is not None:
+                    found = _named(found, k, bad)
+            elif closed:
+                extras = sorted((k for k in v if k not in props), key=str)
+                return (), (f"Additional properties are not allowed ({', '.join(map(repr, extras))}"
+                            f" {'was' if len(extras) == 1 else 'were'} unexpected)")
+        return found
     return check
 
 
@@ -163,31 +186,32 @@ def _array_check(s, build):
     def check(v):
         if not isinstance(v, list):
             return None
-        if len(v) < lo or (hi is not None and len(v) > hi):
-            return ()
+        if len(v) < lo:
+            return (), f"{v!r} {'should be non-empty' if lo == 1 else 'is too short'}"
+        if hi is not None and len(v) > hi:
+            return (), f"{v!r} {'is expected to be empty' if hi == 0 else 'is too long'}"
+        found = None
         if items is not None:
             for i, x in enumerate(v):
-                bad = items(x)
-                if bad is not None:
-                    return (i, *bad)
-        return None
+                if (bad := items(x)) is not None:
+                    found = _named(found, i, bad)
+        return found
     return check
 
 
 def _scalar_check(s):
-    """minLength and pattern for strings, minimum for numbers."""
-    min_length, minimum = s.get("minLength", 0), s.get("minimum")
+    """minLength and pattern; a value that is not a string passes them."""
+    min_length = s.get("minLength", 0)
     pattern = re.compile(s["pattern"]) if "pattern" in s else None
-    if not min_length and minimum is None and pattern is None:
+    if not min_length and pattern is None:
         return None
 
     def check(v):
         if isinstance(v, str):
-            if len(v) < min_length or (pattern is not None and not pattern.search(v)):
-                return ()
-        elif (minimum is not None and isinstance(v, (int, float))
-              and not isinstance(v, bool) and v < minimum):
-            return ()
+            if len(v) < min_length:
+                return (), f"{v!r} {'should be non-empty' if min_length == 1 else 'is too short'}"
+            if pattern is not None and not pattern.search(v):
+                return (), f"{v!r} does not match {pattern.pattern!r}"
         return None
     return check
 
@@ -214,23 +238,12 @@ def _pointer(path) -> str:
 
 
 def _schema_check(instance, name: str):
-    schema, check = _compiled(name)
-    path = check(instance)
-    if path is None:
-        return
-    import jsonschema  # only a refused document pays for it
-
-    validator = jsonschema.Draft202012Validator(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        path, message = error.absolute_path, error.message
-    else:
-        # draft 2020-12 counts 1.0 as an integer; the checker does not
-        value = functools.reduce(lambda v, key: v[key], path, instance)
-        message = f"{value!r} is not of type 'integer'"
-    exc = SchemaError(f"at {_pointer(path)}: {message}")
-    exc.pointer = _pointer(path)
-    raise exc
+    refusal = _compiled(name)[1](instance)
+    if refusal is not None:
+        path, message = refusal
+        exc = SchemaError(f"at {_pointer(path)}: {message}")
+        exc.pointer = _pointer(path)
+        raise exc
 
 
 def _invalid(pointer: str, msg: str):

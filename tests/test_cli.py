@@ -633,36 +633,45 @@ def test_cli_never_imports_dataclasses_or_inspect():
     assert r.returncode == 0, r.stderr[-2000:]
 
 
-def test_jsonschema_loads_only_to_explain_a_refusal(tmp_path):
-    """Valid documents and reports are checked without jsonschema; the first
-    refused document loads it and prints jsonschema's best_match text."""
+def test_no_command_needs_jsonschema(tmp_path):
+    """In a fresh interpreter where jsonschema cannot be imported, every
+    command on the bundled documents, in text and with --json, gives the
+    exit code and bytes that golden_outputs.json records; every --json
+    report passes validate_report; and a refused document exits 1 with the
+    checker's own wording."""
     bad = tmp_path / "bad.json"
     doc = json.loads(resources.files("posetlim").joinpath("data/intro_pushout.json").read_text())
     doc["poset"]["direction"] = "sideways"
     bad.write_text(json.dumps(doc))
     script = "\n".join([
-        "import contextlib, io, json, sys",
+        "import contextlib, hashlib, io, json, sys",
+        "sys.modules['jsonschema'] = None  # so that importing it raises ImportError",
         "from importlib import resources",
-        "import posetlim",
         "from posetlim import cli, jsonio",
-        "assert 'jsonschema' not in sys.modules, 'import posetlim'",
-        "doc = str(resources.files('posetlim').joinpath('data/intro_pushout.json'))",
-        "reports = []",
-        "for argv in (['validate', doc], ['colim', doc], ['lim', doc], ['classify', doc],",
-        "             ['spectral', '--variant', '3', doc], ['gallery']):",
-        "    out = io.StringIO()",
-        "    with contextlib.redirect_stdout(out):",
-        "        assert cli.main(['--json', *argv]) == 0, argv",
-        "    reports.append(json.loads(out.getvalue()))",
-        "    assert 'jsonschema' not in sys.modules, argv",
-        "for rep in reports:",
-        "    jsonio.validate_report(rep)",
-        "assert 'jsonschema' not in sys.modules, 'validate_report'",
+        "from record_golden import DOCUMENT_COMMANDS, GOLDEN, PLAIN_COMMANDS",
+        "def sha(stream):",
+        "    return hashlib.sha256(stream.getvalue().encode()).hexdigest()",
+        "with open(GOLDEN) as fh:",
+        "    want = json.load(fh)",
+        "data = resources.files('posetlim') / 'data'",
+        "names = sorted(p.name for p in data.iterdir() if p.name.endswith('.json'))",
+        "runs = [([cmd[0], name] + cmd[1:], [cmd[0], str(data / name)] + cmd[1:])",
+        "        for name in names for cmd in DOCUMENT_COMMANDS]",
+        "runs += [(cmd, cmd) for cmd in PLAIN_COMMANDS]",
+        "for key, argv in runs:",
+        "    for prefix in ([], ['--json']):",
+        "        out, err = io.StringIO(), io.StringIO()",
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "            code = cli.main(prefix + argv)",
+        "        got = {'code': code, 'stdout': sha(out), 'stderr': sha(err)}",
+        "        assert got == want[' '.join(prefix + key)], (prefix + key, got)",
+        "        if prefix and out.getvalue():",
+        "            jsonio.validate_report(json.loads(out.getvalue()))",
         "assert cli.main(['colim', sys.argv[1]]) == 1",
-        "assert 'jsonschema' in sys.modules, 'refused document'",
     ])
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)
     r = subprocess.run([sys.executable, "-c", script, str(bad)], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
     assert r.returncode == 0, r.stderr[-2000:]
