@@ -45,12 +45,11 @@ eliminated complex is checked for d o d = 0.  A filtered complex built
 directly on a complex keeps that complex as its base.
 
 Each cycle lattice Z(n, s, star), the level-<= s chains of C_n whose
-differential lies at level <= star, is read off one lattice preimage
-per (degree, reach) with C_n's coordinates in filtration order, highest
-level first, the integer form of the persistence reduction
-(Zomorodian-Carlsson, 2005; Basu-Parida, 2017).  Only the levels that
-hold a coordinate of the base in that degree get lattices of their own;
-every other level has those of the occupied level below it.  Past
+differential lies at level <= star, is one lattice preimage: of the
+relations, under x -> (x, d x) read on the coordinates above s and above
+star, as a relation lies at one level.  Only the levels that hold a
+coordinate of the base in that degree get lattices of their own; every
+other level has those of the occupied level below it.  Past
 r = span + 1 every page has the same lattices and no differential, so
 those pages share page span + 1's entries.  Every solve against a cycle
 lattice, for its entry (abgroup.subquotient) or for the containment
@@ -90,7 +89,7 @@ the convergence check and both page oracles reuse the same pages.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cached_property
 from math import prod
@@ -205,9 +204,10 @@ class FilteredComplex:
     canonical level (_level) shifts that to 0-based increasing form, and
     the levels are stored once, per coordinate of each degree
     (_coord_levels), with the sorted set of them each degree occupies
-    (_occupied); the respect invariant (the differential never raises
-    the canonical level) is verified on construction, entry by nonzero
-    entry, and so is the base's matching:
+    (_occupied); each cycle lattice is kept once per (degree, clamped
+    level, reach) (_z_cache, see _Z).  The respect invariant (the
+    differential never raises the canonical level) is verified on
+    construction, entry by nonzero entry, and so is the base's matching:
     it must fix the key vertex of every pair, or the reduction would not
     be filtered, and each pair its elimination cancelled must lie at one
     level.  The base checks each pair its flows expand against the ends
@@ -234,7 +234,6 @@ class FilteredComplex:
             for n in range(base.top + 1)}
         self._occupied = {n: sorted(set(lvs)) for n, lvs in self._coord_levels.items()}
         self._z_cache = {}
-        self._preimages = {}
         self._pages = {}
         self._check_respected()
         self._check_matching()
@@ -292,72 +291,41 @@ class FilteredComplex:
         (both read modulo relations), as a lattice basis.  A level that
         holds no coordinate of C_n adds nothing to it, so s clamps down to
         the highest such occupied level (found by bisection), below which
-        only the relations are left; and as d never raises the level, a
-        star >= s gives every level-<= s element, so star clamps to s.
-
-        The prefix argument: in level order, highest first, an element
-        lies at level <= s exactly when its leading coordinate does, so
-        the level-<= s part of a lattice is spanned by the suffix of its
-        echelon basis that leads at level <= s.  Z(n, s, star) is that
-        suffix of K(n, star) (_preimage), which holds every relation,
-        joined with the relations above level s, whose support is
-        disjoint from it.  Every star with the same reach, the highest
-        level <= star holding a coordinate of the target, shares one
-        lattice object."""
+        only the relations are left; and as d never raises the level, star
+        clamps to s, then to its reach, the highest level <= star holding
+        a coordinate of the target.  A relation lies in one block, so at
+        one level, and x lies at level <= s modulo relations exactly when
+        its coordinates above s are a combination of those there: Z is
+        one preimage, of the relations of C_n and of the target under
+        x -> (x, d x) on the rows above s and above reach."""
         occupied = self._occupied.get(n)
         if occupied is None:
             return la.zeros(0, 0)
         i = bisect_right(occupied, s)
         if not i:
             return self.base.group_at(n).relations
-        s = occupied[i - 1]
-        star = max(min(star, s), -1)
-        hit = self._z_cache.get((n, s, star))
+        s, m = occupied[i - 1], n + self.step
+        target = self._occupied.get(m, ())
+        j = bisect_right(target, min(star, s))
+        reach = target[j - 1] if j else -1
+        hit = self._z_cache.get((n, s, reach))
         if hit is None:
-            target = self._occupied.get(n + self.step, ())
-            j = bisect_right(target, star)
-            reach = target[j - 1] if j else -1
-            hit = self._z_cache.get((n, s, reach))
-            if hit is None:
-                K, leads = self._preimage(n, reach)
-                levels = self._coord_levels[n]
-                cols = [col for col in self._relation_bases[n] if levels[min(col)] > s]
-                cols += K[bisect_left(leads, -s):]
-                hit = self._z_cache[(n, s, reach)] = la.IntMatrix((len(levels), len(cols)), cols)
-            self._z_cache[(n, s, star)] = hit
-        return hit
+            # C_n's coordinates are rows 0..g-1 and the target's follow
+            g = len(self._coord_levels[n])
+            mine = [i for i, lv in enumerate(self._coord_levels[n]) if lv > s]
+            row = {i: k for k, i in enumerate(mine + [
+                g + i for i, lv in enumerate(self._coord_levels.get(m, ())) if lv > reach])}
 
-    @cached_property
-    def _relation_bases(self) -> dict:
-        """{n: the columns of one echelon basis of C_n's relations}.  A
-        relation lies in one block, so each column lies at one level."""
-        return {n: la.lattice_basis(self.base.group_at(n).relations).cols
-                for n in self._coord_levels}
+            def above(cols, shift):
+                return [{row[i + shift]: x for i, x in c.items() if i + shift in row} for c in cols]
 
-    def _preimage(self, n, reach):
-        """K(n, reach), the elements of C_n whose differential lies at
-        level <= reach modulo relations: the preimage of the target's
-        relations above level reach, which lie one level each, under the
-        rows of d above it, from one preimage_lattice per (n, reach) in
-        C_n's level order.  Returns its echelon basis in C_n's coordinates
-        and minus the level each column leads at (nondecreasing)."""
-        hit = self._preimages.get((n, reach))
-        if hit is None:
-            levels, m = self._coord_levels[n], n + self.step
-            order = sorted(range(len(levels)), key=levels.__getitem__, reverse=True)
-            row = {i: k for k, i in enumerate(
-                i for i, lv in enumerate(self._coord_levels.get(m, ())) if lv > reach)}
-
-            def rows_above(cols):
-                return la.IntMatrix((len(row), len(cols)),
-                                    [{row[i]: x for i, x in c.items() if i in row} for c in cols])
-
-            d = self.base.d_from(n).matrix.cols
-            K = la.preimage_lattice(rows_above([d[j] for j in order]),
-                                    rows_above(self.base.group_at(m).relations.cols))
-            hit = self._preimages[(n, reach)] = (
-                [{order[k]: x for k, x in col.items()} for col in K.cols],
-                [-levels[order[min(col)]] for col in K.cols])
+            graph = above(self.base.d_from(n).matrix.cols, g)
+            for k, j in enumerate(mine):
+                graph[j][k] = 1
+            rel = (above(self.base.group_at(n).relations.cols, 0)
+                   + above(self.base.group_at(m).relations.cols, g))
+            hit = self._z_cache[(n, s, reach)] = la.preimage_lattice(
+                la.IntMatrix((len(row), g), graph), la.IntMatrix((len(row), len(rel)), rel))
         return hit
 
 

@@ -9,7 +9,14 @@ import pytest
 
 from posetlim import derived, poset, spectral
 from posetlim import intlinalg as la
-from posetlim.abgroup import AbHom, cyclic_group, direct_sum, free_group, group_from_invariants
+from posetlim.abgroup import (
+    AbHom,
+    FgAbGroup,
+    cyclic_group,
+    direct_sum,
+    free_group,
+    group_from_invariants,
+)
 from posetlim.classify import classify_diagram
 from posetlim.derived import ChainComplex, check_euler_characteristic, derived_functor
 from posetlim.diagram import constant_diagram, skyscraper_diagram, validate_functor
@@ -691,9 +698,8 @@ def _oracle_complexes():
 
 
 def test_cycle_lattices_match_reference():
-    """Every Z(n, s, star) from the one filtration-ordered echelon spans
-    the preimage-and-intersection lattice, clamped keys included; ordering
-    the rows lowest level first breaks this."""
+    """Every Z(n, s, star), each one preimage, spans the
+    preimage-and-intersection lattice, clamped keys included."""
     seen = set()
     keys = 0
     for X in _oracle_complexes():
@@ -715,34 +721,34 @@ def _occupied_pairs(X):
 
 
 def _counted_preimages(monkeypatch):
-    """(asked, ran): the (degree, reach) keys that FilteredComplex._preimage
-    is asked for, and one entry per la.preimage_lattice call, with the
-    name of the function that called it."""
-    asked, ran = [], []
-    real_pre, real_cached = la.preimage_lattice, FilteredComplex._preimage
+    """(built, ran): the (degree, clamped level, reach) key that
+    FilteredComplex._Z builds with each la.preimage_lattice call it makes,
+    read off its frame, and one entry per la.preimage_lattice call, with
+    the name of the function that called it."""
+    built, ran = [], []
+    real = la.preimage_lattice
 
     def counted(A, L):
-        ran.append(sys._getframe(1).f_code.co_name)
-        return real_pre(A, L)
-
-    def asking(self, n, reach):
-        asked.append((n, reach))
-        return real_cached(self, n, reach)
+        caller = sys._getframe(1)
+        ran.append(caller.f_code.co_name)
+        if caller.f_code.co_name == "_Z":
+            built.append(tuple(caller.f_locals[k] for k in ("n", "s", "reach")))
+        return real(A, L)
 
     monkeypatch.setattr(la, "preimage_lattice", counted)
-    monkeypatch.setattr(FilteredComplex, "_preimage", asking)
-    return asked, ran
+    return built, ran
 
 
 @pytest.mark.parametrize("case", ["intro_pushout", "chain300"])
 def test_one_preimage_per_degree_and_clamped_reach(monkeypatch, case):
-    """Pages 1..span + 2 run la.preimage_lattice once per (degree, reach)
-    they ask for, and each reach is clamped: -1 or a level that holds a
-    coordinate of the target degree.  On the pushout in every variant,
-    and on constant Z on a chain of 300 objects, whose carrier matching
-    leaves one cell, in both carrier variants, where that is one
-    preimage against 300 levels."""
-    asked, ran = _counted_preimages(monkeypatch)
+    """Pages 1..span + 2 run la.preimage_lattice only in _Z, once per
+    (degree, level, reach) key it builds, and each key is clamped: the
+    level holds a coordinate of the degree, and the reach is -1 or a
+    level no higher that holds a coordinate of the target degree.  On
+    the pushout in every variant, and on constant Z on a chain of 300
+    objects, whose carrier matching leaves one cell, in both carrier
+    variants, where that is one preimage against 300 levels."""
+    built, ran = _counted_preimages(monkeypatch)
     if case == "intro_pushout":
         F = intro_pushout()
         P, variants = F.poset, [v for v in TABLE_VARIANTS if v.direction == F.poset.direction]
@@ -752,14 +758,16 @@ def test_one_preimage_per_degree_and_clamped_reach(monkeypatch, case):
                     variant_by_name("cochain:sigma_n:increasing")]
     for v in variants:
         X = FilteredComplex(build_filtered(P, F, v).base, v, P)
-        asked.clear()
+        built.clear()
         ran.clear()
         for r in range(1, X.span + 3):
             page(X, r)
         occupied = _occupied_pairs(X)
-        assert len(ran) == len(set(asked)) > 0, v.name
-        for n, reach in asked:
-            assert reach == -1 or (n + X.step, reach) in occupied, (v.name, n, reach)
+        assert set(ran) == {"_Z"} and len(ran) == len(set(built)), v.name
+        assert set(built) == set(X._z_cache), v.name
+        for n, s, reach in built:
+            assert (n, s) in occupied, (v.name, n, s)
+            assert reach == -1 or (n + X.step, reach) in occupied and reach <= s, (v.name, n, reach)
         if case == "chain300":
             assert len(ran) == 1 and X.span == 299
 
@@ -783,14 +791,14 @@ def test_e_infinity_of_a_chain_of_200_objects_in_the_ends_variants_within_a_seco
         monkeypatch):
     """Constant Z on a chain of 200 objects in the two variants whose
     two-ended matching keeps a cell at nearly every level: E-infinity is
-    one Z, the convergence check passes, la.preimage_lattice runs at most
-    once per (degree, reach) asked, and each variant takes under 1 s."""
-    asked, ran = _counted_preimages(monkeypatch)
+    one Z, the convergence check passes, la.preimage_lattice runs from _Z
+    once per key it builds, and each variant takes under 1 s."""
+    built, ran = _counted_preimages(monkeypatch)
     P, F = parse_diagram(deep_chain_document(200))
     for name, key in (("chain:sigma_n:increasing", (0, 0)),
                       ("cochain:sigma_0:increasing", (199, -199))):
         v = variant_by_name(name)
-        asked.clear()
+        built.clear()
         ran.clear()
         start = time.perf_counter()
         stable = e_infinity(build_filtered(P, F, v))
@@ -798,7 +806,7 @@ def test_e_infinity_of_a_chain_of_200_objects_in_the_ends_variants_within_a_seco
         assert time.perf_counter() - start < 1, name
         assert {k: g.describe() for k, g in stable.entries.items()} == {key: "Z"}
         # the convergence check's derived functors take preimages of their own
-        assert 0 < ran.count("_preimage") <= len(set(asked)), name
+        assert 0 < ran.count("_Z") == len(set(built)), name
 
 
 def test_shared_pages_match_reference_pages():
@@ -818,6 +826,51 @@ def test_shared_pages_match_reference_pages():
                 assert got[k].is_isomorphic_to(g), (X.variant.name, r, k)
             assert set(pg.entries) == {_public_key(X, s, n)
                                        for (s, n), g in ref.items() if not g.is_trivial}
+
+
+def _represented(F):
+    """F with every value re-presented on relations [R | R | 2R], the
+    same group and the same cover matrices, built through
+    validate_functor."""
+    groups = {i: FgAbGroup(G.ambient_rank, la.hstack([G.relations, G.relations, G.relations * 2]))
+              for i, G in F.groups.items()}
+    maps = {(a, b): AbHom(groups[a], groups[b], h.matrix) for (a, b), h in F.cover_maps.items()}
+    return validate_functor(F.poset, groups, maps)
+
+
+def test_redundant_presentations_give_the_same_pages():
+    """Relations with dependent columns change no page: each cycle lattice
+    is a basis, which abgroup.subquotient presents its group on.  Seeded
+    diagrams of both families in every mode each takes, on each poset and
+    its opposite, in every variant whose direction matches: pages
+    1..span + 2 hold the same invariants at every key, and the
+    convergence check passes on the re-presented diagram."""
+    seen, pages, dependent = set(), 0, 0
+    for family in POSET_FAMILIES:
+        for mode in DIAGRAM_MODES:
+            for seed in range(6):
+                cfg = GenConfig(seed=seed, family=family, max_objects=12, max_degree_span=4)
+                P = gen_poset(cfg)
+                for P in (P, opposite(P)):
+                    try:
+                        F = gen_diagram(cfg, P, mode)
+                    except FamilyMismatchError:
+                        continue
+                    G = _represented(F)
+                    dependent += any(g.relations.shape[1] for g in F.groups.values())
+                    for v in TABLE_VARIANTS:
+                        if v.direction != P.direction:
+                            continue
+                        seen.add((family, mode, v.name))
+                        X, Y = build_filtered(P, F, v), build_filtered(P, G, v)
+                        for r in range(1, X.span + 3):
+                            _assert_same_groups(page(Y, r), page(X, r))
+                            pages += 1
+                        assert convergence_check(P, G, v).ok
+    assert {(f, v) for f, _, v in seen} == {(f, v.name) for f in POSET_FAMILIES
+                                            for v in TABLE_VARIANTS}
+    assert {m for _, m, _ in seen} == set(DIAGRAM_MODES)
+    assert dependent > 0 and pages > 200
 
 
 def test_pages_past_span_plus_one_share_its_entries():
@@ -841,13 +894,13 @@ def test_pages_past_span_plus_one_share_its_entries():
 
 def test_pages_take_preimages_only_through_the_reach_cache(monkeypatch):
     """Pages and E-infinity intersect no lattices, and take each lattice
-    preimage through FilteredComplex._preimage, at most once per
-    (degree, reach) asked."""
+    preimage in FilteredComplex._Z, once per (degree, level, reach) key
+    it builds."""
     def refuse(*args, **kwargs):
         raise AssertionError("a page asked for a lattice intersection")
 
     monkeypatch.setattr(la, "intersect_lattices", refuse)
-    asked, ran = _counted_preimages(monkeypatch)
+    built, ran = _counted_preimages(monkeypatch)
     seen = set()
     for P, F in bundled_diagrams():
         for v in TABLE_VARIANTS:
@@ -855,13 +908,13 @@ def test_pages_take_preimages_only_through_the_reach_cache(monkeypatch):
                 continue
             seen.add(v.name)
             X = FilteredComplex(build_filtered(P, F, v).base, v, P)
-            asked.clear()
+            built.clear()
             ran.clear()
             for r in range(X.span + 4):
                 page(X, r)
             e_infinity(X)
-            assert set(ran) <= {"_preimage"}, v.name
-            assert len(ran) <= len(set(asked)), v.name
+            assert set(ran) <= {"_Z"}, v.name
+            assert len(ran) == len(set(built)), v.name
     assert seen == {v.name for v in TABLE_VARIANTS}
 
 
@@ -935,7 +988,7 @@ def _chain_on_three():
 
 def _with_lattice(X, key, Z):
     """A fresh filtered complex on X's base whose cycle lattice at key,
-    a clamped (degree, level, star), is Z; _Z reads that key before it
+    a clamped (degree, level, reach), is Z; _Z reads that key before it
     computes anything, and every other lattice is computed as usual."""
     Y = FilteredComplex(X.base, X.variant, X.poset)
     Y._z_cache[key] = Z
@@ -972,11 +1025,12 @@ def test_containment_is_checked_into_an_unoccupied_level():
     """Page 2 maps level 2, degree 2 into level 0, degree 1, which holds
     no coordinate (a 1-chain ends at b or c), so page 2 has no entry
     there.  A cycle lattice widened by abc, whose boundary reaches level
-    2, leaves the target cycles, which are the relations alone."""
+    2, leaves the target cycles, which are the relations alone.  Degree 1
+    occupies levels 1 and 2, so star 0 clamps to reach -1."""
     X, at = _chain_on_three()
     assert not X._Z(2, 2, 0).shape[1]  # d(abc) does not lie at level 0
     abc = la.IntMatrix((len(at[2]), 1), [{at[2][("a", "b", "c")]: 1}])
-    Y = _with_lattice(X, (2, 2, 0), abc)
+    Y = _with_lattice(X, (2, 2, -1), abc)
     with pytest.raises(OracleViolation, match="page-2 differential leaves the target "
                                               "cycles at level 2, degree 2"):
         page(Y, 2)
